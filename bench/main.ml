@@ -130,14 +130,6 @@ let core_tests =
             fun () ->
               incr i;
               ignore (Ffs.write_file fs (Printf.sprintf "/b/f%08d" !i) payload)));
-      Test.make ~name:"bitmap_find_clear_run"
-        (Staged.stage
-           (let b = Cffs_util.Bitmap.create 16384 in
-            let prng = Cffs_util.Prng.create 5 in
-            for _ = 0 to 8000 do
-              Cffs_util.Bitmap.set b (Cffs_util.Prng.int prng 16384)
-            done;
-            fun () -> ignore (Cffs_util.Bitmap.find_clear_run b ~hint:0 ~len:16)));
     ]
 
 let run_bechamel () =

@@ -153,56 +153,71 @@ let vol_layout_arg =
 let mkfs_cmd =
   let run image size_mb fs_kind no_embed no_grouping group_kb integrity spares
       policy drives vol_layout =
-    let nblocks = size_mb * 256 in
-    let drives = max 1 drives in
-    let layout = if drives <= 1 then Volume.Single else vol_layout in
-    (* Formatting through the composite exercises the volume mapping; the
-       layout choice is then recorded (descriptively) in the superblock. *)
-    let dev =
-      if drives <= 1 then Blockdev.memory ~block_size:4096 ~nblocks
-      else begin
-        let meta_per_chunk =
-          Setup.meta_per_chunk
-            (if fs_kind = "ffs" then Setup.Ffs_baseline
-             else Setup.Cffs_fs Cffs.config_default)
-        in
-        (Volume.create_memory ~stripe_unit:Setup.stripe_unit ~meta_per_chunk
-           ~block_size:4096 ~nblocks ~drives ~layout ())
-          .Volume.dev
-      end
+    let fs_name =
+      match fs_kind with "ffs" -> Some "FFS" | "cffs" -> Some "C-FFS" | _ -> None
     in
-    let vol_drives = drives
-    and vol_layout = Volume.layout_code layout
-    and vol_stripe_unit = if drives > 1 then Setup.stripe_unit else 0 in
-    (match fs_kind with
-    | "ffs" ->
-        ignore
-          (Ffs.format ?policy ~integrity ~spare_blocks:spares ~vol_drives
-             ~vol_layout ~vol_stripe_unit dev)
-    | "cffs" ->
-        let config =
-          {
-            Cffs.config_default with
-            Cffs.embed_inodes = not no_embed;
-            grouping = not no_grouping;
-            group_blocks = max 2 (group_kb / 4);
-          }
+    match fs_name with
+    | None ->
+        Printf.eprintf "mkfs: unknown file system %S; one of: cffs, ffs\n" fs_kind;
+        1
+    | Some _ when size_mb < 1 ->
+        Printf.eprintf "mkfs: --size-mb must be at least 1, got %d\n" size_mb;
+        1
+    | Some fs_name -> (
+        let nblocks = size_mb * 256 in
+        let drives = max 1 drives in
+        let layout = if drives <= 1 then Volume.Single else vol_layout in
+        (* Formatting through the composite exercises the volume mapping; the
+           layout choice is then recorded (descriptively) in the superblock. *)
+        let dev =
+          if drives <= 1 then Blockdev.memory ~block_size:4096 ~nblocks
+          else begin
+            let meta_per_chunk =
+              Setup.meta_per_chunk
+                (if fs_kind = "ffs" then Setup.Ffs_baseline
+                 else Setup.Cffs_fs Cffs.config_default)
+            in
+            (Volume.create_memory ~stripe_unit:Setup.stripe_unit ~meta_per_chunk
+               ~block_size:4096 ~nblocks ~drives ~layout ())
+              .Volume.dev
+          end
         in
-        ignore
-          (Cffs.format ?policy ~config ~integrity ~spare_blocks:spares
-             ~vol_drives ~vol_layout ~vol_stripe_unit dev)
-    | other -> failwith ("unknown file system: " ^ other));
-    Blockdev.save_file dev image;
-    Printf.printf "created %s: %d MB %s%s%s\n" image size_mb
-      (if fs_kind = "ffs" then "FFS" else "C-FFS")
-      (if integrity then
-         Printf.sprintf " (integrity: checksums + %d spare blocks)" spares
-       else "")
-      (if drives > 1 then
-         Printf.sprintf " on %d spindles (%s)" drives
-           (Volume.layout_name layout)
-       else "");
-    0
+        let vol_drives = drives
+        and vol_layout = Volume.layout_code layout
+        and vol_stripe_unit = if drives > 1 then Setup.stripe_unit else 0 in
+        try
+          (if fs_kind = "ffs" then
+             ignore
+               (Ffs.format ?policy ~integrity ~spare_blocks:spares ~vol_drives
+                  ~vol_layout ~vol_stripe_unit dev)
+           else
+             let config =
+               {
+                 Cffs.config_default with
+                 Cffs.embed_inodes = not no_embed;
+                 grouping = not no_grouping;
+                 group_blocks = max 2 (group_kb / 4);
+               }
+             in
+             ignore
+               (Cffs.format ?policy ~config ~integrity ~spare_blocks:spares
+                  ~vol_drives ~vol_layout ~vol_stripe_unit dev));
+          Blockdev.save_file dev image;
+          Printf.printf "created %s: %d MB %s%s%s\n" image size_mb fs_name
+            (if integrity then
+               Printf.sprintf " (integrity: checksums + %d spare blocks)" spares
+             else "")
+            (if drives > 1 then
+               Printf.sprintf " on %d spindles (%s)" drives
+                 (Volume.layout_name layout)
+             else "");
+          0
+        with Cffs_vfs.Fs_intf.Too_small { need_blocks; have_blocks } ->
+          Printf.eprintf
+            "mkfs: image too small: %s needs at least %d blocks (%d MB) for its \
+             file system, got %d\n"
+            fs_name need_blocks ((need_blocks + 255) / 256) have_blocks;
+          1)
   in
   let image = Arg.(required & pos 0 (some string) None & info [] ~docv:"IMAGE") in
   let size = Arg.(value & opt int 64 & info [ "size-mb" ] ~doc:"Image size in MB.") in
@@ -1143,13 +1158,7 @@ let mcbench_cmd =
   let module Scheduler = Cffs_disk.Scheduler in
   let run json qdepth sched_str streams files file_bytes large_mb no_coalesce
       config_str policy seed drives vol_layout =
-    let sched =
-      match String.lowercase_ascii sched_str with
-      | "fcfs" | "fifo" -> Some Scheduler.Fcfs
-      | "clook" | "c-look" -> Some Scheduler.Clook
-      | "sstf" -> Some Scheduler.Sstf
-      | _ -> None
-    in
+    let sched = Scheduler.policy_of_string sched_str in
     let config =
       match String.lowercase_ascii config_str with
       | "none" -> Some Cffs.config_ffs_like

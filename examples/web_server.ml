@@ -55,15 +55,15 @@ let measure kind =
   build_site env.Env.fs;
   let (Fs_intf.Packed ((module F), fs)) = env.Env.fs in
   F.remount fs (* every page load is cold: a busy server's cache misses *);
-  let stats = Blockdev.stats env.Env.dev in
+  let requests () = Request.Stats.requests (Blockdev.stats env.Env.dev) in
   let latencies = Cffs_util.Stats.create () in
-  let before_reqs = ref (Request.Stats.requests (Request.Stats.copy stats)) in
+  let before_reqs = requests () in
   for p = 0 to pages - 1 do
     let t0 = Blockdev.now env.Env.dev in
     load_page env.Env.fs env p;
     Cffs_util.Stats.add latencies ((Blockdev.now env.Env.dev -. t0) *. 1000.0)
   done;
-  let reqs = Request.Stats.requests (Request.Stats.copy stats) - !before_reqs in
+  let reqs = requests () - before_reqs in
   (latencies, float_of_int reqs /. float_of_int pages)
 
 let () =

@@ -1,7 +1,7 @@
 open Cffs_disk
 module Io_error = Cffs_util.Io_error
 
-(* Uniform request accounting for both backends; the timed backend's drive
+(* Uniform request accounting for both media; a timed spindle's drive
    additionally keeps its own (timed) [Request.Stats]. *)
 let m_reads = Cffs_obs.Registry.counter "blockdev.reads"
 let m_writes = Cffs_obs.Registry.counter "blockdev.writes"
@@ -14,46 +14,43 @@ type outcome = Proceed | Torn of int | Fail of Io_error.cause
 type injector = Io_error.op -> blk:int -> nblocks:int -> outcome
 type write_observer = blk:int -> data:bytes -> torn:int option -> unit
 
-type backend =
+type media =
   | Memory of { mutable clock : float; stats : Request.Stats.s }
-  | Timed of { drive : Drive.t; policy : Scheduler.policy; host_overhead : float }
-  | Multi of multi
+  | Timed of { drive : Drive.t; host_overhead : float }
 
-(* A composite device: logical blocks mapped onto N subdevices (simulated
-   spindles) by an extent table.  Each subdevice keeps its own Ioqueue, so
-   scheduling, tagged queuing, coalescing and fault isolation apply
-   per-spindle; the composite clock is the {e maximum} of the sub clocks
-   (spindles service their queues concurrently), which is what makes
-   multi-drain throughput scale.  Requests are split at extent boundaries
-   into per-spindle fragments and reassembled on completion. *)
-and multi = {
-  subs : t array;
-  extents : extent array;  (* sorted by lstart; tiles [0, nblocks) *)
-  sub_extents : extent array array;  (* per subdevice, sorted by pstart *)
-  frags : (int * int, frag) Hashtbl.t;  (* (sub index, sub tag) -> fragment *)
-  parents : (int, parent) Hashtbl.t;  (* composite tag -> assembly state *)
-  mutable next_tag : int;
-}
-
-and extent = { lstart : int; xlen : int; xsub : int; pstart : int }
-
-and frag = { fr_parent : int; fr_off : int (* blocks into the parent *); fr_len : int; fr_lblk : int }
-
-and parent = {
+(* A request split at extent boundaries: its fragments fold into this
+   record, which completes when the last one lands. *)
+type parent = {
   p_tag : int;
-  p_op : Io_error.op;
   p_blk : int;
   p_n : int;
   p_data : bytes;  (* reads: assembly buffer; writes: empty *)
   mutable p_left : int;  (* fragments outstanding *)
-  mutable p_err : Io_error.t option;  (* first fragment failure, logical blocks *)
+  mutable p_err : Io_error.t option;  (* first fragment failure *)
 }
 
-(* Payload carried through the tagged queue: reads want data back, writes
-   carry the data in. *)
-and qpayload = Pread | Pwrite of bytes
+(* What a spindle's tagged queue carries for one physical request: the
+   logical request (or fragment of one) it serves. *)
+type frag = {
+  f_tag : int;
+  f_lblk : int;  (* logical block of the fragment's first block *)
+  f_data : bytes;  (* writes: the payload; reads: empty *)
+  f_parent : parent option;  (* [None] for a request that was not split *)
+}
 
-and cqe = {
+(* One simulated spindle: the media with its contents and their
+   out-of-band integrity tags (keyed by physical block), and the spindle's
+   own tagged queue. *)
+type spindle = {
+  media : media;
+  store : (int, bytes) Hashtbl.t;
+  tags : (int, int) Hashtbl.t;
+  queue : frag Ioqueue.t;
+}
+
+type extent = { lstart : int; xlen : int; xsub : int; pstart : int }
+
+type cqe = {
   cq_tag : Ioqueue.tag;
   cq_op : Io_error.op;
   cq_blk : int;
@@ -62,12 +59,21 @@ and cqe = {
       (* [Ok data] for reads, [Ok Bytes.empty] for writes *)
 }
 
-and t = {
-  backend : backend;
-  store : (int, bytes) Hashtbl.t;
+(* A device is an array of spindles behind an extent table mapping the
+   logical block space onto them.  A plain device is one spindle under
+   the identity extent; a composite ([multi]) maps N spindles.  Every
+   pipeline operation below is written once over spindles and extents.
+   Spindles service their queues concurrently, so the device clock is the
+   {e maximum} of the spindle clocks, and a dependent operation first
+   syncs every spindle to it. *)
+type t = {
+  spindles : spindle array;
+  subs : t array;  (* the one-spindle devices a composite was built from *)
+  extents : extent array;  (* sorted by lstart; tiles [0, nblocks) *)
+  sp_extents : extent array array;  (* per spindle, sorted by pstart *)
   block_size : int;
   nblocks : int;
-  queue : qpayload Ioqueue.t;
+  mutable next_tag : int;
   mutable completed : cqe list;  (* reverse completion order *)
   mutable injector : injector option;
   mutable write_observer : write_observer option;
@@ -78,789 +84,61 @@ and t = {
      which is exactly what makes the tear detectable.  Maintained only
      when [tags_enabled]; the Integrity layer owns the at-rest encoding
      (the on-disk checksum region) and all verification. *)
-  tags : (int, int) Hashtbl.t;
   mutable tags_enabled : bool;
 }
 
-type flat_image = {
+type image = {
   img_blocks : (int, bytes) Hashtbl.t;
   img_tags : (int, int) Hashtbl.t;
   img_tags_enabled : bool;
 }
 
-type image =
-  | Iflat of flat_image
-  | Imulti of { parts : image array; iextents : extent array }
-
 let sectors_per_block t = t.block_size / Cffs_util.Units.sector_size
 
-(* --- extent mapping (composite devices) ---------------------------------- *)
+let make ~block_size ~subs spindles extents =
+  let by_pstart a b = compare a.pstart b.pstart in
+  {
+    spindles;
+    subs;
+    extents;
+    sp_extents =
+      Array.mapi
+        (fun i _ ->
+          let mine = List.filter (fun e -> e.xsub = i) (Array.to_list extents) in
+          Array.of_list (List.sort by_pstart mine))
+        spindles;
+    block_size;
+    nblocks = Array.fold_left (fun acc e -> acc + e.xlen) 0 extents;
+    next_tag = 1;
+    completed = [];
+    injector = None;
+    write_observer = None;
+    tags_enabled = false;
+  }
 
-(* The extent holding logical block [lblk], plus the offset into it.
-   Extents tile the logical space, so the search always lands. *)
-let locate (m : multi) lblk =
-  let a = m.extents in
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if a.(mid).lstart <= lblk then lo := mid else hi := mid - 1
-  done;
-  let e = a.(!lo) in
-  (e, lblk - e.lstart)
-
-(* Split the logical range [blk, blk+n) into per-spindle fragments
-   [(sub, pstart, off_blocks, len)] in logical order. *)
-let frags_of m blk n =
-  let rec go acc blk n off =
-    if n = 0 then List.rev acc
-    else
-      let e, eoff = locate m blk in
-      let run = min n (e.xlen - eoff) in
-      go ((e.xsub, e.pstart + eoff, off, run) :: acc) (blk + run) (n - run)
-        (off + run)
+let one_spindle ?policy media ~block_size ~nblocks =
+  let sp =
+    {
+      media;
+      store = Hashtbl.create 4096;
+      tags = Hashtbl.create 64;
+      queue = Ioqueue.create ?policy ();
+    }
   in
-  go [] blk n 0
-
-(* The logical runs a {e physical} range on subdevice [i] covers:
-   [(off_blocks_into_request, logical_start, len)] in physical order.
-   Physical blocks outside every extent yield no run. *)
-let runs_of m i pblk n =
-  let a = m.sub_extents.(i) in
-  let pend = pblk + n in
-  let out = ref [] in
-  Array.iter
-    (fun e ->
-      let s = max pblk e.pstart and e' = min pend (e.pstart + e.xlen) in
-      if s < e' then out := (s - pblk, e.lstart + (s - e.pstart), e' - s) :: !out)
-    a;
-  List.rev !out
+  make ~block_size ~subs:[||] [| sp |]
+    [| { lstart = 0; xlen = nblocks; xsub = 0; pstart = 0 } |]
 
 let of_drive ?(policy = Scheduler.Clook) ?(host_overhead = 0.5e-3) drive ~block_size =
   if block_size <= 0 || block_size mod Cffs_util.Units.sector_size <> 0 then
     invalid_arg "Blockdev.of_drive: block size";
   let nblocks = Drive.total_sectors drive * Cffs_util.Units.sector_size / block_size in
-  {
-    backend = Timed { drive; policy; host_overhead };
-    store = Hashtbl.create 4096;
-    block_size;
-    nblocks;
-    queue = Ioqueue.create ~policy ();
-    completed = [];
-    injector = None;
-    write_observer = None;
-    tags = Hashtbl.create 64;
-    tags_enabled = false;
-  }
+  one_spindle ~policy (Timed { drive; host_overhead }) ~block_size ~nblocks
 
 let memory ~block_size ~nblocks =
   if block_size <= 0 || nblocks <= 0 then invalid_arg "Blockdev.memory";
-  {
-    backend = Memory { clock = 0.0; stats = Request.Stats.create () };
-    store = Hashtbl.create 4096;
-    block_size;
-    nblocks;
-    queue = Ioqueue.create ();
-    completed = [];
-    injector = None;
-    write_observer = None;
-    tags = Hashtbl.create 64;
-    tags_enabled = false;
-  }
-
-let block_size t = t.block_size
-let nblocks t = t.nblocks
-let set_injector t inj = t.injector <- inj
-let set_write_observer t obs = t.write_observer <- obs
-
-let subdevices t =
-  match t.backend with Multi m -> Array.copy m.subs | _ -> [||]
-
-(* Tags live with the media, so on a composite they live in the
-   subdevices' tables, keyed by physical block; the composite translates. *)
-let rec enable_tags t =
-  t.tags_enabled <- true;
-  match t.backend with
-  | Multi m -> Array.iter enable_tags m.subs
-  | _ -> ()
-
-let tags_enabled t = t.tags_enabled
-
-let rec tag t blk =
-  match t.backend with
-  | Multi m ->
-      let e, off = locate m blk in
-      tag m.subs.(e.xsub) (e.pstart + off)
-  | _ -> Hashtbl.find_opt t.tags blk
-
-let rec set_tag t blk v =
-  match t.backend with
-  | Multi m ->
-      let e, off = locate m blk in
-      set_tag m.subs.(e.xsub) (e.pstart + off) v
-  | _ -> Hashtbl.replace t.tags blk v
-
-let rec tag_count t =
-  match t.backend with
-  | Multi m -> Array.fold_left (fun acc s -> acc + tag_count s) 0 m.subs
-  | _ -> Hashtbl.length t.tags
-
-let check_range t op blk n =
-  if blk < 0 || n <= 0 || blk + n > t.nblocks then
-    let spb = t.block_size / Cffs_util.Units.sector_size in
-    Io_error.raise_error ~op ~blk ~nblocks:n
-      ~range:
-        {
-          Io_error.start_sector = blk * spb;
-          sector_count = n * spb;
-          dev_sectors = t.nblocks * spb;
-          dev_blocks = t.nblocks;
-        }
-      Io_error.Out_of_bounds
-
-let consult t op ~blk ~nblocks =
-  match t.injector with None -> Proceed | Some f -> f op ~blk ~nblocks
-
-let copy_out t blk dst off =
-  match Hashtbl.find_opt t.store blk with
-  | Some b -> Bytes.blit b 0 dst off t.block_size
-  | None -> Bytes.fill dst off t.block_size '\000'
-
-let store_block t blk src off =
-  let b =
-    match Hashtbl.find_opt t.store blk with
-    | Some b -> b
-    | None ->
-        let b = Bytes.create t.block_size in
-        Hashtbl.replace t.store blk b;
-        b
-  in
-  Bytes.blit src off b 0 t.block_size
-
-(* Persist a write request's payload, possibly torn: only the first
-   [keep_sectors] 512-byte sectors reach the media, the rest of the range
-   keeps its previous contents.  Sectors are atomic — the assumption C-FFS
-   builds its name+inode atomicity on.
-
-   Tag discipline: a fully persisted block gets the CRC of its new
-   contents; a torn block keeps its {e old} tag — the request died before
-   the out-of-band tag could be updated — so unless the mixed contents
-   happen to equal the previous contents, a later verified read flags the
-   tear. *)
-let persist_request t start data ~keep_sectors =
-  let ss = Cffs_util.Units.sector_size in
-  let spb = sectors_per_block t in
-  let n = Bytes.length data / t.block_size in
-  let keep =
-    match keep_sectors with
-    | None -> n * spb
-    | Some k -> max 0 (min (n * spb) k)
-  in
-  let full = keep / spb in
-  for i = 0 to full - 1 do
-    store_block t (start + i) data (i * t.block_size);
-    if t.tags_enabled then
-      Hashtbl.replace t.tags (start + i)
-        (Cffs_util.Crc32.digest_sub data (i * t.block_size) t.block_size)
-  done;
-  let rem = keep mod spb in
-  if rem > 0 then begin
-    let old = Bytes.create t.block_size in
-    copy_out t (start + full) old 0;
-    Bytes.blit data (full * t.block_size) old 0 (rem * ss);
-    store_block t (start + full) old 0
-  end
-
-let time_request t (req : Request.t) =
-  (match req.kind with
-  | Read ->
-      Cffs_obs.Registry.incr m_reads;
-      Cffs_obs.Registry.incr ~by:req.sectors m_read_sectors
-  | Write ->
-      Cffs_obs.Registry.incr m_writes;
-      Cffs_obs.Registry.incr ~by:req.sectors m_write_sectors);
-  match t.backend with
-  | Memory m -> (
-      let s = m.stats in
-      match req.kind with
-      | Read ->
-          s.reads <- s.reads + 1;
-          s.read_sectors <- s.read_sectors + req.sectors
-      | Write ->
-          s.writes <- s.writes + 1;
-          s.write_sectors <- s.write_sectors + req.sectors)
-  | Timed { drive; host_overhead; _ } ->
-      Cffs_obs.Registry.fadd m_host host_overhead;
-      Drive.advance drive host_overhead;
-      ignore (Drive.service drive req)
-  | Multi _ -> assert false (* composites never service requests themselves *)
-
-let rec dev_now t =
-  match t.backend with
-  | Memory m -> m.clock
-  | Timed { drive; _ } -> Drive.now drive
-  | Multi m ->
-      (* the composite clock: spindles run concurrently, so elapsed time is
-         the maximum of the sub clocks, not their sum *)
-      Array.fold_left (fun acc s -> Float.max acc (dev_now s)) 0.0 m.subs
-
-let err op ~blk ~nblocks cause =
-  { Io_error.op; blk; nblocks; cause; range = None }
-
-(* One read request against the media: consult the fault injector, account
-   the request (reads are timed even when they fail — the head still moved),
-   then copy out. *)
-let read_service t blk n : (bytes, Io_error.t) result =
-  let spb = sectors_per_block t in
-  let outcome = consult t Io_error.Read ~blk ~nblocks:n in
-  time_request t (Request.read ~lba:(blk * spb) ~sectors:(n * spb));
-  match outcome with
-  | Proceed | Torn _ ->
-      let out = Bytes.create (n * t.block_size) in
-      for i = 0 to n - 1 do
-        copy_out t (blk + i) out (i * t.block_size)
-      done;
-      Ok out
-  | Fail cause ->
-      Cffs_obs.Registry.incr m_io_errors;
-      Error (err Io_error.Read ~blk ~nblocks:n cause)
-
-(* One write request: consult the fault injector, account the request, then
-   persist.  A torn request persists its prefix and then fails with
-   [Power_cut] — a tear is only ever caused by losing power mid-request, so
-   nothing after it completes either.  The write observer sees every request
-   that persisted anything (full or torn), with the full intended payload. *)
-let write_service t start data : (unit, Io_error.t) result =
-  let n = Bytes.length data / t.block_size in
-  let spb = sectors_per_block t in
-  let outcome = consult t Io_error.Write ~blk:start ~nblocks:n in
-  (match outcome with
-  | Fail Io_error.Power_cut -> ()
-  | _ -> time_request t (Request.write ~lba:(start * spb) ~sectors:(n * spb)));
-  match outcome with
-  | Proceed ->
-      persist_request t start data ~keep_sectors:None;
-      (match t.write_observer with
-      | Some f -> f ~blk:start ~data ~torn:None
-      | None -> ());
-      Ok ()
-  | Torn k ->
-      let keep = max 0 (min (n * spb) k) in
-      persist_request t start data ~keep_sectors:(Some keep);
-      (match t.write_observer with
-      | Some f -> f ~blk:start ~data ~torn:(Some keep)
-      | None -> ());
-      Cffs_obs.Registry.incr m_io_errors;
-      Error (err Io_error.Write ~blk:start ~nblocks:n Io_error.Power_cut)
-  | Fail cause ->
-      Cffs_obs.Registry.incr m_io_errors;
-      Error (err Io_error.Write ~blk:start ~nblocks:n cause)
-
-(* --- the tagged-queue pipeline ------------------------------------------- *)
-
-let h_wait = Cffs_obs.Registry.histogram "ioqueue.wait_s"
-let m_wait_total = Cffs_obs.Registry.fcounter "ioqueue.wait_total_s"
-
-let set_queue t ?depth ?policy ?coalesce () =
-  Option.iter (Ioqueue.set_depth t.queue) depth;
-  Option.iter (Ioqueue.set_policy t.queue) policy;
-  Option.iter (Ioqueue.set_coalesce t.queue) coalesce
-
-let queue_depth t = Ioqueue.depth t.queue
-let queue_policy t = Ioqueue.policy t.queue
-let queue_coalesce t = Ioqueue.coalesce t.queue
-let pending t = Ioqueue.pending t.queue
-
-let submit_read t blk n =
-  check_range t Io_error.Read blk n;
-  let spb = sectors_per_block t in
-  Ioqueue.submit t.queue
-    (Request.read ~lba:(blk * spb) ~sectors:(n * spb))
-    Pread ~now:(dev_now t)
-
-let submit_write t blk data =
-  let len = Bytes.length data in
-  if len = 0 || len mod t.block_size <> 0 then
-    invalid_arg "Blockdev.submit_write: partial block";
-  let n = len / t.block_size in
-  check_range t Io_error.Write blk n;
-  let spb = sectors_per_block t in
-  Ioqueue.submit t.queue
-    (Request.write ~lba:(blk * spb) ~sectors:(n * spb))
-    (Pwrite data) ~now:(dev_now t)
-
-let geom_of t =
-  match t.backend with
-  | Memory _ | Multi _ -> None
-  | Timed { drive; _ } -> Some (Drive.geometry drive)
-
-let head_cyl t =
-  match t.backend with
-  | Memory _ | Multi _ -> 0
-  | Timed { drive; _ } -> Drive.current_cyl drive
-
-let push_cqe t c = t.completed <- c :: t.completed
-
-let item_blk t (it : qpayload Ioqueue.item) =
-  let spb = sectors_per_block t in
-  (it.req.Request.lba / spb, it.req.Request.sectors / spb)
-
-let item_op (it : qpayload Ioqueue.item) =
-  match it.req.Request.kind with
-  | Request.Read -> Io_error.Read
-  | Request.Write -> Io_error.Write
-
-let cqe_of_item t (it : qpayload Ioqueue.item) result =
-  let blk, n = item_blk t it in
-  { cq_tag = it.tag; cq_op = item_op it; cq_blk = blk; cq_nblocks = n;
-    cq_result = result }
-
-(* Service one dispatch group as a single contiguous request.  When a
-   merged request fails with a retryable cause, fall back to servicing the
-   members individually so only the member actually covering the fault
-   fails its waiter — the isolation the tagged queue promises.  Returns
-   the group's cqes (also pushed to the completion list) and whether the
-   device lost power. *)
-let service_group t (group : qpayload Ioqueue.item list) =
-  let now = dev_now t in
-  List.iter
-    (fun (it : qpayload Ioqueue.item) ->
-      let wait = now -. it.Ioqueue.submitted_at in
-      Cffs_obs.Registry.observe h_wait wait;
-      Cffs_obs.Registry.fadd m_wait_total wait)
-    group;
-  let singles () =
-    List.map
-      (fun (it : qpayload Ioqueue.item) ->
-        let blk, n = item_blk t it in
-        match it.Ioqueue.payload with
-        | Pread -> cqe_of_item t it (read_service t blk n)
-        | Pwrite data ->
-            cqe_of_item t it
-              (Result.map (fun () -> Bytes.empty) (write_service t blk data)))
-      group
-  in
-  let cqes =
-    match group with
-    | [] -> []
-    | [ _ ] -> singles ()
-    | first :: _ -> (
-        (* contiguous ascending by construction *)
-        let start, _ = item_blk t first in
-        let total =
-          List.fold_left
-            (fun acc it -> acc + snd (item_blk t it))
-            0 group
-        in
-        match first.Ioqueue.payload with
-        | Pread -> (
-            match read_service t start total with
-            | Ok data ->
-                List.map
-                  (fun it ->
-                    let blk, n = item_blk t it in
-                    let part = Bytes.sub data ((blk - start) * t.block_size)
-                        (n * t.block_size) in
-                    cqe_of_item t it (Ok part))
-                  group
-            | Error e when e.Io_error.cause = Io_error.Power_cut ->
-                List.map (fun it -> cqe_of_item t it (Error e)) group
-            | Error _ -> singles ())
-        | Pwrite _ -> (
-            let data = Bytes.create (total * t.block_size) in
-            List.iter
-              (fun (it : qpayload Ioqueue.item) ->
-                match it.Ioqueue.payload with
-                | Pwrite d ->
-                    let blk, _ = item_blk t it in
-                    Bytes.blit d 0 data ((blk - start) * t.block_size)
-                      (Bytes.length d)
-                | Pread -> assert false)
-              group;
-            match write_service t start data with
-            | Ok () ->
-                List.map (fun it -> cqe_of_item t it (Ok Bytes.empty)) group
-            | Error e when e.Io_error.cause = Io_error.Power_cut ->
-                (* torn or cut mid-request: the merged request died as one *)
-                List.map (fun it -> cqe_of_item t it (Error e)) group
-            | Error _ -> singles ()))
-  in
-  List.iter (push_cqe t) cqes;
-  let power_cut =
-    List.exists
-      (fun c ->
-        match c.cq_result with
-        | Error e -> e.Io_error.cause = Io_error.Power_cut
-        | Ok _ -> false)
-      cqes
-  in
-  (cqes, power_cut)
-
-(* The device lost power (or the queue is being torn down): every request
-   still queued fails its waiter without touching the media or the clock —
-   and without counting as a device error, since the device never saw it. *)
-let fail_pending t cause =
-  List.iter
-    (fun (it : qpayload Ioqueue.item) ->
-      let blk, n = item_blk t it in
-      push_cqe t (cqe_of_item t it (Error (err (item_op it) ~blk ~nblocks:n cause))))
-    (Ioqueue.clear t.queue)
-
-let reset_queue t =
-  let n = Ioqueue.pending t.queue in
-  fail_pending t Io_error.Power_cut;
-  n
-
-(* Drain loop.  The head-position convention matches the batch scheduler
-   this replaces: the cylinder used for the next pick is the cylinder of
-   the previous dispatch's first lba (the drive's resting position at the
-   start of the drain for the first pick). *)
-let take_group t cyl =
-  match Ioqueue.take t.queue ~geom:(geom_of t) ~current_cyl:!cyl with
-  | None -> None
-  | Some group ->
-      (match (geom_of t, group) with
-      | Some g, (it : qpayload Ioqueue.item) :: _ ->
-          cyl := Geometry.cyl_of_lba g it.req.Request.lba
-      | _ -> ());
-      Some group
-
-let drain t =
-  let cyl = ref (head_cyl t) in
-  let rec loop () =
-    match take_group t cyl with
-    | None -> ()
-    | Some group ->
-        let _, power_cut = service_group t group in
-        if power_cut then fail_pending t Io_error.Power_cut else loop ()
-  in
-  loop ();
-  let out = List.rev t.completed in
-  t.completed <- [];
-  out
-
-(* Drain until [tag] completes, leaving any other pending requests queued
-   and any other completions for a later [drain]. *)
-let drain_tag t tag =
-  let find () =
-    match List.find_opt (fun c -> c.cq_tag = tag) t.completed with
-    | None -> None
-    | Some c ->
-        t.completed <- List.filter (fun x -> x != c) t.completed;
-        Some c
-  in
-  let cyl = ref (head_cyl t) in
-  let rec loop () =
-    match find () with
-    | Some c -> c
-    | None -> (
-        match take_group t cyl with
-        | None -> invalid_arg "Blockdev.drain_tag: unknown tag"
-        | Some group ->
-            let _, power_cut = service_group t group in
-            if power_cut then fail_pending t Io_error.Power_cut;
-            loop ())
-  in
-  loop ()
-
-(* Issue a set of contiguous units, each submitted as one tagged write and
-   drained through the queue under the mount's scheduling policy.  Each
-   request persists (and notifies the write observer) as it is serviced; on
-   the first failure the remaining queue is torn down unserviced, so a
-   failure mid-batch leaves exactly the already-serviced prefix on the
-   media — the crash semantics the fault harness depends on.  The memory
-   backend services units in the order given (FIFO queue, no geometry). *)
-let issue_units t units =
-  match units with
-  | [] -> ()
-  | _ ->
-      List.iter
-        (fun (start, blocks) ->
-          check_range t Io_error.Write start (List.length blocks))
-        units;
-      let mine = Hashtbl.create 16 in
-      List.iter
-        (fun (start, blocks) ->
-          let n = List.length blocks in
-          let data = Bytes.create (n * t.block_size) in
-          List.iteri
-            (fun i b -> Bytes.blit b 0 data (i * t.block_size) t.block_size)
-            blocks;
-          Hashtbl.replace mine (submit_write t start data) ())
-        units;
-      let cyl = ref (head_cyl t) in
-      let rec loop () =
-        match take_group t cyl with
-        | None -> None
-        | Some group ->
-            let cqes, power_cut = service_group t group in
-            let first_err =
-              List.find_map
-                (fun c ->
-                  match c.cq_result with
-                  | Error e when Hashtbl.mem mine c.cq_tag -> Some e
-                  | _ -> None)
-                cqes
-            in
-            match first_err with
-            | Some e ->
-                fail_pending t Io_error.Power_cut;
-                Some e
-            | None ->
-                if power_cut then begin
-                  fail_pending t Io_error.Power_cut;
-                  None
-                end
-                else loop ()
-      in
-      let looped = loop () in
-      (* strip our completions; foreign async completions stay for their
-         own [drain] *)
-      let ours, others =
-        List.partition (fun c -> Hashtbl.mem mine c.cq_tag) (List.rev t.completed)
-      in
-      t.completed <- List.rev others;
-      let raise_first e = raise (Io_error.E e) in
-      (match looped with Some e -> raise_first e | None -> ());
-      List.iter
-        (fun c -> match c.cq_result with Error e -> raise_first e | Ok _ -> ())
-        ours
-
-(* --- multi-volume fan-out ------------------------------------------------- *)
-
-(* A dependent (synchronous) operation on the composite is a barrier: every
-   spindle must have reached the composite clock before new work is charged,
-   so idle spindles account their idle time.  Batched drains then let each
-   spindle advance independently — overlapping service is what produces the
-   near-linear scaling. *)
-let sub_advance s dt =
-  match s.backend with
-  | Memory mm -> mm.clock <- mm.clock +. dt
-  | Timed { drive; _ } -> Drive.advance drive dt
-  | Multi _ -> assert false
-
-let m_sync m =
-  let now = Array.fold_left (fun acc s -> Float.max acc (dev_now s)) 0.0 m.subs in
-  Array.iter
-    (fun s ->
-      let d = now -. dev_now s in
-      if d > 0.0 then sub_advance s d)
-    m.subs
-
-(* The per-spindle hooks installed at composite creation: a subdevice
-   consults/notifies the {e composite's} injector and observer with logical
-   addresses, so Faultdev and Integrity attach to the composite unchanged
-   (their journals and fault sets live in logical space, and a materialized
-   crash image is an ordinary flat device).  A physical request that spans
-   extents (possible only through sub-queue coalescing) is consulted one
-   logical run at a time: the first non-[Proceed] outcome wins, with torn
-   sector counts rebased to the physical request. *)
-let sub_injector comp m i : injector =
- fun op ~blk ~nblocks ->
-  match comp.injector with
-  | None -> Proceed
-  | Some f ->
-      let spb = sectors_per_block comp in
-      let rec go sectors = function
-        | [] -> Proceed
-        | (_, lblk, len) :: rest -> (
-            match f op ~blk:lblk ~nblocks:len with
-            | Proceed -> go (sectors + (len * spb)) rest
-            | Torn k -> Torn (sectors + k)
-            | Fail c -> Fail c)
-      in
-      go 0 (runs_of m i blk nblocks)
-
-let sub_observer comp m i : write_observer =
- fun ~blk ~data ~torn ->
-  match comp.write_observer with
-  | None -> ()
-  | Some f ->
-      let bs = comp.block_size in
-      let spb = sectors_per_block comp in
-      let n = Bytes.length data / bs in
-      List.iter
-        (fun (off, lblk, len) ->
-          let part = Bytes.sub data (off * bs) (len * bs) in
-          let torn =
-            match torn with
-            | None -> None
-            | Some k -> Some (max 0 (min (len * spb) (k - (off * spb))))
-          in
-          f ~blk:lblk ~data:part ~torn)
-        (runs_of m i blk n)
-
-(* Submit one logical request as per-spindle fragments.  All sub clocks are
-   synced first so queue-wait accounting starts from the composite now. *)
-let m_submit t m op blk n data =
-  check_range t op blk n;
-  m_sync m;
-  let tag = m.next_tag in
-  m.next_tag <- tag + 1;
-  let frl = frags_of m blk n in
-  let p =
-    {
-      p_tag = tag;
-      p_op = op;
-      p_blk = blk;
-      p_n = n;
-      p_data =
-        (match data with
-        | None -> Bytes.create (n * t.block_size)
-        | Some _ -> Bytes.empty);
-      p_left = List.length frl;
-      p_err = None;
-    }
-  in
-  Hashtbl.replace m.parents tag p;
-  List.iter
-    (fun (si, pblk, off, len) ->
-      let sub = m.subs.(si) in
-      let stag =
-        match data with
-        | None -> submit_read sub pblk len
-        | Some d ->
-            submit_write sub pblk
-              (Bytes.sub d (off * t.block_size) (len * t.block_size))
-      in
-      Hashtbl.replace m.frags (si, stag)
-        { fr_parent = tag; fr_off = off; fr_len = len; fr_lblk = blk + off })
-    frl;
-  tag
-
-(* Fold one spindle's completions into their parents; a parent whose last
-   fragment lands becomes a composite completion.  Fragment errors are
-   rebased to the fragment's logical range. *)
-let m_absorb t m si cqes =
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt m.frags (si, c.cq_tag) with
-      | None -> () (* direct submission to a subdevice; not ours *)
-      | Some fr -> (
-          Hashtbl.remove m.frags (si, c.cq_tag);
-          match Hashtbl.find_opt m.parents fr.fr_parent with
-          | None -> ()
-          | Some p ->
-              (match c.cq_result with
-              | Ok data ->
-                  if p.p_op = Io_error.Read && Bytes.length data > 0 then
-                    Bytes.blit data 0 p.p_data (fr.fr_off * t.block_size)
-                      (fr.fr_len * t.block_size)
-              | Error e ->
-                  if p.p_err = None then
-                    p.p_err <-
-                      Some
-                        {
-                          e with
-                          Io_error.blk = fr.fr_lblk;
-                          nblocks = fr.fr_len;
-                          range = None;
-                        });
-              p.p_left <- p.p_left - 1;
-              if p.p_left = 0 then begin
-                Hashtbl.remove m.parents p.p_tag;
-                let result =
-                  match p.p_err with
-                  | Some e -> Error e
-                  | None ->
-                      Ok (if p.p_op = Io_error.Read then p.p_data else Bytes.empty)
-                in
-                push_cqe t
-                  {
-                    cq_tag = p.p_tag;
-                    cq_op = p.p_op;
-                    cq_blk = p.p_blk;
-                    cq_nblocks = p.p_n;
-                    cq_result = result;
-                  }
-              end))
-    cqes
-
-let m_drain t m =
-  m_sync m;
-  Array.iteri (fun i s -> m_absorb t m i (drain s)) m.subs;
-  let out = List.rev t.completed in
-  t.completed <- [];
-  out
-
-(* Drain only the spindles holding fragments of [tag]; other spindles'
-   pending requests stay queued (and their clocks stay put). *)
-let m_drain_tag t m tag =
-  let find () =
-    match List.find_opt (fun c -> c.cq_tag = tag) t.completed with
-    | None -> None
-    | Some c ->
-        t.completed <- List.filter (fun x -> x != c) t.completed;
-        Some c
-  in
-  match find () with
-  | Some c -> c
-  | None ->
-      if not (Hashtbl.mem m.parents tag) then
-        invalid_arg "Blockdev.drain_tag: unknown tag";
-      m_sync m;
-      let needed = Array.make (Array.length m.subs) false in
-      Hashtbl.iter
-        (fun (si, _) fr -> if fr.fr_parent = tag then needed.(si) <- true)
-        m.frags;
-      Array.iteri
-        (fun i need -> if need then m_absorb t m i (drain m.subs.(i)))
-        needed;
-      (match find () with
-      | Some c -> c
-      | None -> invalid_arg "Blockdev.drain_tag: unknown tag")
-
-let m_reset t m =
-  let n = Array.fold_left (fun acc s -> acc + reset_queue s) 0 m.subs in
-  (* subdevices report their torn-down requests as completions on the next
-     drain; absorb them now so the composite's next drain reports the
-     failed parents, matching the single-device contract *)
-  Array.iteri (fun i s -> m_absorb t m i (drain s)) m.subs;
-  n
-
-(* Batched synchronous writes: every unit's fragments are submitted before
-   any spindle drains, so spindles service their shares concurrently.  A
-   power cut stops every spindle at the same global request boundary (the
-   injector goes dead for all of them); other faults stay confined to the
-   spindle that hit them.  The first failed unit's error is raised after
-   the drain, in submission order. *)
-let m_issue_units t m units =
-  match units with
-  | [] -> ()
-  | _ ->
-      List.iter
-        (fun (start, blocks) ->
-          check_range t Io_error.Write start (List.length blocks))
-        units;
-      let order = ref [] in
-      List.iter
-        (fun (start, blocks) ->
-          let n = List.length blocks in
-          let data = Bytes.create (n * t.block_size) in
-          List.iteri
-            (fun i b -> Bytes.blit b 0 data (i * t.block_size) t.block_size)
-            blocks;
-          order := m_submit t m Io_error.Write start n (Some data) :: !order)
-        units;
-      let mine = Hashtbl.create 16 in
-      List.iter (fun tag -> Hashtbl.replace mine tag ()) !order;
-      m_sync m;
-      Array.iteri (fun i s -> m_absorb t m i (drain s)) m.subs;
-      let ours, others =
-        List.partition (fun c -> Hashtbl.mem mine c.cq_tag) (List.rev t.completed)
-      in
-      t.completed <- List.rev others;
-      let failed =
-        List.filter_map
-          (fun tag ->
-            List.find_map
-              (fun c ->
-                if c.cq_tag = tag then
-                  match c.cq_result with Error e -> Some e | Ok _ -> None
-                else None)
-              ours)
-          (List.rev !order)
-      in
-      (match failed with e :: _ -> raise (Io_error.E e) | [] -> ())
+  one_spindle
+    (Memory { clock = 0.0; stats = Request.Stats.create () })
+    ~block_size ~nblocks
 
 let multi ~subs ~extents =
   if Array.length subs = 0 then invalid_arg "Blockdev.multi: no subdevices";
@@ -869,9 +147,7 @@ let multi ~subs ~extents =
     (fun s ->
       if s.block_size <> block_size then
         invalid_arg "Blockdev.multi: subdevice block sizes differ";
-      match s.backend with
-      | Multi _ -> invalid_arg "Blockdev.multi: nested composite"
-      | _ -> ())
+      if Array.length s.subs > 0 then invalid_arg "Blockdev.multi: nested composite")
     subs;
   let exts =
     List.map (fun (lstart, xlen, xsub, pstart) -> { lstart; xlen; xsub; pstart })
@@ -891,104 +167,638 @@ let multi ~subs ~extents =
       0 exts
   in
   if nblocks = 0 then invalid_arg "Blockdev.multi: no extents";
-  let sub_extents =
-    Array.init (Array.length subs) (fun i ->
-        let mine =
-          List.filter (fun e -> e.xsub = i) exts
-          |> List.sort (fun a b -> compare a.pstart b.pstart)
-        in
-        ignore
-          (List.fold_left
-             (fun last e ->
-               if e.pstart < last then
-                 invalid_arg "Blockdev.multi: overlapping extents on a subdevice";
-               e.pstart + e.xlen)
-             0 mine);
-        Array.of_list mine)
-  in
-  let m =
-    {
-      subs;
-      extents = Array.of_list exts;
-      sub_extents;
-      frags = Hashtbl.create 64;
-      parents = Hashtbl.create 32;
-      next_tag = 1;
-    }
-  in
+  (* a composite drives its subdevices' own spindles, so their stats,
+     queues and drives stay observable through [subdevices] *)
   let t =
-    {
-      backend = Multi m;
-      store = Hashtbl.create 1;
-      block_size;
-      nblocks;
-      queue = Ioqueue.create ();
-      completed = [];
-      injector = None;
-      write_observer = None;
-      tags = Hashtbl.create 1;
-      tags_enabled = false;
-    }
+    make ~block_size ~subs:(Array.copy subs)
+      (Array.map (fun s -> s.spindles.(0)) subs)
+      (Array.of_list exts)
   in
-  Array.iteri
-    (fun i s ->
-      set_injector s (Some (sub_injector t m i));
-      set_write_observer s (Some (sub_observer t m i)))
-    subs;
+  Array.iter
+    (fun a ->
+      ignore
+        (Array.fold_left
+           (fun last e ->
+             if e.pstart < last then
+               invalid_arg "Blockdev.multi: overlapping extents on a subdevice";
+             e.pstart + e.xlen)
+           0 a))
+    t.sp_extents;
   t
 
-(* --- public pipeline operations, composite-aware -------------------------- *)
+let block_size t = t.block_size
+let nblocks t = t.nblocks
+let set_injector t inj = t.injector <- inj
+let set_write_observer t obs = t.write_observer <- obs
+let subdevices t = Array.copy t.subs
+let enable_tags t = t.tags_enabled <- true
+let tags_enabled t = t.tags_enabled
 
-let submit_read t blk n =
-  match t.backend with
-  | Multi m -> m_submit t m Io_error.Read blk n None
-  | _ -> submit_read t blk n
+(* --- extent mapping -------------------------------------------------------- *)
 
-let submit_write t blk data =
-  match t.backend with
-  | Multi m ->
-      let len = Bytes.length data in
-      if len = 0 || len mod t.block_size <> 0 then
-        invalid_arg "Blockdev.submit_write: partial block";
-      m_submit t m Io_error.Write blk (len / t.block_size) (Some data)
-  | _ -> submit_write t blk data
+(* Index of the last extent of [a] whose [key] is at most [v] (0 when
+   none is). *)
+let search a key v =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if key a.(mid) <= v then lo := mid else hi := mid - 1
+  done;
+  !lo
 
-let drain t = match t.backend with Multi m -> m_drain t m | _ -> drain t
+let lstart_of e = e.lstart
+let pstart_of e = e.pstart
 
-let drain_tag t tag =
-  match t.backend with Multi m -> m_drain_tag t m tag | _ -> drain_tag t tag
+(* The extent holding logical block [blk].  Extents tile the logical
+   space, so the search always lands. *)
+let locate t blk = t.extents.(search t.extents lstart_of blk)
 
-let reset_queue t =
-  match t.backend with Multi m -> m_reset t m | _ -> reset_queue t
+(* The logical block physical block [pblk] of spindle [si] holds, or -1
+   when no extent maps it. *)
+let lblk_of t si pblk =
+  let a = t.sp_extents.(si) in
+  if Array.length a = 0 then -1
+  else
+    let e = a.(search a pstart_of pblk) in
+    if pblk >= e.pstart && pblk < e.pstart + e.xlen then e.lstart + (pblk - e.pstart)
+    else -1
 
-let pending t =
-  match t.backend with
-  | Multi m -> Array.fold_left (fun acc s -> acc + pending s) 0 m.subs
-  | _ -> pending t
+(* Call [f e lblk len] for each piece [lblk, lblk+len) of the logical
+   range [blk, blk+n) that extent [e] holds, in logical order. *)
+let iter_frags t blk n f =
+  let stop = blk + n in
+  let rec go i lblk =
+    if lblk < stop then begin
+      let e = t.extents.(i) in
+      let len = Int.min (stop - lblk) (e.lstart + e.xlen - lblk) in
+      f e lblk len;
+      go (i + 1) (lblk + len)
+    end
+  in
+  go (search t.extents lstart_of blk) blk
+
+let slice data off len =
+  if off = 0 && len = Bytes.length data then data else Bytes.sub data off len
+
+let tag t blk =
+  let e = locate t blk in
+  Hashtbl.find_opt t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart)
+
+let set_tag t blk v =
+  let e = locate t blk in
+  Hashtbl.replace t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart) v
+
+let check_range t op blk n =
+  if blk < 0 || n <= 0 || blk + n > t.nblocks then
+    let spb = sectors_per_block t in
+    Io_error.raise_error ~op ~blk ~nblocks:n
+      ~range:
+        {
+          Io_error.start_sector = blk * spb;
+          sector_count = n * spb;
+          dev_sectors = t.nblocks * spb;
+          dev_blocks = t.nblocks;
+        }
+      Io_error.Out_of_bounds
+
+(* --- the fault and observer hooks, in logical space ------------------------ *)
+
+(* Walk the logical runs the physical range [pblk, pblk+n) of spindle
+   [si] covers, in physical order (a request coalesced on a spindle can
+   span extents): [f off lblk len] gets each run's block offset into the
+   range, logical start and length, and returns [Some r] to stop with
+   [r]. *)
+let find_run t si pblk n f =
+  let a = t.sp_extents.(si) in
+  let pend = pblk + n in
+  let rec go i =
+    if i >= Array.length a || a.(i).pstart >= pend then None
+    else
+      let e = a.(i) in
+      let s = Int.max pblk e.pstart and stop = Int.min pend (e.pstart + e.xlen) in
+      if s >= stop then go (i + 1)
+      else
+        match f (s - pblk) (e.lstart + s - e.pstart) (stop - s) with
+        | None -> go (i + 1)
+        | r -> r
+  in
+  go (search a pstart_of pblk)
+
+(* The hooks see logical addresses whichever spindle serviced a request,
+   one run at a time.  The injector's first non-[Proceed] outcome wins,
+   with a torn sector count rebased to the physical request; the observer
+   sees each run with its share of the payload and of a tear. *)
+let consult t si op pblk n =
+  match t.injector with
+  | None -> Proceed
+  | Some f -> (
+      let spb = sectors_per_block t in
+      match
+        find_run t si pblk n (fun off lblk len ->
+            match f op ~blk:lblk ~nblocks:len with
+            | Proceed -> None
+            | Torn k -> Some (Torn ((off * spb) + k))
+            | Fail _ as o -> Some o)
+      with
+      | None -> Proceed
+      | Some o -> o)
+
+let notify t si pblk data torn =
+  match t.write_observer with
+  | None -> ()
+  | Some f ->
+      let bs = t.block_size and spb = sectors_per_block t in
+      ignore
+        (find_run t si pblk (Bytes.length data / bs) (fun off lblk len ->
+             f ~blk:lblk
+               ~data:(slice data (off * bs) (len * bs))
+               ~torn:
+                 (Option.map
+                    (fun k -> Int.max 0 (Int.min (len * spb) (k - (off * spb))))
+                    torn);
+             None))
+
+(* --- spindle media ---------------------------------------------------------- *)
+
+let spindle_now sp =
+  match sp.media with Memory m -> m.clock | Timed { drive; _ } -> Drive.now drive
+
+let spindle_advance sp dt =
+  match sp.media with
+  | Memory m -> m.clock <- m.clock +. dt
+  | Timed { drive; _ } -> Drive.advance drive dt
+
+let spindle_stats sp =
+  match sp.media with Memory m -> m.stats | Timed { drive; _ } -> Drive.stats drive
+
+let geom_of sp =
+  match sp.media with Memory _ -> None | Timed { drive; _ } -> Some (Drive.geometry drive)
+
+let head_cyl sp =
+  match sp.media with Memory _ -> 0 | Timed { drive; _ } -> Drive.current_cyl drive
+
+(* The device clock: the latest spindle clock. *)
+let now t =
+  let best = ref t.spindles.(0) in
+  for i = 1 to Array.length t.spindles - 1 do
+    if spindle_now t.spindles.(i) > spindle_now !best then best := t.spindles.(i)
+  done;
+  spindle_now !best
+
+(* A dependent operation is a barrier: every spindle reaches the device
+   clock before new work is charged, so idle spindles account their idle
+   time.  Drains then let each spindle advance independently —
+   overlapping service is what produces near-linear scaling. *)
+let sync t =
+  let c = now t in
+  for i = 0 to Array.length t.spindles - 1 do
+    let sp = t.spindles.(i) in
+    let d = c -. spindle_now sp in
+    if d > 0.0 then spindle_advance sp d
+  done
+
+let copy_out t sp blk dst off =
+  match Hashtbl.find_opt sp.store blk with
+  | Some b -> Bytes.blit b 0 dst off t.block_size
+  | None -> Bytes.fill dst off t.block_size '\000'
+
+let store_block t sp blk src off =
+  let b =
+    match Hashtbl.find_opt sp.store blk with
+    | Some b -> b
+    | None ->
+        let b = Bytes.create t.block_size in
+        Hashtbl.replace sp.store blk b;
+        b
+  in
+  Bytes.blit src off b 0 t.block_size
+
+(* Persist a write request's payload at physical block [start] of spindle
+   [sp], possibly torn: only the first [keep_sectors] 512-byte sectors
+   reach the media, the rest of the range keeps its previous contents.
+   Sectors are atomic — the assumption C-FFS builds its name+inode
+   atomicity on.
+
+   Tag discipline: a fully persisted block gets the CRC of its new
+   contents; a torn block keeps its {e old} tag — the request died before
+   the out-of-band tag could be updated — so unless the mixed contents
+   happen to equal the previous contents, a later verified read flags the
+   tear. *)
+let persist t sp start data ~keep_sectors =
+  let ss = Cffs_util.Units.sector_size in
+  let spb = sectors_per_block t in
+  let n = Bytes.length data / t.block_size in
+  let keep =
+    match keep_sectors with
+    | None -> n * spb
+    | Some k -> max 0 (min (n * spb) k)
+  in
+  let full = keep / spb in
+  for i = 0 to full - 1 do
+    store_block t sp (start + i) data (i * t.block_size);
+    if t.tags_enabled then
+      Hashtbl.replace sp.tags (start + i)
+        (Cffs_util.Crc32.digest_sub data (i * t.block_size) t.block_size)
+  done;
+  let rem = keep mod spb in
+  if rem > 0 then begin
+    let old = Bytes.create t.block_size in
+    copy_out t sp (start + full) old 0;
+    Bytes.blit data (full * t.block_size) old 0 (rem * ss);
+    store_block t sp (start + full) old 0
+  end
+
+let time_request sp (req : Request.t) =
+  (match req.kind with
+  | Read ->
+      Cffs_obs.Registry.incr m_reads;
+      Cffs_obs.Registry.incr ~by:req.sectors m_read_sectors
+  | Write ->
+      Cffs_obs.Registry.incr m_writes;
+      Cffs_obs.Registry.incr ~by:req.sectors m_write_sectors);
+  match sp.media with
+  | Memory m -> (
+      let s = m.stats in
+      match req.kind with
+      | Read ->
+          s.reads <- s.reads + 1;
+          s.read_sectors <- s.read_sectors + req.sectors
+      | Write ->
+          s.writes <- s.writes + 1;
+          s.write_sectors <- s.write_sectors + req.sectors)
+  | Timed { drive; host_overhead } ->
+      Cffs_obs.Registry.fadd m_host host_overhead;
+      Drive.advance drive host_overhead;
+      ignore (Drive.service drive req)
+
+let err op ~blk ~nblocks cause =
+  { Io_error.op; blk; nblocks; cause; range = None }
+
+let ok_empty = Ok Bytes.empty
+
+(* One read request of [n] blocks at physical block [pblk] of spindle
+   [si]: consult the fault injector, account the request (reads are timed
+   even when they fail — the head still moved), then copy out.  A failure
+   names the logical range [lblk, lblk+n). *)
+let read_service t si pblk n ~lblk =
+  let sp = t.spindles.(si) in
+  let spb = sectors_per_block t in
+  let outcome = consult t si Io_error.Read pblk n in
+  time_request sp (Request.read ~lba:(pblk * spb) ~sectors:(n * spb));
+  match outcome with
+  | Proceed | Torn _ ->
+      let out = Bytes.create (n * t.block_size) in
+      for i = 0 to n - 1 do
+        copy_out t sp (pblk + i) out (i * t.block_size)
+      done;
+      Ok out
+  | Fail cause ->
+      Cffs_obs.Registry.incr m_io_errors;
+      Error (err Io_error.Read ~blk:lblk ~nblocks:n cause)
+
+(* One write request: consult the fault injector, account the request, then
+   persist.  A torn request persists its prefix and then fails with
+   [Power_cut] — a tear is only ever caused by losing power mid-request, so
+   nothing after it completes either.  The write observer sees every request
+   that persisted anything (full or torn), with the full intended payload. *)
+let write_service t si pblk data ~lblk =
+  let sp = t.spindles.(si) in
+  let n = Bytes.length data / t.block_size in
+  let spb = sectors_per_block t in
+  let outcome = consult t si Io_error.Write pblk n in
+  (match outcome with
+  | Fail Io_error.Power_cut -> ()
+  | _ -> time_request sp (Request.write ~lba:(pblk * spb) ~sectors:(n * spb)));
+  match outcome with
+  | Proceed ->
+      persist t sp pblk data ~keep_sectors:None;
+      notify t si pblk data None;
+      ok_empty
+  | Torn k ->
+      let keep = max 0 (min (n * spb) k) in
+      persist t sp pblk data ~keep_sectors:(Some keep);
+      notify t si pblk data (Some keep);
+      Cffs_obs.Registry.incr m_io_errors;
+      Error (err Io_error.Write ~blk:lblk ~nblocks:n Io_error.Power_cut)
+  | Fail cause ->
+      Cffs_obs.Registry.incr m_io_errors;
+      Error (err Io_error.Write ~blk:lblk ~nblocks:n cause)
+
+(* --- the tagged-queue pipeline ------------------------------------------- *)
+
+let h_wait = Cffs_obs.Registry.histogram "ioqueue.wait_s"
+let m_wait_total = Cffs_obs.Registry.fcounter "ioqueue.wait_total_s"
 
 let set_queue t ?depth ?policy ?coalesce () =
-  match t.backend with
-  | Multi m -> Array.iter (fun s -> set_queue s ?depth ?policy ?coalesce ()) m.subs
-  | _ -> set_queue t ?depth ?policy ?coalesce ()
+  Array.iter
+    (fun sp ->
+      Option.iter (Ioqueue.set_depth sp.queue) depth;
+      Option.iter (Ioqueue.set_policy sp.queue) policy;
+      Option.iter (Ioqueue.set_coalesce sp.queue) coalesce)
+    t.spindles
 
-let queue_depth t =
-  match t.backend with Multi m -> queue_depth m.subs.(0) | _ -> queue_depth t
+let queue_depth t = Ioqueue.depth t.spindles.(0).queue
+let queue_policy t = Ioqueue.policy t.spindles.(0).queue
+let queue_coalesce t = Ioqueue.coalesce t.spindles.(0).queue
 
-let queue_policy t =
-  match t.backend with Multi m -> queue_policy m.subs.(0) | _ -> queue_policy t
+let pending t =
+  Array.fold_left (fun acc sp -> acc + Ioqueue.pending sp.queue) 0 t.spindles
 
-let queue_coalesce t =
-  match t.backend with
-  | Multi m -> queue_coalesce m.subs.(0)
-  | _ -> queue_coalesce t
+let enqueue t op e lblk len data parent tag =
+  let sp = t.spindles.(e.xsub) in
+  let spb = sectors_per_block t in
+  let lba = (e.pstart + lblk - e.lstart) * spb and sectors = len * spb in
+  let req =
+    match op with
+    | Io_error.Read -> Request.read ~lba ~sectors
+    | Io_error.Write -> Request.write ~lba ~sectors
+  in
+  ignore
+    (Ioqueue.submit sp.queue req
+       { f_tag = tag; f_lblk = lblk; f_data = data; f_parent = parent }
+       ~now:(spindle_now sp))
 
+(* Submit one logical request, split at extent boundaries into one
+   fragment per piece.  Spindle clocks are synced first so queue-wait
+   accounting starts from the device clock. *)
+let submit t op blk n data =
+  check_range t op blk n;
+  sync t;
+  let tag = t.next_tag in
+  t.next_tag <- tag + 1;
+  let e = locate t blk in
+  if blk + n <= e.lstart + e.xlen then enqueue t op e blk n data None tag
+  else begin
+    let p =
+      {
+        p_tag = tag;
+        p_blk = blk;
+        p_n = n;
+        p_data =
+          (match op with
+          | Io_error.Read -> Bytes.create (n * t.block_size)
+          | Io_error.Write -> Bytes.empty);
+        p_left = 0;
+        p_err = None;
+      }
+    in
+    let parent = Some p in
+    iter_frags t blk n (fun e lblk len ->
+        p.p_left <- p.p_left + 1;
+        let part =
+          match op with
+          | Io_error.Read -> Bytes.empty
+          | Io_error.Write ->
+              slice data ((lblk - blk) * t.block_size) (len * t.block_size)
+        in
+        enqueue t op e lblk len part parent tag)
+  end;
+  tag
+
+let submit_read t blk n = submit t Io_error.Read blk n Bytes.empty
+
+let submit_write t blk data =
+  let len = Bytes.length data in
+  if len = 0 || len mod t.block_size <> 0 then
+    invalid_arg "Blockdev.submit_write: partial block";
+  submit t Io_error.Write blk (len / t.block_size) data
+
+let item_op (it : frag Ioqueue.item) =
+  match it.req.Request.kind with
+  | Request.Read -> Io_error.Read
+  | Request.Write -> Io_error.Write
+
+let item_blocks t (it : frag Ioqueue.item) =
+  it.req.Request.sectors / sectors_per_block t
+
+let push t (it : frag Ioqueue.item) tag blk n result =
+  t.completed <-
+    { cq_tag = tag; cq_op = item_op it; cq_blk = blk; cq_nblocks = n; cq_result = result }
+    :: t.completed
+
+(* Deliver one serviced fragment: an unsplit request completes at once; a
+   fragment folds into its parent, which completes with its last one. *)
+let complete t (it : frag Ioqueue.item) result =
+  let q = it.payload in
+  match q.f_parent with
+  | None -> push t it q.f_tag q.f_lblk (item_blocks t it) result
+  | Some p ->
+      (match result with
+      | Ok data ->
+          if Bytes.length p.p_data > 0 then
+            Bytes.blit data 0 p.p_data ((q.f_lblk - p.p_blk) * t.block_size)
+              (Bytes.length data)
+      | Error e -> if p.p_err = None then p.p_err <- Some e);
+      p.p_left <- p.p_left - 1;
+      if p.p_left = 0 then
+        push t it p.p_tag p.p_blk p.p_n
+          (match p.p_err with Some e -> Error e | None -> Ok p.p_data)
+
+(* What servicing a dispatch group means for the rest of the spindle's
+   queue: carry on, stop because the device lost power, or stop because
+   a request of the batch [lo, hi] being issued failed. *)
+type verdict = Go | Cut | Failed of Io_error.t
+
+let finish t ~lo ~hi verdict (it : frag Ioqueue.item) result =
+  complete t it result;
+  let tag = it.payload.f_tag in
+  match (result, verdict) with
+  | Ok _, _ | Error _, Failed _ -> verdict
+  | Error e, _ when tag >= lo && tag <= hi -> Failed e
+  | Error e, Go when e.Io_error.cause = Io_error.Power_cut -> Cut
+  | Error _, _ -> verdict
+
+let service_one t si ~lo ~hi verdict (it : frag Ioqueue.item) =
+  let pblk = it.req.Request.lba / sectors_per_block t and q = it.payload in
+  finish t ~lo ~hi verdict it
+    (match it.req.Request.kind with
+    | Request.Read -> read_service t si pblk (item_blocks t it) ~lblk:q.f_lblk
+    | Request.Write -> write_service t si pblk q.f_data ~lblk:q.f_lblk)
+
+(* A coalesced group as a single contiguous request.  When the merged
+   request fails with a retryable cause, fall back to servicing the
+   members individually so only the member actually covering the fault
+   fails — the isolation the tagged queue promises.  Each member's
+   failure names its own logical range. *)
+let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
+  (* contiguous ascending by construction *)
+  let spb = sectors_per_block t and bs = t.block_size in
+  let start = first.req.Request.lba / spb in
+  let total = List.fold_left (fun acc it -> acc + item_blocks t it) 0 group in
+  let off (it : frag Ioqueue.item) = ((it.req.Request.lba / spb) - start) * bs in
+  let each f = List.fold_left (fun v it -> finish t ~lo ~hi v it (f it)) Go group in
+  let merged =
+    match first.req.Request.kind with
+    | Request.Read -> read_service t si start total ~lblk:first.payload.f_lblk
+    | Request.Write ->
+        let data = Bytes.create (total * bs) in
+        List.iter
+          (fun (it : frag Ioqueue.item) ->
+            let d = it.payload.f_data in
+            Bytes.blit d 0 data (off it) (Bytes.length d))
+          group;
+        write_service t si start data ~lblk:first.payload.f_lblk
+  in
+  match merged with
+  | Ok data when first.req.Request.kind = Request.Read ->
+      each (fun it -> Ok (Bytes.sub data (off it) (item_blocks t it * bs)))
+  | Ok _ -> each (fun _ -> ok_empty)
+  | Error e when e.Io_error.cause = Io_error.Power_cut ->
+      (* torn or cut mid-request: the merged request died as one *)
+      each (fun (it : frag Ioqueue.item) ->
+          Error { e with Io_error.blk = it.payload.f_lblk; nblocks = item_blocks t it })
+  | Error _ -> List.fold_left (service_one t si ~lo ~hi) Go group
+
+let rec account_waits now = function
+  | [] -> ()
+  | (it : frag Ioqueue.item) :: rest ->
+      let wait = now -. it.Ioqueue.submitted_at in
+      Cffs_obs.Registry.observe h_wait wait;
+      Cffs_obs.Registry.fadd m_wait_total wait;
+      account_waits now rest
+
+let service_group t si ~lo ~hi (group : frag Ioqueue.item list) =
+  account_waits (spindle_now t.spindles.(si)) group;
+  match group with
+  | [] -> Go
+  | [ it ] -> service_one t si ~lo ~hi Go it
+  | first :: _ -> service_merged t si ~lo ~hi first group
+
+(* Every request still queued on spindle [si] fails its waiter without
+   touching the media or the clock — and without counting as a device
+   error, since the device never saw it. *)
+let fail_pending t si cause =
+  List.iter
+    (fun (it : frag Ioqueue.item) ->
+      complete t it
+        (Error
+           (err (item_op it) ~blk:it.payload.f_lblk ~nblocks:(item_blocks t it)
+              cause)))
+    (Ioqueue.clear t.spindles.(si).queue)
+
+let any_tag = 0
+
+let holds sp tag =
+  Ioqueue.exists sp.queue (fun (it : frag Ioqueue.item) -> it.payload.f_tag = tag)
+
+(* Service spindle [si]'s queue one dispatch group at a time — only while
+   it still holds a fragment of [tag], unless [tag] is [any_tag].  A power
+   cut, or a failure of one of the batch tags [lo, hi], stops the spindle:
+   the rest of its queue fails with [Power_cut].  Returns the batch
+   failure, if any.
+
+   The head-position convention: the cylinder used for the next pick is
+   the cylinder of the previous dispatch's first lba (the drive's resting
+   position at the start of the run for the first pick). *)
+let run t si ~tag ~lo ~hi =
+  let sp = t.spindles.(si) in
+  let geom = geom_of sp in
+  let cyl = ref (head_cyl sp) in
+  let failed = ref None and go = ref true in
+  while !go && (tag = any_tag || holds sp tag) do
+    match Ioqueue.take sp.queue ~geom ~current_cyl:!cyl with
+    | None -> go := false
+    | Some group -> (
+        (match (geom, group) with
+        | Some g, (it : frag Ioqueue.item) :: _ ->
+            cyl := Geometry.cyl_of_lba g it.req.Request.lba
+        | _ -> ());
+        match service_group t si ~lo ~hi group with
+        | Go -> ()
+        | Cut ->
+            fail_pending t si Io_error.Power_cut;
+            go := false
+        | Failed e ->
+            fail_pending t si Io_error.Power_cut;
+            failed := Some e;
+            go := false)
+  done;
+  !failed
+
+let drain t =
+  sync t;
+  for si = 0 to Array.length t.spindles - 1 do
+    ignore (run t si ~tag:any_tag ~lo:1 ~hi:0)
+  done;
+  let out = List.rev t.completed in
+  t.completed <- [];
+  out
+
+let rec take_completed t tag before = function
+  | [] -> None
+  | c :: rest when c.cq_tag = tag ->
+      t.completed <- List.rev_append before rest;
+      Some c
+  | c :: rest -> take_completed t tag (c :: before) rest
+
+(* Drain only the spindles holding [tag], each only until its share of
+   [tag] is serviced, leaving other pending requests queued and other
+   completions for a later [drain]. *)
+let drain_tag t tag =
+  match take_completed t tag [] t.completed with
+  | Some c -> c
+  | None -> (
+      sync t;
+      for si = 0 to Array.length t.spindles - 1 do
+        ignore (run t si ~tag ~lo:1 ~hi:0)
+      done;
+      match take_completed t tag [] t.completed with
+      | Some c -> c
+      | None -> invalid_arg "Blockdev.drain_tag: unknown tag")
+
+let reset_queue t =
+  let n = pending t in
+  for si = 0 to Array.length t.spindles - 1 do
+    fail_pending t si Io_error.Power_cut
+  done;
+  n
+
+(* Issue a set of contiguous units, each submitted as one tagged write
+   before any spindle drains, so spindles service their shares
+   concurrently under the mount's scheduling policy.  Each request
+   persists (and notifies the write observer) as it is serviced.  On each
+   spindle the first failed unit stops the rest of that spindle's share,
+   whose waiters fail with [Power_cut] — so a failure mid-batch leaves
+   exactly the already-serviced prefix on that spindle's media, the crash
+   semantics the fault harness depends on.  The error raised is the first
+   real fault. *)
 let issue_units t units =
-  match t.backend with
-  | Multi m -> m_issue_units t m units
-  | _ -> issue_units t units
+  if units <> [] then begin
+    List.iter
+      (fun (start, blocks) ->
+        check_range t Io_error.Write start (List.length blocks))
+      units;
+    let lo = t.next_tag in
+    List.iter
+      (fun (start, blocks) ->
+        let n = List.length blocks in
+        let data = Bytes.create (n * t.block_size) in
+        List.iteri
+          (fun i b -> Bytes.blit b 0 data (i * t.block_size) t.block_size)
+          blocks;
+        ignore (submit t Io_error.Write start n data))
+      units;
+    let hi = t.next_tag - 1 in
+    sync t;
+    let failed = ref None in
+    for si = 0 to Array.length t.spindles - 1 do
+      match run t si ~tag:any_tag ~lo ~hi with
+      | Some e when !failed = None -> failed := Some e
+      | _ -> ()
+    done;
+    (* strip our completions; foreign async completions stay for their
+       own [drain] *)
+    let ours, others =
+      List.partition (fun c -> c.cq_tag >= lo && c.cq_tag <= hi) (List.rev t.completed)
+    in
+    t.completed <- List.rev others;
+    Option.iter (fun e -> raise (Io_error.E e)) !failed;
+    List.iter
+      (fun c -> match c.cq_result with Error e -> raise (Io_error.E e) | Ok _ -> ())
+      ours
+  end
 
 let read t blk n =
-  check_range t Io_error.Read blk n;
   let tag = submit_read t blk n in
   match (drain_tag t tag).cq_result with
   | Ok data -> data
@@ -997,8 +807,7 @@ let read t blk n =
 let write t blk data =
   let len = Bytes.length data in
   if len mod t.block_size <> 0 then invalid_arg "Blockdev.write: partial block";
-  let n = len / t.block_size in
-  check_range t Io_error.Write blk n;
+  check_range t Io_error.Write blk (len / t.block_size);
   let tag = submit_write t blk data in
   match (drain_tag t tag).cq_result with
   | Ok _ -> ()
@@ -1020,178 +829,108 @@ let write_batch_units t units =
     units;
   issue_units t units
 
-let rec store_raw t blk data ~keep_sectors =
+(* --- raw contents, in logical space ----------------------------------------- *)
+
+let store_raw t blk data ~keep_sectors =
   let len = Bytes.length data in
   if len mod t.block_size <> 0 then invalid_arg "Blockdev.store_raw: partial block";
   let n = len / t.block_size in
   check_range t Io_error.Write blk n;
-  match t.backend with
-  | Multi m ->
-      let spb = sectors_per_block t in
-      List.iter
-        (fun (si, pblk, off, flen) ->
-          let keep =
-            match keep_sectors with
-            | None -> None
-            | Some k -> Some (max 0 (min (flen * spb) (k - (off * spb))))
-          in
-          store_raw m.subs.(si) pblk
-            (Bytes.sub data (off * t.block_size) (flen * t.block_size))
-            ~keep_sectors:keep)
-        (frags_of m blk n)
-  | _ -> persist_request t blk data ~keep_sectors
+  let spb = sectors_per_block t and bs = t.block_size in
+  iter_frags t blk n (fun e lblk flen ->
+      let off = lblk - blk in
+      persist t t.spindles.(e.xsub) (e.pstart + lblk - e.lstart)
+        (slice data (off * bs) (flen * bs))
+        ~keep_sectors:
+          (Option.map
+             (fun k -> Int.max 0 (Int.min (flen * spb) (k - (off * spb))))
+             keep_sectors))
 
-let now t = dev_now t
-
+(* Think time passes for every spindle: sync to the device clock, then
+   move the whole array forward together. *)
 let advance t dt =
-  match t.backend with
-  | Memory m -> m.clock <- m.clock +. dt
-  | Timed { drive; _ } -> Drive.advance drive dt
-  | Multi m ->
-      (* think time passes for every spindle: sync to the composite clock,
-         then move the whole array forward together *)
-      let target = dev_now t +. dt in
-      Array.iter
-        (fun s ->
-          let d = target -. dev_now s in
-          if d > 0.0 then sub_advance s d)
-        m.subs
+  sync t;
+  for i = 0 to Array.length t.spindles - 1 do
+    spindle_advance t.spindles.(i) dt
+  done
 
-let rec stats t =
-  match t.backend with
-  | Memory m -> m.stats
-  | Timed { drive; _ } -> Drive.stats drive
-  | Multi m ->
-      let open Request.Stats in
-      let acc = create () in
-      Array.iter
-        (fun sub ->
-          let s = stats sub in
-          acc.reads <- acc.reads + s.reads;
-          acc.writes <- acc.writes + s.writes;
-          acc.read_sectors <- acc.read_sectors + s.read_sectors;
-          acc.write_sectors <- acc.write_sectors + s.write_sectors;
-          acc.cache_hits <- acc.cache_hits + s.cache_hits;
-          acc.busy_time <- acc.busy_time +. s.busy_time;
-          acc.seek_time <- acc.seek_time +. s.seek_time;
-          acc.rotation_time <- acc.rotation_time +. s.rotation_time;
-          acc.transfer_time <- acc.transfer_time +. s.transfer_time;
-          acc.overhead_time <- acc.overhead_time +. s.overhead_time;
-          acc.cachehit_time <- acc.cachehit_time +. s.cachehit_time)
-        m.subs;
-      acc
+let stats t =
+  let open Request.Stats in
+  let acc = create () in
+  Array.iter
+    (fun sp ->
+      let s = spindle_stats sp in
+      acc.reads <- acc.reads + s.reads;
+      acc.writes <- acc.writes + s.writes;
+      acc.read_sectors <- acc.read_sectors + s.read_sectors;
+      acc.write_sectors <- acc.write_sectors + s.write_sectors;
+      acc.cache_hits <- acc.cache_hits + s.cache_hits;
+      acc.busy_time <- acc.busy_time +. s.busy_time;
+      acc.seek_time <- acc.seek_time +. s.seek_time;
+      acc.rotation_time <- acc.rotation_time +. s.rotation_time;
+      acc.transfer_time <- acc.transfer_time +. s.transfer_time;
+      acc.overhead_time <- acc.overhead_time +. s.overhead_time;
+      acc.cachehit_time <- acc.cachehit_time +. s.cachehit_time)
+    t.spindles;
+  acc
 
 let drive t =
-  match t.backend with
-  | Memory _ | Multi _ -> None
-  | Timed { drive; _ } -> Some drive
+  match t.spindles.(0).media with Memory _ -> None | Timed { drive; _ } -> Some drive
 
-let rec flush_device_cache t =
-  match t.backend with
-  | Memory _ -> ()
-  | Timed { drive; _ } -> Drive.flush_cache drive
-  | Multi m -> Array.iter flush_device_cache m.subs
+let flush_device_cache t =
+  Array.iter
+    (fun sp ->
+      match sp.media with Memory _ -> () | Timed { drive; _ } -> Drive.flush_cache drive)
+    t.spindles
 
-let rec snapshot t =
-  match t.backend with
-  | Multi m -> Imulti { parts = Array.map snapshot m.subs; iextents = m.extents }
-  | _ ->
-      let blocks = Hashtbl.create (Hashtbl.length t.store) in
-      Hashtbl.iter (fun k v -> Hashtbl.replace blocks k (Bytes.copy v)) t.store;
-      Iflat
-        {
-          img_blocks = blocks;
-          img_tags = Hashtbl.copy t.tags;
-          img_tags_enabled = t.tags_enabled;
-        }
-
-(* Flatten a composite image into logical space: the reverse extent walk
-   makes a crash image materialized from a multi-volume run an ordinary
-   flat device image, which is what mount/fsck consume. *)
-let rec flat_of_image img =
-  match img with
-  | Iflat f -> f
-  | Imulti { parts; iextents } ->
-      let blocks = Hashtbl.create 4096 in
-      let tags = Hashtbl.create 64 in
-      let enabled = ref false in
-      Array.iteri
-        (fun i part ->
-          let pf = flat_of_image part in
-          if pf.img_tags_enabled then enabled := true;
-          Array.iter
-            (fun e ->
-              if e.xsub = i then
-                for off = 0 to e.xlen - 1 do
-                  (match Hashtbl.find_opt pf.img_blocks (e.pstart + off) with
-                  | Some b -> Hashtbl.replace blocks (e.lstart + off) (Bytes.copy b)
-                  | None -> ());
-                  match Hashtbl.find_opt pf.img_tags (e.pstart + off) with
-                  | Some v -> Hashtbl.replace tags (e.lstart + off) v
-                  | None -> ()
-                done)
-            iextents)
-        parts;
-      { img_blocks = blocks; img_tags = tags; img_tags_enabled = !enabled }
-
-let rec restore t img =
-  match (t.backend, img) with
-  | Multi m, Imulti { parts; _ } when Array.length parts = Array.length m.subs ->
-      Array.iteri (fun i p -> restore m.subs.(i) p) parts;
-      t.tags_enabled <-
-        t.tags_enabled || Array.exists (fun s -> s.tags_enabled) m.subs
-  | Multi m, _ ->
-      (* a flat (or differently shaped) image onto a composite: split each
-         logical block to its spindle *)
-      let f = flat_of_image img in
-      Array.iter
-        (fun s ->
-          Hashtbl.reset s.store;
-          Hashtbl.reset s.tags)
-        m.subs;
+(* Call [f lblk v] for each entry of every spindle's table [tbl], keyed by
+   its logical block (physical blocks no extent maps are skipped). *)
+let iter_logical t tbl f =
+  Array.iteri
+    (fun si sp ->
       Hashtbl.iter
-        (fun blk b ->
-          let e, off = locate m blk in
-          store_block m.subs.(e.xsub) (e.pstart + off) (Bytes.copy b) 0)
-        f.img_blocks;
-      Hashtbl.iter
-        (fun blk v ->
-          let e, off = locate m blk in
-          Hashtbl.replace m.subs.(e.xsub).tags (e.pstart + off) v)
-        f.img_tags;
-      if f.img_tags_enabled then enable_tags t
-  | _, _ ->
-      let f = flat_of_image img in
-      Hashtbl.reset t.store;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.store k (Bytes.copy v)) f.img_blocks;
-      Hashtbl.reset t.tags;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.tags k v) f.img_tags;
-      t.tags_enabled <- t.tags_enabled || f.img_tags_enabled
+        (fun pblk v ->
+          let lblk = lblk_of t si pblk in
+          if lblk >= 0 then f lblk v)
+        (tbl sp))
+    t.spindles
 
-let rec blocks_written img =
-  match img with
-  | Iflat f -> Hashtbl.length f.img_blocks
-  | Imulti { parts; _ } ->
-      Array.fold_left (fun acc p -> acc + blocks_written p) 0 parts
+let snapshot t =
+  let size = Array.fold_left (fun acc sp -> acc + Hashtbl.length sp.store) 0 t.spindles in
+  let blocks = Hashtbl.create size and tags = Hashtbl.create 64 in
+  iter_logical t (fun sp -> sp.store) (fun l b -> Hashtbl.replace blocks l (Bytes.copy b));
+  iter_logical t (fun sp -> sp.tags) (Hashtbl.replace tags);
+  { img_blocks = blocks; img_tags = tags; img_tags_enabled = t.tags_enabled }
+
+let restore t img =
+  Array.iter
+    (fun sp ->
+      Hashtbl.reset sp.store;
+      Hashtbl.reset sp.tags)
+    t.spindles;
+  let place tbl blk v =
+    if blk < t.nblocks then
+      let e = locate t blk in
+      Hashtbl.replace (tbl t.spindles.(e.xsub)) (e.pstart + blk - e.lstart) v
+  in
+  Hashtbl.iter (fun blk b -> place (fun sp -> sp.store) blk (Bytes.copy b)) img.img_blocks;
+  Hashtbl.iter (place (fun sp -> sp.tags)) img.img_tags;
+  t.tags_enabled <- t.tags_enabled || img.img_tags_enabled
+
+let blocks_written img = Hashtbl.length img.img_blocks
 
 let write_torn t blk data ~keep_sectors =
   check_range t Io_error.Write blk 1;
   if Bytes.length data <> t.block_size then invalid_arg "Blockdev.write_torn";
-  match t.backend with
-  | Multi m ->
-      let e, off = locate m blk in
-      persist_request m.subs.(e.xsub) (e.pstart + off) data
-        ~keep_sectors:(Some keep_sectors)
-  | _ -> persist_request t blk data ~keep_sectors:(Some keep_sectors)
+  let e = locate t blk in
+  persist t t.spindles.(e.xsub) (e.pstart + blk - e.lstart) data
+    ~keep_sectors:(Some keep_sectors)
 
 let corrupt_block t blk prng =
   check_range t Io_error.Write blk 1;
-  match t.backend with
-  | Multi m ->
-      let e, off = locate m blk in
-      Hashtbl.replace m.subs.(e.xsub).store (e.pstart + off)
-        (Cffs_util.Prng.bytes prng t.block_size)
-  | _ -> Hashtbl.replace t.store blk (Cffs_util.Prng.bytes prng t.block_size)
+  let e = locate t blk in
+  Hashtbl.replace t.spindles.(e.xsub).store (e.pstart + blk - e.lstart)
+    (Cffs_util.Prng.bytes prng t.block_size)
 
 let save_file t path =
   let oc = open_out_bin path in
@@ -1199,25 +938,11 @@ let save_file t path =
      (* Fix the file's extent first so unwritten tails stay sparse. *)
      seek_out oc ((t.nblocks * t.block_size) - 1);
      output_char oc '\000';
-     (match t.backend with
-     | Multi m ->
-         Array.iter
-           (fun e ->
-             let sub = m.subs.(e.xsub) in
-             for off = 0 to e.xlen - 1 do
-               match Hashtbl.find_opt sub.store (e.pstart + off) with
-               | Some data ->
-                   seek_out oc ((e.lstart + off) * t.block_size);
-                   output_bytes oc data
-               | None -> ()
-             done)
-           m.extents
-     | _ ->
-         Hashtbl.iter
-           (fun blk data ->
-             seek_out oc (blk * t.block_size);
-             output_bytes oc data)
-           t.store);
+     iter_logical t
+       (fun sp -> sp.store)
+       (fun blk data ->
+         seek_out oc (blk * t.block_size);
+         output_bytes oc data);
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -1236,7 +961,7 @@ let load_file ?(block_size = 4096) path =
       let zero = Bytes.make block_size '\000' in
       for blk = 0 to nblocks - 1 do
         really_input ic buf 0 block_size;
-        if not (Bytes.equal buf zero) then store_block t blk buf 0
+        if not (Bytes.equal buf zero) then store_raw t blk buf ~keep_sectors:None
       done;
       t
     with e ->

@@ -1,11 +1,14 @@
 (** Block device: the file systems' view of storage.
 
-    Presents fixed-size blocks over either a simulated {!Cffs_disk.Drive}
-    (timed) or plain memory (untimed, for unit tests).  Contiguous multi-block
-    transfers become single disk requests — the scatter/gather capability the
-    paper's driver provides and explicit grouping depends on.  Batched writes
-    are ordered by the configured scheduling policy (C-LOOK by default) before
-    being issued, as the paper's C-LOOK driver queue would. *)
+    Presents fixed-size blocks over one or more spindles — simulated
+    {!Cffs_disk.Drive}s (timed) or plain memory (untimed, for unit tests) —
+    behind an extent table.  A plain device is the one-spindle case under
+    the identity extent; {!multi} maps N spindles.  Either way there is one
+    pipeline: each spindle has its own tagged queue, ordered by the
+    configured scheduling policy (C-LOOK by default) as the paper's driver
+    queue would, and contiguous multi-block transfers become single disk
+    requests — the scatter/gather capability explicit grouping depends
+    on. *)
 
 type t
 
@@ -41,32 +44,31 @@ val memory : block_size:int -> nblocks:int -> t
 
 val multi : subs:t array -> extents:(int * int * int * int) list -> t
 (** [multi ~subs ~extents] builds a composite device presenting one logical
-    block space mapped onto the given subdevices (simulated spindles) by an
-    extent table.  Each extent is [(lstart, len, sub, pstart)]: logical
+    block space mapped onto the spindles of the given one-spindle
+    subdevices by an extent table.  Each extent is [(lstart, len, sub, pstart)]: logical
     blocks [lstart, lstart+len) live at physical blocks [pstart, pstart+len)
     of subdevice [sub].  Extents must tile the logical space contiguously
     from 0 and must not overlap on any subdevice; subdevices must share one
     block size and must not themselves be composites.
 
-    Each subdevice keeps its own tagged queue, so scheduling, coalescing and
-    fault isolation apply per-spindle; the composite clock is the {e maximum}
-    of the sub clocks (spindles service their queues concurrently), and a
-    synchronous operation on the composite first syncs every spindle to that
+    Each spindle keeps its own tagged queue, so scheduling, coalescing and
+    fault isolation apply per-spindle; the device clock is the {e maximum}
+    of the spindle clocks (spindles service their queues concurrently), and
+    every submission, drain and {!advance} first syncs every spindle to that
     clock — so batched drains overlap across spindles while dependent
     operations serialize.  Requests are split at extent boundaries and
     reassembled on completion; a fragment failure fails only its parent.
 
-    The constructor installs translating fault hooks on every subdevice:
-    {!set_injector} / {!set_write_observer} on the composite see {e logical}
-    addresses regardless of which spindle serviced the request, so
-    {!Faultdev} and {!Integrity} attach to a composite unchanged, and a
-    materialized crash image is an ordinary flat device image (power cuts
-    stop every spindle at one global request boundary — the injector goes
-    dead for all of them).  Do not install hooks directly on a composite's
-    subdevices. *)
+    {!set_injector} / {!set_write_observer} always see {e logical}
+    addresses, whichever spindle serviced the request, so {!Faultdev} and
+    {!Integrity} attach to a composite unchanged, and a materialized crash
+    image is an ordinary flat device image (power cuts stop every spindle
+    at one global request boundary — the injector goes dead for all of
+    them).  The subdevices share their spindles with the composite: read
+    their stats, but submit no I/O to them directly. *)
 
 val subdevices : t -> t array
-(** The composite's subdevices in extent order ([[||]] for plain devices) —
+(** The subdevices a composite was built from ([[||]] for plain devices) —
     for per-spindle telemetry and tests; submitting I/O directly to a
     subdevice that also serves a composite is not supported. *)
 
@@ -104,8 +106,6 @@ val set_tag : t -> int -> int -> unit
 (** Install a tag directly — used by {!Integrity} to reload the at-rest
     checksum region into the live table after {!load_file}. *)
 
-val tag_count : t -> int
-
 val read : t -> int -> int -> bytes
 (** [read t blk n] reads [n] consecutive blocks as one request.  Unwritten
     blocks read as zeros.  Raises {!Cffs_util.Io_error.E} with cause
@@ -123,7 +123,8 @@ val read : t -> int -> int -> bytes
     before draining, so per-mount depth/policy/coalescing settings govern
     the whole I/O path.  Defaults preserve the classic behaviour: an
     unbounded window (the scheduler sees whole batches), the policy given
-    to {!of_drive} (FIFO for memory devices), and no coalescing. *)
+    to {!of_drive} (FIFO for memory devices), and no coalescing.  On a
+    composite the settings apply to every spindle's queue. *)
 
 type cqe = {
   cq_tag : Cffs_disk.Ioqueue.tag;
@@ -164,10 +165,10 @@ val submit_write : t -> int -> bytes -> Cffs_disk.Ioqueue.tag
     [length data / block_size] consecutive blocks. *)
 
 val drain : t -> cqe list
-(** Service everything pending and return all completions (submission
-    faults included) in completion order.  A [Power_cut] outcome stops
-    the device: later queued requests fail with [Power_cut] without
-    touching the media.  A coalesced dispatch that fails with a retryable
+(** Service everything pending, spindle by spindle, and return all
+    completions (submission faults included) in completion order.  A
+    [Power_cut] outcome stops its spindle: later queued requests there fail
+    with [Power_cut] without touching the media.  A coalesced dispatch that fails with a retryable
     cause is re-serviced member by member, so only the tag covering the
     fault fails. *)
 
@@ -191,9 +192,11 @@ val write_batch : t -> (int * bytes) list -> unit
 val write_batch_units : t -> (int * bytes list) list -> unit
 (** [write_batch_units t units] writes each unit — a physically contiguous
     run [(first_block, blocks)] — as a single scatter/gather request, in
-    scheduler order.  Each request persists as it is serviced, so an
-    injected fault mid-batch leaves exactly the already-serviced prefix on
-    the media and raises {!Cffs_util.Io_error.E}. *)
+    scheduler order.  Each request persists as it is serviced.  On each
+    spindle the first failed unit stops the rest of that spindle's share
+    (those waiters fail with [Power_cut]), so an injected fault mid-batch
+    leaves exactly the already-serviced prefix on the media; the first real
+    fault is raised as {!Cffs_util.Io_error.E}. *)
 
 val store_raw : t -> int -> bytes -> keep_sectors:int option -> unit
 (** [store_raw t blk data ~keep_sectors] deposits data directly in the
@@ -203,26 +206,31 @@ val store_raw : t -> int -> bytes -> keep_sectors:int option -> unit
     uses to rebuild crash images. *)
 
 val now : t -> float
-(** Simulated time (always [0.] for memory devices). *)
+(** Simulated time: the latest spindle clock (memory spindles only move
+    by {!advance}). *)
 
 val advance : t -> float -> unit
-(** Account CPU/think time. *)
+(** Account CPU/think time on every spindle. *)
 
 val stats : t -> Cffs_disk.Request.Stats.s
-(** Live request counters.  Both backends count reads/writes/sectors
-    uniformly; the timing fields ([busy_time], [seek_time], ...) stay zero
-    for memory devices, which have no mechanics to account. *)
+(** A fresh sum of the spindles' request counters.  Both media count
+    reads/writes/sectors uniformly; the timing fields ([busy_time],
+    [seek_time], ...) stay zero for memory spindles, which have no
+    mechanics to account. *)
 
 val drive : t -> Cffs_disk.Drive.t option
+(** The first spindle's drive ([None] for memory); a composite's other
+    drives are reached through {!subdevices}. *)
 
 val flush_device_cache : t -> unit
-(** Drop the drive's on-board cache (cold-cache measurements). *)
+(** Drop every drive's on-board cache (cold-cache measurements). *)
 
 (** Raw stored contents, for crash simulation: a snapshot captures exactly
     the blocks that reached the device — and their integrity tags, which
     live with the media — so restoring yields a device whose contents are
     the snapshot (queued/cached data above the device is lost, which is
-    the crash semantics). *)
+    the crash semantics).  Images are flat, in logical block space, so an
+    image of a composite restores onto a plain device and vice versa. *)
 type image
 
 val snapshot : t -> image

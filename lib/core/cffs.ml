@@ -6,6 +6,7 @@ module Readahead = Cffs_cache.Readahead
 module Blockdev = Cffs_blockdev.Blockdev
 module Integrity = Cffs_blockdev.Integrity
 module Codec = Cffs_util.Codec
+module Bitview = Cffs_util.Bitview
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
@@ -156,16 +157,6 @@ let write_sb_block t ~kind b =
   Hashtbl.replace t.replica_dirty 0 ();
   Cache.write t.cache ~kind 0 b
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit b base i =
-  Codec.set_u8 b (base + (i lsr 3)) (Codec.get_u8 b (base + (i lsr 3)) lor (1 lsl (i land 7)))
-
-let clear_bit b base i =
-  Codec.set_u8 b
-    (base + (i lsr 3))
-    (Codec.get_u8 b (base + (i lsr 3)) land lnot (1 lsl (i land 7)))
-
 let cg_free_blocks t cg = Codec.get_u32 (read_header t cg) hdr_free_blocks
 
 (* Claim a specific known-free block. *)
@@ -173,17 +164,10 @@ let claim_block t blk =
   let cg = Csb.cg_of_block t.sb blk in
   let rel = blk - Csb.cg_start t.sb cg in
   let b = read_header t cg in
-  assert (not (get_bit b hdr_bbm rel));
-  set_bit b hdr_bbm rel;
+  assert (not (Bitview.get b hdr_bbm rel));
+  Bitview.set b hdr_bbm rel;
   Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
   write_header t cg b
-
-let find_clear_bit b base len hint =
-  let hint = if len = 0 then 0 else hint mod len in
-  let rec scan i stop =
-    if i >= stop then None else if get_bit b base i then scan (i + 1) stop else Some i
-  in
-  match scan hint len with Some _ as r -> r | None -> scan 0 hint
 
 (* FFS-style single-block allocation: the given group first, near [hint]. *)
 let alloc_near t ~cg ~hint =
@@ -192,10 +176,10 @@ let alloc_near t ~cg ~hint =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_blocks = 0 then None
     else begin
-      match find_clear_bit b hdr_bbm sb.Csb.cg_size (max 1 hint_rel) with
+      match Bitview.find_clear b hdr_bbm ~len:sb.Csb.cg_size ~hint:(max 1 hint_rel) with
       | None | Some 0 -> None
       | Some rel ->
-          set_bit b hdr_bbm rel;
+          Bitview.set b hdr_bbm rel;
           Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
           write_header t cg b;
           Some (Csb.cg_start sb cg + rel)
@@ -219,8 +203,8 @@ let free_block t blk =
   let cg = Csb.cg_of_block sb blk in
   let rel = blk - Csb.cg_start sb cg in
   let b = read_header t cg in
-  if get_bit b hdr_bbm rel then begin
-    clear_bit b hdr_bbm rel;
+  if Bitview.get b hdr_bbm rel then begin
+    Bitview.clear b hdr_bbm rel;
     Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks + 1);
     write_header t cg b
   end;
@@ -270,7 +254,7 @@ let frame_free_block t frame =
   let base_rel = frame - Csb.cg_start sb cg in
   let rec scan i =
     if i >= sb.Csb.group_blocks then None
-    else if get_bit b hdr_bbm (base_rel + i) then scan (i + 1)
+    else if Bitview.get b hdr_bbm (base_rel + i) then scan (i + 1)
     else Some (frame + i)
   in
   scan 0
@@ -292,7 +276,7 @@ let alloc_frame t ~cg =
           else begin
             let base = data0_rel + (k * gb) in
             let rec all_free i =
-              i >= gb || ((not (get_bit b hdr_bbm (base + i))) && all_free (i + 1))
+              i >= gb || ((not (Bitview.get b hdr_bbm (base + i))) && all_free (i + 1))
             in
             if all_free 0 then Some (Csb.cg_start sb g + base) else scan (k + 1)
           end
@@ -2032,7 +2016,7 @@ let block_in_use t blk =
     if cg < 0 || cg >= t.sb.Csb.cg_count then false
     else begin
       let rel = blk - Csb.cg_start t.sb cg in
-      get_bit (read_header t cg) hdr_bbm rel
+      Bitview.get (read_header t cg) hdr_bbm rel
     end
   end
 
@@ -2183,7 +2167,7 @@ let frame_free_count t frame =
   let base_rel = frame - Csb.cg_start sb cg in
   let n = ref 0 in
   for i = 0 to sb.Csb.group_blocks - 1 do
-    if not (get_bit b hdr_bbm (base_rel + i)) then incr n
+    if not (Bitview.get b hdr_bbm (base_rel + i)) then incr n
   done;
   !n
 
@@ -2412,7 +2396,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
   for cg = 0 to sb.Csb.cg_count - 1 do
     let b = Bytes.make block_size '\000' in
     Codec.set_u32 b hdr_free_blocks (sb.Csb.cg_size - 1);
-    set_bit b hdr_bbm 0;
+    Bitview.set b hdr_bbm 0;
     Cache.write cache ~kind:`Meta (header_block t cg) b;
     Hashtbl.replace t.replica_dirty (1 + cg) ()
   done;

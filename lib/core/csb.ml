@@ -33,7 +33,8 @@ let mk ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0) ~block_size
     invalid_arg "Csb.mk: block bitmap does not fit the header block";
   if group_blocks < 2 then invalid_arg "Csb.mk: group frame too small";
   let cg_count = (nblocks - 1) / cg_size in
-  if cg_count < 1 then invalid_arg "Csb.mk: device too small";
+  if cg_count < 1 then
+    raise (Cffs_vfs.Fs_intf.Too_small { need_blocks = 1 + cg_size; have_blocks = nblocks });
   {
     block_size;
     nblocks;

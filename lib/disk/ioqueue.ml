@@ -74,6 +74,11 @@ let set_coalesce t c = t.coalesce <- c
 let pending t = Queue.length t.arrival + List.length t.window
 let is_empty t = Queue.is_empty t.arrival && t.window = []
 
+let exists t f =
+  List.exists f t.window
+  || ((not (Queue.is_empty t.arrival))
+     && Queue.fold (fun acc it -> acc || f it) false t.arrival)
+
 let submit t req payload ~now =
   let tag = t.next_tag in
   t.next_tag <- tag + 1;

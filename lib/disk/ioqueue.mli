@@ -45,6 +45,9 @@ val pending : 'a t -> int
 
 val is_empty : 'a t -> bool
 
+val exists : 'a t -> ('a item -> bool) -> bool
+(** Whether some queued item (window or arrival) satisfies the predicate. *)
+
 val submit : 'a t -> Request.t -> 'a -> now:float -> tag
 (** Enqueue a request with its payload; returns its unique tag. *)
 

@@ -8,13 +8,4 @@ type policy = Fcfs | Clook | Sstf
 
 val policy_name : policy -> string
 val policy_of_string : string -> policy option
-
-val order :
-  policy -> Geometry.t -> current_cyl:int -> Request.t list -> Request.t list
-(** [order policy geom ~current_cyl reqs] returns the service order for a
-    batch of queued requests:
-    - [Fcfs]: arrival order;
-    - [Clook]: ascending LBA starting from the first request at or beyond the
-      current cylinder, wrapping once to the lowest;
-    - [Sstf]: repeatedly pick the request with the smallest cylinder distance
-      from the (simulated) current position. *)
+(** Case-insensitive: [fcfs] (or [fifo]), [clook] (or [c-look]), [sstf]. *)

@@ -4,6 +4,7 @@ module Cache = Cffs_cache.Cache
 module Journal = Cffs_cache.Journal
 module Blockdev = Cffs_blockdev.Blockdev
 module Codec = Cffs_util.Codec
+module Bitview = Cffs_util.Bitview
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
@@ -40,16 +41,6 @@ let read_header t cg = Cache.read t.cache (header_block t cg)
 
 let write_header t cg b = Cache.write t.cache ~kind:`Meta_delayed (header_block t cg) b
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit b base i =
-  Codec.set_u8 b (base + (i lsr 3)) (Codec.get_u8 b (base + (i lsr 3)) lor (1 lsl (i land 7)))
-
-let clear_bit b base i =
-  Codec.set_u8 b
-    (base + (i lsr 3))
-    (Codec.get_u8 b (base + (i lsr 3)) land lnot (1 lsl (i land 7)))
-
 let cg_free_blocks t cg = Codec.get_u32 (read_header t cg) hdr_free_blocks
 let cg_free_inodes t cg = Codec.get_u32 (read_header t cg) hdr_free_inodes
 
@@ -79,23 +70,16 @@ let read_inode t ino =
 (* ------------------------------------------------------------------ *)
 (* Allocators. *)
 
-(* Find a clear bit in [len] bits at [base] of header [b], scanning
-   circularly from [hint]. *)
-let find_clear_bit b base len hint =
-  let hint = if len = 0 then 0 else hint mod len in
-  let rec scan i stop = if i >= stop then None else if get_bit b base i then scan (i + 1) stop else Some i in
-  match scan hint len with Some _ as r -> r | None -> scan 0 hint
-
 let alloc_inode t ~preferred_cg =
   let sb = t.sb in
   let try_cg cg =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_inodes = 0 then None
     else begin
-      match find_clear_bit b hdr_ibm sb.Layout.inodes_per_cg 0 with
+      match Bitview.find_clear b hdr_ibm ~len:sb.Layout.inodes_per_cg ~hint:0 with
       | None -> None
       | Some idx ->
-          set_bit b hdr_ibm idx;
+          Bitview.set b hdr_ibm idx;
           Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes - 1);
           write_header t cg b;
           Some ((cg * sb.Layout.inodes_per_cg) + idx)
@@ -116,8 +100,8 @@ let free_inode t ino =
   let cg = Layout.cg_of_ino sb ino in
   let idx = Layout.ino_index sb ino in
   let b = read_header t cg in
-  if get_bit b hdr_ibm idx then begin
-    clear_bit b hdr_ibm idx;
+  if Bitview.get b hdr_ibm idx then begin
+    Bitview.clear b hdr_ibm idx;
     Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes + 1);
     write_header t cg b
   end
@@ -148,10 +132,10 @@ let alloc_block t ~cg ~hint =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_blocks = 0 then None
     else begin
-      match find_clear_bit b (hdr_bbm sb) sb.Layout.cg_size hint_rel with
+      match Bitview.find_clear b (hdr_bbm sb) ~len:sb.Layout.cg_size ~hint:hint_rel with
       | None -> None
       | Some rel ->
-          set_bit b (hdr_bbm sb) rel;
+          Bitview.set b (hdr_bbm sb) rel;
           Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
           write_header t cg b;
           Some (Layout.cg_start sb cg + rel)
@@ -176,8 +160,8 @@ let free_block t blk =
   let cg = Layout.cg_of_block sb blk in
   let rel = blk - Layout.cg_start sb cg in
   let b = read_header t cg in
-  if get_bit b (hdr_bbm sb) rel then begin
-    clear_bit b (hdr_bbm sb) rel;
+  if Bitview.get b (hdr_bbm sb) rel then begin
+    Bitview.clear b (hdr_bbm sb) rel;
     Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks + 1);
     write_header t cg b
   end;
@@ -759,15 +743,15 @@ let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 40
     Codec.set_u32 b hdr_free_inodes sb.Layout.inodes_per_cg;
     Codec.set_u32 b hdr_ndirs 0;
     for i = 0 to meta_blocks - 1 do
-      set_bit b (hdr_bbm sb) i
+      Bitview.set b (hdr_bbm sb) i
     done;
     Cache.write cache ~kind:`Meta (header_block t cg) b
   done;
   (* Reserve inodes 0 and 1, then build the root directory (ino 2). *)
   let b = read_header t 0 in
-  set_bit b hdr_ibm 0;
-  set_bit b hdr_ibm 1;
-  set_bit b hdr_ibm 2;
+  Bitview.set b hdr_ibm 0;
+  Bitview.set b hdr_ibm 1;
+  Bitview.set b hdr_ibm 2;
   Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes - 3);
   write_header t 0 b;
   let root_ino = sb.Layout.root_ino in

@@ -28,7 +28,8 @@ let mk_sb ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0)
   if 12 + bitmap_bytes > block_size then
     invalid_arg "Layout.mk_sb: bitmaps do not fit the header block";
   let cg_count = (nblocks - 1) / cg_size in
-  if cg_count < 1 then invalid_arg "Layout.mk_sb: device too small";
+  if cg_count < 1 then
+    raise (Cffs_vfs.Fs_intf.Too_small { need_blocks = 1 + cg_size; have_blocks = nblocks });
   {
     block_size;
     nblocks;

@@ -1,5 +1,6 @@
 module Cache = Cffs_cache.Cache
 module Codec = Cffs_util.Codec
+module Bitview = Cffs_util.Bitview
 module Inode = Cffs_vfs.Inode
 module Bmap = Cffs_vfs.Bmap
 module Csb = Cffs.Csb
@@ -166,8 +167,6 @@ let nlink_problems survey =
       end)
     survey.inodes []
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 let bitmap_problems t survey =
   let sb = Cffs.superblock t in
   let cache = Cffs.cache t in
@@ -177,7 +176,7 @@ let bitmap_problems t survey =
     let found_free = ref 0 and expected_free = ref 0 in
     for rel = 0 to sb.Csb.cg_size - 1 do
       let blk = Csb.cg_start sb cg + rel in
-      if not (get_bit hdr Csb.hdr_block_bitmap_off rel) then incr found_free;
+      if not (Bitview.get hdr Csb.hdr_block_bitmap_off rel) then incr found_free;
       if rel > 0 && not (Hashtbl.mem survey.used blk) then incr expected_free
     done;
     if !found_free <> !expected_free then

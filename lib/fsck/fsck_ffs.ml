@@ -1,5 +1,6 @@
 module Cache = Cffs_cache.Cache
 module Codec = Cffs_util.Codec
+module Bitview = Cffs_util.Bitview
 module Inode = Cffs_vfs.Inode
 module Bmap = Cffs_vfs.Bmap
 module Layout = Ffs.Layout
@@ -100,8 +101,6 @@ let run_survey t =
       walk_dir t sb survey ~dir:(Ffs.root t) inode);
   survey
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 (* Compare the on-disk bitmaps against what the walk found. *)
 let bitmap_problems t survey =
   let sb = Ffs.superblock t in
@@ -114,7 +113,7 @@ let bitmap_problems t survey =
     let found_free_inodes = ref 0 and expected_free_inodes = ref 0 in
     for idx = 0 to sb.Layout.inodes_per_cg - 1 do
       let ino = (cg * sb.Layout.inodes_per_cg) + idx in
-      if not (get_bit hdr Layout.hdr_inode_bitmap_off idx) then incr found_free_inodes;
+      if not (Bitview.get hdr Layout.hdr_inode_bitmap_off idx) then incr found_free_inodes;
       let reserved = ino < 2 in
       let referenced = Hashtbl.mem survey.refs ino in
       if referenced || reserved then ()
@@ -135,7 +134,7 @@ let bitmap_problems t survey =
     let found_free = ref 0 and expected_free = ref 0 in
     for rel = 0 to sb.Layout.cg_size - 1 do
       let blk = Layout.cg_start sb cg + rel in
-      if not (get_bit hdr (Layout.hdr_block_bitmap_off sb) rel) then incr found_free;
+      if not (Bitview.get hdr (Layout.hdr_block_bitmap_off sb) rel) then incr found_free;
       let is_meta = rel <= sb.Layout.itable_blocks in
       if (not is_meta) && not (Hashtbl.mem survey.used blk) then incr expected_free
     done;

@@ -13,6 +13,8 @@ type fs_usage = {
   free_inodes : int;
 }
 
+exception Too_small of { need_blocks : int; have_blocks : int }
+
 module type LOW = sig
   type t
 

@@ -20,6 +20,11 @@ type fs_usage = {
   free_inodes : int;
 }
 
+exception Too_small of { need_blocks : int; have_blocks : int }
+(** Raised by a file system's [format] when the blocks it is given
+    ([have_blocks]) cannot hold one cylinder group; [need_blocks] is the
+    least that can. *)
+
 module type LOW = sig
   type t
 

@@ -305,47 +305,11 @@ let test_random_4k_access_time_plausible () =
 (* ------------------------------------------------------------------ *)
 (* Schedulers *)
 
-let mk_reqs lbas = List.map (fun lba -> Request.write ~lba ~sectors:8) lbas
-
-let lbas_of reqs = List.map (fun (r : Request.t) -> r.Request.lba) reqs
-
-let test_scheduler_fcfs () =
-  let g = Geometry.of_profile st31200 in
-  let reqs = mk_reqs [ 500; 100; 900 ] in
-  check (Alcotest.list Alcotest.int) "fcfs keeps order" [ 500; 100; 900 ]
-    (lbas_of (Scheduler.order Scheduler.Fcfs g ~current_cyl:0 reqs))
-
-let test_scheduler_clook () =
-  let g = Geometry.of_profile st31200 in
-  let cur = Geometry.cyl_of_lba g 50000 in
-  let reqs = mk_reqs [ 10000; 60000; 40000; 90000 ] in
-  check (Alcotest.list Alcotest.int) "ascending from current, then wrap"
-    [ 60000; 90000; 10000; 40000 ]
-    (lbas_of (Scheduler.order Scheduler.Clook g ~current_cyl:cur reqs))
-
-let test_scheduler_sstf () =
-  let g = Geometry.of_profile st31200 in
-  let cur = Geometry.cyl_of_lba g 50000 in
-  let reqs = mk_reqs [ 10000; 60000; 90000 ] in
-  check (Alcotest.list Alcotest.int) "greedy nearest" [ 60000; 90000; 10000 ]
-    (lbas_of (Scheduler.order Scheduler.Sstf g ~current_cyl:cur reqs))
-
-let qcheck_schedulers_preserve_requests =
-  qtest "schedulers: output is a permutation of input"
-    QCheck.(pair (int_bound 2) (list_of_size (Gen.int_range 0 30)
-              (int_bound (Profile.total_sectors st31200 - 8))))
-    (fun (which, lbas) ->
-      let g = Geometry.of_profile st31200 in
-      let policy =
-        match which with 0 -> Scheduler.Fcfs | 1 -> Scheduler.Clook | _ -> Scheduler.Sstf
-      in
-      let reqs = mk_reqs lbas in
-      let out = Scheduler.order policy g ~current_cyl:100 reqs in
-      List.sort compare (lbas_of out) = List.sort compare lbas)
-
 let test_scheduler_names () =
   check (Alcotest.option Alcotest.string) "parse clook" (Some "C-LOOK")
     (Option.map Scheduler.policy_name (Scheduler.policy_of_string "c-look"));
+  check (Alcotest.option Alcotest.string) "parse fifo alias" (Some "FCFS")
+    (Option.map Scheduler.policy_name (Scheduler.policy_of_string "FIFO"));
   check Alcotest.bool "parse junk" true (Scheduler.policy_of_string "elevator?" = None)
 
 let () =
@@ -402,10 +366,6 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "fcfs" `Quick test_scheduler_fcfs;
-          Alcotest.test_case "c-look" `Quick test_scheduler_clook;
-          Alcotest.test_case "sstf" `Quick test_scheduler_sstf;
           Alcotest.test_case "names" `Quick test_scheduler_names;
-          qcheck_schedulers_preserve_requests;
         ] );
     ]

@@ -2,7 +2,7 @@
 
 module Prng = Cffs_util.Prng
 module Stats = Cffs_util.Stats
-module Bitmap = Cffs_util.Bitmap
+module Bitview = Cffs_util.Bitview
 module Lru = Cffs_util.Lru
 module Codec = Cffs_util.Codec
 module Crc32 = Cffs_util.Crc32
@@ -184,82 +184,90 @@ let qcheck_stats_mean_welford =
       Float.abs (Stats.mean s -. naive) < 1e-6 *. (1.0 +. Float.abs naive))
 
 (* ------------------------------------------------------------------ *)
-(* Bitmap *)
+(* Bitview: allocation maps in place inside header bytes *)
 
 let test_bitmap_basic () =
-  let b = Bitmap.create 100 in
-  check Alcotest.int "all clear" 0 (Bitmap.count_set b);
-  Bitmap.set b 7;
-  Bitmap.set b 99;
-  check Alcotest.bool "get 7" true (Bitmap.get b 7);
-  check Alcotest.bool "get 8" false (Bitmap.get b 8);
-  check Alcotest.int "count" 2 (Bitmap.count_set b);
-  Bitmap.clear b 7;
-  check Alcotest.int "count after clear" 1 (Bitmap.count_set b);
-  Bitmap.set b 99;
-  check Alcotest.int "idempotent set" 1 (Bitmap.count_set b)
+  let b = Bytes.make 16 '\000' in
+  Bitview.set b 0 7;
+  Bitview.set b 0 99;
+  check Alcotest.bool "get 7" true (Bitview.get b 0 7);
+  check Alcotest.bool "get 8" false (Bitview.get b 0 8);
+  check Alcotest.bool "get 99" true (Bitview.get b 0 99);
+  Bitview.clear b 0 7;
+  check Alcotest.bool "cleared" false (Bitview.get b 0 7);
+  Bitview.set b 0 99;
+  check Alcotest.bool "idempotent set" true (Bitview.get b 0 99)
 
 let test_bitmap_ranges () =
-  let b = Bitmap.create 64 in
-  Bitmap.set_range b 10 20;
-  check Alcotest.int "range count" 20 (Bitmap.count_set b);
-  check Alcotest.bool "run check" true (Bitmap.is_clear_run b 30 34);
-  check Alcotest.bool "run overlap" false (Bitmap.is_clear_run b 25 10);
-  Bitmap.clear_range b 10 20;
-  check Alcotest.int "cleared" 0 (Bitmap.count_set b)
+  (* a map at a byte offset inside a header: bits straddling byte
+     boundaries stay inside the map's bytes *)
+  let b = Bytes.make 12 '\000' in
+  for i = 6 to 17 do
+    Bitview.set b 4 i
+  done;
+  check Alcotest.string "bytes before the map untouched" "\000\000\000\000"
+    (Bytes.sub_string b 0 4);
+  check Alcotest.string "bits 6..17" "\xc0\xff\x03" (Bytes.sub_string b 4 3);
+  check Alcotest.string "bytes after untouched" "\000\000\000\000\000"
+    (Bytes.sub_string b 7 5);
+  for i = 6 to 17 do
+    Bitview.clear b 4 i
+  done;
+  check Alcotest.bool "cleared" true (Bytes.equal b (Bytes.make 12 '\000'))
 
 let test_bitmap_find_clear () =
-  let b = Bitmap.create 16 in
-  Bitmap.set_range b 0 16;
-  check (Alcotest.option Alcotest.int) "full" None (Bitmap.find_clear b ~hint:3);
-  Bitmap.clear b 5;
-  check (Alcotest.option Alcotest.int) "finds 5 from 3" (Some 5) (Bitmap.find_clear b ~hint:3);
-  check (Alcotest.option Alcotest.int) "wraps from 10" (Some 5) (Bitmap.find_clear b ~hint:10)
-
-let test_bitmap_find_run () =
-  let b = Bitmap.create 64 in
-  Bitmap.set_range b 0 30;
-  Bitmap.set_range b 40 10;
-  (* free: 30..39 and 50..63 *)
-  check (Alcotest.option Alcotest.int) "run of 10 at 30" (Some 30)
-    (Bitmap.find_clear_run b ~hint:0 ~len:10);
-  check (Alcotest.option Alcotest.int) "run of 14" (Some 50)
-    (Bitmap.find_clear_run b ~hint:0 ~len:14);
-  check (Alcotest.option Alcotest.int) "no run of 15" None
-    (Bitmap.find_clear_run b ~hint:0 ~len:15)
+  let b = Bytes.make 2 '\xff' in
+  check (Alcotest.option Alcotest.int) "full" None
+    (Bitview.find_clear b 0 ~len:16 ~hint:3);
+  Bitview.clear b 0 5;
+  check (Alcotest.option Alcotest.int) "finds 5 from 3" (Some 5)
+    (Bitview.find_clear b 0 ~len:16 ~hint:3);
+  check (Alcotest.option Alcotest.int) "wraps from 10" (Some 5)
+    (Bitview.find_clear b 0 ~len:16 ~hint:10);
+  Bitview.clear b 0 15;
+  check (Alcotest.option Alcotest.int) "past the map is ignored" (Some 5)
+    (Bitview.find_clear b 0 ~len:12 ~hint:6)
 
 let test_bitmap_serialise () =
-  let b = Bitmap.create 77 in
-  List.iter (Bitmap.set b) [ 0; 13; 64; 76 ];
-  let b' = Bitmap.of_bytes 77 (Bitmap.to_bytes b) in
-  check Alcotest.bool "roundtrip equal" true (Bitmap.equal b b');
-  check Alcotest.int "count preserved" 4 (Bitmap.count_set b')
+  (* the view is the on-disk encoding: bit i lives in bit (i mod 8) of
+     byte (i / 8) *)
+  let b = Bytes.make 10 '\000' in
+  List.iter (Bitview.set b 0) [ 0; 13; 64; 76 ];
+  check Alcotest.string "little-endian bit order"
+    "\x01\x20\000\000\000\000\000\000\x01\x10" (Bytes.to_string b)
 
 let qcheck_bitmap_model =
   qtest "bitmap: set/clear agrees with a boolean-array model"
     QCheck.(list (pair (int_bound 199) bool))
     (fun ops ->
-      let b = Bitmap.create 200 in
+      let b = Bytes.make 25 '\000' in
       let model = Array.make 200 false in
       List.iter
         (fun (i, set) ->
-          if set then Bitmap.set b i else Bitmap.clear b i;
+          if set then Bitview.set b 0 i else Bitview.clear b 0 i;
           model.(i) <- set)
         ops;
       let ok = ref true in
-      Array.iteri (fun i v -> if Bitmap.get b i <> v then ok := false) model;
-      !ok
-      && Bitmap.count_set b = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model)
+      Array.iteri (fun i v -> if Bitview.get b 0 i <> v then ok := false) model;
+      !ok)
 
-let qcheck_bitmap_run_is_clear =
-  qtest "bitmap: find_clear_run returns genuinely clear runs"
-    QCheck.(pair (list (int_bound 127)) (int_range 1 16))
-    (fun (sets, len) ->
-      let b = Bitmap.create 128 in
-      List.iter (Bitmap.set b) sets;
-      match Bitmap.find_clear_run b ~hint:0 ~len with
-      | None -> true
-      | Some off -> Bitmap.is_clear_run b off len)
+let qcheck_bitmap_find_clear_scan =
+  qtest "bitmap: find_clear agrees with a bit-by-bit circular scan"
+    QCheck.(triple (list (int_bound 127)) (int_range 1 128) (int_bound 200))
+    (fun (clears, len, hint) ->
+      let b = Bytes.make 16 '\xff' in
+      List.iter (Bitview.clear b 0) clears;
+      let linear =
+        let h = hint mod len in
+        let rec scan k =
+          if k = len then None
+          else
+            let i = (h + k) mod len in
+            if Bitview.get b 0 i then scan (k + 1) else Some i
+        in
+        scan 0
+      in
+      Bitview.find_clear b 0 ~len ~hint = linear)
 
 (* ------------------------------------------------------------------ *)
 (* Lru *)
@@ -464,10 +472,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_bitmap_basic;
           Alcotest.test_case "ranges" `Quick test_bitmap_ranges;
           Alcotest.test_case "find_clear" `Quick test_bitmap_find_clear;
-          Alcotest.test_case "find_clear_run" `Quick test_bitmap_find_run;
           Alcotest.test_case "serialise" `Quick test_bitmap_serialise;
           qcheck_bitmap_model;
-          qcheck_bitmap_run_is_clear;
+          qcheck_bitmap_find_clear_scan;
         ] );
       ( "lru",
         [

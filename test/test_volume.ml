@@ -363,6 +363,162 @@ let crash_with_in_flight_writes () =
   Faultdev.detach fd
 
 (* ------------------------------------------------------------------ *)
+(* Plain vs composite: one pipeline over 1..N spindles.  A plain memory
+   device and 2- and 3-spindle striped composites with a 4-block stripe
+   unit (so requests cross extents) run the same random operation
+   sequence and must agree on every observable result. *)
+
+let diff_blocks = 64
+
+let diff_devices () =
+  let striped drives =
+    (Volume.create_memory ~stripe_unit:4 ~block_size:512 ~nblocks:diff_blocks
+       ~drives ~layout:Volume.Striped ())
+      .Volume.dev
+  in
+  [ Blockdev.memory ~block_size:512 ~nblocks:diff_blocks; striped 2; striped 3 ]
+
+type diff_op =
+  | Submit_read of int * int
+  | Submit_write of int * int * int
+  | Drain
+  | Read of int * int
+  | Write of int * int * int
+  | Batch of (int * int * int) list
+
+(* What one operation showed its caller; failures compare by cause, since
+   a split request names the failing fragment's range. *)
+type diff_obs =
+  | Tag of int
+  | Data of string
+  | Raised of Io_error.cause
+  | Done
+  | Completions of (int * int * int * (string, Io_error.cause) result) list
+
+let diff_payload bs n byte =
+  Bytes.init (n * bs) (fun i -> Char.chr ((byte + (i / bs)) land 255))
+
+let diff_span (blk, n) = (blk, max 1 (min n (diff_blocks - blk)))
+
+let diff_gen =
+  let open QCheck.Gen in
+  let span = pair (int_bound (diff_blocks - 1)) (int_range 1 12) in
+  let op =
+    frequency
+      [
+        (3, map (fun s -> let b, n = diff_span s in Submit_read (b, n)) span);
+        ( 3,
+          map2 (fun s v -> let b, n = diff_span s in Submit_write (b, n, v)) span
+            (int_bound 255) );
+        (2, return Drain);
+        (2, map (fun s -> let b, n = diff_span s in Read (b, n)) span);
+        ( 2,
+          map2 (fun s v -> let b, n = diff_span s in Write (b, n, v)) span
+            (int_bound 255) );
+        ( 1,
+          map
+            (fun us -> Batch (List.map (fun (s, v) -> let b, n = diff_span s in (b, n, v)) us))
+            (list_size (int_range 1 4) (pair span (int_bound 255))) );
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let diff_print = function
+  | Submit_read (b, n) -> Printf.sprintf "submit_read %d %d" b n
+  | Submit_write (b, n, v) -> Printf.sprintf "submit_write %d %d %d" b n v
+  | Drain -> "drain"
+  | Read (b, n) -> Printf.sprintf "read %d %d" b n
+  | Write (b, n, v) -> Printf.sprintf "write %d %d %d" b n v
+  | Batch us ->
+      "batch "
+      ^ String.concat ";"
+          (List.map (fun (b, n, v) -> Printf.sprintf "%d+%d=%d" b n v) us)
+
+let diff_raised f =
+  match f () with v -> v | exception Io_error.E e -> Raised e.Io_error.cause
+
+let diff_step dev op =
+  let bs = Blockdev.block_size dev in
+  match op with
+  | Submit_read (b, n) -> Tag (Blockdev.submit_read dev b n)
+  | Submit_write (b, n, v) -> Tag (Blockdev.submit_write dev b (diff_payload bs n v))
+  | Drain ->
+      Completions
+        (Blockdev.drain dev
+        |> List.map (fun (c : Blockdev.cqe) ->
+               ( c.Blockdev.cq_tag,
+                 c.Blockdev.cq_blk,
+                 c.Blockdev.cq_nblocks,
+                 match c.Blockdev.cq_result with
+                 | Ok d -> Ok (Bytes.to_string d)
+                 | Error e -> Error e.Io_error.cause ))
+        |> List.sort compare)
+  | Read (b, n) ->
+      diff_raised (fun () -> Data (Bytes.to_string (Blockdev.read dev b n)))
+  | Write (b, n, v) ->
+      diff_raised (fun () ->
+          Blockdev.write dev b (diff_payload bs n v);
+          Done)
+  | Batch us ->
+      diff_raised (fun () ->
+          Blockdev.write_batch_units dev
+            (List.map
+               (fun (b, n, v) ->
+                 (b, List.init n (fun i -> diff_payload bs 1 (v + i))))
+               us);
+          Done)
+
+let diff_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"plain and 2-/3-spindle composites agree on every result"
+       (QCheck.make ~print:(QCheck.Print.list diff_print) diff_gen)
+       (fun ops ->
+         let devs = diff_devices () in
+         List.for_all
+           (fun op ->
+             let obs = List.map (fun d -> diff_step d op) devs in
+             let contents =
+               match op with
+               | Drain ->
+                   List.map
+                     (fun d -> Bytes.to_string (Blockdev.read d 0 diff_blocks))
+                     devs
+               | _ -> []
+             in
+             let same = function [] -> true | x :: rest -> List.for_all (( = ) x) rest in
+             same obs && same contents)
+           (ops @ [ Drain ])))
+
+let diff_bad_block () =
+  (* a sticky bad block fails exactly the sync reads and writes covering
+     it, on the plain device and on both composites *)
+  let devs = diff_devices () in
+  let bad = 21 in
+  let fds =
+    List.map
+      (fun d ->
+        let fd = Faultdev.attach d in
+        Faultdev.mark_bad fd bad;
+        fd)
+      devs
+  in
+  let prng = Prng.create 42 in
+  for _ = 1 to 300 do
+    let b, n = diff_span (Prng.int prng diff_blocks, 1 + Prng.int prng 12) in
+    let op = if Prng.int prng 2 = 0 then Read (b, n) else Write (b, n, Prng.int prng 256) in
+    let covers = b <= bad && bad < b + n in
+    List.iter
+      (fun d ->
+        let failed =
+          match diff_step d op with Raised Io_error.Bad_sector -> true | _ -> false
+        in
+        Alcotest.(check bool) (diff_print op) covers failed)
+      devs
+  done;
+  List.iter Faultdev.detach fds
+
+(* ------------------------------------------------------------------ *)
 (* The A9 acceptance criterion: 4 striped spindles serve the small-file
    read phase at >= 3x one drive, and every multi-drive point leaves
    per-spindle telemetry showing all spindles did work. *)
@@ -416,6 +572,12 @@ let () =
             remap_on_one_spindle;
           Alcotest.test_case "power cut with in-flight writes" `Quick
             crash_with_in_flight_writes;
+        ] );
+      ( "differential",
+        [
+          diff_agree;
+          Alcotest.test_case "sticky bad block fails covering sync ops" `Quick
+            diff_bad_block;
         ] );
       ( "timing",
         [ Alcotest.test_case "drain overlaps spindles" `Quick timed_scaling ] );
