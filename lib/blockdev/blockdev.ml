@@ -676,7 +676,10 @@ let fail_pending t si cause =
               cause)))
     (Ioqueue.clear t.spindles.(si).queue)
 
+(* [run] arguments for "every tag" and for "no batch being issued". *)
 let any_tag = 0
+let no_lo = 1
+let no_hi = 0
 
 let holds sp tag =
   Ioqueue.exists sp.queue (fun (it : frag Ioqueue.item) -> it.payload.f_tag = tag)
@@ -718,7 +721,7 @@ let run t si ~tag ~lo ~hi =
 let drain t =
   sync t;
   for si = 0 to Array.length t.spindles - 1 do
-    ignore (run t si ~tag:any_tag ~lo:1 ~hi:0)
+    ignore (run t si ~tag:any_tag ~lo:no_lo ~hi:no_hi)
   done;
   let out = List.rev t.completed in
   t.completed <- [];
@@ -740,7 +743,7 @@ let drain_tag t tag =
   | None -> (
       sync t;
       for si = 0 to Array.length t.spindles - 1 do
-        ignore (run t si ~tag ~lo:1 ~hi:0)
+        ignore (run t si ~tag ~lo:no_lo ~hi:no_hi)
       done;
       match take_completed t tag [] t.completed with
       | Some c -> c
