@@ -46,6 +46,7 @@ type spindle = {
   store : (int, bytes) Hashtbl.t;
   tags : (int, int) Hashtbl.t;
   queue : frag Ioqueue.t;
+  held : (int, int) Hashtbl.t;  (* fragments in [queue], per logical tag *)
 }
 
 type extent = { lstart : int; xlen : int; xsub : int; pstart : int }
@@ -123,6 +124,7 @@ let one_spindle ?policy media ~block_size ~nblocks =
       store = Hashtbl.create 4096;
       tags = Hashtbl.create 64;
       queue = Ioqueue.create ?policy ();
+      held = Hashtbl.create 16;
     }
   in
   make ~block_size ~subs:[||] [| sp |]
@@ -513,6 +515,8 @@ let enqueue t op e lblk len data parent tag =
     | Io_error.Read -> Request.read ~lba ~sectors
     | Io_error.Write -> Request.write ~lba ~sectors
   in
+  Hashtbl.replace sp.held tag
+    (match Hashtbl.find sp.held tag with n -> n + 1 | exception Not_found -> 1);
   ignore
     (Ioqueue.submit sp.queue req
        { f_tag = tag; f_lblk = lblk; f_data = data; f_parent = parent }
@@ -668,6 +672,7 @@ let service_group t si ~lo ~hi (group : frag Ioqueue.item list) =
    touching the media or the clock — and without counting as a device
    error, since the device never saw it. *)
 let fail_pending t si cause =
+  Hashtbl.reset t.spindles.(si).held;
   List.iter
     (fun (it : frag Ioqueue.item) ->
       complete t it
@@ -681,8 +686,13 @@ let any_tag = 0
 let no_lo = 1
 let no_hi = 0
 
-let holds sp tag =
-  Ioqueue.exists sp.queue (fun (it : frag Ioqueue.item) -> it.payload.f_tag = tag)
+let holds sp tag = Hashtbl.mem sp.held tag
+
+let unhold sp (it : frag Ioqueue.item) =
+  let tag = it.payload.f_tag in
+  match Hashtbl.find sp.held tag with
+  | 1 -> Hashtbl.remove sp.held tag
+  | n -> Hashtbl.replace sp.held tag (n - 1)
 
 (* Service spindle [si]'s queue one dispatch group at a time — only while
    it still holds a fragment of [tag], unless [tag] is [any_tag].  A power
@@ -702,6 +712,7 @@ let run t si ~tag ~lo ~hi =
     match Ioqueue.take sp.queue ~geom ~current_cyl:!cyl with
     | None -> go := false
     | Some group -> (
+        List.iter (unhold sp) group;
         (match (geom, group) with
         | Some g, (it : frag Ioqueue.item) :: _ ->
             cyl := Geometry.cyl_of_lba g it.req.Request.lba

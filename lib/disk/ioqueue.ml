@@ -21,7 +21,41 @@
      the window afterwards wait for the next sweep.  However adversarial
      the arrival pattern, a window entry is dispatched within the
      remainder of the current sweep plus one full sweep — at most
-     [2 * depth] window passes. *)
+     [2 * depth] window passes.
+
+   Cost, for a window of W entries: [submit] is O(1); promotion into the
+   window is O(log W) plus its overlap conflicts; [take] is O(log W) per
+   dispatched entry plus the conflicts it releases (SSTF also scans the
+   entries on the one or two nearest cylinders); [clear] is O(W).  The
+   indexes below exist only to find, in that time, the entry the plain
+   definition picks:
+
+   - Overlap order is kept as dependency counts.  An entry entering the
+     window is the newest, so its blockers are exactly the overlapping
+     window entries at that moment (a write against anything, a read
+     against writes).  It counts them and each keeps it on a dependents
+     list; dispatching a blocker decrements the count, and the entry is
+     eligible at 0.  The overlap query scans an lba-ordered index per
+     length class c (lengths in [2^c, 2^(c+1))) from lba - 2^(c+1), so it
+     visits the overlapping entries plus a few neighbours per class.
+
+   - Sweep membership is a generation stamp.  Every entry promoted while
+     sweep g is active — or after it ran out — belongs to sweep g + 1,
+     since the next freeze takes the whole window; freezing is bumping g.
+     Eligible entries sit in one lba-ordered set per sweep, from which
+     the policies pick (the oldest sweep member is the oldest window
+     entry, and is never blocked).
+
+   - Coalescing walks the eligible entries in submission order, absorbing
+     those that start at the group's end or end at its start, and
+     restarts while a walk absorbed anything.  Each step is the
+     lowest-seq eligible entry past the walk position that starts at [hi]
+     or ends at [lo], found in lba- and end-ordered sets of the eligible
+     entries of each kind (kept only while coalescing is on).
+
+   - [passes] is the number of dispatches an entry sat through in the
+     window, so it is set when the entry leaves, from the dispatch count
+     at its promotion. *)
 
 type tag = int
 
@@ -34,6 +68,141 @@ type 'a item = {
   mutable passes : int;
 }
 
+(* Ordered sets of window entries: mutable treaps (priority given by the
+   caller).  Adding an element allocates one cell; removing and
+   searching allocate nothing.  (Stdlib's persistent [Map] copies a path
+   on every update, which at shallow queue depths allocated more per
+   request than the list scans it replaces.) *)
+module Oset = struct
+  type 'a tree =
+    | Leaf
+    | Node of { v : 'a; pri : int; mutable l : 'a tree; mutable r : 'a tree }
+
+  type 'a t = { cmp : 'a -> 'a -> int; mutable root : 'a tree }
+
+  let create cmp = { cmp; root = Leaf }
+  let is_empty s = match s.root with Leaf -> true | Node _ -> false
+  let clear s = s.root <- Leaf
+
+  let rec ins cmp x pri t =
+    match t with
+    | Leaf -> Node { v = x; pri; l = Leaf; r = Leaf }
+    | Node n ->
+        if cmp x n.v < 0 then begin
+          match ins cmp x pri n.l with
+          | Node m as l when m.pri > n.pri ->
+              n.l <- m.r;
+              m.r <- t;
+              l
+          | l ->
+              n.l <- l;
+              t
+        end
+        else begin
+          match ins cmp x pri n.r with
+          | Node m as r when m.pri > n.pri ->
+              n.r <- m.l;
+              m.l <- t;
+              r
+          | r ->
+              n.r <- r;
+              t
+        end
+
+  let add s x pri = s.root <- ins s.cmp x pri s.root
+
+  let rec merge a b =
+    match (a, b) with
+    | Leaf, t | t, Leaf -> t
+    | Node x, Node y ->
+        if x.pri > y.pri then begin
+          x.r <- merge x.r b;
+          a
+        end
+        else begin
+          y.l <- merge a y.l;
+          b
+        end
+
+  let rec del cmp x t =
+    match t with
+    | Leaf -> Leaf
+    | Node n ->
+        let c = cmp x n.v in
+        if c = 0 then merge n.l n.r
+        else begin
+          if c < 0 then n.l <- del cmp x n.l else n.r <- del cmp x n.r;
+          t
+        end
+
+  let remove s x = s.root <- del s.cmp x s.root
+
+  let rec first_in p acc = function
+    | Leaf -> acc
+    | Node n as t -> if p n.v then first_in p t n.l else first_in p acc n.r
+
+  let rec last_in p acc = function
+    | Leaf -> acc
+    | Node n as t -> if p n.v then last_in p t n.r else last_in p acc n.l
+
+  let get = function Node n -> Some n.v | Leaf -> None
+
+  (* The least element satisfying [p], which must be false then true
+     along the order. *)
+  let first s p = get (first_in p Leaf s.root)
+
+  (* The greatest element satisfying [p], which must be true then false. *)
+  let last s p = get (last_in p Leaf s.root)
+
+  (* [f] on each element from the first satisfying [ge] (false then true)
+     up to the last satisfying [le] (true then false), in order. *)
+  let range s ~ge ~le f =
+    let rec go = function
+      | Leaf -> ()
+      | Node n ->
+          let g = ge n.v and l = le n.v in
+          if g then go n.l;
+          if g && l then f n.v;
+          if l then go n.r
+    in
+    go s.root
+end
+
+(* A window entry with its place in the indexes. *)
+type 'a node = {
+  item : 'a item;
+  sweep : int;  (* generation of the sweep it belongs to *)
+  promoted : int;  (* dispatch count when it entered the window *)
+  mutable deps : int;  (* undispatched overlapping window predecessors *)
+  mutable dependents : 'a node list;  (* entries counting this one *)
+  mutable older : 'a node option;  (* window neighbours, submission order *)
+  mutable newer : 'a node option;
+}
+
+let lba n = n.item.req.Request.lba
+let end_of n = n.item.req.Request.lba + n.item.req.Request.sectors
+let seq n = n.item.seq
+(* Treap priority: a multiplicative hash of seq, so the shape does not
+   follow the order entries arrive in. *)
+let pri n =
+  let h = n.item.seq * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
+(* Orders on the window: (lba, seq) and (end, seq), unique since seq is. *)
+let by_lba a b = match Int.compare (lba a) (lba b) with 0 -> Int.compare (seq a) (seq b) | c -> c
+let by_end a b = match Int.compare (end_of a) (end_of b) with 0 -> Int.compare (seq a) (seq b) | c -> c
+
+(* Number of length classes: lengths up to [max_int] have class <= 61. *)
+let classes = Sys.int_size - 1
+
+(* The window entries of one request kind. *)
+type 'a side = {
+  spans : 'a node Oset.t array;  (* by length class, in (lba, seq) order *)
+  mutable used : int;  (* bitmask of the nonempty [spans] *)
+  starts : 'a node Oset.t;  (* eligible, by (lba, seq); coalescing only *)
+  ends : 'a node Oset.t;  (* eligible, by (end, seq); coalescing only *)
+}
+
 type 'a t = {
   mutable depth : int;
   mutable policy : Scheduler.policy;
@@ -41,8 +210,16 @@ type 'a t = {
   mutable next_tag : int;
   mutable next_seq : int;
   arrival : 'a item Queue.t;
-  mutable window : 'a item list;  (* submission order *)
-  mutable sweep : 'a item list;  (* frozen subset of the window being served *)
+  mutable oldest : 'a node option;  (* the window, as a doubly linked list *)
+  mutable newest : 'a node option;
+  mutable live : int;  (* window size *)
+  mutable dispatches : int;
+  mutable gen : int;  (* the current sweep *)
+  mutable sweep_left : int;  (* its members still in the window *)
+  mutable ready : 'a node Oset.t;  (* its eligible members, by (lba, seq) *)
+  mutable ready_next : 'a node Oset.t;  (* eligible members of sweep gen + 1 *)
+  reads : 'a side;
+  writes : 'a side;
 }
 
 let m_submitted = Cffs_obs.Registry.counter "ioqueue.submitted"
@@ -51,6 +228,14 @@ let m_coalesced = Cffs_obs.Registry.counter "ioqueue.coalesced"
 let m_sweeps = Cffs_obs.Registry.counter "ioqueue.sweeps"
 let g_pending = Cffs_obs.Registry.gauge "ioqueue.pending"
 let h_depth = Cffs_obs.Registry.histogram "ioqueue.depth"
+
+let new_side () =
+  {
+    spans = Array.init classes (fun _ -> Oset.create by_lba);
+    used = 0;
+    starts = Oset.create by_lba;
+    ends = Oset.create by_end;
+  }
 
 let create ?(depth = max_int) ?(policy = Scheduler.Fcfs) ?(coalesce = false) () =
   if depth < 1 then invalid_arg "Ioqueue.create: depth";
@@ -61,8 +246,16 @@ let create ?(depth = max_int) ?(policy = Scheduler.Fcfs) ?(coalesce = false) () 
     next_tag = 1;
     next_seq = 0;
     arrival = Queue.create ();
-    window = [];
-    sweep = [];
+    oldest = None;
+    newest = None;
+    live = 0;
+    dispatches = 0;
+    gen = 0;
+    sweep_left = 0;
+    ready = Oset.create by_lba;
+    ready_next = Oset.create by_lba;
+    reads = new_side ();
+    writes = new_side ();
   }
 
 let depth t = t.depth
@@ -70,14 +263,122 @@ let policy t = t.policy
 let coalesce t = t.coalesce
 let set_depth t d = if d < 1 then invalid_arg "Ioqueue.set_depth" else t.depth <- d
 let set_policy t p = t.policy <- p
-let set_coalesce t c = t.coalesce <- c
-let pending t = Queue.length t.arrival + List.length t.window
-let is_empty t = Queue.is_empty t.arrival && t.window = []
+let pending t = Queue.length t.arrival + t.live
+let is_empty t = t.live = 0 && Queue.is_empty t.arrival
 
-let exists t f =
-  List.exists f t.window
-  || ((not (Queue.is_empty t.arrival))
-     && Queue.fold (fun acc it -> acc || f it) false t.arrival)
+let side t n =
+  match n.item.req.Request.kind with Request.Read -> t.reads | Request.Write -> t.writes
+
+(* --- eligibility ---------------------------------------------------- *)
+
+let index_adjacent t n =
+  let s = side t n and p = pri n in
+  Oset.add s.starts n p;
+  Oset.add s.ends n p
+
+let set_coalesce t c =
+  if c <> t.coalesce then begin
+    t.coalesce <- c;
+    List.iter
+      (fun s ->
+        Oset.clear s.starts;
+        Oset.clear s.ends)
+      [ t.reads; t.writes ];
+    if c then begin
+      let rec index = function
+        | None -> ()
+        | Some n ->
+            if n.deps = 0 then index_adjacent t n;
+            index n.newer
+      in
+      index t.oldest
+    end
+  end
+
+let make_ready t n =
+  Oset.add (if n.sweep = t.gen then t.ready else t.ready_next) n (pri n);
+  if t.coalesce then index_adjacent t n
+
+let unready t n =
+  Oset.remove (if n.sweep = t.gen then t.ready else t.ready_next) n;
+  if t.coalesce then begin
+    let s = side t n in
+    Oset.remove s.starts n;
+    Oset.remove s.ends n
+  end
+
+(* --- the window ----------------------------------------------------- *)
+
+let len_class sectors =
+  let rec go c n = if n <= 1 then c else go (c + 1) (n lsr 1) in
+  go 0 sectors
+
+let block n b =
+  if Request.overlaps b.item.req n.item.req then begin
+    n.deps <- n.deps + 1;
+    b.dependents <- n :: b.dependents
+  end
+
+(* Count [n]'s blockers among the entries of [s]: every one overlapping
+   it.  [used] holds the classes from [c] up that have entries.  An entry
+   of class c is shorter than 2^(c+1), so only those from lba - 2^(c+1) + 2
+   on can reach [n]. *)
+let rec count_blockers s n c used =
+  if used <> 0 then begin
+    if used land 1 <> 0 then begin
+      let r = n.item.req in
+      let from = r.Request.lba - ((2 lsl c) - 1) + 1 and last = Request.last_lba r in
+      Oset.range s.spans.(c) ~ge:(fun b -> lba b >= from) ~le:(fun b -> lba b <= last) (block n)
+    end;
+    count_blockers s n (c + 1) (used lsr 1)
+  end
+
+let promote t item =
+  let n =
+    {
+      item;
+      sweep = t.gen + 1;
+      promoted = t.dispatches;
+      deps = 0;
+      dependents = [];
+      older = t.newest;
+      newer = None;
+    }
+  in
+  let r = item.req in
+  if r.Request.kind = Request.Write then count_blockers t.reads n 0 t.reads.used;
+  count_blockers t.writes n 0 t.writes.used;
+  let s = side t n and c = len_class r.Request.sectors in
+  Oset.add s.spans.(c) n (pri n);
+  s.used <- s.used lor (1 lsl c);
+  let link = Some n in
+  (match t.newest with Some o -> o.newer <- link | None -> t.oldest <- link);
+  t.newest <- link;
+  t.live <- t.live + 1;
+  if n.deps = 0 then make_ready t n
+
+let refill t =
+  while t.live < t.depth && not (Queue.is_empty t.arrival) do
+    promote t (Queue.pop t.arrival)
+  done
+
+(* [n] leaves the window (it is already out of the eligible sets). *)
+let leave t n =
+  let s = side t n and c = len_class n.item.req.Request.sectors in
+  Oset.remove s.spans.(c) n;
+  if Oset.is_empty s.spans.(c) then s.used <- s.used land lnot (1 lsl c);
+  (match n.older with Some o -> o.newer <- n.newer | None -> t.oldest <- n.newer);
+  (match n.newer with Some o -> o.older <- n.older | None -> t.newest <- n.older);
+  t.live <- t.live - 1;
+  if n.sweep = t.gen then t.sweep_left <- t.sweep_left - 1;
+  n.item.passes <- t.dispatches - n.promoted
+
+let release t n =
+  List.iter
+    (fun d ->
+      d.deps <- d.deps - 1;
+      if d.deps = 0 then make_ready t d)
+    n.dependents
 
 let submit t req payload ~now =
   let tag = t.next_tag in
@@ -91,124 +392,144 @@ let submit t req payload ~now =
   Cffs_obs.Registry.set g_pending (float_of_int (pending t));
   tag
 
-let refill t =
-  let win = ref (List.length t.window) in
-  let add = ref [] in
-  while !win < t.depth && not (Queue.is_empty t.arrival) do
-    add := Queue.pop t.arrival :: !add;
-    incr win
-  done;
-  if !add <> [] then t.window <- t.window @ List.rev !add
-
-(* [a] must be dispatched before [b]: earlier submission, overlapping
-   ranges, and at least one of the two is a write. *)
-let must_precede (a : 'a item) (b : 'a item) =
-  a.seq < b.seq
-  && (a.req.Request.kind = Request.Write || b.req.Request.kind = Request.Write)
-  && Request.overlaps a.req b.req
-
-let blocked t (it : 'a item) =
-  List.exists (fun other -> must_precede other it) t.window
+(* --- choosing ------------------------------------------------------- *)
 
 (* Cylinder of a request's first lba; identity when no geometry is known
-   (a memory device), which degrades C-LOOK to an ascending-lba elevator. *)
+   (a memory device), which degrades C-LOOK to an ascending-lba elevator.
+   Monotone in lba, so it can search the lba-ordered sets. *)
 let cyl_of geom lba =
   match geom with Some g -> Geometry.cyl_of_lba g lba | None -> lba
 
-let pick_min f items =
-  List.fold_left
-    (fun acc it ->
-      match acc with Some best when f best <= f it -> acc | _ -> Some it)
-    None items
+(* The ready entry minimising (cylinder distance, seq): the nearest
+   cylinder on either side, ties to the lowest seq on both. *)
+let nearest t ~geom ~current_cyl =
+  let cyl n = cyl_of geom (lba n) in
+  let dist = function None -> max_int | Some n -> abs (cyl n - current_cyl) in
+  let right = Oset.first t.ready (fun n -> cyl n >= current_cyl) in
+  let left = Oset.last t.ready (fun n -> cyl n < current_cyl) in
+  let d = Int.min (dist left) (dist right) in
+  let best = ref None in
+  let lowest n =
+    match !best with Some b when seq b < seq n -> () | _ -> best := Some n
+  in
+  List.iter
+    (fun side ->
+      match side with
+      | Some n when dist side = d ->
+          let c = cyl n in
+          Oset.range t.ready ~ge:(fun n -> cyl n >= c) ~le:(fun n -> cyl n <= c) lowest
+      | _ -> ())
+    [ left; right ];
+  Option.get !best
 
-let choose t ~geom ~current_cyl eligible =
+(* The sweep's oldest member is the window's oldest entry: everything
+   promoted later joins the next sweep.  It is never blocked, since all
+   its blockers would be older still. *)
+let choose t ~geom ~current_cyl =
   match t.policy with
-  | Scheduler.Fcfs -> Option.get (pick_min (fun it -> it.seq) eligible)
+  | Scheduler.Fcfs -> Option.get t.oldest
   | Scheduler.Clook -> (
-      let ahead =
-        List.filter
-          (fun it -> cyl_of geom it.req.Request.lba >= current_cyl)
-          eligible
-      in
-      let key it = (it.req.Request.lba, it.seq) in
-      match pick_min key ahead with
-      | Some it -> it
-      | None -> Option.get (pick_min key eligible))
-  | Scheduler.Sstf ->
-      let key it =
-        (abs (cyl_of geom it.req.Request.lba - current_cyl), it.seq)
-      in
-      Option.get (pick_min key eligible)
+      match Oset.first t.ready (fun n -> cyl_of geom (lba n) >= current_cyl) with
+      | Some n -> n
+      | None -> Option.get (Oset.first t.ready (fun _ -> true)))
+  | Scheduler.Sstf -> nearest t ~geom ~current_cyl
+
+(* The lowest-seq entry past [pos] whose [key] is [x], if any: the first
+   in (key, seq) order beyond (x, pos).  It runs on every coalescing step,
+   so it walks the treap itself rather than allocate a predicate. *)
+let rec after key (x : int) pos acc = function
+  | Oset.Leaf -> acc
+  | Oset.Node c as cell ->
+      let k = key c.v in
+      if k > x || (k = x && seq c.v > pos) then after key x pos cell c.l
+      else after key x pos acc c.r
+
+let at key (x : int) = function Oset.Node c when key c.v = x -> Some c.v | _ -> None
+
+(* One coalescing walk from [pos] on: absorb the next entry of the walk
+   and go on past it; at the end, walk again if this walk absorbed
+   anything.  Returns the group. *)
+let rec walk t s pos absorbed lo hi group =
+  let next =
+    match
+      ( at lba hi (after lba hi pos Oset.Leaf s.starts.Oset.root),
+        at end_of lo (after end_of lo pos Oset.Leaf s.ends.Oset.root) )
+    with
+    | Some a, Some b -> Some (if seq a < seq b then a else b)
+    | (Some _ as a), None | None, (Some _ as a) -> a
+    | None, None -> None
+  in
+  match next with
+  | Some n ->
+      unready t n;
+      Cffs_obs.Registry.incr m_coalesced;
+      walk t s (seq n) true (Int.min lo (lba n)) (Int.max hi (end_of n)) (n :: group)
+  | None -> if absorbed then walk t s (-1) false lo hi group else group
 
 (* Grow a dispatch group from [chosen] by absorbing eligible window
    entries physically adjacent to the group's range, same kind only, so
    the merged range is one contiguous request.  Only window (tagged)
-   entries are visible for merging — arrivals beyond the window are not. *)
-let absorb eligible chosen =
-  let kind = chosen.req.Request.kind in
-  let group = ref [ chosen ] in
-  let lo = ref chosen.req.Request.lba in
-  let hi = ref (chosen.req.Request.lba + chosen.req.Request.sectors) in
-  let in_group it = List.memq it !group in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun it ->
-        let r = it.req in
-        if
-          (not (in_group it))
-          && r.Request.kind = kind
-          && (r.Request.lba + r.Request.sectors = !lo || r.Request.lba = !hi)
-        then begin
-          group := it :: !group;
-          lo := min !lo r.Request.lba;
-          hi := max !hi (r.Request.lba + r.Request.sectors);
-          Cffs_obs.Registry.incr m_coalesced;
-          progress := true
-        end)
-      eligible
-  done;
-  List.sort (fun a b -> compare a.req.Request.lba b.req.Request.lba) !group
+   entries are visible for merging — arrivals beyond the window are not.
+   Walks go in submission order with the range growing as they go. *)
+let absorb t chosen =
+  walk t (side t chosen) (-1) false (lba chosen) (end_of chosen) [ chosen ]
+  |> List.sort (fun a b -> Int.compare (lba a) (lba b))
 
 let take t ~geom ~current_cyl =
   refill t;
-  match t.window with
-  | [] -> None
-  | window ->
-      Cffs_obs.Registry.observe h_depth (float_of_int (pending t));
-      (* Freeze a new sweep from the whole current window when the
-         previous one is exhausted.  The sweep is served to completion in
-         policy order; later window entries wait for the next sweep —
-         this is what bounds starvation under continuous arrivals. *)
-      if t.sweep = [] then begin
-        t.sweep <- window;
-        Cffs_obs.Registry.incr m_sweeps
-      end;
-      let eligible = List.filter (fun it -> not (blocked t it)) window in
-      let in_sweep =
-        List.filter (fun it -> List.memq it t.sweep) eligible
-      in
-      (* The oldest sweep member is never blocked (a blocker would have a
-         smaller seq, and everything older than the sweep has left). *)
-      let chosen = choose t ~geom ~current_cyl in_sweep in
-      let group =
-        (* Coalescing may absorb eligible entries outside the sweep:
-           riding along on an adjacent transfer delays nobody. *)
-        if t.coalesce then absorb eligible chosen else [ chosen ]
-      in
-      t.window <- List.filter (fun it -> not (List.memq it group)) t.window;
-      t.sweep <- List.filter (fun it -> not (List.memq it group)) t.sweep;
-      List.iter (fun it -> it.passes <- it.passes + 1) t.window;
-      Cffs_obs.Registry.incr m_dispatched;
-      Cffs_obs.Registry.set g_pending (float_of_int (pending t));
-      refill t;
-      Some group
+  if t.live = 0 then None
+  else begin
+    Cffs_obs.Registry.observe h_depth (float_of_int (pending t));
+    (* Freeze a new sweep from the whole current window when the
+       previous one is exhausted.  The sweep is served to completion in
+       policy order; later window entries wait for the next sweep —
+       this is what bounds starvation under continuous arrivals. *)
+    if t.sweep_left = 0 then begin
+      let spent = t.ready in
+      t.gen <- t.gen + 1;
+      t.sweep_left <- t.live;
+      t.ready <- t.ready_next;
+      t.ready_next <- spent;
+      Cffs_obs.Registry.incr m_sweeps
+    end;
+    let chosen = choose t ~geom ~current_cyl in
+    unready t chosen;
+    let group =
+      (* Coalescing may absorb eligible entries outside the sweep:
+         riding along on an adjacent transfer delays nobody. *)
+      if t.coalesce then absorb t chosen else [ chosen ]
+    in
+    List.iter (leave t) group;
+    (* Blockers released only now: eligibility is as of the pick. *)
+    List.iter (release t) group;
+    t.dispatches <- t.dispatches + 1;
+    Cffs_obs.Registry.incr m_dispatched;
+    Cffs_obs.Registry.set g_pending (float_of_int (pending t));
+    refill t;
+    Some (List.map (fun n -> n.item) group)
+  end
 
 let clear t =
-  let rest = t.window @ List.of_seq (Queue.to_seq t.arrival) in
-  t.window <- [];
-  t.sweep <- [];
+  let rec collect acc = function
+    | None -> acc
+    | Some n ->
+        n.item.passes <- t.dispatches - n.promoted;
+        collect (n.item :: acc) n.older
+  in
+  let rest = collect (List.of_seq (Queue.to_seq t.arrival)) t.newest in
+  t.oldest <- None;
+  t.newest <- None;
+  t.live <- 0;
+  t.sweep_left <- 0;
+  Oset.clear t.ready;
+  Oset.clear t.ready_next;
+  List.iter
+    (fun s ->
+      Array.iter Oset.clear s.spans;
+      s.used <- 0;
+      Oset.clear s.starts;
+      Oset.clear s.ends)
+    [ t.reads; t.writes ];
   Queue.clear t.arrival;
   Cffs_obs.Registry.set g_pending 0.0;
-  List.sort (fun a b -> compare a.seq b.seq) rest
+  rest

@@ -13,7 +13,14 @@
     - {b bounded starvation}: scheduling is sweep-based (FSCAN): the
       window is frozen as a sweep set and served to completion in policy
       order; entries promoted later wait for the next sweep, so no window
-      entry is passed over more than [2 * depth] times. *)
+      entry is passed over more than [2 * depth] times.
+
+    Cost, for a window of W entries: {!submit} is O(1); promoting an
+    entry into the window costs O(log W) plus the overlapping entries it
+    must wait for; {!take} costs O(log W) per dispatched entry plus the
+    waiting entries it releases (SSTF also scans the entries on the
+    nearest cylinders); {!clear} is O(W).  {!pending} and {!is_empty} are
+    O(1). *)
 
 type tag = int
 
@@ -23,7 +30,9 @@ type 'a item = {
   payload : 'a;
   seq : int;  (** submission order *)
   submitted_at : float;  (** caller clock at submit, for wait accounting *)
-  mutable passes : int;  (** times passed over by the scheduler *)
+  mutable passes : int;
+      (** times passed over by the scheduler; set when the item leaves
+          the queue (by {!take} or {!clear}) *)
 }
 
 type 'a t
@@ -44,9 +53,6 @@ val pending : 'a t -> int
 (** Arrival queue plus window. *)
 
 val is_empty : 'a t -> bool
-
-val exists : 'a t -> ('a item -> bool) -> bool
-(** Whether some queued item (window or arrival) satisfies the predicate. *)
 
 val submit : 'a t -> Request.t -> 'a -> now:float -> tag
 (** Enqueue a request with its payload; returns its unique tag. *)

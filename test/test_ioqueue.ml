@@ -328,6 +328,155 @@ let test_pinned_survive_teardown () =
   check Alcotest.bytes "persisted" (block 'd') (Blockdev.read dev 7 1)
 
 (* ------------------------------------------------------------------ *)
+(* Reference model: the indexed queue returns exactly what the list-based
+   definition in [Ioqueue_oracle] returns — groups (tags in order),
+   passes, pending counts and clear lists — after every call of a random
+   interleaving of submit / take / set_depth / set_policy / set_coalesce /
+   clear, with and without a geometry. *)
+
+module Oracle = Ioqueue_oracle
+module Geometry = Cffs_disk.Geometry
+
+let st_geom = Geometry.of_profile Profile.seagate_st31200
+
+(* Positions: four 4-sector slots on each of three even cylinders. *)
+let lba_of a = Geometry.first_lba_of_cyl st_geom (2 * (a mod 3)) + (4 * ((a / 3) mod 4))
+
+(* Lengths span several length classes, with an occasional long one. *)
+let len_of a b =
+  if b = 15 then 100 + a else if b >= 12 then b - 11 else 4 * (1 + (b mod 4))
+
+(* (op, a, b): 0-11 submit, 12-15 take near [lba_of a] (one cylinder
+   either side or on it), 16 set_depth, 17 set_policy, 18 set_coalesce,
+   19 clear.  A case writes 1, 4 or 6 in 12 of its submissions: few
+   writes leave deep sets of eligible reads to coalesce, many make long
+   blocking chains.  Half the submissions start where the previous one
+   started or ended ([a land 3]), so same-lba reads of different
+   lengths, chains of overlapping writes and runs of adjacent requests
+   are all common. *)
+let call_gen = QCheck.(list_of_size Gen.(int_range 1 250) (triple (int_bound 19) (int_bound 127) (int_bound 15)))
+
+(* geometry?, depth (unbounded for 0-4), policy, coalesce?, write share *)
+let config_gen = QCheck.(pair (quad bool (int_bound 8) (int_bound 2) bool) (int_bound 2))
+
+let prop_matches_oracle (((with_geom, depth_i, policy_i, coalesce), writes), calls) =
+  let geom = if with_geom then Some st_geom else None in
+  let cyl lba = match geom with Some g -> Geometry.cyl_of_lba g lba | None -> lba in
+  let depth = if depth_i <= 4 then max_int else depth_i - 4 in
+  let policy = List.nth policies policy_i in
+  let q : int Ioqueue.t = Ioqueue.create ~depth ~policy ~coalesce () in
+  let o : int Oracle.t = Oracle.create ~depth ~policy ~coalesce () in
+  let step = ref 0 and prev = ref (0, 0) in
+  let fail fmt = QCheck.Test.fail_reportf ("call %d: " ^^ fmt) !step in
+  let same_items what (xs : int Ioqueue.item list) (ys : int Oracle.item list) =
+    let mine = List.map (fun (it : int Ioqueue.item) -> (it.Ioqueue.tag, it.Ioqueue.passes)) xs in
+    let ref_ = List.map (fun (it : int Oracle.item) -> (it.Oracle.tag, it.Oracle.passes)) ys in
+    if mine <> ref_ then
+      let show l = String.concat " " (List.map (fun (t, p) -> Printf.sprintf "%d/%d" t p) l) in
+      fail "%s: queue [%s] oracle [%s]" what (show mine) (show ref_)
+  in
+  let take current_cyl =
+    match
+      (Ioqueue.take q ~geom ~current_cyl, Oracle.take o ~geom ~current_cyl)
+    with
+    | None, None -> None
+    | Some g, Some h ->
+        same_items "take" g h;
+        Some (List.hd g).Ioqueue.req.Request.lba
+    | _ -> fail "take: one queue empty"
+  in
+  let call (op, a, b) =
+    incr step;
+    (if op <= 11 then begin
+       let sectors = len_of a b and plba, plen = !prev in
+       let lba =
+         match a land 3 with 0 | 1 -> lba_of (a lsr 2) | 2 -> plba | _ -> plba + plen
+       in
+       prev := (lba, sectors);
+       let req =
+         if op >= [| 1; 4; 6 |].(writes) then Request.read ~lba ~sectors
+         else Request.write ~lba ~sectors
+       in
+       let t1 = Ioqueue.submit q req !step ~now:0.0 and t2 = Oracle.submit o req !step in
+       if t1 <> t2 then fail "tags %d vs %d" t1 t2
+     end
+     else if op <= 15 then ignore (take (cyl (lba_of a) + (b mod 3) - 1))
+     else if op = 16 then begin
+       let d = if b = 0 then max_int else 1 + (b mod 8) in
+       Ioqueue.set_depth q d;
+       Oracle.set_depth o d
+     end
+     else if op = 17 then begin
+       let p = List.nth policies (b mod 3) in
+       Ioqueue.set_policy q p;
+       Oracle.set_policy o p
+     end
+     else if op = 18 then begin
+       Ioqueue.set_coalesce q (b land 1 = 1);
+       Oracle.set_coalesce o (b land 1 = 1)
+     end
+     else same_items "clear" (Ioqueue.clear q) (Oracle.clear o));
+    if Ioqueue.pending q <> Oracle.pending o then
+      fail "pending %d vs %d" (Ioqueue.pending q) (Oracle.pending o);
+    if Ioqueue.is_empty q <> Oracle.is_empty o then fail "is_empty differs"
+  in
+  List.iter call calls;
+  (* drain the rest the way Blockdev does: the head rests where the
+     previous dispatch started *)
+  let rec drain cur =
+    incr step;
+    match take cur with Some lba -> drain (cyl lba) | None -> ()
+  in
+  drain 0;
+  true
+
+let qcheck_matches_oracle =
+  qtest ~count:5000 "same schedule as the list-based reference"
+    QCheck.(pair config_gen call_gen)
+    prop_matches_oracle
+
+(* Coalescing walks in submission order with the range growing mid-walk:
+   from chosen [0,8), reads F [16,24) seq 1, G [8,16) seq 2 and H [16,20)
+   seq 3 give {chosen, G, H} — G then H in the first walk, after which F
+   no longer touches the range. *)
+let test_absorb_walk_order () =
+  let q : unit Ioqueue.t = Ioqueue.create ~coalesce:true () in
+  let sub lba sectors = Ioqueue.submit q (Request.read ~lba ~sectors) () ~now:0.0 in
+  let c = sub 0 8 in
+  let f = sub 16 8 in
+  let g = sub 8 8 in
+  let h = sub 16 4 in
+  let tags () =
+    match Ioqueue.take q ~geom:None ~current_cyl:0 with
+    | Some group -> List.map (fun (it : unit Ioqueue.item) -> it.Ioqueue.tag) group
+    | None -> []
+  in
+  check Alcotest.(list int) "first group" [ c; g; h ] (tags ());
+  check Alcotest.(list int) "then F alone" [ f ] (tags ())
+
+(* Complexity guard, on the allocation clock (deterministic, unlike wall
+   time): the sync-metadata small-file run on C-FFS without either
+   technique, under C-LOOK on a timed ST31200, flushes windows that grow
+   with the file count.  Four times the files must cost at most five
+   times the minor-heap words; a per-dispatch scan of the window makes
+   that ratio ~10. *)
+let test_complexity_guard () =
+  let module Setup = Cffs_harness.Setup in
+  let words nfiles =
+    let env =
+      Setup.env ~policy:Cffs_cache.Cache.Sync_metadata (Setup.Cffs_fs Cffs.config_ffs_like)
+    in
+    let w0 = Gc.minor_words () in
+    ignore (Cffs_workload.Smallfile.run ~nfiles env);
+    Gc.minor_words () -. w0
+  in
+  let small = words 250 and large = words 1000 in
+  let ratio = large /. small in
+  check Alcotest.bool
+    (Printf.sprintf "minor words 1000/250 files = %.0f/%.0f = %.2f <= 5" large small ratio)
+    true (ratio <= 5.0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "ioqueue"
@@ -338,6 +487,12 @@ let () =
           Alcotest.test_case "bounded starvation" `Quick test_starvation_bound;
           qcheck_policy_equivalent;
           qcheck_overlap_order;
+        ] );
+      ( "reference",
+        [
+          qcheck_matches_oracle;
+          Alcotest.test_case "absorb walk order" `Quick test_absorb_walk_order;
+          Alcotest.test_case "complexity guard" `Quick test_complexity_guard;
         ] );
       ( "faults",
         [
