@@ -1,5 +1,6 @@
 open Cffs_disk
 module Io_error = Cffs_util.Io_error
+module Int_tbl = Cffs_util.Keys.Int_tbl
 
 (* Uniform request accounting for both media; a timed spindle's drive
    additionally keeps its own (timed) [Request.Stats]. *)
@@ -18,13 +19,22 @@ type media =
   | Memory of { mutable clock : float; stats : Request.Stats.s }
   | Timed of { drive : Drive.t; host_overhead : float }
 
+(* The pipeline carries data as one buffer per block ([bytes array]),
+   never as one contiguous buffer: a read copies each block out of the
+   store once, into a fresh buffer that then travels by pointer through
+   coalesced groups, fragments and completions; a write's block buffers
+   travel the same way to [persist], which makes the one copy into the
+   store.  The contiguous entry points ([read], [write], [submit_write],
+   [drain]) and the write observer split or concatenate at the edge. *)
+let no_blocks : bytes array = [||]
+
 (* A request split at extent boundaries: its fragments fold into this
    record, which completes when the last one lands. *)
 type parent = {
   p_tag : int;
   p_blk : int;
   p_n : int;
-  p_data : bytes;  (* reads: assembly buffer; writes: empty *)
+  p_blocks : bytes array;  (* reads: filled in by the fragments; writes: empty *)
   mutable p_left : int;  (* fragments outstanding *)
   mutable p_err : Io_error.t option;  (* first fragment failure *)
 }
@@ -34,7 +44,7 @@ type parent = {
 type frag = {
   f_tag : int;
   f_lblk : int;  (* logical block of the fragment's first block *)
-  f_data : bytes;  (* writes: the payload; reads: empty *)
+  f_data : bytes array;  (* writes: the payload's blocks; reads: empty *)
   f_parent : parent option;  (* [None] for a request that was not split *)
 }
 
@@ -43,22 +53,23 @@ type frag = {
    own tagged queue. *)
 type spindle = {
   media : media;
-  store : (int, bytes) Hashtbl.t;
-  tags : (int, int) Hashtbl.t;
+  store : bytes Int_tbl.t;  (* owned by the store: written and read by copy *)
+  tags : int Int_tbl.t;
   queue : frag Ioqueue.t;
-  held : (int, int) Hashtbl.t;  (* fragments in [queue], per logical tag *)
+  held : int Int_tbl.t;  (* fragments in [queue], per logical tag *)
 }
 
 type extent = { lstart : int; xlen : int; xsub : int; pstart : int }
 
-type cqe = {
+type 'a completion = {
   cq_tag : Ioqueue.tag;
   cq_op : Io_error.op;
   cq_blk : int;
   cq_nblocks : int;
-  cq_result : (bytes, Io_error.t) result;
-      (* [Ok data] for reads, [Ok Bytes.empty] for writes *)
+  cq_result : ('a, Io_error.t) result;
 }
+
+type cqe = bytes completion
 
 (* A device is an array of spindles behind an extent table mapping the
    logical block space onto them.  A plain device is one spindle under
@@ -75,7 +86,7 @@ type t = {
   block_size : int;
   nblocks : int;
   mutable next_tag : int;
-  mutable completed : cqe list;  (* reverse completion order *)
+  mutable completed : bytes array completion list;  (* reverse completion order *)
   mutable injector : injector option;
   mutable write_observer : write_observer option;
   (* Out-of-band per-block integrity tags, the software analogue of
@@ -89,8 +100,8 @@ type t = {
 }
 
 type image = {
-  img_blocks : (int, bytes) Hashtbl.t;
-  img_tags : (int, int) Hashtbl.t;
+  img_blocks : bytes Int_tbl.t;
+  img_tags : int Int_tbl.t;
   img_tags_enabled : bool;
 }
 
@@ -121,10 +132,10 @@ let one_spindle ?policy media ~block_size ~nblocks =
   let sp =
     {
       media;
-      store = Hashtbl.create 4096;
-      tags = Hashtbl.create 64;
+      store = Int_tbl.create 4096;
+      tags = Int_tbl.create 64;
       queue = Ioqueue.create ?policy ();
-      held = Hashtbl.create 16;
+      held = Int_tbl.create 16;
     }
   in
   make ~block_size ~subs:[||] [| sp |]
@@ -239,16 +250,34 @@ let iter_frags t blk n f =
   in
   go (search t.extents lstart_of blk) blk
 
-let slice data off len =
-  if off = 0 && len = Bytes.length data then data else Bytes.sub data off len
+(* The edge adapters between contiguous data and the per-block
+   pipeline.  [concat] builds the contiguous form of [len] blocks from
+   [off]; a single block is passed as it is.  [split] cuts a contiguous
+   payload into fresh per-block buffers; a single block is passed as it
+   is, aliased for as long as its request is in flight. *)
+let concat t blocks off len =
+  if len = 1 then blocks.(off)
+  else begin
+    let bs = t.block_size in
+    let out = Bytes.create (len * bs) in
+    for i = 0 to len - 1 do
+      Bytes.blit blocks.(off + i) 0 out (i * bs) bs
+    done;
+    out
+  end
+
+let split t data =
+  let bs = t.block_size in
+  let n = Bytes.length data / bs in
+  if n = 1 then [| data |] else Array.init n (fun i -> Bytes.sub data (i * bs) bs)
 
 let tag t blk =
   let e = locate t blk in
-  Hashtbl.find_opt t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart)
+  Int_tbl.find_opt t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart)
 
 let set_tag t blk v =
   let e = locate t blk in
-  Hashtbl.replace t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart) v
+  Int_tbl.replace t.spindles.(e.xsub).tags (e.pstart + blk - e.lstart) v
 
 let check_range t op blk n =
   if blk < 0 || n <= 0 || blk + n > t.nblocks then
@@ -289,7 +318,8 @@ let find_run t si pblk n f =
 (* The hooks see logical addresses whichever spindle serviced a request,
    one run at a time.  The injector's first non-[Proceed] outcome wins,
    with a torn sector count rebased to the physical request; the observer
-   sees each run with its share of the payload and of a tear. *)
+   sees each run with its share of the payload, contiguous, and of a
+   tear. *)
 let consult t si op pblk n =
   match t.injector with
   | None -> Proceed
@@ -305,15 +335,15 @@ let consult t si op pblk n =
       | None -> Proceed
       | Some o -> o)
 
-let notify t si pblk data torn =
+let notify t si pblk blocks torn =
   match t.write_observer with
   | None -> ()
   | Some f ->
-      let bs = t.block_size and spb = sectors_per_block t in
+      let spb = sectors_per_block t in
       ignore
-        (find_run t si pblk (Bytes.length data / bs) (fun off lblk len ->
+        (find_run t si pblk (Array.length blocks) (fun off lblk len ->
              f ~blk:lblk
-               ~data:(slice data (off * bs) (len * bs))
+               ~data:(concat t blocks off len)
                ~torn:
                  (Option.map
                     (fun k -> Int.max 0 (Int.min (len * spb) (k - (off * spb))))
@@ -359,37 +389,28 @@ let sync t =
     if d > 0.0 then spindle_advance sp d
   done
 
-let copy_out t sp blk dst off =
-  match Hashtbl.find_opt sp.store blk with
-  | Some b -> Bytes.blit b 0 dst off t.block_size
-  | None -> Bytes.fill dst off t.block_size '\000'
+(* A fresh copy of physical block [blk] (zeros if never written): the
+   one copy a read makes.  Callers never see the store's own buffers. *)
+let copy_out t sp blk =
+  match Int_tbl.find sp.store blk with
+  | b -> Bytes.copy b
+  | exception Not_found -> Bytes.make t.block_size '\000'
 
-let store_block t sp blk src off =
-  let b =
-    match Hashtbl.find_opt sp.store blk with
-    | Some b -> b
-    | None ->
-        let b = Bytes.create t.block_size in
-        Hashtbl.replace sp.store blk b;
-        b
-  in
-  Bytes.blit src off b 0 t.block_size
-
-(* Persist a write request's payload at physical block [start] of spindle
+(* Persist a write request's blocks at physical block [start] of spindle
    [sp], possibly torn: only the first [keep_sectors] 512-byte sectors
    reach the media, the rest of the range keeps its previous contents.
    Sectors are atomic — the assumption C-FFS builds its name+inode
-   atomicity on.
+   atomicity on.  Each surviving sector is copied once, straight into the
+   store's buffer; the store never keeps a caller's buffer.
 
    Tag discipline: a fully persisted block gets the CRC of its new
    contents; a torn block keeps its {e old} tag — the request died before
    the out-of-band tag could be updated — so unless the mixed contents
    happen to equal the previous contents, a later verified read flags the
    tear. *)
-let persist t sp start data ~keep_sectors =
-  let ss = Cffs_util.Units.sector_size in
-  let spb = sectors_per_block t in
-  let n = Bytes.length data / t.block_size in
+let persist t sp start blocks ~keep_sectors =
+  let bs = t.block_size and spb = sectors_per_block t in
+  let n = Array.length blocks in
   let keep =
     match keep_sectors with
     | None -> n * spb
@@ -397,17 +418,24 @@ let persist t sp start data ~keep_sectors =
   in
   let full = keep / spb in
   for i = 0 to full - 1 do
-    store_block t sp (start + i) data (i * t.block_size);
+    let src = blocks.(i) in
+    (match Int_tbl.find sp.store (start + i) with
+    | b -> Bytes.blit src 0 b 0 bs
+    | exception Not_found -> Int_tbl.replace sp.store (start + i) (Bytes.copy src));
     if t.tags_enabled then
-      Hashtbl.replace sp.tags (start + i)
-        (Cffs_util.Crc32.digest_sub data (i * t.block_size) t.block_size)
+      Int_tbl.replace sp.tags (start + i) (Cffs_util.Crc32.digest_sub src 0 bs)
   done;
   let rem = keep mod spb in
   if rem > 0 then begin
-    let old = Bytes.create t.block_size in
-    copy_out t sp (start + full) old 0;
-    Bytes.blit data (full * t.block_size) old 0 (rem * ss);
-    store_block t sp (start + full) old 0
+    let dst =
+      match Int_tbl.find sp.store (start + full) with
+      | b -> b
+      | exception Not_found ->
+          let b = Bytes.make bs '\000' in
+          Int_tbl.replace sp.store (start + full) b;
+          b
+    in
+    Bytes.blit blocks.(full) 0 dst 0 (rem * Cffs_util.Units.sector_size)
   end
 
 let time_request sp (req : Request.t) =
@@ -436,24 +464,20 @@ let time_request sp (req : Request.t) =
 let err op ~blk ~nblocks cause =
   { Io_error.op; blk; nblocks; cause; range = None }
 
-let ok_empty = Ok Bytes.empty
+let ok_empty = Ok no_blocks
 
 (* One read request of [n] blocks at physical block [pblk] of spindle
    [si]: consult the fault injector, account the request (reads are timed
-   even when they fail — the head still moved), then copy out.  A failure
-   names the logical range [lblk, lblk+n). *)
+   even when they fail — the head still moved), then copy each block out
+   into a fresh buffer.  A failure names the logical range
+   [lblk, lblk+n). *)
 let read_service t si pblk n ~lblk =
   let sp = t.spindles.(si) in
   let spb = sectors_per_block t in
   let outcome = consult t si Io_error.Read pblk n in
   time_request sp (Request.read ~lba:(pblk * spb) ~sectors:(n * spb));
   match outcome with
-  | Proceed | Torn _ ->
-      let out = Bytes.create (n * t.block_size) in
-      for i = 0 to n - 1 do
-        copy_out t sp (pblk + i) out (i * t.block_size)
-      done;
-      Ok out
+  | Proceed | Torn _ -> Ok (Array.init n (fun i -> copy_out t sp (pblk + i)))
   | Fail cause ->
       Cffs_obs.Registry.incr m_io_errors;
       Error (err Io_error.Read ~blk:lblk ~nblocks:n cause)
@@ -463,9 +487,9 @@ let read_service t si pblk n ~lblk =
    [Power_cut] — a tear is only ever caused by losing power mid-request, so
    nothing after it completes either.  The write observer sees every request
    that persisted anything (full or torn), with the full intended payload. *)
-let write_service t si pblk data ~lblk =
+let write_service t si pblk blocks ~lblk =
   let sp = t.spindles.(si) in
-  let n = Bytes.length data / t.block_size in
+  let n = Array.length blocks in
   let spb = sectors_per_block t in
   let outcome = consult t si Io_error.Write pblk n in
   (match outcome with
@@ -473,13 +497,13 @@ let write_service t si pblk data ~lblk =
   | _ -> time_request sp (Request.write ~lba:(pblk * spb) ~sectors:(n * spb)));
   match outcome with
   | Proceed ->
-      persist t sp pblk data ~keep_sectors:None;
-      notify t si pblk data None;
+      persist t sp pblk blocks ~keep_sectors:None;
+      notify t si pblk blocks None;
       ok_empty
   | Torn k ->
       let keep = max 0 (min (n * spb) k) in
-      persist t sp pblk data ~keep_sectors:(Some keep);
-      notify t si pblk data (Some keep);
+      persist t sp pblk blocks ~keep_sectors:(Some keep);
+      notify t si pblk blocks (Some keep);
       Cffs_obs.Registry.incr m_io_errors;
       Error (err Io_error.Write ~blk:lblk ~nblocks:n Io_error.Power_cut)
   | Fail cause ->
@@ -515,33 +539,34 @@ let enqueue t op e lblk len data parent tag =
     | Io_error.Read -> Request.read ~lba ~sectors
     | Io_error.Write -> Request.write ~lba ~sectors
   in
-  Hashtbl.replace sp.held tag
-    (match Hashtbl.find sp.held tag with n -> n + 1 | exception Not_found -> 1);
+  Int_tbl.replace sp.held tag
+    (match Int_tbl.find sp.held tag with n -> n + 1 | exception Not_found -> 1);
   ignore
     (Ioqueue.submit sp.queue req
        { f_tag = tag; f_lblk = lblk; f_data = data; f_parent = parent }
        ~now:(spindle_now sp))
 
 (* Submit one logical request, split at extent boundaries into one
-   fragment per piece.  Spindle clocks are synced first so queue-wait
-   accounting starts from the device clock. *)
-let submit t op blk n data =
+   fragment per piece (a write's fragments share its block buffers).
+   Spindle clocks are synced first so queue-wait accounting starts from
+   the device clock. *)
+let submit t op blk n blocks =
   check_range t op blk n;
   sync t;
   let tag = t.next_tag in
   t.next_tag <- tag + 1;
   let e = locate t blk in
-  if blk + n <= e.lstart + e.xlen then enqueue t op e blk n data None tag
+  if blk + n <= e.lstart + e.xlen then enqueue t op e blk n blocks None tag
   else begin
     let p =
       {
         p_tag = tag;
         p_blk = blk;
         p_n = n;
-        p_data =
+        p_blocks =
           (match op with
-          | Io_error.Read -> Bytes.create (n * t.block_size)
-          | Io_error.Write -> Bytes.empty);
+          | Io_error.Read -> Array.make n Bytes.empty
+          | Io_error.Write -> no_blocks);
         p_left = 0;
         p_err = None;
       }
@@ -551,21 +576,20 @@ let submit t op blk n data =
         p.p_left <- p.p_left + 1;
         let part =
           match op with
-          | Io_error.Read -> Bytes.empty
-          | Io_error.Write ->
-              slice data ((lblk - blk) * t.block_size) (len * t.block_size)
+          | Io_error.Read -> no_blocks
+          | Io_error.Write -> Array.sub blocks (lblk - blk) len
         in
         enqueue t op e lblk len part parent tag)
   end;
   tag
 
-let submit_read t blk n = submit t Io_error.Read blk n Bytes.empty
+let submit_read t blk n = submit t Io_error.Read blk n no_blocks
 
 let submit_write t blk data =
   let len = Bytes.length data in
   if len = 0 || len mod t.block_size <> 0 then
     invalid_arg "Blockdev.submit_write: partial block";
-  submit t Io_error.Write blk (len / t.block_size) data
+  submit t Io_error.Write blk (len / t.block_size) (split t data)
 
 let item_op (it : frag Ioqueue.item) =
   match it.req.Request.kind with
@@ -588,15 +612,14 @@ let complete t (it : frag Ioqueue.item) result =
   | None -> push t it q.f_tag q.f_lblk (item_blocks t it) result
   | Some p ->
       (match result with
-      | Ok data ->
-          if Bytes.length p.p_data > 0 then
-            Bytes.blit data 0 p.p_data ((q.f_lblk - p.p_blk) * t.block_size)
-              (Bytes.length data)
+      | Ok blocks ->
+          if Array.length p.p_blocks > 0 then
+            Array.blit blocks 0 p.p_blocks (q.f_lblk - p.p_blk) (Array.length blocks)
       | Error e -> if p.p_err = None then p.p_err <- Some e);
       p.p_left <- p.p_left - 1;
       if p.p_left = 0 then
         push t it p.p_tag p.p_blk p.p_n
-          (match p.p_err with Some e -> Error e | None -> Ok p.p_data)
+          (match p.p_err with Some e -> Error e | None -> Ok p.p_blocks)
 
 (* What servicing a dispatch group means for the rest of the spindle's
    queue: carry on, stop because the device lost power, or stop because
@@ -623,29 +646,30 @@ let service_one t si ~lo ~hi verdict (it : frag Ioqueue.item) =
    request fails with a retryable cause, fall back to servicing the
    members individually so only the member actually covering the fault
    fails — the isolation the tagged queue promises.  Each member's
-   failure names its own logical range. *)
+   failure names its own logical range.  Block buffers move between the
+   members and the merged request by pointer, never by copy. *)
 let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
   (* contiguous ascending by construction *)
-  let spb = sectors_per_block t and bs = t.block_size in
+  let spb = sectors_per_block t in
   let start = first.req.Request.lba / spb in
   let total = List.fold_left (fun acc it -> acc + item_blocks t it) 0 group in
-  let off (it : frag Ioqueue.item) = ((it.req.Request.lba / spb) - start) * bs in
+  let off (it : frag Ioqueue.item) = (it.req.Request.lba / spb) - start in
   let each f = List.fold_left (fun v it -> finish t ~lo ~hi v it (f it)) Go group in
   let merged =
     match first.req.Request.kind with
     | Request.Read -> read_service t si start total ~lblk:first.payload.f_lblk
     | Request.Write ->
-        let data = Bytes.create (total * bs) in
+        let blocks = Array.make total Bytes.empty in
         List.iter
           (fun (it : frag Ioqueue.item) ->
             let d = it.payload.f_data in
-            Bytes.blit d 0 data (off it) (Bytes.length d))
+            Array.blit d 0 blocks (off it) (Array.length d))
           group;
-        write_service t si start data ~lblk:first.payload.f_lblk
+        write_service t si start blocks ~lblk:first.payload.f_lblk
   in
   match merged with
-  | Ok data when first.req.Request.kind = Request.Read ->
-      each (fun it -> Ok (Bytes.sub data (off it) (item_blocks t it * bs)))
+  | Ok blocks when first.req.Request.kind = Request.Read ->
+      each (fun it -> Ok (Array.sub blocks (off it) (item_blocks t it)))
   | Ok _ -> each (fun _ -> ok_empty)
   | Error e when e.Io_error.cause = Io_error.Power_cut ->
       (* torn or cut mid-request: the merged request died as one *)
@@ -672,7 +696,7 @@ let service_group t si ~lo ~hi (group : frag Ioqueue.item list) =
    touching the media or the clock — and without counting as a device
    error, since the device never saw it. *)
 let fail_pending t si cause =
-  Hashtbl.reset t.spindles.(si).held;
+  Int_tbl.reset t.spindles.(si).held;
   List.iter
     (fun (it : frag Ioqueue.item) ->
       complete t it
@@ -686,13 +710,13 @@ let any_tag = 0
 let no_lo = 1
 let no_hi = 0
 
-let holds sp tag = Hashtbl.mem sp.held tag
+let holds sp tag = Int_tbl.mem sp.held tag
 
 let unhold sp (it : frag Ioqueue.item) =
   let tag = it.payload.f_tag in
-  match Hashtbl.find sp.held tag with
-  | 1 -> Hashtbl.remove sp.held tag
-  | n -> Hashtbl.replace sp.held tag (n - 1)
+  match Int_tbl.find sp.held tag with
+  | 1 -> Int_tbl.remove sp.held tag
+  | n -> Int_tbl.replace sp.held tag (n - 1)
 
 (* Service spindle [si]'s queue one dispatch group at a time — only while
    it still holds a fragment of [tag], unless [tag] is [any_tag].  A power
@@ -729,7 +753,7 @@ let run t si ~tag ~lo ~hi =
   done;
   !failed
 
-let drain t =
+let drain_blocks t =
   sync t;
   for si = 0 to Array.length t.spindles - 1 do
     ignore (run t si ~tag:any_tag ~lo:no_lo ~hi:no_hi)
@@ -737,6 +761,19 @@ let drain t =
   let out = List.rev t.completed in
   t.completed <- [];
   out
+
+let contiguous t (c : bytes array completion) : cqe =
+  {
+    c with
+    cq_result =
+      Result.map
+        (fun b ->
+          let n = Array.length b in
+          if n = 0 then Bytes.empty else concat t b 0 n)
+        c.cq_result;
+  }
+
+let drain t = List.map (contiguous t) (drain_blocks t)
 
 let rec take_completed t tag before = function
   | [] -> None
@@ -775,7 +812,7 @@ let reset_queue t =
    whose waiters fail with [Power_cut] — so a failure mid-batch leaves
    exactly the already-serviced prefix on that spindle's media, the crash
    semantics the fault harness depends on.  The error raised is the first
-   real fault. *)
+   real fault.  Each unit's block buffers go to the store as they are. *)
 let issue_units t units =
   if units <> [] then begin
     List.iter
@@ -785,12 +822,8 @@ let issue_units t units =
     let lo = t.next_tag in
     List.iter
       (fun (start, blocks) ->
-        let n = List.length blocks in
-        let data = Bytes.create (n * t.block_size) in
-        List.iteri
-          (fun i b -> Bytes.blit b 0 data (i * t.block_size) t.block_size)
-          blocks;
-        ignore (submit t Io_error.Write start n data))
+        let blocks = Array.of_list blocks in
+        ignore (submit t Io_error.Write start (Array.length blocks) blocks))
       units;
     let hi = t.next_tag - 1 in
     sync t;
@@ -812,11 +845,13 @@ let issue_units t units =
       ours
   end
 
-let read t blk n =
+let read_blocks t blk n =
   let tag = submit_read t blk n in
   match (drain_tag t tag).cq_result with
-  | Ok data -> data
+  | Ok blocks -> blocks
   | Error e -> raise (Io_error.E e)
+
+let read t blk n = concat t (read_blocks t blk n) 0 n
 
 let write t blk data =
   let len = Bytes.length data in
@@ -850,11 +885,11 @@ let store_raw t blk data ~keep_sectors =
   if len mod t.block_size <> 0 then invalid_arg "Blockdev.store_raw: partial block";
   let n = len / t.block_size in
   check_range t Io_error.Write blk n;
-  let spb = sectors_per_block t and bs = t.block_size in
+  let spb = sectors_per_block t and blocks = split t data in
   iter_frags t blk n (fun e lblk flen ->
       let off = lblk - blk in
       persist t t.spindles.(e.xsub) (e.pstart + lblk - e.lstart)
-        (slice data (off * bs) (flen * bs))
+        (if flen = n then blocks else Array.sub blocks off flen)
         ~keep_sectors:
           (Option.map
              (fun k -> Int.max 0 (Int.min (flen * spb) (k - (off * spb))))
@@ -902,7 +937,7 @@ let flush_device_cache t =
 let iter_logical t tbl f =
   Array.iteri
     (fun si sp ->
-      Hashtbl.iter
+      Int_tbl.iter
         (fun pblk v ->
           let lblk = lblk_of t si pblk in
           if lblk >= 0 then f lblk v)
@@ -910,40 +945,40 @@ let iter_logical t tbl f =
     t.spindles
 
 let snapshot t =
-  let size = Array.fold_left (fun acc sp -> acc + Hashtbl.length sp.store) 0 t.spindles in
-  let blocks = Hashtbl.create size and tags = Hashtbl.create 64 in
-  iter_logical t (fun sp -> sp.store) (fun l b -> Hashtbl.replace blocks l (Bytes.copy b));
-  iter_logical t (fun sp -> sp.tags) (Hashtbl.replace tags);
+  let size = Array.fold_left (fun acc sp -> acc + Int_tbl.length sp.store) 0 t.spindles in
+  let blocks = Int_tbl.create size and tags = Int_tbl.create 64 in
+  iter_logical t (fun sp -> sp.store) (fun l b -> Int_tbl.replace blocks l (Bytes.copy b));
+  iter_logical t (fun sp -> sp.tags) (Int_tbl.replace tags);
   { img_blocks = blocks; img_tags = tags; img_tags_enabled = t.tags_enabled }
 
 let restore t img =
   Array.iter
     (fun sp ->
-      Hashtbl.reset sp.store;
-      Hashtbl.reset sp.tags)
+      Int_tbl.reset sp.store;
+      Int_tbl.reset sp.tags)
     t.spindles;
   let place tbl blk v =
     if blk < t.nblocks then
       let e = locate t blk in
-      Hashtbl.replace (tbl t.spindles.(e.xsub)) (e.pstart + blk - e.lstart) v
+      Int_tbl.replace (tbl t.spindles.(e.xsub)) (e.pstart + blk - e.lstart) v
   in
-  Hashtbl.iter (fun blk b -> place (fun sp -> sp.store) blk (Bytes.copy b)) img.img_blocks;
-  Hashtbl.iter (place (fun sp -> sp.tags)) img.img_tags;
+  Int_tbl.iter (fun blk b -> place (fun sp -> sp.store) blk (Bytes.copy b)) img.img_blocks;
+  Int_tbl.iter (place (fun sp -> sp.tags)) img.img_tags;
   t.tags_enabled <- t.tags_enabled || img.img_tags_enabled
 
-let blocks_written img = Hashtbl.length img.img_blocks
+let blocks_written img = Int_tbl.length img.img_blocks
 
 let write_torn t blk data ~keep_sectors =
   check_range t Io_error.Write blk 1;
   if Bytes.length data <> t.block_size then invalid_arg "Blockdev.write_torn";
   let e = locate t blk in
-  persist t t.spindles.(e.xsub) (e.pstart + blk - e.lstart) data
+  persist t t.spindles.(e.xsub) (e.pstart + blk - e.lstart) [| data |]
     ~keep_sectors:(Some keep_sectors)
 
 let corrupt_block t blk prng =
   check_range t Io_error.Write blk 1;
   let e = locate t blk in
-  Hashtbl.replace t.spindles.(e.xsub).store (e.pstart + blk - e.lstart)
+  Int_tbl.replace t.spindles.(e.xsub).store (e.pstart + blk - e.lstart)
     (Cffs_util.Prng.bytes prng t.block_size)
 
 let save_file t path =

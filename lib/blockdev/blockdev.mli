@@ -8,7 +8,20 @@
     configured scheduling policy (C-LOOK by default) as the paper's driver
     queue would, and contiguous multi-block transfers become single disk
     requests — the scatter/gather capability explicit grouping depends
-    on. *)
+    on.
+
+    {b Block buffers.}  Inside, data travels as one buffer per block.  A
+    read copies each block once, from the media into a fresh buffer that
+    the caller then owns — never the store's own buffer — and that buffer
+    moves by pointer through coalesced dispatches, composite fragments and
+    completions.  A write copies each block once, from the caller's buffer
+    into the media store, which owns its copies: changing a buffer after
+    the write has been serviced never changes the media.  Until then the
+    device may alias the caller's buffers (a synchronous call returns only
+    after servicing).  {!read_blocks} and {!drain_blocks} are the block
+    form the buffer cache uses; {!read}, {!write}, {!submit_write} and
+    {!drain} are contiguous adapters that split or concatenate at the
+    edge, and the write observer is handed contiguous bytes likewise. *)
 
 type t
 
@@ -25,7 +38,8 @@ type write_observer = blk:int -> data:bytes -> torn:int option -> unit
 (** Called once per write request that persisted anything, after the store:
     [blk] is the request's first block, [data] the full intended payload
     (one or more whole blocks), [torn] the number of sectors that actually
-    reached the media when the request tore ([None] when it completed). *)
+    reached the media when the request tore ([None] when it completed).
+    [data] may alias the writer's buffer: copy it to keep it. *)
 
 val of_drive :
   ?policy:Cffs_disk.Scheduler.policy ->
@@ -110,7 +124,13 @@ val read : t -> int -> int -> bytes
 (** [read t blk n] reads [n] consecutive blocks as one request.  Unwritten
     blocks read as zeros.  Raises {!Cffs_util.Io_error.E} with cause
     [Out_of_bounds] when the range lies outside the device, or with the
-    injector's cause when the configured fault layer fails the request. *)
+    injector's cause when the configured fault layer fails the request.
+    The contiguous form of {!read_blocks}. *)
+
+val read_blocks : t -> int -> int -> bytes array
+(** [read_blocks t blk n] is {!read} returning the [n] blocks as [n]
+    fresh one-block buffers, each copied once from the media and owned by
+    the caller. *)
 
 (** {2 The tagged-queue pipeline}
 
@@ -126,17 +146,20 @@ val read : t -> int -> int -> bytes
     to {!of_drive} (FIFO for memory devices), and no coalescing.  On a
     composite the settings apply to every spindle's queue. *)
 
-type cqe = {
+type 'a completion = {
   cq_tag : Cffs_disk.Ioqueue.tag;
   cq_op : Cffs_util.Io_error.op;
   cq_blk : int;
   cq_nblocks : int;
-  cq_result : (bytes, Cffs_util.Io_error.t) result;
-      (** [Ok data] for reads, [Ok Bytes.empty] for writes.  A failed
-          request reports its error here — it is {e not} raised; only the
-          failed tag's waiter is affected. *)
+  cq_result : ('a, Cffs_util.Io_error.t) result;
+      (** [Ok data] for reads, empty for writes.  A failed request reports
+          its error here — it is {e not} raised; only the failed tag's
+          waiter is affected. *)
 }
-(** Completion of one tagged request. *)
+(** Completion of one tagged request, its data in either form. *)
+
+type cqe = bytes completion
+(** A completion with contiguous data ([Ok Bytes.empty] for writes). *)
 
 val set_queue :
   t ->
@@ -170,7 +193,11 @@ val drain : t -> cqe list
     [Power_cut] outcome stops its spindle: later queued requests there fail
     with [Power_cut] without touching the media.  A coalesced dispatch that fails with a retryable
     cause is re-serviced member by member, so only the tag covering the
-    fault fails. *)
+    fault fails.  The contiguous form of {!drain_blocks}. *)
+
+val drain_blocks : t -> bytes array completion list
+(** {!drain} with each read's data as one fresh buffer per block (owned
+    by the caller, as for {!read_blocks}) and [Ok [||]] for writes. *)
 
 val reset_queue : t -> int
 (** Tear the queue down: every pending request fails its waiter with
@@ -196,7 +223,9 @@ val write_batch_units : t -> (int * bytes list) list -> unit
     spindle the first failed unit stops the rest of that spindle's share
     (those waiters fail with [Power_cut]), so an injected fault mid-batch
     leaves exactly the already-serviced prefix on the media; the first real
-    fault is raised as {!Cffs_util.Io_error.E}. *)
+    fault is raised as {!Cffs_util.Io_error.E}.  This is the block form of
+    writing: the device copies each block buffer once, into the media
+    store, and keeps none of them after the call returns. *)
 
 val store_raw : t -> int -> bytes -> keep_sectors:int option -> unit
 (** [store_raw t blk data ~keep_sectors] deposits data directly in the

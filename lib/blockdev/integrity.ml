@@ -194,11 +194,11 @@ let load_tags t =
 
 (* --- Verified reads --- *)
 
-let check_block t ~op ~blk ~phys data off =
+let check_block t ~op ~blk ~phys data =
   match Blockdev.tag t.dev phys with
   | None -> () (* never written under tags: unverifiable, trusted *)
   | Some tag ->
-      let c = Crc32.digest_sub data off (Blockdev.block_size t.dev) in
+      let c = Crc32.digest_sub data 0 (Blockdev.block_size t.dev) in
       if tag <> c then begin
         Cffs_obs.Registry.incr m_ckfail;
         Io_error.raise_error ~op ~blk ~nblocks:1 Io_error.Checksum_mismatch
@@ -208,32 +208,32 @@ let check_data_range t blk n =
   if blk < 0 || n <= 0 || blk + n > t.data_blocks then
     Io_error.raise_error ~op:Io_error.Read ~blk ~nblocks:n Io_error.Out_of_bounds
 
-let read t blk n =
+let read_blocks t blk n =
   check_data_range t blk n;
-  let bs = Blockdev.block_size t.dev in
   let any_remap =
     let rec go i = i < n && (Hashtbl.mem t.remap (blk + i) || go (i + 1)) in
     go 0
   in
   if not any_remap then begin
-    let data = Blockdev.read t.dev blk n in
-    for i = 0 to n - 1 do
-      check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:(blk + i) data (i * bs)
-    done;
-    data
+    let blocks = Blockdev.read_blocks t.dev blk n in
+    Array.iteri
+      (fun i b -> check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:(blk + i) b)
+      blocks;
+    blocks
   end
-  else begin
+  else
     (* A remapped block breaks physical contiguity: fetch block by block,
        translating each through the table. *)
-    let data = Bytes.create (n * bs) in
-    for i = 0 to n - 1 do
-      let p = phys t (blk + i) in
-      let b = Blockdev.read t.dev p 1 in
-      check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:p b 0;
-      Bytes.blit b 0 data (i * bs) bs
-    done;
-    data
-  end
+    Array.init n (fun i ->
+        let p = phys t (blk + i) in
+        let b = Blockdev.read t.dev p 1 in
+        check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:p b;
+        b)
+
+let read t blk n =
+  match read_blocks t blk n with
+  | [| b |] -> b
+  | blocks -> Bytes.concat Bytes.empty (Array.to_list blocks)
 
 (* --- Writes with transparent remap-on-write --- *)
 

@@ -45,7 +45,11 @@ val read : t -> int -> int -> bytes
 (** Verified read of [n] data blocks: translates remapped blocks (splitting
     the request when remapping broke contiguity) and checks every block's
     tag.  Raises [Checksum_mismatch] on damage; transient faults propagate
-    for the cache to retry. *)
+    for the cache to retry.  The contiguous form of {!read_blocks}. *)
+
+val read_blocks : t -> int -> int -> bytes array
+(** {!read} as one fresh, verified buffer per block (see
+    {!Blockdev.read_blocks}); the buffer cache's read path. *)
 
 val write : t -> int -> bytes -> unit
 (** Write with transparent remap-on-write: a sticky [Bad_sector] allocates

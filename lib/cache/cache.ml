@@ -1,7 +1,12 @@
 module Blockdev = Cffs_blockdev.Blockdev
 module Integrity = Cffs_blockdev.Integrity
-module Lru = Cffs_util.Lru
 module Obs = Cffs_obs.Registry
+
+(* Both block indexes hash monomorphically: every cache access is a
+   lookup in one of them. *)
+module Lru = Cffs_util.Lru.Make (Cffs_util.Keys.Int)
+module Logical = Hashtbl.Make (Cffs_util.Keys.Pair)
+module Int_tbl = Cffs_util.Keys.Int_tbl
 
 let m_phys_hits = Obs.counter "cache.phys_hits"
 let m_logical_hits = Obs.counter "cache.logical_hits"
@@ -87,8 +92,8 @@ type t = {
       (** when attached, all device I/O goes through the integrity layer:
           reads verify checksums, writes remap sticky bad sectors *)
   capacity : int;
-  entries : (int, entry) Lru.t;  (** physical index, LRU-ordered *)
-  logical : (int * int, int) Hashtbl.t;  (** (ino, lblk) -> physical block *)
+  entries : entry Lru.t;  (** physical index, LRU-ordered *)
+  logical : int Logical.t;  (** (ino, lblk) -> physical block *)
   stats : stats;
   mutable policy : policy;
   mutable clusterer : clusterer;
@@ -112,7 +117,7 @@ let create ?(policy = Sync_metadata) dev ~capacity_blocks =
     integ = None;
     capacity = capacity_blocks;
     entries = Lru.create ~size_hint:capacity_blocks ();
-    logical = Hashtbl.create 1024;
+    logical = Logical.create 1024;
     stats =
       {
         phys_hits = 0;
@@ -157,11 +162,14 @@ let home_writable t e = (not (journaled_active t)) || (not e.meta) || e.logged
 
 (* All device I/O below funnels through these three, so attaching an
    integrity layer changes every read into a verified read and every write
-   into a remap-on-write. *)
+   into a remap-on-write.  Reads come back as one fresh buffer per block,
+   which the cache installs as it is: the device's copy out of the media
+   is the only copy a miss makes.  Writes hand over the cache's own
+   buffers; the device copies them into the media. *)
 let dev_read t blk n =
   match t.integ with
-  | Some ig -> Integrity.read ig blk n
-  | None -> Blockdev.read t.dev blk n
+  | Some ig -> Integrity.read_blocks ig blk n
+  | None -> Blockdev.read_blocks t.dev blk n
 
 let dev_write t blk data =
   match t.integ with
@@ -205,7 +213,7 @@ let with_retry t f =
 let detach_logical t entry =
   match entry.ident with
   | Some key ->
-      Hashtbl.remove t.logical key;
+      Logical.remove t.logical key;
       entry.ident <- None
   | None -> ()
 
@@ -620,7 +628,7 @@ let read t blk =
       t.stats.misses <- t.stats.misses + 1;
       Obs.incr m_misses;
       notify t (Read_miss { blk; nblocks = 1 });
-      let data = with_retry t (fun () -> dev_read t blk 1) in
+      let data = (with_retry t (fun () -> dev_read t blk 1)).(0) in
       insert t blk data ~dirty:false;
       data
 
@@ -634,13 +642,11 @@ let read_group t blk n =
     Obs.incr m_misses;
     notify t (Read_miss { blk; nblocks = n });
     match with_retry t (fun () -> dev_read t blk n) with
-    | data ->
-        for i = 0 to n - 1 do
-          if not (Lru.mem t.entries (blk + i)) then begin
-            let b = Bytes.sub data (i * Blockdev.block_size t.dev) (Blockdev.block_size t.dev) in
-            insert t (blk + i) b ~dirty:false
-          end
-        done
+    | blocks ->
+        Array.iteri
+          (fun i b ->
+            if not (Lru.mem t.entries (blk + i)) then insert t (blk + i) b ~dirty:false)
+          blocks
     | exception
         Cffs_util.Io_error.E
           { cause = Cffs_util.Io_error.Bad_sector | Cffs_util.Io_error.Checksum_mismatch; _ }
@@ -655,7 +661,7 @@ let read_group t blk n =
         for i = 0 to n - 1 do
           if not (Lru.mem t.entries (blk + i)) then
             match with_retry t (fun () -> dev_read t (blk + i) 1) with
-            | b -> insert t (blk + i) b ~dirty:false
+            | b -> insert t (blk + i) b.(0) ~dirty:false
             | exception Cffs_util.Io_error.E _ -> ()
         done
   end;
@@ -674,19 +680,25 @@ let m_prefetch_failed = Obs.counter "cache.prefetch_failed"
    surfaces or recovers the fault through the usual path.  With an
    integrity layer attached prefetch degrades to verified group reads —
    still one request per run, but checked before anything enters the
-   cache. *)
+   cache — and a run whose read fails is swallowed the same way.  Each
+   completed block's buffer is installed as it came off the device. *)
 let prefetch t runs =
   match t.integ with
-  | Some _ -> List.iter (fun (blk, n) -> ignore (read_group t blk n)) runs
+  | Some _ ->
+      List.iter
+        (fun (blk, n) ->
+          try ignore (read_group t blk n) with
+          | Cffs_util.Io_error.E { cause; _ } when cause <> Cffs_util.Io_error.Out_of_bounds ->
+              Obs.incr m_prefetch_failed)
+        runs
   | None ->
-      let bsz = Blockdev.block_size t.dev in
-      let tags = Hashtbl.create 16 in
+      let tags = Int_tbl.create 16 in
       List.iter
         (fun (blk, n) ->
           let flush_sub start stop =
             if start < stop then begin
               let tag = Blockdev.submit_read t.dev start (stop - start) in
-              Hashtbl.replace tags tag ();
+              Int_tbl.replace tags tag ();
               Obs.incr m_prefetch_runs;
               Obs.incr ~by:(stop - start) m_prefetch_blocks
             end
@@ -701,22 +713,22 @@ let prefetch t runs =
           in
           sub 0 blk)
         runs;
-      if Hashtbl.length tags > 0 then
+      if Int_tbl.length tags > 0 then
         List.iter
-          (fun (c : Blockdev.cqe) ->
-            if Hashtbl.mem tags c.Blockdev.cq_tag then
+          (fun (c : bytes array Blockdev.completion) ->
+            if Int_tbl.mem tags c.Blockdev.cq_tag then
               match c.Blockdev.cq_result with
-              | Ok data ->
-                  for i = 0 to c.Blockdev.cq_nblocks - 1 do
-                    let blk = c.Blockdev.cq_blk + i in
-                    if not (Lru.mem t.entries blk) then
-                      insert t blk (Bytes.sub data (i * bsz) bsz) ~dirty:false
-                  done
+              | Ok blocks ->
+                  Array.iteri
+                    (fun i b ->
+                      let blk = c.Blockdev.cq_blk + i in
+                      if not (Lru.mem t.entries blk) then insert t blk b ~dirty:false)
+                    blocks
               | Error _ -> Obs.incr m_prefetch_failed)
-          (Blockdev.drain t.dev)
+          (Blockdev.drain_blocks t.dev)
 
 let find_logical t ~ino ~lblk =
-  match Hashtbl.find_opt t.logical (ino, lblk) with
+  match Logical.find_opt t.logical (ino, lblk) with
   | None -> None
   | Some blk -> begin
       match Lru.use t.entries blk with
@@ -727,7 +739,7 @@ let find_logical t ~ino ~lblk =
           Some e.data
       | None ->
           (* Stale mapping left by an eviction race; drop it. *)
-          Hashtbl.remove t.logical (ino, lblk);
+          Logical.remove t.logical (ino, lblk);
           None
     end
 
@@ -736,7 +748,7 @@ let set_logical t blk ~ino ~lblk =
   | None -> ()
   | Some e ->
       detach_logical t e;
-      (match Hashtbl.find_opt t.logical (ino, lblk) with
+      (match Logical.find_opt t.logical (ino, lblk) with
       | Some old when old <> blk -> begin
           (* The identity moved to a new physical block. *)
           match Lru.find t.entries old with
@@ -745,13 +757,13 @@ let set_logical t blk ~ino ~lblk =
         end
       | _ -> ());
       e.ident <- Some (ino, lblk);
-      Hashtbl.replace t.logical (ino, lblk) blk
+      Logical.replace t.logical (ino, lblk) blk
 
 let drop_logical t ~ino ~lblk =
-  match Hashtbl.find_opt t.logical (ino, lblk) with
+  match Logical.find_opt t.logical (ino, lblk) with
   | None -> ()
   | Some blk ->
-      Hashtbl.remove t.logical (ino, lblk);
+      Logical.remove t.logical (ino, lblk);
       (match Lru.find t.entries blk with
       | Some e -> e.ident <- None
       | None -> ())
@@ -862,7 +874,7 @@ let invalidate t blk =
 
 let drop_all t =
   Hashtbl.reset t.deps;
-  Hashtbl.reset t.logical;
+  Logical.reset t.logical;
   let rec loop () =
     match Lru.pop_lru t.entries with Some _ -> loop () | None -> ()
   in

@@ -8,6 +8,13 @@
     an invalid file/offset identity"; the logical identity is attached
     lazily when a file access first maps to the block (paper §3.2).
 
+    Block buffers: a miss installs the buffers the device's block-form
+    reads ({!Cffs_blockdev.Blockdev.read_blocks},
+    {!Cffs_blockdev.Blockdev.drain_blocks}) return — the device's copy out
+    of the media is the only copy, and every installed block is a buffer
+    of its own.  Writebacks hand the cache's buffers to the device, which
+    copies them into the media; the cache keeps ownership.
+
     Write policies model the paper's three integrity regimes:
     - [Write_through]: every write goes to the device immediately;
     - [Sync_metadata]: metadata writes are synchronous (FFS's integrity
@@ -135,8 +142,9 @@ val read : t -> int -> bytes
 
 val read_group : t -> int -> int -> bool
 (** [read_group t blk n] fetches [n] contiguous blocks as a single disk
-    request and installs each under its physical identity.  Blocks already
-    resident (possibly dirty) keep their cached contents.  If every block is
+    request and installs each under its physical identity, as the buffer
+    the device read it into.  Blocks already resident when the data
+    arrives (possibly dirty) keep their cached contents.  If every block is
     already resident, no disk request is issued and the call returns
     [false]; [true] means a group request went to the device. *)
 
@@ -145,10 +153,13 @@ val prefetch : t -> (int * int) list -> unit
     physically contiguous [(start, nblocks)] runs as tagged asynchronous
     reads, drains the device queue once, and installs what arrived as
     clean blocks.  Many runs (many files, many streams) share one drain,
-    so the queue's scheduler and coalescer see them all together.  Read
-    faults are swallowed — the affected blocks simply stay non-resident.
-    With an integrity layer attached, falls back to verified {!read_group}
-    per run. *)
+    so the queue's scheduler and coalescer see them all together.  Each
+    block is installed when its completion is handled, unless it became
+    resident meanwhile.  Read faults are swallowed and counted
+    ([cache.prefetch_failed]) — the affected blocks simply stay
+    non-resident.  With an integrity layer attached, falls back to
+    verified {!read_group} per run, swallowing a failed run the same way.
+    Only an out-of-range run raises. *)
 
 val find_logical : t -> ino:int -> lblk:int -> bytes option
 (** Logical-identity lookup; a hit needs no block-map consultation at all. *)

@@ -36,7 +36,7 @@ let prefetch_window t dev ~start ~stop =
         end
     done;
     flush_run !run_start !run_len;
-    ignore (Blockdev.drain dev)
+    ignore (Blockdev.drain_blocks dev)
   end
 
 type report = {

@@ -1,9 +1,10 @@
 (** Generic LRU index with O(1) touch/insert/remove.
 
-    Used by the buffer cache for its recency order.  The structure maps keys
-    to values and maintains least-recently-used order; capacity enforcement is
-    left to the caller (via {!lru} + {!remove}) because eviction of dirty
-    buffers needs caller-side logic. *)
+    Used by the buffer cache for its recency order and by the name cache.
+    The structure maps keys to values and maintains least-recently-used
+    order; capacity enforcement is left to the caller (via {!lru} +
+    {!remove}) because eviction of dirty buffers needs caller-side
+    logic. *)
 
 type ('k, 'v) t
 
@@ -35,3 +36,27 @@ val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
 
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Bindings from least- to most-recently-used. *)
+
+(** An LRU over one key type, indexed by a [Hashtbl.Make] table: lookups
+    use [K.equal] and [K.hash] instead of polymorphic hashing and
+    comparison.  The polymorphic LRU above is the same code over the
+    polymorphic [Hashtbl]. *)
+module type S = sig
+  type key
+  type 'v t
+
+  val create : ?size_hint:int -> unit -> 'v t
+  val mem : 'v t -> key -> bool
+  val find : 'v t -> key -> 'v option
+  val use : 'v t -> key -> 'v option
+  val add : 'v t -> key -> 'v -> unit
+  val remove : 'v t -> key -> unit
+  val length : 'v t -> int
+  val lru : 'v t -> (key * 'v) option
+  val pop_lru : 'v t -> (key * 'v) option
+  val iter : 'v t -> (key -> 'v -> unit) -> unit
+  val fold : 'v t -> init:'a -> f:('a -> key -> 'v -> 'a) -> 'a
+  val to_list : 'v t -> (key * 'v) list
+end
+
+module Make (K : Hashtbl.HashedType) : S with type key = K.t

@@ -516,6 +516,53 @@ let test_tagged_matches_synchronous () =
   check Alcotest.bytes "sync read sees tagged write" (block 'y')
     (Blockdev.read dev 6 1)
 
+(* --- Block buffers: the media own their copies ------------------------ *)
+
+let test_writes_copy_into_media () =
+  let dev = mem () in
+  let one = block 'a' and two = Bytes.cat (block 'b') (block 'c') in
+  Blockdev.write dev 10 one;
+  Blockdev.write dev 11 two;
+  let queued = block 'd' in
+  ignore (Blockdev.submit_write dev 13 queued);
+  ignore (Blockdev.drain dev);
+  let units = [ (20, [ block 'e'; block 'f' ]); (22, [ block 'g' ]) ] in
+  Blockdev.set_queue dev ~coalesce:true ();
+  Blockdev.write_batch_units dev units;
+  List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) '!') [ one; two; queued ];
+  List.iter (fun (_, bl) -> List.iter (fun b -> Bytes.fill b 0 4096 '!') bl) units;
+  List.iter
+    (fun (blk, c) -> check Alcotest.bytes "media unchanged" (block c) (Blockdev.read dev blk 1))
+    [ (10, 'a'); (11, 'b'); (12, 'c'); (13, 'd'); (20, 'e'); (21, 'f'); (22, 'g') ]
+
+let test_reads_are_fresh () =
+  let dev = mem () in
+  Blockdev.write dev 4 (Bytes.cat (block 'p') (block 'q'));
+  let a = Blockdev.read_blocks dev 4 2 and b = Blockdev.read_blocks dev 4 2 in
+  check Alcotest.int "one buffer per block" 2 (Array.length a);
+  check Alcotest.bool "each read gets its own buffers" true (a.(0) != b.(0) && a.(1) != b.(1));
+  Bytes.fill a.(0) 0 4096 '!';
+  check Alcotest.bytes "media unchanged" (block 'p') (Blockdev.read dev 4 1);
+  check Alcotest.bytes "contiguous form" (Bytes.cat (block 'p') (block 'q'))
+    (Blockdev.read dev 4 2)
+
+let test_torn_in_place () =
+  (* the surviving sectors land in the store's block, the rest keeps its
+     old bytes (zeros when never written), and the tag stays the old one *)
+  let dev = mem () in
+  Blockdev.enable_tags dev;
+  Blockdev.write dev 7 (block 'o');
+  let old_tag = Blockdev.tag dev 7 in
+  Blockdev.write_torn dev 7 (block 'n') ~keep_sectors:3;
+  Blockdev.write_torn dev 8 (block 'n') ~keep_sectors:2;
+  let mixed keep tail =
+    Bytes.cat (Bytes.make (keep * sector) 'n') (Bytes.make (4096 - (keep * sector)) tail)
+  in
+  check Alcotest.bytes "prefix new, tail old" (mixed 3 'o') (Blockdev.read dev 7 1);
+  check Alcotest.bytes "unwritten tail zero" (mixed 2 '\000') (Blockdev.read dev 8 1);
+  check (Alcotest.option Alcotest.int) "old tag kept" old_tag (Blockdev.tag dev 7);
+  check (Alcotest.option Alcotest.int) "no tag for a torn first write" None (Blockdev.tag dev 8)
+
 let () =
   Alcotest.run "cffs_blockdev"
     [
@@ -579,5 +626,12 @@ let () =
             test_oob_range_payload;
           Alcotest.test_case "fault journal barrier" `Quick
             test_faultdev_barrier_bounds_journal;
+        ] );
+      ( "block buffers",
+        [
+          Alcotest.test_case "writes copy into the media" `Quick
+            test_writes_copy_into_media;
+          Alcotest.test_case "reads are fresh" `Quick test_reads_are_fresh;
+          Alcotest.test_case "torn write in place" `Quick test_torn_in_place;
         ] );
     ]

@@ -578,6 +578,117 @@ let test_prefetch_fault_swallowed () =
   check Alcotest.bool "bad block absent" false (Cache.resident_block c 402);
   check Alcotest.bytes "read-through recovers" (block 'z') (Cache.read c 402)
 
+let test_prefetch_fault_swallowed_integrity () =
+  (* with an integrity layer attached prefetch runs verified group reads;
+     a failed run is swallowed and counted, like the plain path's *)
+  let c, dev = mem_cache () in
+  Cache.set_integrity c (Some (Cffs_blockdev.Integrity.format dev));
+  for i = 0 to 5 do
+    Cache.write c ~kind:`Data (400 + i) (block 'z')
+  done;
+  Cache.flush c;
+  Cache.remount c;
+  Blockdev.set_injector dev
+    (Some
+       (fun op ~blk ~nblocks ->
+         if op = Cffs_util.Io_error.Read && blk <= 402 && 402 < blk + nblocks then
+           Blockdev.Fail Cffs_util.Io_error.Bad_sector
+         else Blockdev.Proceed));
+  let before = Registry.snapshot () in
+  Cache.prefetch c [ (402, 1) ];
+  let delta = Registry.diff (Registry.snapshot ()) before in
+  check Alcotest.int "failed run counted" 1 (Registry.get_counter delta "cache.prefetch_failed");
+  Cache.prefetch c [ (400, 6) ];
+  Blockdev.set_injector dev None;
+  check Alcotest.bool "bad block absent" false (Cache.resident_block c 402);
+  check Alcotest.bool "neighbours installed" true
+    (List.for_all (Cache.resident_block c) [ 400; 401; 403; 404; 405 ]);
+  check Alcotest.bytes "read-through recovers" (block 'z') (Cache.read c 402)
+
+(* ------------------------------------------------------------------ *)
+(* Block buffers: one copy from the media into the cache, one copy from
+   the cache into the media. *)
+
+let test_write_buffers_not_kept () =
+  List.iter
+    (fun policy ->
+      let c, dev = mem_cache ~policy () in
+      let buf = block 'a' in
+      Cache.write c ~kind:`Data 50 buf;
+      Cache.flush c;
+      Bytes.fill buf 0 4096 'Z';
+      check Alcotest.bytes
+        (Cache.policy_name policy ^ ": media keep the written bytes")
+        (block 'a') (Blockdev.read dev 50 1))
+    [ Cache.Write_through; Cache.Delayed ]
+
+let test_installed_buffers_distinct () =
+  let c, dev = mem_cache ~capacity:256 () in
+  Blockdev.set_queue dev ~coalesce:true ();
+  for i = 0 to 95 do
+    Blockdev.write dev (100 + i) (block (Char.chr (Char.code '0' + (i mod 64))))
+  done;
+  ignore (Cache.read_group c 100 16);
+  Cache.prefetch c (List.init 8 (fun r -> (132 + (8 * r), 8)));
+  let blks = List.init 16 (fun i -> 100 + i) @ List.init 64 (fun i -> 132 + i) in
+  let bufs = List.map (Cache.read c) blks in
+  List.iteri
+    (fun i b ->
+      List.iteri
+        (fun j b' -> if i < j && b == b' then Alcotest.failf "blocks %d and %d share a buffer" i j)
+        bufs)
+    bufs;
+  (* none of them is the store's own: scribbling leaves the media alone *)
+  List.iter (fun b -> Bytes.fill b 0 4096 '!') bufs;
+  List.iter
+    (fun blk ->
+      check Alcotest.bytes "media unchanged"
+        (block (Char.chr (Char.code '0' + ((blk - 100) mod 64))))
+        (Blockdev.read dev blk 1))
+    blks
+
+(* Allocation guard: words allocated straight into the major heap — where
+   every block-sized buffer goes — per block of the request.  A cold
+   group read and a coalesced prefetch copy each block once (1x); a batch
+   write over blocks the media already hold copies into the store's
+   buffers and allocates none. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. p1) -. (m0 -. p0)
+
+let per_block_ratio nblocks f = direct_major_words f /. float_of_int (nblocks * 4096 / 8)
+
+let test_copy_guard () =
+  let guard what limit nblocks run =
+    run 0;
+    (* the first round warms up the tables and queues *)
+    let r = per_block_ratio nblocks (fun () -> run 1) in
+    check Alcotest.bool (Printf.sprintf "%s: %.2fx the blocks <= %.2fx" what r limit) true
+      (r <= limit)
+  in
+  let c, dev = mem_cache ~capacity:1024 () in
+  Blockdev.set_queue dev ~coalesce:true ();
+  for b = 0 to 1023 do
+    Blockdev.write dev b (block 'w')
+  done;
+  guard "cold 16-block read_group" 1.1 16 (fun k ->
+      ignore (Cache.read_group c (16 * k) 16));
+  guard "8x8 coalesced prefetch" 1.1 64 (fun k ->
+      Cache.prefetch c (List.init 8 (fun r -> (128 + (64 * k) + (8 * r), 8))));
+  let units k = List.init 8 (fun u -> (512 + (64 * k) + (8 * u), List.init 8 (fun _ -> block 'u'))) in
+  List.iter
+    (fun coalesce ->
+      Blockdev.set_queue dev ~coalesce ();
+      (* the payloads are built outside the measured call *)
+      let us = [ units 0; units 1 ] in
+      guard
+        (Printf.sprintf "8x8 write_batch_units (coalesce %b)" coalesce)
+        0.1 64
+        (fun k -> Blockdev.write_batch_units dev (List.nth us k)))
+    [ false; true ]
+
 let () =
   Alcotest.run "cffs_cache"
     [
@@ -654,5 +765,15 @@ let () =
             test_prefetch_many_runs_one_drain;
           Alcotest.test_case "read fault swallowed" `Quick
             test_prefetch_fault_swallowed;
+          Alcotest.test_case "read fault swallowed under integrity" `Quick
+            test_prefetch_fault_swallowed_integrity;
+        ] );
+      ( "block buffers",
+        [
+          Alcotest.test_case "written buffers not kept" `Quick
+            test_write_buffers_not_kept;
+          Alcotest.test_case "installed buffers distinct" `Quick
+            test_installed_buffers_distinct;
+          Alcotest.test_case "one copy per block" `Quick test_copy_guard;
         ] );
     ]

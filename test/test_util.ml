@@ -355,6 +355,49 @@ let qcheck_lru_model =
         ops;
       Lru.to_list l = !model)
 
+module Keys = Cffs_util.Keys
+module Int_lru = Lru.Make (Keys.Int)
+
+let qcheck_lru_make_agrees =
+  qtest "lru: a Make instance behaves as the polymorphic one"
+    QCheck.(list (triple (int_bound 20) bool (int_bound 2)))
+    (fun ops ->
+      let p = Lru.create () and m = Int_lru.create ~size_hint:4 () in
+      List.iter
+        (fun (k, high, op) ->
+          (* embedded inode numbers live above 2^40 *)
+          let k = if high then (1 lsl 40) + k else k in
+          match op with
+          | 0 ->
+              Lru.add p k k;
+              Int_lru.add m k k
+          | 1 -> assert (Lru.use p k = Int_lru.use m k)
+          | _ ->
+              Lru.remove p k;
+              Int_lru.remove m k)
+        ops;
+      Lru.to_list p = Int_lru.to_list m && Lru.lru p = Int_lru.lru m)
+
+(* Hashtbl keeps only the low bits of a hash: strided block numbers and
+   (ino, lblk) pairs must still fill most of a 4096-bucket mask. *)
+let test_keys_spread () =
+  let buckets hash keys =
+    let seen = Hashtbl.create 4096 in
+    List.iter (fun k -> Hashtbl.replace seen (hash k land 4095) ()) keys;
+    Hashtbl.length seen
+  in
+  let n = 4096 in
+  let spread name hash keys =
+    let b = buckets hash keys in
+    check Alcotest.bool (Printf.sprintf "%s: %d of %d buckets" name b n) true (b >= n / 2)
+  in
+  spread "stride 2^12" Keys.Int.hash (List.init n (fun i -> i lsl 12));
+  spread "stride 2^20" Keys.Int.hash (List.init n (fun i -> i lsl 20));
+  spread "embedded inodes" Keys.Pair.hash (List.init n (fun i -> ((1 lsl 40) + i, 0)));
+  spread "one file's blocks" Keys.Pair.hash (List.init n (fun i -> (1 lsl 40, i)));
+  check Alcotest.bool "pairs compare by both parts" false
+    (Keys.Pair.equal ((1 lsl 40) + 1, 0) (1, 0))
+
 (* ------------------------------------------------------------------ *)
 (* Codec *)
 
@@ -484,6 +527,8 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "iter order" `Quick test_lru_iter_order;
           qcheck_lru_model;
+          qcheck_lru_make_agrees;
+          Alcotest.test_case "key hashes spread" `Quick test_keys_spread;
         ] );
       ( "codec",
         [

@@ -519,6 +519,161 @@ let diff_bad_block () =
   List.iter Faultdev.detach fds
 
 (* ------------------------------------------------------------------ *)
+(* Block buffers against a byte model.  Random device submissions, batch
+   writes, cache group reads and cache prefetches run on a plain device
+   and on 2- to 4-spindle composites, striped and metadata-split, with
+   and without coalescing.  Overlapping requests are serviced in
+   submission order, so a read must return the model's bytes as of its
+   submission; a cached block must hold the bytes the media had when it
+   was installed.  Write buffers are scribbled over as soon as the device
+   is done with them, so a buffer the device kept instead of copying
+   shows up as a wrong read. *)
+
+type model_op =
+  | M_submit_read of int * int
+  | M_submit_write of int * int * int
+  | M_batch of (int * int * int) list
+  | M_drain
+  | M_read_group of int * int
+  | M_prefetch of (int * int) list
+
+let model_print = function
+  | M_submit_read (b, n) -> diff_print (Submit_read (b, n))
+  | M_submit_write (b, n, v) -> diff_print (Submit_write (b, n, v))
+  | M_batch us -> diff_print (Batch us)
+  | M_drain -> "drain"
+  | M_read_group (b, n) -> Printf.sprintf "read_group %d %d" b n
+  | M_prefetch runs ->
+      "prefetch "
+      ^ String.concat ";" (List.map (fun (b, n) -> Printf.sprintf "%d+%d" b n) runs)
+
+let model_gen =
+  let open QCheck.Gen in
+  let span = map diff_span (pair (int_bound (diff_blocks - 1)) (int_range 1 12)) in
+  let op =
+    frequency
+      [
+        (3, map (fun (b, n) -> M_submit_read (b, n)) span);
+        (3, map2 (fun (b, n) v -> M_submit_write (b, n, v)) span (int_bound 255));
+        ( 2,
+          map
+            (fun us -> M_batch (List.map (fun ((b, n), v) -> (b, n, v)) us))
+            (list_size (int_range 1 4) (pair span (int_bound 255))) );
+        (2, return M_drain);
+        (2, map (fun (b, n) -> M_read_group (b, n)) span);
+        (2, map (fun runs -> M_prefetch runs) (list_size (int_range 1 8) span));
+      ]
+  in
+  triple bool (int_range 1 16) (list_size (int_range 1 40) op)
+
+let model_devices =
+  ("plain", fun () -> Blockdev.memory ~block_size:512 ~nblocks:diff_blocks)
+  :: List.concat_map
+       (fun layout ->
+         List.map
+           (fun drives ->
+             ( Printf.sprintf "%s x%d" (Volume.layout_name layout) drives,
+               fun () ->
+                 (Volume.create_memory ~stripe_unit:4 ~block_size:512
+                    ~nblocks:diff_blocks ~drives ~layout ())
+                   .Volume.dev ))
+           [ 2; 3; 4 ])
+       [ Volume.Striped; Volume.Meta_split ]
+
+let model_run ~coalesce ~depth (name, mk) ops =
+  let dev = mk () in
+  Blockdev.set_queue dev ~depth ~policy:Cffs_disk.Scheduler.Clook ~coalesce ();
+  let bs = Blockdev.block_size dev in
+  let media = Bytes.make (diff_blocks * bs) '\000' in
+  let cache = Cache.create dev ~capacity_blocks:(2 * diff_blocks) in
+  let cached = Hashtbl.create 64 in
+  let expect = Hashtbl.create 16 in
+  let held = ref [] in
+  let range b n = Bytes.sub_string media (b * bs) (n * bs) in
+  let fail step what = QCheck.Test.fail_reportf "%s, after %s: %s" name step what in
+  let release () =
+    List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) '\xee') !held;
+    held := []
+  in
+  let drain step =
+    List.iter
+      (fun (c : Blockdev.cqe) ->
+        match (c.Blockdev.cq_result, Hashtbl.find_opt expect c.Blockdev.cq_tag) with
+        | Ok d, Some (b, n, want) ->
+            if (c.Blockdev.cq_blk, c.Blockdev.cq_nblocks) <> (b, n) then
+              fail step "completion names the wrong range";
+            if Bytes.to_string d <> want then
+              fail step (Printf.sprintf "read %d+%d returned stale or foreign bytes" b n)
+        | Ok _, None -> ()
+        | Error _, _ -> fail step "request failed")
+      (Blockdev.drain dev);
+    Hashtbl.reset expect;
+    release ()
+  in
+  let install b n =
+    for i = b to b + n - 1 do
+      if not (Hashtbl.mem cached i) then Hashtbl.replace cached i (range i 1)
+    done
+  in
+  let step op =
+    let s = model_print op in
+    (match op with
+    | M_submit_read (b, n) ->
+        Hashtbl.replace expect (Blockdev.submit_read dev b n) (b, n, range b n)
+    | M_submit_write (b, n, v) ->
+        let data = diff_payload bs n v in
+        ignore (Blockdev.submit_write dev b data);
+        Bytes.blit data 0 media (b * bs) (n * bs);
+        held := data :: !held
+    | M_batch us ->
+        let units =
+          List.map (fun (b, n, v) -> (b, List.init n (fun i -> diff_payload bs 1 (v + i)))) us
+        in
+        Blockdev.write_batch_units dev units;
+        List.iter
+          (fun (b, blocks) ->
+            List.iteri (fun i d -> Bytes.blit d 0 media ((b + i) * bs) bs) blocks)
+          units;
+        (* the batch is synchronous: its buffers are the caller's again *)
+        List.iter (fun (_, bl) -> List.iter (fun d -> Bytes.fill d 0 bs '\xee') bl) units
+    | M_drain -> drain s
+    | M_read_group (b, n) ->
+        ignore (Cache.read_group cache b n);
+        install b n
+    | M_prefetch runs ->
+        (* prefetch drains the whole queue and keeps only its own
+           completions: collect the others first *)
+        drain s;
+        Cache.prefetch cache runs;
+        List.iter (fun (b, n) -> install b n) runs);
+    for b = 0 to diff_blocks - 1 do
+      match Hashtbl.find_opt cached b with
+      | None -> if Cache.resident_block cache b then fail s (Printf.sprintf "block %d resident" b)
+      | Some want ->
+          if not (Cache.resident_block cache b) then fail s (Printf.sprintf "block %d missing" b);
+          if Bytes.to_string (Cache.read cache b) <> want then
+            fail s (Printf.sprintf "cached block %d differs" b)
+    done
+  in
+  List.iter step ops;
+  drain "the last drain";
+  if Bytes.to_string (Blockdev.read dev 0 diff_blocks) <> Bytes.to_string media then
+    fail "the last drain" "media differ from the model";
+  true
+
+let model_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"device and cache data match a byte model on 1-4 spindles"
+       (QCheck.make
+          ~print:(fun (co, d, ops) ->
+            Printf.sprintf "coalesce=%b depth=%d\n%s" co d
+              (String.concat "\n" (List.map model_print ops)))
+          model_gen)
+       (fun (coalesce, depth, ops) ->
+         List.for_all (fun dv -> model_run ~coalesce ~depth dv ops) model_devices))
+
+(* ------------------------------------------------------------------ *)
 (* The A9 acceptance criterion: 4 striped spindles serve the small-file
    read phase at >= 3x one drive, and every multi-drive point leaves
    per-spindle telemetry showing all spindles did work. *)
@@ -578,6 +733,7 @@ let () =
           diff_agree;
           Alcotest.test_case "sticky bad block fails covering sync ops" `Quick
             diff_bad_block;
+          model_agree;
         ] );
       ( "timing",
         [ Alcotest.test_case "drain overlaps spindles" `Quick timed_scaling ] );
