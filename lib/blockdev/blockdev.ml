@@ -19,14 +19,30 @@ type media =
   | Memory of { mutable clock : float; stats : Request.Stats.s }
   | Timed of { drive : Drive.t; host_overhead : float }
 
-(* The pipeline carries data as one buffer per block ([bytes array]),
-   never as one contiguous buffer: a read copies each block out of the
-   store once, into a fresh buffer that then travels by pointer through
-   coalesced groups, fragments and completions; a write's block buffers
-   travel the same way to [persist], which makes the one copy into the
-   store.  The contiguous entry points ([read], [write], [submit_write],
-   [drain]) and the write observer split or concatenate at the edge. *)
+(* The pipeline carries data as one buffer per block, never as one
+   contiguous buffer.  A read copies nothing: each block it yields is a
+   view — the store slot holding the block, or the device's zero slot
+   for a block never written — that travels by pointer through coalesced
+   groups, fragments and completions.  A write's block buffers travel
+   the same way to [persist], which makes the one copy into the store.
+   The owning entry points ([read], [read_blocks], [drain],
+   [drain_blocks]) copy each view once at the edge and release it; the
+   contiguous ones ([read], [write], [submit_write], [drain]) and the
+   write observer split or concatenate there too. *)
 let no_blocks : bytes array = [||]
+
+(* One written block of a spindle's store: its buffer and the number of
+   views of the slot handed out and not yet released.  A slot is its own
+   view, so counting allocates nothing per read and ending a view needs
+   no lookup.  A write changes [buf] in place only while no view is
+   outstanding; otherwise it installs a fresh slot for the block (see
+   [writable]), and the old slot, left to its views, never changes
+   again. *)
+type slot = { buf : bytes; mutable views : int }
+type view = slot
+
+let no_view = { buf = Bytes.empty; views = 0 }
+let no_views : view array = [||]
 
 (* A request split at extent boundaries: its fragments fold into this
    record, which completes when the last one lands. *)
@@ -34,7 +50,7 @@ type parent = {
   p_tag : int;
   p_blk : int;
   p_n : int;
-  p_blocks : bytes array;  (* reads: filled in by the fragments; writes: empty *)
+  p_views : view array;  (* reads: filled in by the fragments; writes: empty *)
   mutable p_left : int;  (* fragments outstanding *)
   mutable p_err : Io_error.t option;  (* first fragment failure *)
 }
@@ -53,7 +69,7 @@ type frag = {
    own tagged queue. *)
 type spindle = {
   media : media;
-  store : bytes Int_tbl.t;  (* owned by the store: written and read by copy *)
+  store : slot Int_tbl.t;  (* owned by the store: written by copy, read by view *)
   tags : int Int_tbl.t;
   queue : frag Ioqueue.t;
   held : int Int_tbl.t;  (* fragments in [queue], per logical tag *)
@@ -85,8 +101,9 @@ type t = {
   sp_extents : extent array array;  (* per spindle, sorted by pstart *)
   block_size : int;
   nblocks : int;
+  zero : slot;  (* the view of every never-written block; never written *)
   mutable next_tag : int;
-  mutable completed : bytes array completion list;  (* reverse completion order *)
+  mutable completed : view array completion list;  (* reverse completion order *)
   mutable injector : injector option;
   mutable write_observer : write_observer option;
   (* Out-of-band per-block integrity tags, the software analogue of
@@ -121,6 +138,7 @@ let make ~block_size ~subs spindles extents =
         spindles;
     block_size;
     nblocks = Array.fold_left (fun acc e -> acc + e.xlen) 0 extents;
+    zero = { buf = Bytes.make block_size '\000'; views = 0 };
     next_tag = 1;
     completed = [];
     injector = None;
@@ -389,19 +407,41 @@ let sync t =
     if d > 0.0 then spindle_advance sp d
   done
 
-(* A fresh copy of physical block [blk] (zeros if never written): the
-   one copy a read makes.  Callers never see the store's own buffers. *)
-let copy_out t sp blk =
+(* A view of physical block [blk]: its slot, counted, or the zero slot
+   if the block was never written.  This is all a read does to the
+   store. *)
+let view_out t sp blk =
   match Int_tbl.find sp.store blk with
-  | b -> Bytes.copy b
-  | exception Not_found -> Bytes.make t.block_size '\000'
+  | s ->
+      s.views <- s.views + 1;
+      s
+  | exception Not_found -> t.zero
+
+(* The buffer a write into physical block [blk] may change in place:
+   the slot's own while no view of it is outstanding, and otherwise the
+   buffer of a fresh slot installed for the block (so outstanding views
+   never change) — as for a never-written block.  With [keep_old] (a
+   torn write keeps part of the block) a fresh buffer starts as the old
+   contents, zeros for a never-written block; without, the caller
+   overwrites all of it. *)
+let fresh_slot t sp blk old ~keep_old =
+  let b = if keep_old then Bytes.copy old.buf else Bytes.create t.block_size in
+  Int_tbl.replace sp.store blk { buf = b; views = 0 };
+  b
+
+let writable t sp blk ~keep_old =
+  match Int_tbl.find sp.store blk with
+  | s when s.views = 0 -> s.buf
+  | s -> fresh_slot t sp blk s ~keep_old
+  | exception Not_found -> fresh_slot t sp blk t.zero ~keep_old
 
 (* Persist a write request's blocks at physical block [start] of spindle
    [sp], possibly torn: only the first [keep_sectors] 512-byte sectors
    reach the media, the rest of the range keeps its previous contents.
    Sectors are atomic — the assumption C-FFS builds its name+inode
-   atomicity on.  Each surviving sector is copied once, straight into the
-   store's buffer; the store never keeps a caller's buffer.
+   atomicity on.  Each surviving sector is copied once, into the slot's
+   buffer when no view of it is outstanding and into a fresh buffer
+   otherwise; the store never keeps a caller's buffer.
 
    Tag discipline: a fully persisted block gets the CRC of its new
    contents; a torn block keeps its {e old} tag — the request died before
@@ -419,24 +459,16 @@ let persist t sp start blocks ~keep_sectors =
   let full = keep / spb in
   for i = 0 to full - 1 do
     let src = blocks.(i) in
-    (match Int_tbl.find sp.store (start + i) with
-    | b -> Bytes.blit src 0 b 0 bs
-    | exception Not_found -> Int_tbl.replace sp.store (start + i) (Bytes.copy src));
+    Bytes.blit src 0 (writable t sp (start + i) ~keep_old:false) 0 bs;
     if t.tags_enabled then
       Int_tbl.replace sp.tags (start + i) (Cffs_util.Crc32.digest_sub src 0 bs)
   done;
   let rem = keep mod spb in
-  if rem > 0 then begin
-    let dst =
-      match Int_tbl.find sp.store (start + full) with
-      | b -> b
-      | exception Not_found ->
-          let b = Bytes.make bs '\000' in
-          Int_tbl.replace sp.store (start + full) b;
-          b
-    in
-    Bytes.blit blocks.(full) 0 dst 0 (rem * Cffs_util.Units.sector_size)
-  end
+  if rem > 0 then
+    Bytes.blit blocks.(full) 0
+      (writable t sp (start + full) ~keep_old:true)
+      0
+      (rem * Cffs_util.Units.sector_size)
 
 let time_request sp (req : Request.t) =
   (match req.kind with
@@ -464,20 +496,19 @@ let time_request sp (req : Request.t) =
 let err op ~blk ~nblocks cause =
   { Io_error.op; blk; nblocks; cause; range = None }
 
-let ok_empty = Ok no_blocks
+let ok_empty = Ok no_views
 
 (* One read request of [n] blocks at physical block [pblk] of spindle
    [si]: consult the fault injector, account the request (reads are timed
-   even when they fail — the head still moved), then copy each block out
-   into a fresh buffer.  A failure names the logical range
-   [lblk, lblk+n). *)
+   even when they fail — the head still moved), then hand out a view of
+   each block.  A failure names the logical range [lblk, lblk+n). *)
 let read_service t si pblk n ~lblk =
   let sp = t.spindles.(si) in
   let spb = sectors_per_block t in
   let outcome = consult t si Io_error.Read pblk n in
   time_request sp (Request.read ~lba:(pblk * spb) ~sectors:(n * spb));
   match outcome with
-  | Proceed | Torn _ -> Ok (Array.init n (fun i -> copy_out t sp (pblk + i)))
+  | Proceed | Torn _ -> Ok (Array.init n (fun i -> view_out t sp (pblk + i)))
   | Fail cause ->
       Cffs_obs.Registry.incr m_io_errors;
       Error (err Io_error.Read ~blk:lblk ~nblocks:n cause)
@@ -563,10 +594,10 @@ let submit t op blk n blocks =
         p_tag = tag;
         p_blk = blk;
         p_n = n;
-        p_blocks =
+        p_views =
           (match op with
-          | Io_error.Read -> Array.make n Bytes.empty
-          | Io_error.Write -> no_blocks);
+          | Io_error.Read -> Array.make n no_view
+          | Io_error.Write -> no_views);
         p_left = 0;
         p_err = None;
       }
@@ -591,6 +622,12 @@ let submit_write t blk data =
     invalid_arg "Blockdev.submit_write: partial block";
   submit t Io_error.Write blk (len / t.block_size) (split t data)
 
+let submit_write_blocks t blk blocks =
+  let n = Array.length blocks in
+  if n = 0 || Array.exists (fun b -> Bytes.length b <> t.block_size) blocks then
+    invalid_arg "Blockdev.submit_write_blocks: partial block";
+  submit t Io_error.Write blk n blocks
+
 let item_op (it : frag Ioqueue.item) =
   match it.req.Request.kind with
   | Request.Read -> Io_error.Read
@@ -612,14 +649,14 @@ let complete t (it : frag Ioqueue.item) result =
   | None -> push t it q.f_tag q.f_lblk (item_blocks t it) result
   | Some p ->
       (match result with
-      | Ok blocks ->
-          if Array.length p.p_blocks > 0 then
-            Array.blit blocks 0 p.p_blocks (q.f_lblk - p.p_blk) (Array.length blocks)
+      | Ok views ->
+          if Array.length p.p_views > 0 then
+            Array.blit views 0 p.p_views (q.f_lblk - p.p_blk) (Array.length views)
       | Error e -> if p.p_err = None then p.p_err <- Some e);
       p.p_left <- p.p_left - 1;
       if p.p_left = 0 then
         push t it p.p_tag p.p_blk p.p_n
-          (match p.p_err with Some e -> Error e | None -> Ok p.p_blocks)
+          (match p.p_err with Some e -> Error e | None -> Ok p.p_views)
 
 (* What servicing a dispatch group means for the rest of the spindle's
    queue: carry on, stop because the device lost power, or stop because
@@ -668,8 +705,8 @@ let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
         write_service t si start blocks ~lblk:first.payload.f_lblk
   in
   match merged with
-  | Ok blocks when first.req.Request.kind = Request.Read ->
-      each (fun it -> Ok (Array.sub blocks (off it) (item_blocks t it)))
+  | Ok views when first.req.Request.kind = Request.Read ->
+      each (fun it -> Ok (Array.sub views (off it) (item_blocks t it)))
   | Ok _ -> each (fun _ -> ok_empty)
   | Error e when e.Io_error.cause = Io_error.Power_cut ->
       (* torn or cut mid-request: the merged request died as one *)
@@ -753,7 +790,7 @@ let run t si ~tag ~lo ~hi =
   done;
   !failed
 
-let drain_blocks t =
+let drain_views t =
   sync t;
   for si = 0 to Array.length t.spindles - 1 do
     ignore (run t si ~tag:any_tag ~lo:no_lo ~hi:no_hi)
@@ -762,18 +799,41 @@ let drain_blocks t =
   t.completed <- [];
   out
 
-let contiguous t (c : bytes array completion) : cqe =
-  {
-    c with
-    cq_result =
-      Result.map
-        (fun b ->
-          let n = Array.length b in
-          if n = 0 then Bytes.empty else concat t b 0 n)
-        c.cq_result;
-  }
+(* --- views and the owning adapters ------------------------------------------ *)
 
-let drain t = List.map (contiguous t) (drain_blocks t)
+(* Ending a view only uncounts it: a slot no longer in the store (its
+   block rewritten, restored or corrupted since) keeps a count nobody
+   reads, and the zero slot is never counted. *)
+let release v = if v.views > 0 then v.views <- v.views - 1
+
+let own v =
+  let b = Bytes.copy v.buf in
+  release v;
+  b
+
+let blit_view v ~src_off dst ~dst_off ~len = Bytes.blit v.buf src_off dst dst_off len
+let view_crc v = Cffs_util.Crc32.digest_sub v.buf 0 (Bytes.length v.buf)
+
+(* The owning forms copy each view once and release it. *)
+let own_blocks views = Array.map own views
+
+let own_concat t views =
+  match views with
+  | [||] -> Bytes.empty
+  | [| v |] -> own v
+  | _ ->
+      let bs = t.block_size in
+      let out = Bytes.create (Array.length views * bs) in
+      Array.iteri
+        (fun i v ->
+          Bytes.blit v.buf 0 out (i * bs) bs;
+          release v)
+        views;
+      out
+
+let owned f (c : view array completion) = { c with cq_result = Result.map f c.cq_result }
+let drain_blocks t = List.map (owned own_blocks) (drain_views t)
+let drain t = List.map (owned (own_concat t)) (drain_views t)
 
 let rec take_completed t tag before = function
   | [] -> None
@@ -845,13 +905,14 @@ let issue_units t units =
       ours
   end
 
-let read_blocks t blk n =
+let read_views t blk n =
   let tag = submit_read t blk n in
   match (drain_tag t tag).cq_result with
-  | Ok blocks -> blocks
+  | Ok views -> views
   | Error e -> raise (Io_error.E e)
 
-let read t blk n = concat t (read_blocks t blk n) 0 n
+let read_blocks t blk n = own_blocks (read_views t blk n)
+let read t blk n = own_concat t (read_views t blk n)
 
 let write t blk data =
   let len = Bytes.length data in
@@ -947,7 +1008,7 @@ let iter_logical t tbl f =
 let snapshot t =
   let size = Array.fold_left (fun acc sp -> acc + Int_tbl.length sp.store) 0 t.spindles in
   let blocks = Int_tbl.create size and tags = Int_tbl.create 64 in
-  iter_logical t (fun sp -> sp.store) (fun l b -> Int_tbl.replace blocks l (Bytes.copy b));
+  iter_logical t (fun sp -> sp.store) (fun l s -> Int_tbl.replace blocks l (Bytes.copy s.buf));
   iter_logical t (fun sp -> sp.tags) (Int_tbl.replace tags);
   { img_blocks = blocks; img_tags = tags; img_tags_enabled = t.tags_enabled }
 
@@ -962,7 +1023,10 @@ let restore t img =
       let e = locate t blk in
       Int_tbl.replace (tbl t.spindles.(e.xsub)) (e.pstart + blk - e.lstart) v
   in
-  Int_tbl.iter (fun blk b -> place (fun sp -> sp.store) blk (Bytes.copy b)) img.img_blocks;
+  (* fresh slots: views of the old contents stay as they were *)
+  Int_tbl.iter
+    (fun blk b -> place (fun sp -> sp.store) blk { buf = Bytes.copy b; views = 0 })
+    img.img_blocks;
   Int_tbl.iter (place (fun sp -> sp.tags)) img.img_tags;
   t.tags_enabled <- t.tags_enabled || img.img_tags_enabled
 
@@ -979,7 +1043,7 @@ let corrupt_block t blk prng =
   check_range t Io_error.Write blk 1;
   let e = locate t blk in
   Int_tbl.replace t.spindles.(e.xsub).store (e.pstart + blk - e.lstart)
-    (Cffs_util.Prng.bytes prng t.block_size)
+    { buf = Cffs_util.Prng.bytes prng t.block_size; views = 0 }
 
 let save_file t path =
   let oc = open_out_bin path in
@@ -989,9 +1053,9 @@ let save_file t path =
      output_char oc '\000';
      iter_logical t
        (fun sp -> sp.store)
-       (fun blk data ->
+       (fun blk s ->
          seek_out oc (blk * t.block_size);
-         output_bytes oc data);
+         output_bytes oc s.buf);
      close_out oc
    with e ->
      close_out_noerr oc;

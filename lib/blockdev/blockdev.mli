@@ -11,17 +11,28 @@
     on.
 
     {b Block buffers.}  Inside, data travels as one buffer per block.  A
-    read copies each block once, from the media into a fresh buffer that
-    the caller then owns — never the store's own buffer — and that buffer
-    moves by pointer through coalesced dispatches, composite fragments and
-    completions.  A write copies each block once, from the caller's buffer
-    into the media store, which owns its copies: changing a buffer after
-    the write has been serviced never changes the media.  Until then the
-    device may alias the caller's buffers (a synchronous call returns only
-    after servicing).  {!read_blocks} and {!drain_blocks} are the block
-    form the buffer cache uses; {!read}, {!write}, {!submit_write} and
-    {!drain} are contiguous adapters that split or concatenate at the
-    edge, and the write observer is handed contiguous bytes likewise. *)
+    read copies nothing: it yields one {!view} per block — read-only
+    access to the media store's own buffer for that block — and the views
+    move by pointer through coalesced dispatches, composite fragments and
+    completions.  A view keeps the block's contents as of the read's
+    service time: each store slot counts its outstanding views, and a
+    write to a viewed block installs a fresh slot and buffer instead of
+    changing the viewed one (copy on write; with no view outstanding it
+    writes in place).  Whoever holds a view ends it exactly once, with
+    {!own} (a private copy) or {!release}.  {!read_views} and
+    {!drain_views} are the view form the buffer cache uses;
+    {!read_blocks}, {!drain_blocks}, {!read} and {!drain} are owning
+    adapters that copy each block once and release its view, so their
+    callers never see a store buffer.
+
+    A write copies each block once, from the caller's buffer into the
+    media store, which owns its copies: changing a buffer after the write
+    has been serviced never changes the media.  Until then the device may
+    alias the caller's buffers (a synchronous call returns only after
+    servicing).  {!submit_write_blocks} and {!write_batch_units} are the
+    block form; {!write} and {!submit_write} are contiguous adapters that
+    split at the edge, and the write observer is handed contiguous bytes
+    likewise. *)
 
 type t
 
@@ -120,17 +131,49 @@ val set_tag : t -> int -> int -> unit
 (** Install a tag directly — used by {!Integrity} to reload the at-rest
     checksum region into the live table after {!load_file}. *)
 
+(** {2 Views} *)
+
+type view
+(** A read-only view of one block as the media held it when the read
+    that produced it was serviced.  Later writes to the block never change
+    it.  End every view once, with {!own} or {!release}; a view not yet
+    ended makes the next write to its block allocate a fresh buffer. *)
+
+val no_view : view
+(** A placeholder that is no view of any block ([own] gives an empty
+    buffer, [release] does nothing); compare with [==]. *)
+
+val read_views : t -> int -> int -> view array
+(** [read_views t blk n] reads [n] consecutive blocks as one request and
+    returns one view per block, copying nothing.  Unwritten blocks read as
+    zeros (one shared zero view).  Raises like {!read}. *)
+
+val own : view -> bytes
+(** [own v] ends view [v] and returns a fresh private copy of its
+    bytes. *)
+
+val release : view -> unit
+(** [release v] ends view [v] without copying.  Ending a view whose
+    block was rewritten, restored or corrupted since changes nothing the
+    store still uses. *)
+
+val blit_view : view -> src_off:int -> bytes -> dst_off:int -> len:int -> unit
+(** Copy [len] of the view's bytes from [src_off] into a buffer, leaving
+    the view open. *)
+
+val view_crc : view -> int
+(** CRC-32 of the view's bytes, computed in place. *)
+
 val read : t -> int -> int -> bytes
 (** [read t blk n] reads [n] consecutive blocks as one request.  Unwritten
     blocks read as zeros.  Raises {!Cffs_util.Io_error.E} with cause
     [Out_of_bounds] when the range lies outside the device, or with the
     injector's cause when the configured fault layer fails the request.
-    The contiguous form of {!read_blocks}. *)
+    The contiguous owning form of {!read_views}. *)
 
 val read_blocks : t -> int -> int -> bytes array
-(** [read_blocks t blk n] is {!read} returning the [n] blocks as [n]
-    fresh one-block buffers, each copied once from the media and owned by
-    the caller. *)
+(** [read_blocks t blk n] is {!read_views} with each view turned into a
+    fresh one-block buffer, copied once and owned by the caller. *)
 
 (** {2 The tagged-queue pipeline}
 
@@ -187,17 +230,27 @@ val submit_write : t -> int -> bytes -> Cffs_disk.Ioqueue.tag
 (** [submit_write t blk data] enqueues a write of
     [length data / block_size] consecutive blocks. *)
 
+val submit_write_blocks : t -> int -> bytes array -> Cffs_disk.Ioqueue.tag
+(** [submit_write_blocks t blk blocks] enqueues one write request of the
+    one-block buffers [blocks] at [blk, blk + length blocks): the block
+    form of {!submit_write}.  The device aliases the buffers until the
+    request is serviced. *)
+
 val drain : t -> cqe list
 (** Service everything pending, spindle by spindle, and return all
     completions (submission faults included) in completion order.  A
     [Power_cut] outcome stops its spindle: later queued requests there fail
     with [Power_cut] without touching the media.  A coalesced dispatch that fails with a retryable
     cause is re-serviced member by member, so only the tag covering the
-    fault fails.  The contiguous form of {!drain_blocks}. *)
+    fault fails.  The contiguous owning form of {!drain_views}. *)
+
+val drain_views : t -> view array completion list
+(** {!drain} with each read's data as one {!view} per block, which the
+    caller must end, and [Ok [||]] for writes. *)
 
 val drain_blocks : t -> bytes array completion list
-(** {!drain} with each read's data as one fresh buffer per block (owned
-    by the caller, as for {!read_blocks}) and [Ok [||]] for writes. *)
+(** {!drain_views} with each view turned into a fresh buffer owned by the
+    caller, as for {!read_blocks}. *)
 
 val reset_queue : t -> int
 (** Tear the queue down: every pending request fails its waiter with

@@ -194,41 +194,51 @@ let load_tags t =
 
 (* --- Verified reads --- *)
 
-let check_block t ~op ~blk ~phys data =
+(* Does the view of physical block [phys] match its tag?  The CRC is
+   taken over the view's bytes in place. *)
+let view_ok t ~phys v =
   match Blockdev.tag t.dev phys with
-  | None -> () (* never written under tags: unverifiable, trusted *)
+  | None -> true (* never written under tags: unverifiable, trusted *)
   | Some tag ->
-      let c = Crc32.digest_sub data 0 (Blockdev.block_size t.dev) in
-      if tag <> c then begin
-        Cffs_obs.Registry.incr m_ckfail;
-        Io_error.raise_error ~op ~blk ~nblocks:1 Io_error.Checksum_mismatch
-      end
+      tag = Blockdev.view_crc v
+      || begin
+           Cffs_obs.Registry.incr m_ckfail;
+           false
+         end
 
 let check_data_range t blk n =
   if blk < 0 || n <= 0 || blk + n > t.data_blocks then
     Io_error.raise_error ~op:Io_error.Read ~blk ~nblocks:n Io_error.Out_of_bounds
 
-let read_blocks t blk n =
+let read_views t blk n =
   check_data_range t blk n;
   let any_remap =
     let rec go i = i < n && (Hashtbl.mem t.remap (blk + i) || go (i + 1)) in
     go 0
   in
-  if not any_remap then begin
-    let blocks = Blockdev.read_blocks t.dev blk n in
-    Array.iteri
-      (fun i b -> check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:(blk + i) b)
-      blocks;
-    blocks
-  end
-  else
-    (* A remapped block breaks physical contiguity: fetch block by block,
-       translating each through the table. *)
-    Array.init n (fun i ->
-        let p = phys t (blk + i) in
-        let b = Blockdev.read t.dev p 1 in
-        check_block t ~op:Io_error.Read ~blk:(blk + i) ~phys:p b;
-        b)
+  (* A remapped block breaks physical contiguity: fetch block by block,
+     translating each through the table, and verify each as it lands. *)
+  let views =
+    if any_remap then Array.make n Blockdev.no_view else Blockdev.read_views t.dev blk n
+  in
+  let release_all () = Array.iter Blockdev.release views in
+  for i = 0 to n - 1 do
+    let p = if any_remap then phys t (blk + i) else blk + i in
+    if any_remap then
+      views.(i) <-
+        (try (Blockdev.read_views t.dev p 1).(0)
+         with e ->
+           release_all ();
+           raise e);
+    if not (view_ok t ~phys:p views.(i)) then begin
+      release_all ();
+      Io_error.raise_error ~op:Io_error.Read ~blk:(blk + i) ~nblocks:1
+        Io_error.Checksum_mismatch
+    end
+  done;
+  views
+
+let read_blocks t blk n = Array.map Blockdev.own (read_views t blk n)
 
 let read t blk n =
   match read_blocks t blk n with

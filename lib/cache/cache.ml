@@ -15,6 +15,7 @@ let m_sync_writes = Obs.counter "cache.sync_writes"
 let m_delayed_writes = Obs.counter "cache.delayed_writes"
 let m_writebacks = Obs.counter "cache.writebacks"
 let m_evictions = Obs.counter "cache.evictions"
+let m_evicted_unused = Obs.counter "cache.evicted_unused"
 let m_flushes = Obs.counter "cache.flushes"
 let m_retries = Obs.counter "blockdev.retries"
 let m_pinned = Obs.counter "cache.pinned_buffers"
@@ -70,8 +71,15 @@ type event =
   | Flush of { nblocks : int }
   | Order of { first : int; second : int }
 
+(* An entry holds either a private buffer ([data]) or a device view
+   ([view]; [data] is then unused).  Every block the cache fetches is
+   installed as a view; it becomes private the first time the cache
+   hands the block out ([lend]).  Readers that only copy bytes out
+   ([blit_entry]) leave it a view, and dirty entries are always
+   private. *)
 type entry = {
   mutable data : bytes;
+  mutable view : Blockdev.view;  (** [Blockdev.no_view] once private *)
   mutable dirty : bool;
   mutable dirty_seq : int;  (** order in which the block became dirty *)
   mutable pinned : bool;  (** writeback failed; never drop, keep retrying *)
@@ -160,16 +168,18 @@ let journaled_active t = t.policy = Journaled && t.journal <> None
    everything else may go at any time. *)
 let home_writable t e = (not (journaled_active t)) || (not e.meta) || e.logged
 
-(* All device I/O below funnels through these three, so attaching an
-   integrity layer changes every read into a verified read and every write
-   into a remap-on-write.  Reads come back as one fresh buffer per block,
-   which the cache installs as it is: the device's copy out of the media
-   is the only copy a miss makes.  Writes hand over the cache's own
-   buffers; the device copies them into the media. *)
+(* All device I/O below funnels through these, so attaching an integrity
+   layer changes every read into a verified read and every write into a
+   remap-on-write.  Reads come back as one view per block, which the
+   cache installs as it is; a view is copied only when the cache first
+   hands its block out ([lend]), and released when the entry is dropped
+   or rewritten first — so a block a group read brought in and nobody
+   used costs no copy.  Writes hand over the cache's own buffers; the
+   device copies them into the media. *)
 let dev_read t blk n =
   match t.integ with
-  | Some ig -> Integrity.read_blocks ig blk n
-  | None -> Blockdev.read_blocks t.dev blk n
+  | Some ig -> Integrity.read_views ig blk n
+  | None -> Blockdev.read_views t.dev blk n
 
 let dev_write t blk data =
   match t.integ with
@@ -209,6 +219,24 @@ let with_retry t f =
       go (attempt + 1)
   in
   go 1
+
+let holds_view e = e.view != Blockdev.no_view
+
+(* End entry [e]'s view, if it still holds one. *)
+let drop_view e =
+  if holds_view e then begin
+    Blockdev.release e.view;
+    e.view <- Blockdev.no_view
+  end
+
+(* The entry's buffer, for a caller that may read and change it: a view
+   becomes a private copy first. *)
+let lend e =
+  if holds_view e then begin
+    e.data <- Blockdev.own e.view;
+    e.view <- Blockdev.no_view
+  end;
+  e.data
 
 let detach_logical t entry =
   match entry.ident with
@@ -585,6 +613,10 @@ let evict_if_full t =
     | Some (blk, e) ->
         Lru.remove t.entries blk;
         detach_logical t e;
+        if holds_view e then begin
+          Obs.incr m_evicted_unused;
+          drop_view e
+        end;
         t.stats.evictions <- t.stats.evictions + 1;
         Obs.incr m_evictions;
         notify t (Evict { blk })
@@ -601,12 +633,13 @@ let evict_if_full t =
         else stuck := true
   done
 
-let insert ?(meta = false) t blk data ~dirty =
+let insert ?(meta = false) t blk data view ~dirty =
   evict_if_full t;
   if dirty then t.seq <- t.seq + 1;
-  Lru.add t.entries blk
+  let e =
     {
       data;
+      view;
       dirty;
       dirty_seq = (if dirty then t.seq else 0);
       pinned = false;
@@ -614,23 +647,43 @@ let insert ?(meta = false) t blk data ~dirty =
       meta;
       logged = false;
     }
+  in
+  Lru.add t.entries blk e;
+  e
+
+(* Install the device view [v] of [blk] as a clean entry, unless the
+   block is resident already (possibly dirty): then the view just ends. *)
+let install_view t blk v =
+  if Lru.mem t.entries blk then Blockdev.release v
+  else ignore (insert t blk Bytes.empty v ~dirty:false)
 
 let resident_block t blk = Lru.mem t.entries blk
 
-let read t blk =
+(* Copy [len] bytes of entry [e] from [src_off] into [dst] at [dst_off]:
+   a view stays a view. *)
+let blit_entry e ~src_off dst ~dst_off ~len =
+  if holds_view e then Blockdev.blit_view e.view ~src_off dst ~dst_off ~len
+  else Bytes.blit e.data src_off dst dst_off len
+
+(* The entry of [blk] for a reader, fetched as a view on a miss. *)
+let read_entry t blk =
   match Lru.use t.entries blk with
   | Some e ->
       t.stats.phys_hits <- t.stats.phys_hits + 1;
       Obs.incr m_phys_hits;
       notify t (Read_hit { blk; logical = false });
-      e.data
+      e
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       Obs.incr m_misses;
       notify t (Read_miss { blk; nblocks = 1 });
-      let data = (with_retry t (fun () -> dev_read t blk 1)).(0) in
-      insert t blk data ~dirty:false;
-      data
+      let v = (with_retry t (fun () -> dev_read t blk 1)).(0) in
+      insert t blk Bytes.empty v ~dirty:false
+
+let read t blk = lend (read_entry t blk)
+
+let read_into t blk ~src_off dst ~dst_off ~len =
+  blit_entry (read_entry t blk) ~src_off dst ~dst_off ~len
 
 let read_group t blk n =
   let missing =
@@ -642,11 +695,7 @@ let read_group t blk n =
     Obs.incr m_misses;
     notify t (Read_miss { blk; nblocks = n });
     match with_retry t (fun () -> dev_read t blk n) with
-    | blocks ->
-        Array.iteri
-          (fun i b ->
-            if not (Lru.mem t.entries (blk + i)) then insert t (blk + i) b ~dirty:false)
-          blocks
+    | views -> Array.iteri (fun i v -> install_view t (blk + i) v) views
     | exception
         Cffs_util.Io_error.E
           { cause = Cffs_util.Io_error.Bad_sector | Cffs_util.Io_error.Checksum_mismatch; _ }
@@ -661,7 +710,7 @@ let read_group t blk n =
         for i = 0 to n - 1 do
           if not (Lru.mem t.entries (blk + i)) then
             match with_retry t (fun () -> dev_read t (blk + i) 1) with
-            | b -> insert t (blk + i) b.(0) ~dirty:false
+            | v -> install_view t (blk + i) v.(0)
             | exception Cffs_util.Io_error.E _ -> ()
         done
   end;
@@ -681,7 +730,7 @@ let m_prefetch_failed = Obs.counter "cache.prefetch_failed"
    integrity layer attached prefetch degrades to verified group reads —
    still one request per run, but checked before anything enters the
    cache — and a run whose read fails is swallowed the same way.  Each
-   completed block's buffer is installed as it came off the device. *)
+   completed block is installed as the device's view of it. *)
 let prefetch t runs =
   match t.integ with
   | Some _ ->
@@ -715,33 +764,44 @@ let prefetch t runs =
         runs;
       if Int_tbl.length tags > 0 then
         List.iter
-          (fun (c : bytes array Blockdev.completion) ->
-            if Int_tbl.mem tags c.Blockdev.cq_tag then
-              match c.Blockdev.cq_result with
-              | Ok blocks ->
-                  Array.iteri
-                    (fun i b ->
-                      let blk = c.Blockdev.cq_blk + i in
-                      if not (Lru.mem t.entries blk) then insert t blk b ~dirty:false)
-                    blocks
-              | Error _ -> Obs.incr m_prefetch_failed)
-          (Blockdev.drain_blocks t.dev)
+          (fun (c : Blockdev.view array Blockdev.completion) ->
+            let mine = Int_tbl.mem tags c.Blockdev.cq_tag in
+            match c.Blockdev.cq_result with
+            | Ok views ->
+                if mine then
+                  Array.iteri (fun i v -> install_view t (c.Blockdev.cq_blk + i) v) views
+                else
+                  (* another submitter's completion: its views end here *)
+                  Array.iter Blockdev.release views
+            | Error _ -> if mine then Obs.incr m_prefetch_failed)
+          (Blockdev.drain_views t.dev)
 
-let find_logical t ~ino ~lblk =
+(* The entry a logical identity maps to, counted as a logical hit. *)
+let logical_entry t ~ino ~lblk =
   match Logical.find_opt t.logical (ino, lblk) with
   | None -> None
   | Some blk -> begin
       match Lru.use t.entries blk with
-      | Some e ->
+      | Some _ as hit ->
           t.stats.logical_hits <- t.stats.logical_hits + 1;
           Obs.incr m_logical_hits;
           notify t (Read_hit { blk; logical = true });
-          Some e.data
+          hit
       | None ->
           (* Stale mapping left by an eviction race; drop it. *)
           Logical.remove t.logical (ino, lblk);
           None
     end
+
+let find_logical t ~ino ~lblk =
+  match logical_entry t ~ino ~lblk with Some e -> Some (lend e) | None -> None
+
+let find_logical_into t ~ino ~lblk ~src_off dst ~dst_off ~len =
+  match logical_entry t ~ino ~lblk with
+  | Some e ->
+      blit_entry e ~src_off dst ~dst_off ~len;
+      true
+  | None -> false
 
 let set_logical t blk ~ino ~lblk =
   match Lru.find t.entries blk with
@@ -788,6 +848,7 @@ let write t ~kind blk data =
   then Hashtbl.replace t.revoked blk ();
   (match Lru.use t.entries blk with
   | Some e ->
+      drop_view e;
       e.data <- data;
       e.meta <- is_meta;
       e.logged <- false;
@@ -796,7 +857,7 @@ let write t ~kind blk data =
         e.dirty_seq <- t.seq
       end;
       e.dirty <- not sync
-  | None -> insert t blk data ~dirty:(not sync) ~meta:is_meta);
+  | None -> ignore (insert t blk data Blockdev.no_view ~dirty:(not sync) ~meta:is_meta));
   notify t (Write { blk; sync });
   if sync then begin
     match with_retry t (fun () -> dev_write t blk data) with
@@ -868,7 +929,9 @@ let invalidate t blk =
   if journaled_active t && Hashtbl.mem t.logged_in_log blk then
     Hashtbl.replace t.revoked blk ();
   (match Lru.find t.entries blk with
-  | Some e -> detach_logical t e
+  | Some e ->
+      detach_logical t e;
+      drop_view e
   | None -> ());
   Lru.remove t.entries blk
 
@@ -876,7 +939,11 @@ let drop_all t =
   Hashtbl.reset t.deps;
   Logical.reset t.logical;
   let rec loop () =
-    match Lru.pop_lru t.entries with Some _ -> loop () | None -> ()
+    match Lru.pop_lru t.entries with
+    | Some (_, e) ->
+        drop_view e;
+        loop ()
+    | None -> ()
   in
   loop ()
 

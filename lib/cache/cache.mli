@@ -8,11 +8,16 @@
     an invalid file/offset identity"; the logical identity is attached
     lazily when a file access first maps to the block (paper §3.2).
 
-    Block buffers: a miss installs the buffers the device's block-form
-    reads ({!Cffs_blockdev.Blockdev.read_blocks},
-    {!Cffs_blockdev.Blockdev.drain_blocks}) return — the device's copy out
-    of the media is the only copy, and every installed block is a buffer
-    of its own.  Writebacks hand the cache's buffers to the device, which
+    Block buffers: a miss, a group read or a prefetch installs the
+    device's views of the blocks ({!Cffs_blockdev.Blockdev.read_views},
+    {!Cffs_blockdev.Blockdev.drain_views}) and copies nothing.  A view
+    becomes a private buffer the first time the cache hands its block
+    out ({!read}, {!find_logical}); {!read_into} and {!find_logical_into}
+    copy bytes out and leave it a view.  The cache ends every view it
+    holds: when the entry is rewritten ({!write}), evicted (counted as
+    [cache.evicted_unused]), invalidated or dropped ({!remount},
+    {!crash}).  Dirty entries are always private, and no view leaves the
+    cache.  Writebacks hand the cache's buffers to the device, which
     copies them into the media; the cache keeps ownership.
 
     Write policies model the paper's three integrity regimes:
@@ -140,13 +145,21 @@ val read : t -> int -> bytes
     into [EIO].  Failed {e writes} never raise from the cache — the buffer
     is kept dirty and pinned instead (see {!pinned_count}). *)
 
+val read_into : t -> int -> src_off:int -> bytes -> dst_off:int -> len:int -> unit
+(** [read_into t blk ~src_off dst ~dst_off ~len] is {!read} for a reader
+    that only copies bytes out: it copies [len] bytes of the block from
+    [src_off] into [dst] at [dst_off], with the same hit/miss accounting,
+    events and recency, but never makes a private copy of the block — a
+    block still held as a device view stays one. *)
+
 val read_group : t -> int -> int -> bool
 (** [read_group t blk n] fetches [n] contiguous blocks as a single disk
-    request and installs each under its physical identity, as the buffer
-    the device read it into.  Blocks already resident when the data
-    arrives (possibly dirty) keep their cached contents.  If every block is
-    already resident, no disk request is issued and the call returns
-    [false]; [true] means a group request went to the device. *)
+    request and installs each under its physical identity, as the
+    device's view of it (no copy until the block is handed out).  Blocks
+    already resident when the data arrives (possibly dirty) keep their
+    cached contents.  If every block is already resident, no disk request
+    is issued and the call returns [false]; [true] means a group request
+    went to the device. *)
 
 val prefetch : t -> (int * int) list -> unit
 (** [prefetch t runs] submits every non-resident sub-range of the given
@@ -163,6 +176,11 @@ val prefetch : t -> (int * int) list -> unit
 
 val find_logical : t -> ino:int -> lblk:int -> bytes option
 (** Logical-identity lookup; a hit needs no block-map consultation at all. *)
+
+val find_logical_into :
+  t -> ino:int -> lblk:int -> src_off:int -> bytes -> dst_off:int -> len:int -> bool
+(** {!find_logical} that copies bytes out as {!read_into} does; [false]
+    (and nothing copied) on a miss. *)
 
 val set_logical : t -> int -> ino:int -> lblk:int -> unit
 (** Attach a logical identity to a resident physical block (no-op if the

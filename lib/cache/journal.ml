@@ -146,13 +146,16 @@ let commit t ~images ~revokes =
     let desc = encode_desc t ~seq ~images ~revokes in
     let image_bytes = List.map snd images in
     let crc = txn_crc desc image_bytes in
-    (* One contiguous scatter/gather append for descriptor + images,
+    (* One scatter/gather append of descriptor + images, handed to the
+       device block by block (it copies each once, into the media), and
        drained before the commit record is issued: the drain is the write
        barrier that keeps the commit from reaching the media first. *)
-    let run = Bytes.concat Bytes.empty (desc :: image_bytes) in
     let append_ok =
       try
-        let _tag = Blockdev.submit_write t.dev (t.log_start + t.head) run in
+        let _tag =
+          Blockdev.submit_write_blocks t.dev (t.log_start + t.head)
+            (Array.of_list (desc :: image_bytes))
+        in
         List.for_all
           (fun cqe -> Result.is_ok cqe.Blockdev.cq_result)
           (Blockdev.drain t.dev)

@@ -550,39 +550,61 @@ let readahead t ~ino inode lblk p =
     if n > 1 && Cache.read_group t.cache p n then Obs.incr m_readahead_reads
   end
 
-(* Read a file's logical block.  A miss on a grouped block fetches the whole
-   frame in one request and installs every block by physical address; the
-   target block then gets its logical identity (paper §3.2). *)
+(* A file block at [p] that has no logical hit is about to be read.  A
+   miss on a grouped block fetches the whole frame in one request and
+   installs every block by physical address; the target block then gets
+   its logical identity (paper §3.2).  The frame fetch is a miss-path
+   amplification: when the block itself is already resident (group read
+   of a sibling, prefetch) there is no device read to amplify, so the
+   rest of the frame is not faulted in synchronously. *)
+let fault_in t ~ino inode lblk p =
+  match
+    if group_read_applies t inode lblk && not (Cache.resident_block t.cache p) then
+      frame_of_block t p
+    else None
+  with
+  | Some frame ->
+      if Cache.read_group t.cache frame t.sb.Csb.group_blocks then Obs.incr m_group_reads
+  | None -> readahead t ~ino inode lblk p
+
+(* Read a file's logical block as the cache's buffer ([None] for a
+   hole). *)
 let file_block_read t ~ino inode lblk =
-  let note_read () = Readahead.note t.ra ~ino ~lblk in
   match Cache.find_logical t.cache ~ino ~lblk with
   | Some b ->
-      note_read ();
+      Readahead.note t.ra ~ino ~lblk;
       Ok (Some b)
   | None -> begin
       match Bmap.read t.cache inode lblk with
       | Error _ as e -> e
       | Ok None -> Ok None
       | Ok (Some p) ->
-          (* The frame fetch is a miss-path amplification: when the block
-             itself is already resident (group read of a sibling, prefetch)
-             there is no device read to amplify, so don't synchronously
-             fault in the rest of the frame. *)
-          (match
-             if group_read_applies t inode lblk
-                && not (Cache.resident_block t.cache p)
-             then frame_of_block t p
-             else None
-           with
-          | Some frame ->
-              if Cache.read_group t.cache frame t.sb.Csb.group_blocks then
-                Obs.incr m_group_reads
-          | None -> readahead t ~ino inode lblk p);
+          fault_in t ~ino inode lblk p;
           let b = Cache.read t.cache p in
           Cache.set_logical t.cache p ~ino ~lblk;
-          note_read ();
+          Readahead.note t.ra ~ino ~lblk;
           Ok (Some b)
     end
+
+(* [file_block_read] for a reader that only copies bytes out: [n] bytes
+   of the block from [boff] land in [out] at [pos], and the cache makes
+   no private copy of the block.  [Ok false] for a hole. *)
+let file_block_copy t ~ino inode lblk ~boff out ~pos ~n =
+  if Cache.find_logical_into t.cache ~ino ~lblk ~src_off:boff out ~dst_off:pos ~len:n
+  then begin
+    Readahead.note t.ra ~ino ~lblk;
+    Ok true
+  end
+  else
+    match Bmap.read t.cache inode lblk with
+    | Error _ as e -> e
+    | Ok None -> Ok false
+    | Ok (Some p) ->
+        fault_in t ~ino inode lblk p;
+        Cache.read_into t.cache p ~src_off:boff out ~dst_off:pos ~len:n;
+        Cache.set_logical t.cache p ~ino ~lblk;
+        Readahead.note t.ra ~ino ~lblk;
+        Ok true
 
 let read_ino t ~ino ~off ~len =
   let* inode = read_inode t ino in
@@ -598,10 +620,8 @@ let read_ino t ~ino ~off ~len =
         let lblk = fo / bsz in
         let boff = fo mod bsz in
         let n = min (bsz - boff) (len - pos) in
-        let* data = file_block_read t ~ino inode lblk in
-        (match data with
-        | Some b -> Bytes.blit b boff out pos n
-        | None -> Bytes.fill out pos n '\000');
+        let* copied = file_block_copy t ~ino inode lblk ~boff out ~pos ~n in
+        if not copied then Bytes.fill out pos n '\000';
         loop (pos + n)
       end
     in

@@ -1095,6 +1095,7 @@ type regroup_recovery = {
   regrouped_reqs_per_file : float;
   regrouped_residency : float;
   regroup_outcome : Regroup.outcome option;
+  regroup_passes : int;
 }
 
 (* The A7 working set: multi-block small files (2..5 blocks at 4 KB) in a
@@ -1156,17 +1157,28 @@ let regroup_row scale stage =
   Cffs.sync fs;
   (* Compaction is incremental: early moves free scattered source blocks,
      which later passes turn into destination frames.  Run to convergence
-     (bounded), as an online regrouper daemon would across idle periods. *)
+     (bounded), as an online regrouper daemon would across idle periods.
+     The outcome is the last pass's, with [moved] and [blocks_copied]
+     summed over every pass — the last one moves nothing by
+     construction — paired with the number of passes. *)
   let outcome =
     if stage <> Regrouped then None
     else begin
-      let rec converge last n =
-        if n = 0 then last
+      let rec converge (total : Regroup.outcome) passes n =
+        if n = 0 then (total, passes)
         else
           let o = Regroup.run fs in
-          if o.Regroup.moved = 0 then o else converge o (n - 1)
+          let total =
+            {
+              o with
+              Regroup.moved = total.Regroup.moved + o.Regroup.moved;
+              blocks_copied = total.Regroup.blocks_copied + o.Regroup.blocks_copied;
+            }
+          in
+          if o.Regroup.moved = 0 then (total, passes + 1)
+          else converge total (passes + 1) (n - 1)
       in
-      Some (converge (Regroup.run fs) 16)
+      Some (converge (Regroup.run fs) 1 16)
     end
   in
   let residency =
@@ -1240,7 +1252,8 @@ let regroup_recovery scale =
     regrouped_read_s = r_read;
     regrouped_reqs_per_file = r_reqs;
     regrouped_residency = r_res;
-    regroup_outcome = outcome;
+    regroup_outcome = Option.map fst outcome;
+    regroup_passes = (match outcome with Some (_, n) -> n | None -> 0);
   }
 
 let ablation_regroup scale =
@@ -1279,9 +1292,9 @@ let ablation_regroup scale =
           f2 reqs;
           (if fresh_read > 0.0 then f2 (read /. fresh_read) ^ "x" else "-");
           (match outcome with
-          | Some o ->
-              Printf.sprintf "%d (%d blk)" o.Regroup.moved
-                o.Regroup.blocks_copied
+          | Some (o, passes) ->
+              Printf.sprintf "%d (%d blk, %d passes)" o.Regroup.moved
+                o.Regroup.blocks_copied passes
           | None -> "-");
         ])
     rows;

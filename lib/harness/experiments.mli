@@ -207,7 +207,9 @@ type regroup_recovery = {
   regrouped_reqs_per_file : float;
   regrouped_residency : float;
   regroup_outcome : Cffs_fsck.Regroup.outcome option;
-      (** the pass that produced the regrouped row *)
+      (** the last regrouping pass before the regrouped row was measured,
+          with [moved] and [blocks_copied] summed over all the passes *)
+  regroup_passes : int;  (** passes run to convergence (0 for no regrouping) *)
 }
 
 val regroup_recovery : scale -> regroup_recovery

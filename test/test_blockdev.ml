@@ -563,6 +563,98 @@ let test_torn_in_place () =
   check (Alcotest.option Alcotest.int) "old tag kept" old_tag (Blockdev.tag dev 7);
   check (Alcotest.option Alcotest.int) "no tag for a torn first write" None (Blockdev.tag dev 8)
 
+(* --- Views: a read copies nothing, a write never changes a view ------- *)
+
+module Volume = Cffs_volume.Volume
+module Cache = Cffs_cache.Cache
+
+let view_devices =
+  ("plain", mem)
+  :: List.map
+       (fun drives ->
+         ( Printf.sprintf "striped x%d" drives,
+           fun () ->
+             (Volume.create_memory ~stripe_unit:4 ~block_size:4096 ~nblocks:1024 ~drives
+                ~layout:Volume.Striped ())
+               .Volume.dev ))
+       [ 2; 3; 4 ]
+
+let test_views_survive_writes () =
+  List.iter
+    (fun (name, mk) ->
+      let dev = mk () in
+      let what s = Printf.sprintf "%s: %s" name s in
+      for b = 0 to 15 do
+        Blockdev.write dev b (block 'a')
+      done;
+      (* blocks 0-15 are written, 16 never was; the group crosses stripes *)
+      let views = Blockdev.read_views dev 0 17 in
+      check Alcotest.int (what "one view per block") 17 (Array.length views);
+      Blockdev.write dev 0 (Bytes.cat (block 'f') (block 'f'));
+      Blockdev.write_torn dev 2 (block 't') ~keep_sectors:3;
+      Blockdev.write_torn dev 16 (block 't') ~keep_sectors:5;
+      Blockdev.set_queue dev ~coalesce:true ();
+      Blockdev.write_batch_units dev
+        [ (4, [ block 'c'; block 'c' ]); (6, [ block 'c' ]); (8, [ block 'c' ]) ];
+      ignore (Blockdev.submit_write dev 10 (Bytes.cat (block 'q') (block 'q')));
+      ignore (Blockdev.drain dev);
+      Array.iteri
+        (fun i v ->
+          check Alcotest.bytes
+            (what (Printf.sprintf "view of block %d" i))
+            (block (if i = 16 then '\000' else 'a'))
+            (Blockdev.own v))
+        views;
+      List.iter
+        (fun (b, c) ->
+          check Alcotest.bytes (what (Printf.sprintf "media block %d rewritten" b)) (block c)
+            (Blockdev.read dev b 1))
+        [ (0, 'f'); (1, 'f'); (4, 'c'); (6, 'c'); (8, 'c'); (10, 'q'); (15, 'a') ];
+      check Alcotest.bytes (what "torn block")
+        (Bytes.cat (Bytes.make (3 * sector) 't') (Bytes.make (4096 - (3 * sector)) 'a'))
+        (Blockdev.read dev 2 1))
+    view_devices
+
+let test_zero_view () =
+  let dev = mem () in
+  let v = (Blockdev.read_views dev 40 1).(0) in
+  check Alcotest.bytes "never-written block reads as zeros" (block '\000') (Blockdev.own v);
+  let a = Blockdev.read_views dev 41 2 in
+  check Alcotest.bool "one shared zero view" true (a.(0) == a.(1));
+  Array.iter Blockdev.release a
+
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. p1) -. (m0 -. p0)
+
+let block_words = float_of_int (4096 / 8)
+
+(* A write to a viewed block allocates a fresh buffer; once the cache has
+   released every view, a write is in place again and allocates none. *)
+let test_released_view_overwrite_in_place () =
+  let dev = mem () in
+  let c = Cache.create dev ~capacity_blocks:64 in
+  for b = 0 to 15 do
+    Blockdev.write dev b (block 'a')
+  done;
+  let data = block 'b' in
+  Blockdev.write dev 0 data;
+  ignore (Cache.read_group c 0 16);
+  let viewed = direct_major_words (fun () -> Blockdev.write dev 3 data) in
+  check Alcotest.bool
+    (Printf.sprintf "write under a view copies (%.2f blocks)" (viewed /. block_words))
+    true
+    (viewed >= 0.9 *. block_words);
+  Cache.crash c;
+  let freed = direct_major_words (fun () -> Blockdev.write dev 5 data) in
+  check Alcotest.bool
+    (Printf.sprintf "write after release is in place (%.2f blocks)" (freed /. block_words))
+    true
+    (freed <= 0.1 *. block_words);
+  check Alcotest.bytes "written" data (Blockdev.read dev 5 1)
+
 let () =
   Alcotest.run "cffs_blockdev"
     [
@@ -633,5 +725,13 @@ let () =
             test_writes_copy_into_media;
           Alcotest.test_case "reads are fresh" `Quick test_reads_are_fresh;
           Alcotest.test_case "torn write in place" `Quick test_torn_in_place;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "views survive full, torn and coalesced writes" `Quick
+            test_views_survive_writes;
+          Alcotest.test_case "never-written block is the zero view" `Quick test_zero_view;
+          Alcotest.test_case "released view: overwrite in place" `Quick
+            test_released_view_overwrite_in_place;
         ] );
     ]

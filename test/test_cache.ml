@@ -689,6 +689,83 @@ let test_copy_guard () =
         (fun k -> Blockdev.write_batch_units dev (List.nth us k)))
     [ false; true ]
 
+(* --- Views: group-read blocks are copied only when handed out --------- *)
+
+(* A block a group read installed keeps the bytes the media had then, even
+   when the device is written behind the cache's back. *)
+let test_view_isolated_from_device_writes () =
+  let c, dev = mem_cache ~capacity:64 () in
+  for b = 0 to 15 do
+    Blockdev.write dev b (block 'a')
+  done;
+  ignore (Cache.read_group c 0 16);
+  Blockdev.write dev 3 (block 'w');
+  Blockdev.write_torn dev 5 (block 't') ~keep_sectors:2;
+  Blockdev.write dev 6 (Bytes.cat (block 'w') (block 'w'));
+  check Alcotest.bytes "full write hidden" (block 'a') (Cache.read c 3);
+  check Alcotest.bytes "torn write hidden" (block 'a') (Cache.read c 5);
+  let out = Bytes.make 4096 '?' in
+  Cache.read_into c 6 ~src_off:0 out ~dst_off:0 ~len:4096;
+  check Alcotest.bytes "read_into sees the installed bytes" (block 'a') out;
+  Cache.set_logical c 7 ~ino:9 ~lblk:0;
+  check (Alcotest.option Alcotest.bytes) "logical hit too" (Some (block 'a'))
+    (Cache.find_logical c ~ino:9 ~lblk:0);
+  check Alcotest.bytes "the media did change" (block 'w') (Blockdev.read dev 3 1)
+
+(* Every way an entry leaves the cache ends its view: afterwards a write
+   to the block is in place and allocates no block. *)
+let test_views_released () =
+  let z = block 'z' in
+  let write_words dev =
+    direct_major_words (fun () ->
+        for b = 0 to 15 do
+          Blockdev.write dev b z
+        done)
+  in
+  List.iter
+    (fun (what, drop) ->
+      let c, dev = mem_cache ~capacity:16 () in
+      for b = 0 to 15 do
+        Blockdev.write dev b (block 'a')
+      done;
+      ignore (Cache.read_group c 0 16);
+      drop c;
+      let r = write_words dev /. float_of_int (4096 / 8) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: writes after it allocate %.2f blocks <= 0.1" what r)
+        true (r <= 0.1))
+    [
+      ("evict", fun c -> ignore (Cache.read_group c 100 16));
+      ("invalidate", fun c -> for b = 0 to 15 do Cache.invalidate c b done);
+      ("remount", Cache.remount);
+      ("crash", Cache.crash);
+    ];
+  let c, _ = mem_cache ~capacity:16 () in
+  ignore (Cache.read_group c 0 16);
+  ignore (Cache.read c 0);
+  let before = Registry.snapshot () in
+  ignore (Cache.read_group c 100 16);
+  check Alcotest.int "evictions of never-used views counted" 15
+    (Registry.get_counter (Registry.diff (Registry.snapshot ()) before) "cache.evicted_unused")
+
+(* Allocation guard next to "one copy per block": a cold group read copies
+   nothing, and the first read of one member copies that block once. *)
+let test_view_copy_guard () =
+  let c, dev = mem_cache ~capacity:1024 () in
+  for b = 0 to 63 do
+    Blockdev.write dev b (block 'w')
+  done;
+  ignore (Cache.read_group c 0 16);
+  ignore (Cache.read c 0);
+  let group = per_block_ratio 1 (fun () -> ignore (Cache.read_group c 16 16)) in
+  check Alcotest.bool
+    (Printf.sprintf "cold 16-block read_group: %.2f blocks <= 0.1" group)
+    true (group <= 0.1);
+  let first = per_block_ratio 1 (fun () -> ignore (Cache.read c 20)) in
+  check Alcotest.bool
+    (Printf.sprintf "first read of a member: %.2f blocks <= 1.1" first)
+    true (first <= 1.1)
+
 let () =
   Alcotest.run "cffs_cache"
     [
@@ -775,5 +852,13 @@ let () =
           Alcotest.test_case "installed buffers distinct" `Quick
             test_installed_buffers_distinct;
           Alcotest.test_case "one copy per block" `Quick test_copy_guard;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "device writes do not reach installed blocks" `Quick
+            test_view_isolated_from_device_writes;
+          Alcotest.test_case "evict, invalidate, remount, crash release views" `Quick
+            test_views_released;
+          Alcotest.test_case "group read copies nothing" `Quick test_view_copy_guard;
         ] );
     ]

@@ -283,6 +283,35 @@ let test_churn_beats_sync_metadata () =
           (Smallfile.phase_name phase) j s (j /. s))
     [ Smallfile.Create; Smallfile.Delete ]
 
+(* Allocation guard: a commit hands its descriptor and images to the
+   device block by block, without concatenating and re-splitting them, so
+   once the log's blocks exist on the media a 16-image commit allocates
+   only its descriptor and commit record — two blocks of direct major
+   words. *)
+let test_commit_allocation () =
+  let bs = 4096 in
+  let dev = Blockdev.memory ~block_size:bs ~nblocks:4096 in
+  let j = Journal.format dev ~usable:4096 in
+  let images = List.init 16 (fun i -> (10 + i, block_pattern bs (0x40 + i))) in
+  let commit () =
+    match Journal.commit j ~images ~revokes:[] with
+    | Journal.Committed -> ()
+    | _ -> Alcotest.fail "commit failed"
+  in
+  commit ();
+  Journal.reset j;
+  let _, p0, m0 = Gc.counters () in
+  commit ();
+  let _, p1, m1 = Gc.counters () in
+  let blocks = ((m1 -. p1) -. (m0 -. p0)) /. float_of_int (bs / 8) in
+  check Alcotest.bool
+    (Printf.sprintf "16-image commit allocates %.2f blocks <= 2.5" blocks)
+    true (blocks <= 2.5);
+  check Alcotest.int "the transaction replays" 1 (Journal.replay_once dev ~usable:4096);
+  List.iter
+    (fun (blk, img) -> check Alcotest.bytes "image applied" img (Blockdev.read dev blk 1))
+    images
+
 let () =
   Alcotest.run "cffs_journal"
     [
@@ -295,6 +324,8 @@ let () =
             test_no_space_and_revoke;
           Alcotest.test_case "replay is idempotent (x2 = x1)" `Quick
             test_replay_idempotent;
+          Alcotest.test_case "commit allocates no payload copies" `Quick
+            test_commit_allocation;
         ] );
       ( "torn writes",
         [

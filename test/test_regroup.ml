@@ -259,6 +259,20 @@ let test_regroup_recovery_criterion () =
     true
     (r.Experiments.regrouped_read_s > r.Experiments.aged_read_s)
 
+(* The regrouped row reports what every convergence pass moved, not only
+   the last pass, which moves nothing by construction. *)
+let test_regroup_recovery_reports_moves () =
+  let r = Experiments.regroup_recovery Experiments.quick in
+  match r.Experiments.regroup_outcome with
+  | None -> Alcotest.fail "the regrouped row ran no pass"
+  | Some o ->
+      check Alcotest.bool
+        (Printf.sprintf "moved %d files (%d blocks) in %d passes" o.Regroup.moved
+           o.Regroup.blocks_copied r.Experiments.regroup_passes)
+        true
+        (o.Regroup.moved > 0 && o.Regroup.blocks_copied >= o.Regroup.moved
+        && r.Experiments.regroup_passes > 1)
+
 let () =
   Alcotest.run "regroup"
     [
@@ -296,5 +310,7 @@ let () =
         [
           Alcotest.test_case "aged+regrouped read rate recovers" `Quick
             test_regroup_recovery_criterion;
+          Alcotest.test_case "A7 reports the moves of every pass" `Quick
+            test_regroup_recovery_reports_moves;
         ] );
     ]

@@ -536,6 +536,8 @@ type model_op =
   | M_drain
   | M_read_group of int * int
   | M_prefetch of (int * int) list
+  | M_direct_write of int * int * int
+      (** a synchronous write straight to the device, behind the cache *)
 
 let model_print = function
   | M_submit_read (b, n) -> diff_print (Submit_read (b, n))
@@ -546,6 +548,7 @@ let model_print = function
   | M_prefetch runs ->
       "prefetch "
       ^ String.concat ";" (List.map (fun (b, n) -> Printf.sprintf "%d+%d" b n) runs)
+  | M_direct_write (b, n, v) -> Printf.sprintf "direct write %d %d %d" b n v
 
 let model_gen =
   let open QCheck.Gen in
@@ -645,7 +648,13 @@ let model_run ~coalesce ~depth (name, mk) ops =
            completions: collect the others first *)
         drain s;
         Cache.prefetch cache runs;
-        List.iter (fun (b, n) -> install b n) runs);
+        List.iter (fun (b, n) -> install b n) runs
+    | M_direct_write (b, n, v) ->
+        (* the cache keeps the bytes it installed; the media move on *)
+        let data = diff_payload bs n v in
+        Blockdev.write dev b data;
+        Bytes.blit data 0 media (b * bs) (n * bs);
+        Bytes.fill data 0 (n * bs) '\xee');
     for b = 0 to diff_blocks - 1 do
       match Hashtbl.find_opt cached b with
       | None -> if Cache.resident_block cache b then fail s (Printf.sprintf "block %d resident" b)
@@ -661,6 +670,23 @@ let model_run ~coalesce ~depth (name, mk) ops =
     fail "the last drain" "media differ from the model";
   true
 
+(* [model_gen] with synchronous device writes mixed in, behind the
+   cache's back: blocks the cache holds as device views must keep their
+   installed bytes. *)
+let model_direct_gen =
+  let open QCheck.Gen in
+  let span = map diff_span (pair (int_bound (diff_blocks - 1)) (int_range 1 12)) in
+  let direct = map2 (fun (b, n) v -> M_direct_write (b, n, v)) span (int_bound 255) in
+  let rec alternate a b =
+    match (a, b) with
+    | x :: a, y :: b -> x :: y :: alternate a b
+    | rest, [] | [], rest -> rest
+  in
+  map2
+    (fun (co, d, ops) extra -> (co, d, alternate ops extra))
+    model_gen
+    (list_size (int_range 1 20) direct)
+
 let model_agree =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:100
@@ -670,6 +696,18 @@ let model_agree =
             Printf.sprintf "coalesce=%b depth=%d\n%s" co d
               (String.concat "\n" (List.map model_print ops)))
           model_gen)
+       (fun (coalesce, depth, ops) ->
+         List.for_all (fun dv -> model_run ~coalesce ~depth dv ops) model_devices))
+
+let model_direct_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"cached blocks keep their bytes under direct device writes"
+       (QCheck.make
+          ~print:(fun (co, d, ops) ->
+            Printf.sprintf "coalesce=%b depth=%d\n%s" co d
+              (String.concat "\n" (List.map model_print ops)))
+          model_direct_gen)
        (fun (coalesce, depth, ops) ->
          List.for_all (fun dv -> model_run ~coalesce ~depth dv ops) model_devices))
 
@@ -734,6 +772,7 @@ let () =
           Alcotest.test_case "sticky bad block fails covering sync ops" `Quick
             diff_bad_block;
           model_agree;
+          model_direct_agree;
         ] );
       ( "timing",
         [ Alcotest.test_case "drain overlaps spindles" `Quick timed_scaling ] );
