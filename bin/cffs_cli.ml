@@ -46,7 +46,7 @@ let mount_volume ?policy ~drives ~vol_layout path =
   match mount_dev ?policy path flat with
   | Error _ as e -> e
   | Ok (m, dev) ->
-      if drives <= 1 then Ok (m, dev, None)
+      if drives = 1 then Ok (m, dev, None)
       else begin
         let meta_per_chunk =
           Setup.meta_per_chunk
@@ -116,43 +116,52 @@ let policy_opt_arg =
   Arg.(value & opt (some policy_conv) None
        & info [ "policy" ] ~docv:"POLICY" ~doc:policy_doc)
 
-(* The multi-volume flags, spelled the same on every command that takes
-   them (mkfs, stats, mcbench, statbench, layout, scrub). *)
-let vol_layout_conv =
-  let parse s =
-    match Volume.layout_of_name s with
-    | Some l -> Ok l
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown volume layout %S; one of: striped, meta-split" s))
+(* The multi-volume options, one term on every command that takes them
+   (mkfs, stats, mcbench, statbench, layout, scrub): the spindle count, at
+   least 1, and the layout used when it exceeds 1. *)
+let volume_arg =
+  let layout_conv =
+    let parse s =
+      match Volume.layout_of_name s with
+      | Some l -> Ok l
+      | None ->
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "unknown volume layout %S; one of: striped, meta-split" s))
+    in
+    let print ppf l = Format.pp_print_string ppf (Volume.layout_name l) in
+    Arg.conv (parse, print)
   in
-  let print ppf l = Format.pp_print_string ppf (Volume.layout_name l) in
-  Arg.conv (parse, print)
-
-let drives_arg =
-  Arg.(value & opt int 1
-       & info [ "drives" ] ~docv:"N"
-           ~doc:
-             "Simulated spindles in the volume (1 = one plain drive, no \
-              volume layer).")
-
-let vol_layout_arg =
-  Arg.(value & opt vol_layout_conv Volume.Striped
-       & info [ "vol-layout" ] ~docv:"LAYOUT"
-           ~doc:
-             "Multi-drive layout: striped (group-aligned striping: each \
-              cylinder group's frames stay on one spindle) or meta-split \
-              (spindle 0 dedicated to metadata, CFS-style).  Ignored unless \
-              --drives exceeds 1.")
+  let drives =
+    Arg.(value & opt int 1
+         & info [ "drives" ] ~docv:"N"
+             ~doc:
+               "Simulated spindles in the volume (1 = one plain drive, no \
+                volume layer).")
+  in
+  let layout =
+    Arg.(value & opt layout_conv Volume.Striped
+         & info [ "vol-layout" ] ~docv:"LAYOUT"
+             ~doc:
+               "Multi-drive layout: striped (group-aligned striping: each \
+                cylinder group's frames stay on one spindle) or meta-split \
+                (spindle 0 dedicated to metadata, CFS-style).  Ignored \
+                unless --drives exceeds 1.")
+  in
+  let check drives layout =
+    if drives < 1 then
+      Error (Printf.sprintf "--drives must be at least 1, got %d" drives)
+    else Ok (drives, layout)
+  in
+  Term.(term_result' (const check $ drives $ layout))
 
 (* ------------------------------------------------------------------ *)
 (* mkfs *)
 
 let mkfs_cmd =
   let run image size_mb fs_kind no_embed no_grouping group_kb integrity spares
-      policy drives vol_layout =
+      policy (drives, vol_layout) =
     let fs_name =
       match fs_kind with "ffs" -> Some "FFS" | "cffs" -> Some "C-FFS" | _ -> None
     in
@@ -164,32 +173,21 @@ let mkfs_cmd =
         Printf.eprintf "mkfs: --size-mb must be at least 1, got %d\n" size_mb;
         1
     | Some fs_name -> (
-        let nblocks = size_mb * 256 in
-        let drives = max 1 drives in
-        let layout = if drives <= 1 then Volume.Single else vol_layout in
-        (* Formatting through the composite exercises the volume mapping; the
-           layout choice is then recorded (descriptively) in the superblock. *)
+        (* Formatting through the composite exercises the volume mapping;
+           the saved image is flat either way. *)
         let dev =
-          if drives <= 1 then Blockdev.memory ~block_size:4096 ~nblocks
-          else begin
-            let meta_per_chunk =
-              Setup.meta_per_chunk
-                (if fs_kind = "ffs" then Setup.Ffs_baseline
-                 else Setup.Cffs_fs Cffs.config_default)
-            in
-            (Volume.create_memory ~stripe_unit:Setup.stripe_unit ~meta_per_chunk
-               ~block_size:4096 ~nblocks ~drives ~layout ())
-              .Volume.dev
-          end
+          (Volume.create_memory ~stripe_unit:Setup.stripe_unit
+             ~meta_per_chunk:
+               (Setup.meta_per_chunk
+                  (if fs_kind = "ffs" then Setup.Ffs_baseline
+                   else Setup.Cffs_fs Cffs.config_default))
+             ~block_size:4096 ~nblocks:(size_mb * 256) ~drives
+             ~layout:vol_layout ())
+            .Volume.dev
         in
-        let vol_drives = drives
-        and vol_layout = Volume.layout_code layout
-        and vol_stripe_unit = if drives > 1 then Setup.stripe_unit else 0 in
         try
           (if fs_kind = "ffs" then
-             ignore
-               (Ffs.format ?policy ~integrity ~spare_blocks:spares ~vol_drives
-                  ~vol_layout ~vol_stripe_unit dev)
+             ignore (Ffs.format ?policy ~integrity ~spare_blocks:spares dev)
            else
              let config =
                {
@@ -200,8 +198,7 @@ let mkfs_cmd =
                }
              in
              ignore
-               (Cffs.format ?policy ~config ~integrity ~spare_blocks:spares
-                  ~vol_drives ~vol_layout ~vol_stripe_unit dev));
+               (Cffs.format ?policy ~config ~integrity ~spare_blocks:spares dev));
           Blockdev.save_file dev image;
           Printf.printf "created %s: %d MB %s%s%s\n" image size_mb fs_name
             (if integrity then
@@ -209,7 +206,7 @@ let mkfs_cmd =
              else "")
             (if drives > 1 then
                Printf.sprintf " on %d spindles (%s)" drives
-                 (Volume.layout_name layout)
+                 (Volume.layout_name vol_layout)
              else "");
           0
         with Cffs_vfs.Fs_intf.Too_small { need_blocks; have_blocks } ->
@@ -250,7 +247,7 @@ let mkfs_cmd =
     (Cmd.info "mkfs" ~doc:"Create a fresh file-system image.")
     Term.(
       const run $ image $ size $ kind $ no_embed $ no_grouping $ group_kb
-      $ integrity $ spares $ policy_opt_arg $ drives_arg $ vol_layout_arg)
+      $ integrity $ spares $ policy_opt_arg $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fsck *)
@@ -287,7 +284,7 @@ let fsck_cmd =
 (* scrub *)
 
 let scrub_cmd =
-  let run image json drives vol_layout =
+  let run image json (drives, vol_layout) =
     match mount_volume ~drives ~vol_layout image with
     | Error (`Msg m) ->
         prerr_endline m;
@@ -327,7 +324,7 @@ let scrub_cmd =
           block was unrecoverable.  --drives re-hosts the image on an \
           N-spindle volume and scrubs through the composite device; the \
           saved image stays an ordinary flat file.")
-    Term.(const run $ image $ json $ drives_arg $ vol_layout_arg)
+    Term.(const run $ image $ json $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Namespace commands *)
@@ -676,7 +673,7 @@ let layout_cmd =
                    ])) );
       ]
   in
-  let run image json drives vol_layout =
+  let run image json (drives, vol_layout) =
     match mount_volume ~drives ~vol_layout image with
     | Error (`Msg m) ->
         prerr_endline m;
@@ -728,7 +725,7 @@ let layout_cmd =
           frame occupancy, embedded-vs-external inode split, and free-space \
           fragmentation.  --drives re-hosts the image on an N-spindle volume \
           and adds the per-spindle chunk map.")
-    Term.(const run $ image_pos $ json $ drives_arg $ vol_layout_arg)
+    Term.(const run $ image_pos $ json $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* regroup: the crash-safe online regrouper on a mounted image *)
@@ -855,12 +852,12 @@ let disks_cmd =
 (* Observability *)
 
 let stats_cmd =
-  let run json nfiles policy drives vol_layout =
+  let run json nfiles policy (drives, vol_layout) =
     (* --drives N widens (or narrows) the document's A9 volume sweep to the
        powers of two up to N; --vol-layout picks the layout the sweep
        points use (the contrast point then shows the other layout). *)
     let vol_drives =
-      let rec up acc d = if d > max 1 drives then List.rev acc else up (d :: acc) (2 * d) in
+      let rec up acc d = if d > drives then List.rev acc else up (d :: acc) (2 * d) in
       match up [] 1 with [ _ ] -> None | ds -> Some ds
     in
     if json then
@@ -892,7 +889,7 @@ let stats_cmd =
           report the observability metrics (per-op latency percentiles, disk \
           access counts, seek/rotation/transfer split, C-FFS counters).  \
           --drives widens the A9 multi-spindle sweep in the volume section.")
-    Term.(const run $ json $ nfiles $ policy $ drives_arg $ vol_layout_arg)
+    Term.(const run $ json $ nfiles $ policy $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace: span capture on the simulated testbed *)
@@ -961,11 +958,11 @@ let trace_cmd =
     Term.(const run $ json $ cap $ ops $ seed $ config)
 
 (* ------------------------------------------------------------------ *)
-(* benchdiff: the regression gate over two telemetry documents *)
+(* benchdiff: the exact gate over two telemetry documents *)
 
 let benchdiff_cmd =
   let module Benchdiff = Cffs_harness.Benchdiff in
-  let run a b verbose json =
+  let run a b =
     let read path =
       match
         Cffs_obs.Json.parse (In_channel.with_open_bin path In_channel.input_all)
@@ -977,32 +974,26 @@ let benchdiff_cmd =
     | Error e, _ | _, Error e ->
         prerr_endline e;
         2
-    | Ok da, Ok db ->
-        let r = Benchdiff.diff da db in
-        if json then
-          print_endline (Cffs_obs.Json.to_string_pretty (Benchdiff.to_json r));
-        Format.printf "%a" (Benchdiff.pp ~verbose) r;
-        if Benchdiff.clean r then 0 else 1
+    | Ok da, Ok db -> (
+        match Benchdiff.diff da db with
+        | r ->
+            Format.printf "%a" Benchdiff.pp r;
+            if Benchdiff.clean r then 0 else 1
+        | exception Benchdiff.Duplicate_path p ->
+            prerr_endline ("benchdiff: duplicate path " ^ p);
+            2)
   in
   let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE.json") in
   let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"CANDIDATE.json") in
-  let verbose =
-    Arg.(value & flag
-         & info [ "verbose" ] ~doc:"List every shared metric, not just movers.")
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Also emit the comparison result as JSON.")
-  in
   Cmd.v
     (Cmd.info "benchdiff"
        ~doc:
-         "Compare two telemetry JSON documents (e.g. a committed baseline \
-          and a fresh 'cffs stats --json' run) and fail when a throughput or \
-          latency metric moved beyond its threshold in the bad direction.  \
-          Paths present on only one side are reported but never fail the \
-          gate.")
-    Term.(const run $ a $ b $ verbose $ json)
+         "Compare two telemetry JSON documents (e.g. the committed \
+          bench/baseline.json and a fresh 'bench/main.exe --json' run) leaf \
+          for leaf and fail when any leaf differs or exists on one side \
+          only.  Lists the leaves that changed by top-level section, busiest \
+          first.")
+    Term.(const run $ a $ b)
 
 (* ------------------------------------------------------------------ *)
 (* Stat-heavy benchmark (the namei caches' workload) *)
@@ -1011,7 +1002,7 @@ let statbench_cmd =
   let module Statbench = Cffs_workload.Statbench in
   let module Namei = Cffs_namei.Namei in
   let run json dirs files_per_dir repeats cache_blocks no_namei capacity policy
-      entries depth drives vol_layout =
+      entries depth (drives, vol_layout) =
     let scale =
       {
         Experiments.quick with
@@ -1147,8 +1138,7 @@ let statbench_cmd =
           instance on an N-spindle volume.")
     Term.(
       const run $ json $ dirs $ files_per_dir $ repeats $ cache_blocks
-      $ no_namei $ capacity $ policy_opt_arg $ entries $ depth $ drives_arg
-      $ vol_layout_arg)
+      $ no_namei $ capacity $ policy_opt_arg $ entries $ depth $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-client benchmark *)
@@ -1157,7 +1147,7 @@ let mcbench_cmd =
   let module Mclient = Cffs_workload.Mclient in
   let module Scheduler = Cffs_disk.Scheduler in
   let run json qdepth sched_str streams files file_bytes large_mb no_coalesce
-      config_str policy seed drives vol_layout =
+      config_str policy seed (drives, vol_layout) =
     let sched = Scheduler.policy_of_string sched_str in
     let config =
       match String.lowercase_ascii config_str with
@@ -1203,7 +1193,7 @@ let mcbench_cmd =
         if json then
           print_endline
             (Cffs_obs.Json.to_string_pretty
-               (if drives <= 1 then Mclient.to_json r
+               (if drives = 1 then Mclient.to_json r
                 else
                   (* wrap only in multi-spindle mode so the single-drive
                      shape stays what scripts already parse *)
@@ -1321,8 +1311,7 @@ let mcbench_cmd =
           tagged queues; the A9 scaling experiment).")
     Term.(
       const run $ json $ qdepth $ sched $ streams $ files $ file_bytes
-      $ large_mb $ no_coalesce $ config $ policy_opt_arg $ seed $ drives_arg
-      $ vol_layout_arg)
+      $ large_mb $ no_coalesce $ config $ policy_opt_arg $ seed $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Crash consistency *)

@@ -25,10 +25,9 @@ type media =
    for a block never written — that travels by pointer through coalesced
    groups, fragments and completions.  A write's block buffers travel
    the same way to [persist], which makes the one copy into the store.
-   The owning entry points ([read], [read_blocks], [drain],
-   [drain_blocks]) copy each view once at the edge and release it; the
-   contiguous ones ([read], [write], [submit_write], [drain]) and the
-   write observer split or concatenate there too. *)
+   The owning entry points ([read], [drain]) copy each view once at the
+   edge and release it; they, [write], [submit_write] and the write
+   observer split or concatenate there too. *)
 let no_blocks : bytes array = [||]
 
 (* One written block of a spindle's store: its buffer and the number of
@@ -815,8 +814,6 @@ let blit_view v ~src_off dst ~dst_off ~len = Bytes.blit v.buf src_off dst dst_of
 let view_crc v = Cffs_util.Crc32.digest_sub v.buf 0 (Bytes.length v.buf)
 
 (* The owning forms copy each view once and release it. *)
-let own_blocks views = Array.map own views
-
 let own_concat t views =
   match views with
   | [||] -> Bytes.empty
@@ -831,9 +828,11 @@ let own_concat t views =
         views;
       out
 
-let owned f (c : view array completion) = { c with cq_result = Result.map f c.cq_result }
-let drain_blocks t = List.map (owned own_blocks) (drain_views t)
-let drain t = List.map (owned (own_concat t)) (drain_views t)
+let drain t =
+  List.map
+    (fun (c : view array completion) ->
+      { c with cq_result = Result.map (own_concat t) c.cq_result })
+    (drain_views t)
 
 let rec take_completed t tag before = function
   | [] -> None
@@ -911,7 +910,6 @@ let read_views t blk n =
   | Ok views -> views
   | Error e -> raise (Io_error.E e)
 
-let read_blocks t blk n = own_blocks (read_views t blk n)
 let read t blk n = own_concat t (read_views t blk n)
 
 let write t blk data =
@@ -925,12 +923,8 @@ let write t blk data =
 
 let check_one_block t (blk, data) =
   if Bytes.length data <> t.block_size then
-    invalid_arg "Blockdev.write_batch: data must be one block";
+    invalid_arg "Blockdev.write_batch_units: data must be one block";
   check_range t Io_error.Write blk 1
-
-let write_batch t blocks =
-  List.iter (check_one_block t) blocks;
-  issue_units t (List.map (fun (blk, data) -> (blk, [ data ])) blocks)
 
 let write_batch_units t units =
   List.iter

@@ -20,10 +20,9 @@
     changing the viewed one (copy on write; with no view outstanding it
     writes in place).  Whoever holds a view ends it exactly once, with
     {!own} (a private copy) or {!release}.  {!read_views} and
-    {!drain_views} are the view form the buffer cache uses;
-    {!read_blocks}, {!drain_blocks}, {!read} and {!drain} are owning
-    adapters that copy each block once and release its view, so their
-    callers never see a store buffer.
+    {!drain_views} are the view form the buffer cache uses; {!read} and
+    {!drain} are owning adapters that copy each block once and release
+    its view, so their callers never see a store buffer.
 
     A write copies each block once, from the caller's buffer into the
     media store, which owns its copies: changing a buffer after the write
@@ -171,10 +170,6 @@ val read : t -> int -> int -> bytes
     injector's cause when the configured fault layer fails the request.
     The contiguous owning form of {!read_views}. *)
 
-val read_blocks : t -> int -> int -> bytes array
-(** [read_blocks t blk n] is {!read_views} with each view turned into a
-    fresh one-block buffer, copied once and owned by the caller. *)
-
 (** {2 The tagged-queue pipeline}
 
     All I/O flows through a tagged command queue ({!Cffs_disk.Ioqueue}):
@@ -248,10 +243,6 @@ val drain_views : t -> view array completion list
 (** {!drain} with each read's data as one {!view} per block, which the
     caller must end, and [Ok [||]] for writes. *)
 
-val drain_blocks : t -> bytes array completion list
-(** {!drain_views} with each view turned into a fresh buffer owned by the
-    caller, as for {!read_blocks}. *)
-
 val reset_queue : t -> int
 (** Tear the queue down: every pending request fails its waiter with
     [Power_cut] (reported by the next {!drain}) without touching the
@@ -261,13 +252,6 @@ val write : t -> int -> bytes -> unit
 (** [write t blk data] writes [length data / block_size] consecutive blocks
     as one request, synchronously.  Raises {!Cffs_util.Io_error.E} on
     out-of-bounds ranges and injected faults, like {!read}. *)
-
-val write_batch : t -> (int * bytes) list -> unit
-(** Write single blocks, one request each, issued in scheduler order.
-    Deliberately {e no} automatic coalescing: whether adjacent dirty blocks
-    travel as one request is a file-system policy (FFS clusters only
-    sequential blocks of one file; C-FFS also writes whole groups) — see
-    {!write_batch_units}. *)
 
 val write_batch_units : t -> (int * bytes list) list -> unit
 (** [write_batch_units t units] writes each unit — a physically contiguous

@@ -238,13 +238,6 @@ let read_views t blk n =
   done;
   views
 
-let read_blocks t blk n = Array.map Blockdev.own (read_views t blk n)
-
-let read t blk n =
-  match read_blocks t blk n with
-  | [| b |] -> b
-  | blocks -> Bytes.concat Bytes.empty (Array.to_list blocks)
-
 (* --- Writes with transparent remap-on-write --- *)
 
 let alloc_spare t =

@@ -41,21 +41,14 @@ val device : t -> Blockdev.t
 val data_blocks : t -> int
 (** Blocks usable by the file system ([< Blockdev.nblocks]). *)
 
-val read : t -> int -> int -> bytes
-(** Verified read of [n] data blocks: translates remapped blocks (splitting
-    the request when remapping broke contiguity) and checks every block's
-    tag.  Raises [Checksum_mismatch] on damage; transient faults propagate
-    for the cache to retry.  The contiguous form of {!read_blocks}. *)
-
 val read_views : t -> int -> int -> Blockdev.view array
-(** {!read} as one verified view per block (see {!Blockdev.read_views}),
-    each checked against its tag in place; the buffer cache's read path.
+(** Verified read of [n] data blocks as one view per block (see
+    {!Blockdev.read_views}): translates remapped blocks (splitting the
+    request when remapping broke contiguity) and checks every block's tag
+    in place; the buffer cache's read path.  Raises [Checksum_mismatch]
+    on damage; transient faults propagate for the cache to retry.
     End each view with [Blockdev.own] or [Blockdev.release]; on a failed
     check every view is released before the raise. *)
-
-val read_blocks : t -> int -> int -> bytes array
-(** {!read_views} with each view turned into a fresh buffer owned by the
-    caller (see {!Blockdev.read_blocks}). *)
 
 val write : t -> int -> bytes -> unit
 (** Write with transparent remap-on-write: a sticky [Bad_sector] allocates

@@ -2372,8 +2372,7 @@ let regroup_abandon t plan =
 
 let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks = 4096)
     ?(integrity = false) ?(spare_blocks = 64)
-    ?(namei = Cffs_namei.Namei.config_default) ?(vol_drives = 1)
-    ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
+    ?(namei = Cffs_namei.Namei.config_default) dev =
   let block_size = Blockdev.block_size dev in
   let ig = if integrity then Some (Integrity.format ~spare_blocks dev) else None in
   let usable =
@@ -2389,8 +2388,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
   in
   let nblocks = match jr with Some j -> Journal.fs_blocks j | None -> usable in
   let sb =
-    Csb.mk ~vol_drives ~vol_layout ~vol_stripe_unit ~block_size ~nblocks
-      ~cg_size ~group_blocks:config.group_blocks
+    Csb.mk ~block_size ~nblocks ~cg_size ~group_blocks:config.group_blocks
       ~embed_inodes:config.embed_inodes ~grouping:config.grouping
       ~group_file_blocks:config.group_file_blocks
       ~readahead_blocks:config.readahead_blocks

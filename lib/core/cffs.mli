@@ -73,15 +73,9 @@ val format :
   ?integrity:bool ->
   ?spare_blocks:int ->
   ?namei:Cffs_namei.Namei.config ->
-  ?vol_drives:int ->
-  ?vol_layout:int ->
-  ?vol_stripe_unit:int ->
   Cffs_blockdev.Blockdev.t ->
   t
-(** [?vol_drives] / [?vol_layout] / [?vol_stripe_unit] (defaults 1/0/0)
-    record the multi-volume shape chosen at mkfs in the superblock — purely
-    descriptive provenance; mounting never reconstructs spindles from it.
-    [?namei] configures the per-mount dentry/attribute cache (default
+(** [?namei] configures the per-mount dentry/attribute cache (default
     {!Cffs_namei.Namei.config_default}; pass
     {!Cffs_namei.Namei.config_disabled} for uncached resolution).
     [?integrity] (default [false]) formats the tail of the device as an

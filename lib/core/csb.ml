@@ -11,9 +11,6 @@ type t = {
   group_file_blocks : int;
   readahead_blocks : int;
   dirindex_threshold : int;
-  vol_drives : int;
-  vol_layout : int;
-  vol_stripe_unit : int;
   mutable ext_high : int;
 }
 
@@ -25,8 +22,7 @@ let embed_bit = 1 lsl 40
 let root_inode_off = 64
 let ifile_inode_off = 192
 
-let mk ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0) ~block_size
-    ~nblocks ~cg_size ~group_blocks ~embed_inodes ~grouping ~group_file_blocks
+let mk ~block_size ~nblocks ~cg_size ~group_blocks ~embed_inodes ~grouping ~group_file_blocks
     ~readahead_blocks ~dirindex_threshold () =
   if cg_size < 2 then invalid_arg "Csb.mk: group too small";
   if 8 + ((cg_size + 7) / 8) > block_size then
@@ -46,9 +42,6 @@ let mk ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0) ~block_size
     group_file_blocks;
     readahead_blocks;
     dirindex_threshold;
-    vol_drives = max 1 vol_drives;
-    vol_layout;
-    vol_stripe_unit;
     ext_high = 0;
   }
 
@@ -65,10 +58,7 @@ let encode t b =
   Codec.set_u32 b 28 t.ext_high;
   Codec.set_u32 b 32 t.group_file_blocks;
   Codec.set_u32 b 36 t.readahead_blocks;
-  Codec.set_u32 b 40 t.dirindex_threshold;
-  Codec.set_u32 b 44 t.vol_drives;
-  Codec.set_u32 b 48 t.vol_layout;
-  Codec.set_u32 b 52 t.vol_stripe_unit
+  Codec.set_u32 b 40 t.dirindex_threshold
 
 let decode b =
   if Codec.get_u32 b 0 <> magic then None
@@ -93,13 +83,6 @@ let decode b =
           (* Images formatted before the index existed carry zeros here,
              which decodes as "never promote" — byte-compatible. *)
           dirindex_threshold = Codec.get_u32 b 40;
-          (* Volume provenance is descriptive: it records the mkfs-time
-             array shape (old and flattened crash images decode as a
-             single drive) but mount never reconstructs spindles from it —
-             the logical block space is self-contained. *)
-          vol_drives = max 1 (Codec.get_u32 b 44);
-          vol_layout = Codec.get_u32 b 48;
-          vol_stripe_unit = Codec.get_u32 b 52;
           ext_high = Codec.get_u32 b 28;
         }
     end

@@ -18,9 +18,8 @@
       off  36  u32  readahead_blocks (sequential read-ahead window; 0 = off)
       off  40  u32  dirindex_threshold (directory blocks before promotion
                     to the hashed index; 0 = never — old images decode as 0)
-      off  44  u32  vol_drives       (mkfs-time spindle count; 0/1 = single)
-      off  48  u32  vol_layout       (volume layout code; 0 = single)
-      off  52  u32  vol_stripe_unit  (blocks per stripe chunk; 0 = single)
+      off  44  12 bytes reserved  (older images record their mkfs-time
+                    volume shape here; nothing reads it)
       off  64       root inode (128 bytes)
       off 192       external-inode-file inode (128 bytes)
     v}
@@ -47,13 +46,6 @@ type t = {
   dirindex_threshold : int;
       (** directory size, in blocks, past which it is promoted to the
           hashed index format; 0 disables promotion *)
-  vol_drives : int;
-      (** spindles the volume was formatted across (descriptive: mount
-          never reconstructs drives from it; 1 for plain devices and for
-          flattened crash images) *)
-  vol_layout : int;
-      (** {!Cffs_volume.Volume.layout_code} of the mkfs-time layout *)
-  vol_stripe_unit : int;  (** blocks per stripe chunk (0 when single) *)
   mutable ext_high : int;  (** external inode slots ever allocated *)
 }
 
@@ -75,9 +67,6 @@ val root_inode_off : int
 val ifile_inode_off : int
 
 val mk :
-  ?vol_drives:int ->
-  ?vol_layout:int ->
-  ?vol_stripe_unit:int ->
   block_size:int ->
   nblocks:int ->
   cg_size:int ->

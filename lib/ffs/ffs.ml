@@ -700,8 +700,7 @@ let file_clusterer ~prev ~next =
 
 let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 4096)
     ?(integrity = false) ?(spare_blocks = 64)
-    ?(namei = Cffs_namei.Namei.config_default) ?(vol_drives = 1)
-    ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
+    ?(namei = Cffs_namei.Namei.config_default) dev =
   let block_size = Blockdev.block_size dev in
   (* FFS gets checksums and bad-sector remapping only — no metadata
      replicas (that degree of self-healing is C-FFS's; see Cffs.format). *)
@@ -722,8 +721,7 @@ let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 40
   in
   let nblocks = match jr with Some j -> Journal.fs_blocks j | None -> usable in
   let sb =
-    Layout.mk_sb ~vol_drives ~vol_layout ~vol_stripe_unit ~block_size ~nblocks
-      ~cg_size ~inodes_per_cg ()
+    Layout.mk_sb ~block_size ~nblocks ~cg_size ~inodes_per_cg ()
   in
   let cache = Cache.create ?policy dev ~capacity_blocks:cache_blocks in
   Cache.set_integrity cache ig;

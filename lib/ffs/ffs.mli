@@ -23,9 +23,6 @@ val format :
   ?integrity:bool ->
   ?spare_blocks:int ->
   ?namei:Cffs_namei.Namei.config ->
-  ?vol_drives:int ->
-  ?vol_layout:int ->
-  ?vol_stripe_unit:int ->
   Cffs_blockdev.Blockdev.t ->
   t
 (** Create a fresh file system on the device (default: 2048-block groups,

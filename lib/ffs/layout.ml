@@ -9,15 +9,11 @@ type sb = {
   inodes_per_cg : int;
   itable_blocks : int;
   root_ino : int;
-  vol_drives : int;
-  vol_layout : int;
-  vol_stripe_unit : int;
 }
 
 let magic = 0x46465331 (* "FFS1" *)
 
-let mk_sb ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0)
-    ~block_size ~nblocks ~cg_size ~inodes_per_cg () =
+let mk_sb ~block_size ~nblocks ~cg_size ~inodes_per_cg () =
   let ipb = block_size / Inode.size_bytes in
   if inodes_per_cg mod ipb <> 0 then
     invalid_arg "Layout.mk_sb: inodes_per_cg must fill whole blocks";
@@ -38,11 +34,10 @@ let mk_sb ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0)
     inodes_per_cg;
     itable_blocks;
     root_ino = 2;
-    vol_drives = max 1 vol_drives;
-    vol_layout;
-    vol_stripe_unit;
   }
 
+(* Bytes 36-47 are reserved: older images record their mkfs-time volume
+   shape there, and nothing reads it. *)
 let encode_sb sb b =
   Codec.set_u32 b 0 magic;
   Codec.set_u32 b 4 sb.block_size;
@@ -51,10 +46,7 @@ let encode_sb sb b =
   Codec.set_u32 b 20 sb.cg_size;
   Codec.set_u32 b 24 sb.inodes_per_cg;
   Codec.set_u32 b 28 sb.itable_blocks;
-  Codec.set_u32 b 32 sb.root_ino;
-  Codec.set_u32 b 36 sb.vol_drives;
-  Codec.set_u32 b 40 sb.vol_layout;
-  Codec.set_u32 b 44 sb.vol_stripe_unit
+  Codec.set_u32 b 32 sb.root_ino
 
 let decode_sb b =
   if Codec.get_u32 b 0 <> magic then None
@@ -68,11 +60,6 @@ let decode_sb b =
         inodes_per_cg = Codec.get_u32 b 24;
         itable_blocks = Codec.get_u32 b 28;
         root_ino = Codec.get_u32 b 32;
-        (* descriptive mkfs-time provenance; old and flattened crash
-           images decode as a single drive *)
-        vol_drives = max 1 (Codec.get_u32 b 36);
-        vol_layout = Codec.get_u32 b 40;
-        vol_stripe_unit = Codec.get_u32 b 44;
       }
     in
     if sb.block_size <= 0 || sb.cg_size <= 0 || sb.cg_count <= 0 then None else Some sb

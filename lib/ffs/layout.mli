@@ -22,20 +22,11 @@ type sb = {
   inodes_per_cg : int;
   itable_blocks : int;  (** inode-table blocks per group *)
   root_ino : int;
-  vol_drives : int;
-      (** spindles the volume was formatted across (descriptive: mount
-          never reconstructs drives from it; 1 for plain devices and for
-          flattened crash images) *)
-  vol_layout : int;  (** volume layout code of the mkfs-time layout *)
-  vol_stripe_unit : int;  (** blocks per stripe chunk (0 when single) *)
 }
 
 val magic : int
 
 val mk_sb :
-  ?vol_drives:int ->
-  ?vol_layout:int ->
-  ?vol_stripe_unit:int ->
   block_size:int ->
   nblocks:int ->
   cg_size:int ->
@@ -43,10 +34,7 @@ val mk_sb :
   unit ->
   sb
 (** Derives group count and table sizes.  Raises [Invalid_argument] on
-    unusable parameters (e.g. a group too small for its metadata).
-    [?vol_drives] / [?vol_layout] / [?vol_stripe_unit] (defaults 1/0/0)
-    record the mkfs-time multi-volume shape — descriptive provenance
-    only. *)
+    unusable parameters (e.g. a group too small for its metadata). *)
 
 val encode_sb : sb -> bytes -> unit
 val decode_sb : bytes -> sb option

@@ -36,7 +36,9 @@ let prefetch_window t dev ~start ~stop =
         end
     done;
     flush_run !run_start !run_len;
-    ignore (Blockdev.drain_blocks dev)
+    List.iter
+      (fun c -> Result.iter (Array.iter Blockdev.release) c.Blockdev.cq_result)
+      (Blockdev.drain_views dev)
   end
 
 type report = {

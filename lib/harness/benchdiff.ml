@@ -1,38 +1,21 @@
 module Json = Cffs_obs.Json
 
-(* Regression gate over two telemetry documents: flatten every numeric
-   leaf to a dotted path, classify each path by what "worse" means for it,
-   and compare the paths the two documents share.  Schema drift (a path
-   present on one side only) is reported but never fails the gate — the
-   committed baseline may predate a schema revision. *)
+(* The bench gate.  The simulation is deterministic, so a benchmark
+   document reproduces its baseline exactly unless a change moved a
+   simulated number on purpose: flatten both documents to dotted paths
+   and require every scalar leaf — number, string, bool or null — to be
+   equal, and every path to exist on both sides. *)
 
-type direction =
-  | Higher_better  (** throughput-like: a drop beyond threshold regresses *)
-  | Lower_better  (** latency/cost-like: a rise beyond threshold regresses *)
-  | Info  (** compared for the report, never a regression *)
+exception Duplicate_path of string
 
-type metric = {
-  path : string;
-  a : float;
-  b : float;
-  direction : direction;
-  threshold : float;  (** allowed relative change in the bad direction *)
-  delta_pct : float;  (** (b - a) / |a| * 100, 0 when a = 0 *)
-  regressed : bool;
-}
-
-type result = {
-  metrics : metric list;  (** shared numeric paths, in document order *)
-  regressions : metric list;
-  only_a : string list;
-  only_b : string list;
-}
+type change = { path : string; before : Json.t option; after : Json.t option }
+type result = { leaves : int; changes : change list }
 
 (* --- flattening ----------------------------------------------------------- *)
 
 (* Arrays of objects are keyed by a discriminating field when one exists
-   (phase, stream, label, metric, config), falling back to the index, so
-   reordering entries does not miscompare them. *)
+   (phase, stream, label, metric, config, name), falling back to the
+   index, so reordering entries does not miscompare them. *)
 let key_fields = [ "phase"; "stream"; "label"; "metric"; "config"; "name" ]
 
 let element_key fields i =
@@ -45,14 +28,16 @@ let element_key fields i =
   in
   pick key_fields
 
-let flatten (doc : Json.t) : (string * float) list =
+let flatten (doc : Json.t) : (string * Json.t) list =
+  let seen = Hashtbl.create 1024 in
   let out = ref [] in
-  let emit path v = out := (path, v) :: !out in
+  let emit path v =
+    if Hashtbl.mem seen path then raise (Duplicate_path path);
+    Hashtbl.add seen path ();
+    out := (path, v) :: !out
+  in
   let join prefix k = if prefix = "" then k else prefix ^ "." ^ k in
   let rec go prefix = function
-    | Json.Int i -> emit prefix (float_of_int i)
-    | Json.Float x -> emit prefix x
-    | Json.Bool _ | Json.String _ | Json.Null -> ()
     | Json.Obj fields -> List.iter (fun (k, v) -> go (join prefix k) v) fields
     | Json.List elems ->
         List.iteri
@@ -61,147 +46,76 @@ let flatten (doc : Json.t) : (string * float) list =
             | Json.Obj fields -> go (join prefix (element_key fields i)) e
             | e -> go (join prefix (string_of_int i)) e)
           elems
+    | leaf -> emit prefix leaf
   in
   go "" doc;
   List.rev !out
 
-(* --- classification ------------------------------------------------------- *)
-
-let has_suffix s suf = String.ends_with ~suffix:suf s
-
-let contains s sub =
-  let n = String.length sub in
-  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
-(* Defaults chosen for the repo's deterministic simulation: identical code
-   reproduces identical numbers, so thresholds only need to absorb genuine
-   behaviour changes between PRs, not run-to-run noise.  Throughput gets
-   15%, latency 25% (percentiles of log₂-bucketed histograms move in
-   steps), counts/seconds 25%. *)
-let default_throughput_threshold = 0.15
-let default_latency_threshold = 0.25
-
-let classify path =
-  let leaf =
-    match String.rindex_opt path '.' with
-    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-    | None -> path
-  in
-  if contains path ".points." then
-    (* Time-series samples are instantaneous registry readings compared by
-       point index; a one-point phase shift between two PRs is not a
-       regression, so the whole section is informational. *)
-    (Info, 0.0)
-  else if
-    has_suffix leaf "_per_sec" || has_suffix leaf "_per_s"
-    || has_suffix leaf "speedup" || leaf = "ratio" || leaf = "mb_per_s"
-    || has_suffix leaf "kb_per_sec"
-  then (Higher_better, default_throughput_threshold)
-  else if
-    leaf = "seconds" || leaf = "requests_per_file" || has_suffix leaf "_ms"
-    || has_suffix leaf "_s"
-       && List.exists (fun p -> contains leaf p)
-            [ "p50"; "p95"; "p99"; "p90"; "sum"; "total" ]
-  then (Lower_better, default_latency_threshold)
-  else if
-    (* Population-shape statistics: a cache layer that absorbs most ops
-       leaves only the expensive misses in the histogram, raising the mean
-       and extremes while total time and percentiles of the remaining work
-       are unchanged.  Report them, never gate on them. *)
-    has_suffix leaf "_s"
-    && List.exists (fun p -> contains leaf p) [ "mean"; "max"; "min" ]
-  then (Info, 0.0)
-  else (Info, 0.0)
-
 (* --- comparison ----------------------------------------------------------- *)
-
-let compare_metric path a b =
-  let direction, threshold = classify path in
-  let delta_pct = if a = 0.0 then 0.0 else (b -. a) /. Float.abs a *. 100.0 in
-  let regressed =
-    (* Tiny absolute values are noise even in a deterministic simulation:
-       a percentile moving 1 µs should not gate a PR. *)
-    let material = Float.abs (b -. a) > 1e-5 && Float.abs a > 1e-6 in
-    material
-    &&
-    match direction with
-    | Higher_better -> b < a *. (1.0 -. threshold)
-    | Lower_better -> b > a *. (1.0 +. threshold)
-    | Info -> false
-  in
-  { path; a; b; direction; threshold; delta_pct; regressed }
 
 let diff (doc_a : Json.t) (doc_b : Json.t) : result =
   let fa = flatten doc_a and fb = flatten doc_b in
-  let tb = Hashtbl.create 256 in
-  List.iter (fun (p, v) -> Hashtbl.replace tb p v) fb;
-  let ta = Hashtbl.create 256 in
-  List.iter (fun (p, v) -> Hashtbl.replace ta p v) fa;
-  let metrics =
+  let ta = Hashtbl.of_seq (List.to_seq fa) and tb = Hashtbl.of_seq (List.to_seq fb) in
+  let moved =
     List.filter_map
-      (fun (p, a) ->
-        match Hashtbl.find_opt tb p with
-        | Some b -> Some (compare_metric p a b)
-        | None -> None)
+      (fun (path, a) ->
+        match Hashtbl.find_opt tb path with
+        | Some b when b = a -> None
+        | after -> Some { path; before = Some a; after })
       fa
   in
-  {
-    metrics;
-    regressions = List.filter (fun m -> m.regressed) metrics;
-    only_a = List.filter_map (fun (p, _) ->
-        if Hashtbl.mem tb p then None else Some p) fa;
-    only_b = List.filter_map (fun (p, _) ->
-        if Hashtbl.mem ta p then None else Some p) fb;
-  }
+  let added =
+    List.filter_map
+      (fun (path, b) ->
+        if Hashtbl.mem ta path then None else Some { path; before = None; after = Some b })
+      fb
+  in
+  { leaves = List.length fa + List.length added; changes = moved @ added }
 
-let clean r = r.regressions = []
+let clean r = r.changes = []
 
 (* --- reporting ------------------------------------------------------------ *)
 
-let direction_name = function
-  | Higher_better -> "higher-better"
-  | Lower_better -> "lower-better"
-  | Info -> "info"
+let section path =
+  match String.index_opt path '.' with Some i -> String.sub path 0 i | None -> path
 
-let pp ?(verbose = false) ppf r =
-  let interesting m =
-    m.regressed || (m.direction <> Info && Float.abs m.delta_pct >= 5.0)
-  in
-  let shown = if verbose then r.metrics else List.filter interesting r.metrics in
-  Format.fprintf ppf "%d shared metrics, %d regressions@."
-    (List.length r.metrics) (List.length r.regressions);
+(* Sections in document order, then stably by how many leaves moved. *)
+let by_section changes =
+  let order = ref [] and groups = Hashtbl.create 16 in
   List.iter
-    (fun m ->
-      Format.fprintf ppf "  %s %-14s %-60s %14.6g -> %-14.6g %+.1f%%@."
-        (if m.regressed then "!" else " ")
-        (direction_name m.direction) m.path m.a m.b m.delta_pct)
-    shown;
-  if r.only_a <> [] then
-    Format.fprintf ppf "  only in A: %d paths%s@." (List.length r.only_a)
-      (if verbose then " (" ^ String.concat ", " r.only_a ^ ")" else "");
-  if r.only_b <> [] then
-    Format.fprintf ppf "  only in B: %d paths%s@." (List.length r.only_b)
-      (if verbose then " (" ^ String.concat ", " r.only_b ^ ")" else "")
+    (fun c ->
+      let s = section c.path in
+      match Hashtbl.find_opt groups s with
+      | Some cs -> Hashtbl.replace groups s (c :: cs)
+      | None ->
+          order := s :: !order;
+          Hashtbl.add groups s [ c ])
+    changes;
+  List.rev_map (fun s -> (s, List.rev (Hashtbl.find groups s))) !order
+  |> List.stable_sort (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
 
-let to_json r =
-  let metric_json m =
-    Json.Obj
-      [
-        ("metric", Json.String m.path);
-        ("direction", Json.String (direction_name m.direction));
-        ("a", Json.Float m.a);
-        ("b", Json.Float m.b);
-        ("delta_pct", Json.Float m.delta_pct);
-        ("threshold_pct", Json.Float (m.threshold *. 100.0));
-        ("regressed", Json.Bool m.regressed);
-      ]
-  in
-  Json.Obj
-    [
-      ("shared_metrics", Json.Int (List.length r.metrics));
-      ("regressions", Json.List (List.map metric_json r.regressions));
-      ("only_a", Json.List (List.map (fun p -> Json.String p) r.only_a));
-      ("only_b", Json.List (List.map (fun p -> Json.String p) r.only_b));
-      ("clean", Json.Bool (clean r));
-    ]
+let show = function None -> "(absent)" | Some v -> Json.to_string v
+
+let number = function
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | Some (Json.Float x) -> Some x
+  | _ -> None
+
+let relative c =
+  match (number c.before, number c.after) with
+  | Some a, Some b when a <> 0.0 ->
+      Printf.sprintf "  %+.2f%%" ((b -. a) /. Float.abs a *. 100.0)
+  | _ -> ""
+
+let pp ppf r =
+  Format.fprintf ppf "%d leaves compared, %d changed@." r.leaves
+    (List.length r.changes);
+  List.iter
+    (fun (s, cs) ->
+      Format.fprintf ppf "%s: %d changed@." s (List.length cs);
+      List.iter
+        (fun c ->
+          Format.fprintf ppf "  %s  %s -> %s%s@." c.path (show c.before)
+            (show c.after) (relative c))
+        cs)
+    (by_section r.changes)

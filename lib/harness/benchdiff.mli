@@ -1,43 +1,35 @@
-(** Benchmark regression gate: compare two telemetry JSON documents.
+(** Benchmark gate: require two telemetry JSON documents to agree exactly.
 
-    Flattens every numeric leaf of both documents to a dotted path (array
-    elements keyed by their [phase]/[stream]/[label]/[metric]/[config]
-    field when present), classifies each path by what "worse" means for it
-    — throughput-like suffixes are higher-better, latency/cost-like are
-    lower-better, everything else informational — and flags shared paths
-    that moved beyond their threshold in the bad direction.  Paths present
-    in only one document are reported but never regress, so the gate
-    tolerates schema evolution against an older committed baseline. *)
+    Flattens every scalar leaf of both documents — number, string, bool
+    or null — to a dotted path (array elements keyed by their
+    [phase]/[stream]/[label]/[metric]/[config]/[name] field when present,
+    else by index) and reports every leaf whose value differs and every
+    path present in only one document.  The simulation is deterministic,
+    so any such change means a simulated result moved. *)
 
-type direction = Higher_better | Lower_better | Info
+exception Duplicate_path of string
+(** Two leaves of one document flatten to the same path. *)
 
-type metric = {
+type change = {
   path : string;
-  a : float;
-  b : float;
-  direction : direction;
-  threshold : float;  (** allowed relative change in the bad direction *)
-  delta_pct : float;  (** (b - a) / |a| * 100, 0 when a = 0 *)
-  regressed : bool;
+  before : Cffs_obs.Json.t option;  (** [None]: absent from the baseline *)
+  after : Cffs_obs.Json.t option;  (** [None]: absent from the candidate *)
 }
 
 type result = {
-  metrics : metric list;  (** shared numeric paths, in document order *)
-  regressions : metric list;
-  only_a : string list;
-  only_b : string list;
+  leaves : int;  (** distinct paths across both documents *)
+  changes : change list;  (** baseline order, then paths new in the candidate *)
 }
 
-val flatten : Cffs_obs.Json.t -> (string * float) list
-val classify : string -> direction * float
+val flatten : Cffs_obs.Json.t -> (string * Cffs_obs.Json.t) list
+(** The scalar leaves in document order.  Raises {!Duplicate_path}. *)
 
 val diff : Cffs_obs.Json.t -> Cffs_obs.Json.t -> result
-(** [diff baseline candidate]. *)
+(** [diff baseline candidate].  Raises {!Duplicate_path}. *)
 
 val clean : result -> bool
 
-val pp : ?verbose:bool -> Format.formatter -> result -> unit
-(** Default output shows regressions and shared metrics that moved ≥ 5%;
-    [~verbose:true] lists every shared metric and the schema-only paths. *)
-
-val to_json : result -> Cffs_obs.Json.t
+val pp : Format.formatter -> result -> unit
+(** The leaves that changed, grouped by top-level section (busiest
+    first), each as [path  a -> b] with the relative change of a
+    number. *)

@@ -837,7 +837,7 @@ let volume_point ?(config = Cffs.config_default) ?(qdepth = 16) scale ~drives
   let r = Mclient.run ~params ~cache:(Setup.cache_of inst) inst.Setup.env in
   {
     vp_drives = drives;
-    vp_layout = (if drives <= 1 then Volume.Single else layout);
+    vp_layout = inst.Setup.setup.Setup.vol_layout;
     vp_result = r;
     vp_spindles = Volume.spindles inst.Setup.env.Env.dev;
   }

@@ -1,5 +1,3 @@
-module Blockdev = Cffs_blockdev.Blockdev
-module Drive = Cffs_disk.Drive
 module Volume = Cffs_volume.Volume
 module Env = Cffs_workload.Env
 module Fs_intf = Cffs_vfs.Fs_intf
@@ -72,30 +70,19 @@ let meta_per_chunk = function
   | Cffs_fs _ -> 1
 
 let mkdev setup =
-  if setup.drives <= 1 || setup.vol_layout = Volume.Single then
-    Blockdev.of_drive ~policy:setup.scheduler
-      ~host_overhead:setup.host_overhead
-      (Drive.create setup.profile)
-      ~block_size:setup.block_size
-  else
-    let v =
-      Volume.create ~profile:setup.profile ~scheduler:setup.scheduler
-        ~host_overhead:setup.host_overhead ~block_size:setup.block_size
-        ~stripe_unit ~meta_per_chunk:(meta_per_chunk setup.fs)
-        ~drives:setup.drives ~layout:setup.vol_layout ()
-    in
-    v.Volume.dev
+  (Volume.create ~profile:setup.profile ~scheduler:setup.scheduler
+     ~host_overhead:setup.host_overhead ~block_size:setup.block_size
+     ~stripe_unit ~meta_per_chunk:(meta_per_chunk setup.fs)
+     ~drives:setup.drives ~layout:setup.vol_layout ())
+    .Volume.dev
 
 let instantiate setup =
   let dev = mkdev setup in
-  let vol_drives = setup.drives in
-  let vol_layout = Volume.layout_code setup.vol_layout in
-  let vol_stripe_unit = if setup.drives > 1 then stripe_unit else 0 in
   match setup.fs with
   | Ffs_baseline ->
       let fs =
         Ffs.format ~policy:setup.policy ~cache_blocks:setup.cache_blocks
-          ~namei:setup.namei ~vol_drives ~vol_layout ~vol_stripe_unit dev
+          ~namei:setup.namei dev
       in
       let env =
         Env.make ~cpu_per_op:setup.cpu_per_op (Fs_intf.Packed ((module Ffs), fs)) dev
@@ -104,7 +91,7 @@ let instantiate setup =
   | Cffs_fs config ->
       let fs =
         Cffs.format ~config ~policy:setup.policy ~cache_blocks:setup.cache_blocks
-          ~namei:setup.namei ~vol_drives ~vol_layout ~vol_stripe_unit dev
+          ~namei:setup.namei dev
       in
       let env =
         Env.make ~cpu_per_op:setup.cpu_per_op (Fs_intf.Packed ((module Cffs), fs)) dev

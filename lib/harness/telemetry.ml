@@ -567,6 +567,8 @@ let statbench_document ?(scale = Experiments.quick) ?(entries = 0) ?(depth = 0)
           d)
       runs
   in
+  (* the spindle count and layout every instance above ran on *)
+  let vol = Setup.standard ~drives ~vol_layout Setup.Ffs_baseline in
   Json.Obj
     [
       ("schema", Json.String schema);
@@ -577,8 +579,8 @@ let statbench_document ?(scale = Experiments.quick) ?(entries = 0) ?(depth = 0)
       ("cache_blocks", Json.Int scale.Experiments.stat_cache_blocks);
       ("bigdir_entries", Json.Int entries);
       ("deep_depth", Json.Int depth);
-      ("drives", Json.Int drives);
-      ("vol_layout", Json.String (Volume.layout_name (if drives <= 1 then Volume.Single else vol_layout)));
+      ("drives", Json.Int vol.Setup.drives);
+      ("vol_layout", Json.String (Volume.layout_name vol.Setup.vol_layout));
       ("configs", Json.List (List.map (fun (c, _, _) -> c) runs));
       ("grouping", grouping_json statbench_fss);
       ("latency_breakdown", latency_breakdown_json lat_delta);

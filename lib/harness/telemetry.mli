@@ -123,9 +123,10 @@ val volume_json :
     ({!Experiments.volume_scaling}) — striped 1/2/4-drive points and the
     meta-split contrast, each with per-spindle counters — plus the
     headline [small_read_speedup].  Always present in the document, so
-    the benchdiff gate can track multi-spindle scaling across PRs.
+    the benchdiff gate can track multi-spindle scaling across changes.
     [?drives] / [?layout] reshape the sweep ([cffs stats --drives N
-    --vol-layout L]); the defaults are what BENCH_PRn.json records. *)
+    --vol-layout L]); the defaults are what bench/baseline.json
+    records. *)
 
 val document :
   ?nfiles:int ->

@@ -17,14 +17,6 @@ let layout_of_name = function
   | "meta-split" | "meta_split" | "metasplit" -> Some Meta_split
   | _ -> None
 
-let layout_code = function Single -> 0 | Striped -> 1 | Meta_split -> 2
-
-let layout_of_code = function
-  | 0 -> Some Single
-  | 1 -> Some Striped
-  | 2 -> Some Meta_split
-  | _ -> None
-
 type t = {
   dev : Blockdev.t;
   subs : Blockdev.t array;

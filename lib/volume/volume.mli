@@ -21,9 +21,10 @@
       inode table); each chunk's data remainder goes to data spindle
       [1 + (g mod (drives - 1))].
 
-    The layout is chosen at mkfs and recorded (descriptively) in the
-    superblock; crash images materialized from a volume are ordinary flat
-    device images, so mount and fsck work on them unchanged. *)
+    The layout is chosen at mkfs and not recorded on disk: the logical
+    block space is self-contained, and crash images materialized from a
+    volume are ordinary flat device images, so mount and fsck work on them
+    unchanged. *)
 
 type layout = Single | Striped | Meta_split
 
@@ -31,11 +32,6 @@ val layout_name : layout -> string
 (** ["single"], ["striped"], ["meta-split"]. *)
 
 val layout_of_name : string -> layout option
-
-val layout_code : layout -> int
-(** Stable small-int encoding for superblocks (0, 1, 2). *)
-
-val layout_of_code : int -> layout option
 
 type t = {
   dev : Cffs_blockdev.Blockdev.t;

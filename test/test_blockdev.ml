@@ -73,8 +73,9 @@ let test_timed_advances_clock () =
 
 let test_write_batch_counts () =
   let dev = timed () in
-  Blockdev.write_batch dev [ (1, block 'a'); (2, block 'b'); (3, block 'c') ];
-  (* No clustering in write_batch: one request per block. *)
+  Blockdev.write_batch_units dev
+    [ (1, [ block 'a' ]); (2, [ block 'b' ]); (3, [ block 'c' ]) ];
+  (* No clustering across units: one request per one-block unit. *)
   check Alcotest.int "3 requests" 3 (Blockdev.stats dev).Request.Stats.writes;
   check Alcotest.bytes "stored" (block 'b') (Blockdev.read dev 2 1)
 
@@ -151,7 +152,7 @@ let test_clook_batch_cheaper_than_fcfs () =
           end)
         batch
     in
-    Blockdev.write_batch dev batch;
+    Blockdev.write_batch_units dev (List.map (fun (b, d) -> (b, [ d ])) batch);
     Blockdev.now dev
   in
   let fcfs = run Cffs_disk.Scheduler.Fcfs in
@@ -280,6 +281,8 @@ let test_fault_midbatch_prefix () =
 
 module Integrity = Cffs_blockdev.Integrity
 
+let iread ig blk = Blockdev.own (Integrity.read_views ig blk 1).(0)
+
 let cause_of f =
   match f () with
   | _ -> None
@@ -307,7 +310,7 @@ let test_integrity_format_attach () =
       check Alcotest.int "same data_blocks" (Integrity.data_blocks ig)
         (Integrity.data_blocks ig2);
       check Alcotest.bytes "contents verified after reload" (block 'q')
-        (Integrity.read ig2 7 1));
+        (iread ig2 7));
   (* a device that was never integrity-formatted must not attach *)
   check Alcotest.bool "plain device does not attach" true
     (Integrity.attach (mem ()) = None)
@@ -318,11 +321,11 @@ let test_integrity_detects_corruption () =
   Integrity.write ig 3 (block 'a');
   Blockdev.corrupt_block dev 3 (Prng.create 5);
   check Alcotest.bool "corruption raises Checksum_mismatch" true
-    (cause_of (fun () -> ignore (Integrity.read ig 3 1))
+    (cause_of (fun () -> ignore (iread ig 3))
     = Some Io_error.Checksum_mismatch);
   (* a verified rewrite heals it *)
   Integrity.write ig 3 (block 'b');
-  check Alcotest.bytes "rewrite heals" (block 'b') (Integrity.read ig 3 1);
+  check Alcotest.bytes "rewrite heals" (block 'b') (iread ig 3);
   check Alcotest.bool "scrub verdict verified" true
     (Integrity.verify_block ig 3 = Integrity.Verified)
 
@@ -337,7 +340,7 @@ let test_integrity_remap_on_write () =
   check Alcotest.bool "a spare was consumed" true
     (Integrity.spare_left ig < spares0);
   check Alcotest.bool "physical home moved" true (Integrity.phys ig 5 <> 5);
-  check Alcotest.bytes "reads follow the map" (block 'r') (Integrity.read ig 5 1);
+  check Alcotest.bytes "reads follow the map" (block 'r') (iread ig 5);
   (* the mapping survives a cold reload *)
   Faultdev.detach fd;
   let path = Filename.temp_file "cffs_remap" ".img" in
@@ -350,7 +353,7 @@ let test_integrity_remap_on_write () =
   | Some ig2 ->
       check Alcotest.bool "remap reloaded" true (Integrity.remapped ig2 5);
       check Alcotest.bytes "spare contents reloaded" (block 'r')
-        (Integrity.read ig2 5 1))
+        (iread ig2 5))
 
 let test_integrity_replicas () =
   let dev = mem () in
@@ -538,7 +541,8 @@ let test_writes_copy_into_media () =
 let test_reads_are_fresh () =
   let dev = mem () in
   Blockdev.write dev 4 (Bytes.cat (block 'p') (block 'q'));
-  let a = Blockdev.read_blocks dev 4 2 and b = Blockdev.read_blocks dev 4 2 in
+  let read_blocks () = Array.map Blockdev.own (Blockdev.read_views dev 4 2) in
+  let a = read_blocks () and b = read_blocks () in
   check Alcotest.int "one buffer per block" 2 (Array.length a);
   check Alcotest.bool "each read gets its own buffers" true (a.(0) != b.(0) && a.(1) != b.(1));
   Bytes.fill a.(0) 0 4096 '!';

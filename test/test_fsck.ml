@@ -67,6 +67,30 @@ let test_empty_fs_clean () =
   let fs = Cffs.format dev in
   check Alcotest.bool "fresh fs clean" true (Report.clean (Fsck_cffs.check fs))
 
+(* Images formatted before the superblock dropped its volume record carry
+   the mkfs-time spindle count, layout code and stripe unit in bytes that
+   are now reserved: they still mount, read back and check clean. *)
+let test_old_volume_record () =
+  let stamp dev offs =
+    let sb = Blockdev.read dev 0 1 in
+    List.iter2 (Codec.set_u32 sb) offs [ 4; 2; 2048 ];
+    Blockdev.write dev 0 sb
+  in
+  let _, cdev = populate_cffs Cffs.config_default in
+  stamp cdev [ 44; 48; 52 ];
+  (match Cffs.mount cdev with
+  | None -> Alcotest.fail "C-FFS image with a volume record did not mount"
+  | Some fs ->
+      check Alcotest.bytes "C-FFS data" (Bytes.make 100 'y') (ok "read" (Cffs.read_file fs "/top"));
+      check Alcotest.bool "C-FFS clean" true (Report.clean (Fsck_cffs.check fs)));
+  let _, fdev = populate_ffs () in
+  stamp fdev [ 36; 40; 44 ];
+  match Ffs.mount fdev with
+  | None -> Alcotest.fail "FFS image with a volume record did not mount"
+  | Some fs ->
+      check Alcotest.bytes "FFS data" (Bytes.make 100 'y') (ok "read" (Ffs.read_file fs "/top"));
+      check Alcotest.bool "FFS clean" true (Report.clean (Fsck_ffs.check fs))
+
 (* ------------------------------------------------------------------ *)
 (* Injected corruption: FFS *)
 
@@ -583,6 +607,7 @@ let () =
           Alcotest.test_case "ffs clean" `Quick test_ffs_clean;
           Alcotest.test_case "cffs clean (4 configs)" `Quick test_cffs_clean_all_configs;
           Alcotest.test_case "empty fs" `Quick test_empty_fs_clean;
+          Alcotest.test_case "old volume record" `Quick test_old_volume_record;
         ] );
       ( "ffs corruption",
         [

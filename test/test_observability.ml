@@ -2,7 +2,7 @@
    (fresh > aged > no-grouping), the per-op latency attribution invariant
    (components sum to the op's clock time), the telemetry-v2 document
    contract on both file systems across write policies, the sampler, and
-   the benchdiff regression gate. *)
+   the exact benchdiff gate. *)
 
 module Registry = Cffs_obs.Registry
 module Json = Cffs_obs.Json
@@ -328,59 +328,64 @@ let doc_of phases =
           ] );
     ]
 
-let test_benchdiff_classify () =
-  let dir path = fst (Benchdiff.classify path) in
-  check Alcotest.bool "throughput is higher-better" true
-    (dir "configs.C-FFS.phases.read.files_per_sec" = Benchdiff.Higher_better);
-  check Alcotest.bool "seconds is lower-better" true
-    (dir "configs.C-FFS.phases.read.seconds" = Benchdiff.Lower_better);
-  check Alcotest.bool "percentile is lower-better" true
-    (dir "latency_breakdown.cffs.read.p95_s" = Benchdiff.Lower_better);
-  check Alcotest.bool "component totals are info" true
-    (dir "latency_breakdown.cffs.read.seek_s" = Benchdiff.Info);
-  check Alcotest.bool "counts are info" true
-    (dir "configs.C-FFS.counters.blockdev.reads" = Benchdiff.Info);
-  check Alcotest.bool "time-series samples are info" true
-    (dir "timeseries.configs.0.points.3.values.cffs.op.read_s.sum_s"
-    = Benchdiff.Info);
-  check Alcotest.bool "population-shape stats are info" true
-    (dir "configs.C-FFS.ops.cffs.op.lookup_s.mean_s" = Benchdiff.Info);
-  check Alcotest.bool "histogram totals stay lower-better" true
-    (dir "configs.C-FFS.ops.cffs.op.lookup_s.sum_s" = Benchdiff.Lower_better)
+let changed_paths a b =
+  List.map (fun c -> c.Benchdiff.path) (Benchdiff.diff a b).Benchdiff.changes
 
-let test_benchdiff_regressions () =
-  let a = doc_of [ ("read", 100.0, 2.0); ("create", 50.0, 4.0) ] in
-  (* read throughput -40% (beyond 15%), create seconds +50% (beyond 25%). *)
-  let b = doc_of [ ("read", 60.0, 2.0); ("create", 50.0, 6.0) ] in
-  let r = Benchdiff.diff a b in
-  check Alcotest.bool "dirty" false (Benchdiff.clean r);
-  check Alcotest.int "two regressions" 2 (List.length r.Benchdiff.regressions);
-  let paths = List.map (fun m -> m.Benchdiff.path) r.Benchdiff.regressions in
-  check Alcotest.bool "throughput drop flagged" true
-    (List.mem "configs.C-FFS.phases.read.files_per_sec" paths);
-  check Alcotest.bool "latency rise flagged" true
-    (List.mem "configs.C-FFS.phases.create.seconds" paths);
-  (* Improvements and small moves pass. *)
-  let c = doc_of [ ("read", 140.0, 1.0); ("create", 45.0, 4.5) ] in
-  check Alcotest.bool "improvement is clean" true
-    (Benchdiff.clean (Benchdiff.diff a c))
+let base = doc_of [ ("read", 100.0, 2.0); ("create", 50.0, 4.0) ]
 
-let test_benchdiff_schema_drift () =
-  let a = doc_of [ ("read", 100.0, 2.0) ] in
+let test_benchdiff_number () =
+  let b = doc_of [ ("read", 100.0, 2.0); ("create", 45.0, 4.0) ] in
+  check (Alcotest.list Alcotest.string) "-10% fails"
+    [ "configs.C-FFS.phases.create.files_per_sec" ] (changed_paths base b);
+  check Alcotest.bool "dirty" false (Benchdiff.clean (Benchdiff.diff base b));
+  check Alcotest.bool "self-diff is clean" true
+    (Benchdiff.clean (Benchdiff.diff base base))
+
+let test_benchdiff_string () =
+  let layout v = Json.Obj [ ("layout", Json.String v); ("flag", Json.Bool true) ] in
+  check (Alcotest.list Alcotest.string) "a changed string leaf fails" [ "layout" ]
+    (changed_paths (layout "single") (layout "striped"))
+
+let test_benchdiff_timeseries () =
+  let ts v =
+    Json.Obj
+      [
+        ( "timeseries",
+          Json.Obj
+            [
+              ( "points",
+                Json.List
+                  [ Json.Obj [ ("t", Json.Float 0.5); ("v", Json.Int 3) ];
+                    Json.Obj [ ("t", Json.Float 1.0); ("v", Json.Int v) ] ] );
+            ] );
+      ]
+  in
+  check (Alcotest.list Alcotest.string) "a moved sample fails"
+    [ "timeseries.points.1.v" ] (changed_paths (ts 4) (ts 5))
+
+let test_benchdiff_one_side () =
   let b =
-    match doc_of [ ("read", 100.0, 2.0) ] with
-    | Json.Obj fields ->
-        Json.Obj (fields @ [ ("new_section", Json.Obj [ ("x", Json.Int 1) ]) ])
+    match base with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("new_section", Json.Obj [ ("x", Json.Int 1) ]) ])
     | j -> j
   in
-  let r = Benchdiff.diff a b in
-  check Alcotest.bool "drift is clean" true (Benchdiff.clean r);
-  check Alcotest.bool "drift reported" true
-    (List.mem "new_section.x" r.Benchdiff.only_b);
-  (* The committed-baseline gate itself: PR4's document vs itself. *)
-  check Alcotest.bool "self-diff has no only-paths" true
-    (let s = Benchdiff.diff a a in
-     s.Benchdiff.only_a = [] && s.Benchdiff.only_b = [])
+  check (Alcotest.list Alcotest.string) "path only in the candidate"
+    [ "new_section.x" ] (changed_paths base b);
+  check (Alcotest.list Alcotest.string) "path only in the baseline"
+    [ "new_section.x" ] (changed_paths b base)
+
+let test_benchdiff_keyed_reorder () =
+  let b = doc_of [ ("create", 50.0, 4.0); ("read", 100.0, 2.0) ] in
+  check (Alcotest.list Alcotest.string) "reordered keyed array is clean" []
+    (changed_paths base b)
+
+let test_benchdiff_duplicates () =
+  let dup = doc_of [ ("read", 100.0, 2.0); ("read", 90.0, 2.0) ] in
+  check Alcotest.bool "duplicate keys rejected" true
+    (match Benchdiff.diff base dup with
+    | _ -> false
+    | exception Benchdiff.Duplicate_path p ->
+        String.starts_with ~prefix:"configs.C-FFS.phases.read." p)
 
 let () =
   Alcotest.run "observability"
@@ -400,8 +405,11 @@ let () =
         [ Alcotest.test_case "polling" `Quick test_sampler_polling ] );
       ( "benchdiff",
         [
-          Alcotest.test_case "classify" `Quick test_benchdiff_classify;
-          Alcotest.test_case "regressions" `Quick test_benchdiff_regressions;
-          Alcotest.test_case "schema drift" `Quick test_benchdiff_schema_drift;
+          Alcotest.test_case "numeric leaf" `Quick test_benchdiff_number;
+          Alcotest.test_case "string leaf" `Quick test_benchdiff_string;
+          Alcotest.test_case "timeseries sample" `Quick test_benchdiff_timeseries;
+          Alcotest.test_case "one-sided path" `Quick test_benchdiff_one_side;
+          Alcotest.test_case "keyed reorder" `Quick test_benchdiff_keyed_reorder;
+          Alcotest.test_case "duplicate keys" `Quick test_benchdiff_duplicates;
         ] );
     ]
