@@ -180,105 +180,7 @@ let run_bechamel () =
 
 let () =
   if json_flag then begin
-    let doc = Cffs_harness.Telemetry.document () in
-    (* Smoke-level contract: the self-healing counters are part of
-       cffs-telemetry-v2 and must be present (zeros included) in every
-       document, integrity-formatted volume or not. *)
-    let integrity_ok =
-      match doc with
-      | Cffs_obs.Json.Obj fields -> (
-          match List.assoc_opt "integrity" fields with
-          | Some (Cffs_obs.Json.Obj section) ->
-              List.for_all
-                (fun k -> List.mem_assoc k section)
-                [
-                  "integrity.checksum_failures";
-                  "integrity.remaps";
-                  "integrity.degraded_reads";
-                  "scrub.blocks_verified";
-                ]
-          | _ -> false)
-      | _ -> false
-    in
-    if not integrity_ok then begin
-      prerr_endline
-        "telemetry document is missing the integrity counter section";
-      exit 1
-    end;
-    (* Same contract for the dentry/attribute cache section. *)
-    let namei_ok =
-      match doc with
-      | Cffs_obs.Json.Obj fields -> (
-          match List.assoc_opt "namei" fields with
-          | Some (Cffs_obs.Json.Obj section) ->
-              List.for_all
-                (fun k -> List.mem_assoc k section)
-                Cffs_harness.Telemetry.namei_counter_names
-          | _ -> false)
-      | _ -> false
-    in
-    if not namei_ok then begin
-      prerr_endline "telemetry document is missing the namei counter section";
-      exit 1
-    end;
-    (* v2 sections: the layout introspector's grouping evidence, the per-op
-       latency attribution, and the sampled time series. *)
-    let v2_ok =
-      match doc with
-      | Cffs_obs.Json.Obj fields ->
-          List.for_all
-            (fun k ->
-              match List.assoc_opt k fields with
-              | Some (Cffs_obs.Json.Obj _) -> true
-              | _ -> false)
-            [ "grouping"; "latency_breakdown"; "timeseries" ]
-      | _ -> false
-    in
-    if not v2_ok then begin
-      prerr_endline
-        "telemetry document is missing a v2 section (grouping, \
-         latency_breakdown, timeseries)";
-      exit 1
-    end;
-    (* The multi-volume section: the A9 spindle-scaling sweep with
-       per-spindle counters must always be present, and every
-       multi-spindle point must actually carry its per-spindle
-       breakdown. *)
-    let volume_ok =
-      match doc with
-      | Cffs_obs.Json.Obj fields -> (
-          match List.assoc_opt "volume" fields with
-          | Some (Cffs_obs.Json.Obj section) -> (
-              List.mem_assoc "small_read_speedup" section
-              &&
-              match List.assoc_opt "points" section with
-              | Some (Cffs_obs.Json.List points) ->
-                  points <> []
-                  && List.for_all
-                       (fun p ->
-                         match p with
-                         | Cffs_obs.Json.Obj pf -> (
-                             match
-                               ( List.assoc_opt "drives" pf,
-                                 List.assoc_opt "spindles" pf )
-                             with
-                             | ( Some (Cffs_obs.Json.Int d),
-                                 Some (Cffs_obs.Json.List sp) ) ->
-                                 if d > 1 then List.length sp = d else sp = []
-                             | _ -> false)
-                         | _ -> false)
-                       points
-              | _ -> false)
-          | _ -> false)
-      | _ -> false
-    in
-    if not volume_ok then begin
-      prerr_endline
-        "telemetry document is missing the volume section (A9 scaling \
-         points with per-spindle counters)";
-      exit 1
-    end;
-    print_endline (Cffs_obs.Json.to_string_pretty doc)
+    print_endline (Cffs_obs.Json.to_string_pretty (Cffs_harness.Telemetry.document ()))
   end
   else begin
     if not bechamel_only then print_paper_tables ();

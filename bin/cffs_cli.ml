@@ -773,11 +773,6 @@ let regroup_cmd =
 (* ------------------------------------------------------------------ *)
 (* Experiments *)
 
-let experiment_names =
-  [ "table1"; "fig2"; "table2"; "fig4"; "fig6"; "fig7"; "fig8"; "fig8decay"; "table3";
-    "softupdates"; "dirsize"; "large"; "breakdown"; "sched"; "groupsize"; "readahead";
-    "concurrency"; "namei"; "journal"; "regroup"; "dirindex"; "volume"; "all" ]
-
 let experiment_cmd =
   let run name quick seed =
     let scale = if quick then Experiments.quick else Experiments.full in
@@ -786,45 +781,16 @@ let experiment_cmd =
       | Some s -> { scale with Experiments.aging_seed = s }
       | None -> scale
     in
-    let p t = Cffs_util.Tablefmt.print t; print_newline () in
-    (match name with
-    | "table1" -> p (Experiments.table1_drives ())
-    | "fig2" -> p (Experiments.fig2_access_time scale)
-    | "table2" -> p (Experiments.table2_setup_drive ())
-    | "fig4" ->
-        let a, b = Experiments.smallfile scale Cffs_cache.Cache.Sync_metadata in
-        p a; p b
-    | "fig6" ->
-        let a, b = Experiments.smallfile scale Cffs_cache.Cache.Delayed in
-        p a; p b
-    | "softupdates" ->
-        let a, b = Experiments.smallfile scale Cffs_cache.Cache.Soft_updates in
-        p a; p b
-    | "fig7" -> p (Experiments.fig7_size_sweep scale)
-    | "fig8" -> p (Experiments.fig8_aging scale)
-    | "fig8decay" -> p (Experiments.fig8_decay scale)
-    | "table3" -> p (Experiments.table3_apps scale)
-    | "dirsize" -> p (Experiments.table_dirsize ())
-    | "large" -> p (Experiments.table_large scale)
-    | "breakdown" -> p (Experiments.table_breakdown scale)
-    | "sched" -> p (Experiments.ablation_scheduler scale)
-    | "groupsize" -> p (Experiments.ablation_group_size scale)
-    | "readahead" -> p (Experiments.ablation_readahead scale)
-    | "concurrency" -> p (Experiments.ablation_concurrency scale)
-    | "namei" -> p (Experiments.ablation_namei scale)
-    | "journal" -> p (Experiments.ablation_journal scale)
-    | "regroup" -> p (Experiments.ablation_regroup scale)
-    | "dirindex" -> p (Experiments.ablation_dirindex scale)
-    | "volume" -> p (Experiments.ablation_volume scale)
-    | "all" -> Experiments.run_all scale
-    | other ->
-        Printf.eprintf "unknown experiment %S; one of: %s\n" other
-          (String.concat ", " experiment_names));
+    (match List.assoc_opt name Experiments.experiments with
+    | Some tables -> Experiments.print_tables (tables scale)
+    | None -> Experiments.run_all scale);
     0
   in
   let which =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT"
-           ~doc:"Which table/figure to regenerate.")
+    let names = List.map fst Experiments.experiments @ [ "all" ] in
+    let choices = List.map (fun n -> (n, n)) names in
+    Arg.(value & pos 0 (enum choices) "all" & info [] ~docv:"EXPERIMENT"
+           ~doc:("Which table/figure to regenerate: " ^ doc_alts_enum choices ^ "."))
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Small, fast variant.") in
   let seed =
@@ -891,43 +857,41 @@ let stats_cmd =
           --drives widens the A9 multi-spindle sweep in the volume section.")
     Term.(const run $ json $ nfiles $ policy $ volume_arg)
 
+(* [--config none|full] on trace and mcbench: the C-FFS configuration
+   without either technique or with both (EI+EG). *)
+let config_arg default =
+  let configs = [ ("none", Cffs.config_ffs_like); ("full", Cffs.config_default) ] in
+  Arg.(value & opt (enum configs) (List.assoc default configs)
+       & info [ "config" ] ~docv:"CONFIG"
+           ~doc:("File-system configuration: " ^ doc_alts_enum configs
+                 ^ " (none: no techniques; full: EI+EG)."))
+
 (* ------------------------------------------------------------------ *)
 (* trace: span capture on the simulated testbed *)
 
 let trace_cmd =
   let module Otrace = Cffs_obs.Trace in
-  let run json cap ops seed config_str =
-    let config =
-      match String.lowercase_ascii config_str with
-      | "none" -> Some Cffs.config_ffs_like
-      | "full" -> Some Cffs.config_default
-      | _ -> None
+  let run json cap ops seed config =
+    let trace = Trace.synthesize ~ops ~seed () in
+    let inst =
+      Cffs_harness.Setup.instantiate
+        (Cffs_harness.Setup.standard (Cffs_harness.Setup.Cffs_fs config))
     in
-    match config with
-    | None ->
-        Printf.eprintf "unknown config %S; one of: none, full\n" config_str;
-        1
-    | Some config ->
-        let trace = Trace.synthesize ~ops ~seed () in
-        let inst =
-          Cffs_harness.Setup.instantiate
-            (Cffs_harness.Setup.standard (Cffs_harness.Setup.Cffs_fs config))
-        in
-        Otrace.set_capacity cap;
-        Otrace.set_enabled true;
-        let o = Trace.replay inst.Cffs_harness.Setup.env trace in
-        Otrace.set_enabled false;
-        let events = Otrace.events () in
-        if json then print_string (Otrace.to_json_lines ())
-        else begin
-          Printf.printf
-            "replayed %d operations in %.3f s simulated; ring holds %d/%d \
-             spans\n\n"
-            (List.length trace) o.Trace.measure.Cffs_workload.Env.seconds
-            (List.length events) (Otrace.capacity ());
-          List.iter (fun e -> Format.printf "%a@." Otrace.pp_event e) events
-        end;
-        0
+    Otrace.set_capacity cap;
+    Otrace.set_enabled true;
+    let o = Trace.replay inst.Cffs_harness.Setup.env trace in
+    Otrace.set_enabled false;
+    let events = Otrace.events () in
+    if json then print_string (Otrace.to_json_lines ())
+    else begin
+      Printf.printf
+        "replayed %d operations in %.3f s simulated; ring holds %d/%d \
+         spans\n\n"
+        (List.length trace) o.Trace.measure.Cffs_workload.Env.seconds
+        (List.length events) (Otrace.capacity ());
+      List.iter (fun e -> Format.printf "%a@." Otrace.pp_event e) events
+    end;
+    0
   in
   let json =
     Arg.(value & flag
@@ -943,11 +907,6 @@ let trace_cmd =
          & info [ "ops" ] ~docv:"N" ~doc:"Synthetic operations to run.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let config =
-    Arg.(value & opt string "full"
-         & info [ "config" ] ~docv:"CONFIG"
-             ~doc:"File-system configuration: none or full (EI+EG).")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -955,7 +914,7 @@ let trace_cmd =
           enabled and dump the trace ring: every VFS operation and drive \
           request with simulated start/end times and per-span device-counter \
           deltas (seek/rotation/transfer/overhead/cache-hit).")
-    Term.(const run $ json $ cap $ ops $ seed $ config)
+    Term.(const run $ json $ cap $ ops $ seed $ config_arg "full")
 
 (* ------------------------------------------------------------------ *)
 (* benchdiff: the exact gate over two telemetry documents *)
@@ -1147,23 +1106,14 @@ let mcbench_cmd =
   let module Mclient = Cffs_workload.Mclient in
   let module Scheduler = Cffs_disk.Scheduler in
   let run json qdepth sched_str streams files file_bytes large_mb no_coalesce
-      config_str policy seed (drives, vol_layout) =
+      config policy seed (drives, vol_layout) =
     let sched = Scheduler.policy_of_string sched_str in
-    let config =
-      match String.lowercase_ascii config_str with
-      | "none" -> Some Cffs.config_ffs_like
-      | "full" -> Some Cffs.config_default
-      | _ -> None
-    in
-    match (sched, config) with
-    | None, _ ->
+    match sched with
+    | None ->
         Printf.eprintf "unknown scheduler %S; one of: fcfs, clook, sstf\n"
           sched_str;
         1
-    | _, None ->
-        Printf.eprintf "unknown config %S; one of: none, full\n" config_str;
-        1
-    | Some sched, Some config ->
+    | Some sched ->
         let params =
           {
             Mclient.default_params with
@@ -1288,13 +1238,6 @@ let mcbench_cmd =
          & info [ "no-coalesce" ]
              ~doc:"Disable coalescing of adjacent queued requests.")
   in
-  let config =
-    Arg.(value & opt string "none"
-         & info [ "config" ] ~docv:"CONFIG"
-             ~doc:
-               "File-system configuration: none (no techniques) or full \
-                (EI+EG).")
-  in
   let seed =
     Arg.(value & opt int Mclient.default_params.Mclient.prng_seed
          & info [ "seed" ] ~docv:"SEED"
@@ -1311,7 +1254,7 @@ let mcbench_cmd =
           tagged queues; the A9 scaling experiment).")
     Term.(
       const run $ json $ qdepth $ sched $ streams $ files $ file_bytes
-      $ large_mb $ no_coalesce $ config $ policy_opt_arg $ seed $ volume_arg)
+      $ large_mb $ no_coalesce $ config_arg "none" $ policy_opt_arg $ seed $ volume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Crash consistency *)

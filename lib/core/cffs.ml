@@ -6,11 +6,12 @@ module Readahead = Cffs_cache.Readahead
 module Blockdev = Cffs_blockdev.Blockdev
 module Integrity = Cffs_blockdev.Integrity
 module Codec = Cffs_util.Codec
-module Bitview = Cffs_util.Bitview
+module Alloc = Cffs_vfs.Alloc
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
 module Bmap = Cffs_vfs.Bmap
+module Filedata = Cffs_vfs.Filedata
 module Dirent = Ffs.Dirent
 open Errno
 
@@ -52,6 +53,7 @@ type t = {
   parents : (int, int) Hashtbl.t;
       (** ino -> containing-directory ino; in-memory only (the vnode-layer
           parent pointer), repopulated by lookups after a remount *)
+  blocks : Alloc.map;  (** the cylinder groups' block bitmaps *)
   mutable frame_drought : bool;
       (** a whole-device scan found no free frame; reset on any block free *)
   replica_dirty : (int, unit) Hashtbl.t;
@@ -121,8 +123,10 @@ let m_idx_inserts = Obs.counter "dirindex.indexed_inserts"
 (* ------------------------------------------------------------------ *)
 (* Cylinder-group headers: free count + block bitmap. *)
 
-let hdr_free_blocks = Csb.hdr_free_blocks_off
-let hdr_bbm = Csb.hdr_block_bitmap_off
+let block_map (sb : Csb.t) =
+  Alloc.map ~bitmap:Csb.hdr_block_bitmap_off ~free:Csb.hdr_free_blocks_off
+    ~origin:(Csb.cg_start sb 0) ~per_group:sb.Csb.cg_size ~groups:sb.Csb.cg_count
+    ~first:(Csb.cg_data_start sb 0 - Csb.cg_start sb 0)
 
 let header_block t cg = Csb.cg_start t.sb cg
 
@@ -157,57 +161,23 @@ let write_sb_block t ~kind b =
   Hashtbl.replace t.replica_dirty 0 ();
   Cache.write t.cache ~kind 0 b
 
-let cg_free_blocks t cg = Codec.get_u32 (read_header t cg) hdr_free_blocks
+let cg_free_blocks t cg = Alloc.free_count t.blocks (read_header t cg)
+
+module Groups = Alloc.Make (struct
+  type nonrec t = t
+
+  let read = read_header
+  let write = write_header
+end)
 
 (* Claim a specific known-free block. *)
-let claim_block t blk =
-  let cg = Csb.cg_of_block t.sb blk in
-  let rel = blk - Csb.cg_start t.sb cg in
-  let b = read_header t cg in
-  assert (not (Bitview.get b hdr_bbm rel));
-  Bitview.set b hdr_bbm rel;
-  Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
-  write_header t cg b
+let claim_block t blk = Groups.claim t t.blocks blk
 
 (* FFS-style single-block allocation: the given group first, near [hint]. *)
-let alloc_near t ~cg ~hint =
-  let sb = t.sb in
-  let try_cg cg hint_rel =
-    let b = read_header t cg in
-    if Codec.get_u32 b hdr_free_blocks = 0 then None
-    else begin
-      match Bitview.find_clear b hdr_bbm ~len:sb.Csb.cg_size ~hint:(max 1 hint_rel) with
-      | None | Some 0 -> None
-      | Some rel ->
-          Bitview.set b hdr_bbm rel;
-          Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
-          write_header t cg b;
-          Some (Csb.cg_start sb cg + rel)
-    end
-  in
-  let hint_rel =
-    if hint > 0 && Csb.cg_of_block sb hint = cg then hint - Csb.cg_start sb cg else 1
-  in
-  let rec probe i =
-    if i >= sb.Csb.cg_count then None
-    else begin
-      let g = (cg + i) mod sb.Csb.cg_count in
-      let h = if i = 0 then hint_rel else 1 in
-      match try_cg g h with Some _ as r -> r | None -> probe (i + 1)
-    end
-  in
-  probe 0
+let alloc_near t ~cg ~hint = Groups.take_near t t.blocks ~cg ~hint
 
 let free_block t blk =
-  let sb = t.sb in
-  let cg = Csb.cg_of_block sb blk in
-  let rel = blk - Csb.cg_start sb cg in
-  let b = read_header t cg in
-  if Bitview.get b hdr_bbm rel then begin
-    Bitview.clear b hdr_bbm rel;
-    Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks + 1);
-    write_header t cg b
-  end;
+  Groups.release t t.blocks blk;
   t.frame_drought <- false;
   Cache.invalidate t.cache blk
 
@@ -248,13 +218,12 @@ let clusterer_of_sb (sb : Csb.t) ~prev ~next =
   | _ -> false
 
 let frame_free_block t frame =
-  let sb = t.sb in
-  let cg = Csb.cg_of_block sb frame in
+  let cg = Alloc.group t.blocks frame in
   let b = read_header t cg in
-  let base_rel = frame - Csb.cg_start sb cg in
+  let base_rel = frame - Alloc.start t.blocks cg in
   let rec scan i =
-    if i >= sb.Csb.group_blocks then None
-    else if Bitview.get b hdr_bbm (base_rel + i) then scan (i + 1)
+    if i >= t.sb.Csb.group_blocks then None
+    else if Alloc.mem t.blocks b (base_rel + i) then scan (i + 1)
     else Some (frame + i)
   in
   scan 0
@@ -267,16 +236,16 @@ let alloc_frame t ~cg =
     let gb = sb.Csb.group_blocks in
     let try_cg g =
       let b = read_header t g in
-      if Codec.get_u32 b hdr_free_blocks < gb then None
+      if Alloc.free_count t.blocks b < gb then None
       else begin
-        let data0_rel = 1 in
+        let data0_rel = Csb.cg_data_start sb g - Csb.cg_start sb g in
         let nframes = (sb.Csb.cg_size - data0_rel) / gb in
         let rec scan k =
           if k >= nframes then None
           else begin
             let base = data0_rel + (k * gb) in
             let rec all_free i =
-              i >= gb || ((not (Bitview.get b hdr_bbm (base + i))) && all_free (i + 1))
+              i >= gb || ((not (Alloc.mem t.blocks b (base + i))) && all_free (i + 1))
             in
             if all_free 0 then Some (Csb.cg_start sb g + base) else scan (k + 1)
           end
@@ -284,18 +253,9 @@ let alloc_frame t ~cg =
         scan 0
       end
     in
-    let rec probe i =
-      if i >= sb.Csb.cg_count then begin
-        t.frame_drought <- true;
-        None
-      end
-      else begin
-        match try_cg ((cg + i) mod sb.Csb.cg_count) with
-        | Some _ as r -> r
-        | None -> probe (i + 1)
-      end
-    in
-    probe 0
+    let found = Alloc.probe t.blocks ~cg try_cg in
+    if Option.is_none found then t.frame_drought <- true;
+    found
   end
 
 (* ------------------------------------------------------------------ *)
@@ -567,67 +527,6 @@ let fault_in t ~ino inode lblk p =
       if Cache.read_group t.cache frame t.sb.Csb.group_blocks then Obs.incr m_group_reads
   | None -> readahead t ~ino inode lblk p
 
-(* Read a file's logical block as the cache's buffer ([None] for a
-   hole). *)
-let file_block_read t ~ino inode lblk =
-  match Cache.find_logical t.cache ~ino ~lblk with
-  | Some b ->
-      Readahead.note t.ra ~ino ~lblk;
-      Ok (Some b)
-  | None -> begin
-      match Bmap.read t.cache inode lblk with
-      | Error _ as e -> e
-      | Ok None -> Ok None
-      | Ok (Some p) ->
-          fault_in t ~ino inode lblk p;
-          let b = Cache.read t.cache p in
-          Cache.set_logical t.cache p ~ino ~lblk;
-          Readahead.note t.ra ~ino ~lblk;
-          Ok (Some b)
-    end
-
-(* [file_block_read] for a reader that only copies bytes out: [n] bytes
-   of the block from [boff] land in [out] at [pos], and the cache makes
-   no private copy of the block.  [Ok false] for a hole. *)
-let file_block_copy t ~ino inode lblk ~boff out ~pos ~n =
-  if Cache.find_logical_into t.cache ~ino ~lblk ~src_off:boff out ~dst_off:pos ~len:n
-  then begin
-    Readahead.note t.ra ~ino ~lblk;
-    Ok true
-  end
-  else
-    match Bmap.read t.cache inode lblk with
-    | Error _ as e -> e
-    | Ok None -> Ok false
-    | Ok (Some p) ->
-        fault_in t ~ino inode lblk p;
-        Cache.read_into t.cache p ~src_off:boff out ~dst_off:pos ~len:n;
-        Cache.set_logical t.cache p ~ino ~lblk;
-        Readahead.note t.ra ~ino ~lblk;
-        Ok true
-
-let read_ino t ~ino ~off ~len =
-  let* inode = read_inode t ino in
-  if off < 0 || len < 0 then Error Einval
-  else begin
-    let len = max 0 (min len (inode.Inode.size - off)) in
-    let out = Bytes.create len in
-    let bsz = bs t in
-    let rec loop pos =
-      if pos >= len then Ok out
-      else begin
-        let fo = off + pos in
-        let lblk = fo / bsz in
-        let boff = fo mod bsz in
-        let n = min (bsz - boff) (len - pos) in
-        let* copied = file_block_copy t ~ino inode lblk ~boff out ~pos ~n in
-        if not copied then Bytes.fill out pos n '\000';
-        loop (pos + n)
-      end
-    in
-    loop 0
-  end
-
 (* The allocator for one of [ino]'s data blocks.  Small-file blocks go to
    the owning directory's frames when grouping is on and the parent is
    known; everything else gets FFS-style placement. *)
@@ -671,92 +570,25 @@ let data_alloc t ~ino (inode : Inode.t) lblk ~hint =
     match alloc_near t ~cg ~hint with Some b -> Ok b | None -> Error Enospc
   end
 
-let write_ino t ~ino ~off data =
-  let* inode = read_inode t ino in
-  if off < 0 then Error Einval
-  else if inode.Inode.kind = Inode.Directory then Error Eisdir
-  else begin
-    let len = Bytes.length data in
-    let bsz = bs t in
-    let old_size = inode.Inode.size in
-    let rec loop pos =
-      if pos >= len then Ok ()
-      else begin
-        let fo = off + pos in
-        let lblk = fo / bsz in
-        let boff = fo mod bsz in
-        let n = min (bsz - boff) (len - pos) in
-        let* existed = Bmap.read t.cache inode lblk in
-        let* p =
-          Bmap.alloc t.cache inode lblk ~alloc:(fun ~hint ->
-              data_alloc t ~ino inode lblk ~hint)
-        in
-        (* Read-modify-write is only needed when the write leaves some of
-           the block's previously valid bytes in place; fresh blocks and
-           whole-valid-range overwrites build the buffer from zeros.  A
-           block just allocated for a hole also starts from zeros — its
-           physical block may carry stale contents of whatever file freed
-           it, but the hole's bytes are zeros by definition. *)
-        let valid = max 0 (min bsz (old_size - (lblk * bsz))) in
-        let need_rmw = n < bsz && (boff > 0 || n < valid) && existed <> None in
-        let buf =
-          if not need_rmw then Bytes.make bsz '\000'
-          else begin
-            match Cache.find_logical t.cache ~ino ~lblk with
-            | Some b -> Bytes.copy b
-            | None -> Bytes.copy (Cache.read t.cache p)
-          end
-        in
-        Bytes.blit data pos buf boff n;
-        Cache.write t.cache ~kind:`Data p buf;
-        Cache.set_logical t.cache p ~ino ~lblk;
-        loop (pos + n)
-      end
-    in
-    let* () = loop 0 in
-    inode.Inode.size <- max inode.Inode.size (off + len);
-    inode.Inode.mtime <- mtime_now t;
-    write_inode t ino inode ~kind:`Meta_delayed
-  end
+module Data = Filedata.Make (struct
+  type nonrec t = t
+
+  let cache t = t.cache
+  let read_inode = read_inode
+  let write_inode = write_inode
+  let alloc = data_alloc
+  let free = free_block
+  let fault_in = fault_in
+  let note t ~ino lblk = Readahead.note t.ra ~ino ~lblk
+end)
+
+let read_ino = Data.read_ino
+let write_ino = Data.write_ino
+let truncate_ino = Data.truncate_ino
+let data_runs = Data.data_runs
 
 let drop_logical_range t ~ino ~nblocks =
-  for l = 0 to nblocks - 1 do
-    Cache.drop_logical t.cache ~ino ~lblk:l
-  done
-
-let free_file_blocks t ~ino (inode : Inode.t) =
-  drop_logical_range t ~ino ~nblocks:((inode.Inode.size + bs t - 1) / bs t);
-  Bmap.iter t.cache inode ~data:(fun p -> free_block t p) ~meta:(fun p -> free_block t p)
-
-let truncate_ino t ~ino ~size =
-  let* inode = read_inode t ino in
-  if size < 0 then Error Einval
-  else if inode.Inode.kind = Inode.Directory then Error Eisdir
-  else begin
-    let bsz = bs t in
-    if size < inode.Inode.size then begin
-      let keep = (size + bsz - 1) / bsz in
-      let old_nblocks = (inode.Inode.size + bsz - 1) / bsz in
-      for l = keep to old_nblocks - 1 do
-        Cache.drop_logical t.cache ~ino ~lblk:l
-      done;
-      Bmap.shrink t.cache inode ~keep_blocks:keep ~free:(free_block t);
-      (* Zero the cut tail of the last kept block so a later size extension
-         reads zeros there, as POSIX requires. *)
-      if size mod bsz <> 0 then begin
-        match Bmap.read t.cache inode (keep - 1) with
-        | Ok (Some p) ->
-            let b = Bytes.copy (Cache.read t.cache p) in
-            Codec.zero b (size mod bsz) (bsz - (size mod bsz));
-            Cache.write t.cache ~kind:`Data p b;
-            Cache.set_logical t.cache p ~ino ~lblk:(keep - 1)
-        | Ok None | Error _ -> ()
-      end
-    end;
-    inode.Inode.size <- size;
-    inode.Inode.mtime <- mtime_now t;
-    write_inode t ino inode ~kind:`Meta
-  end
+  Filedata.drop_logical t.cache ~ino ~from:0 ~until:nblocks
 
 (* ------------------------------------------------------------------ *)
 (* Directory content.  Two on-disk formats:
@@ -771,7 +603,7 @@ let dir_scan t ~dir dinode f =
   let rec loop lblk =
     if lblk >= dir_nblocks t dinode then Ok None
     else begin
-      let* data = file_block_read t ~ino:dir dinode lblk in
+      let* data = Data.block t ~ino:dir dinode lblk in
       match data with
       | None -> loop (lblk + 1)
       | Some b -> begin
@@ -1703,11 +1535,11 @@ let remove t ~dir name ~rmdir =
       let* () =
         if f.f_embedded then begin
           (* The inode died with the chunk; just release its blocks. *)
-          free_file_blocks t ~ino:f.f_ino inode;
+          Data.free_all t ~ino:f.f_ino inode;
           Ok ()
         end
         else if inode.Inode.kind = Inode.Directory || inode.Inode.nlink <= 1 then begin
-          free_file_blocks t ~ino:f.f_ino inode;
+          Data.free_all t ~ino:f.f_ino inode;
           if is_external_ino f.f_ino then begin
             (* Soft updates: the name removal before the inode free. *)
             (match ext_ino_block t f.f_ino with
@@ -1961,29 +1793,6 @@ let readdir_plus t ~dir =
          entries)
   end
 
-let data_runs t ~ino =
-  let* inode = read_inode t ino in
-  if inode.Inode.kind = Inode.Directory then Error Eisdir
-  else begin
-    let bsz = bs t in
-    let nblocks = (inode.Inode.size + bsz - 1) / bsz in
-    let rec go l acc =
-      if l >= nblocks then Ok (List.rev acc)
-      else
-        let* p = Bmap.read t.cache inode l in
-        match p with
-        | None -> go (l + 1) acc (* hole *)
-        | Some p ->
-            let acc =
-              match acc with
-              | (start, n) :: rest when start + n = p -> (start, n + 1) :: rest
-              | _ -> (p, 1) :: acc
-            in
-            go (l + 1) acc
-    in
-    go 0 []
-  end
-
 (* Refresh the on-disk replica of every slot whose primary changed since
    the last sync.  Runs before the cache flush so the subsequent
    {!Cache.flush} persists both the primaries and the updated checksum
@@ -2036,7 +1845,7 @@ let block_in_use t blk =
     if cg < 0 || cg >= t.sb.Csb.cg_count then false
     else begin
       let rel = blk - Csb.cg_start t.sb cg in
-      Bitview.get (read_header t cg) hdr_bbm rel
+      Alloc.mem t.blocks (read_header t cg) rel
     end
   end
 
@@ -2187,7 +1996,7 @@ let frame_free_count t frame =
   let base_rel = frame - Csb.cg_start sb cg in
   let n = ref 0 in
   for i = 0 to sb.Csb.group_blocks - 1 do
-    if not (Bitview.get b hdr_bbm (base_rel + i)) then incr n
+    if not (Alloc.mem t.blocks b (base_rel + i)) then incr n
   done;
   !n
 
@@ -2406,6 +2215,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
       dir_rotor = 0;
       ra = Readahead.create ~max_window:sb.Csb.readahead_blocks ();
       parents = Hashtbl.create 1024;
+      blocks = block_map sb;
       frame_drought = false;
       replica_dirty = Hashtbl.create 16;
       namei = Cffs_namei.Namei.create ~config:namei ();
@@ -2413,8 +2223,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
   in
   for cg = 0 to sb.Csb.cg_count - 1 do
     let b = Bytes.make block_size '\000' in
-    Codec.set_u32 b hdr_free_blocks (sb.Csb.cg_size - 1);
-    Bitview.set b hdr_bbm 0;
+    Alloc.format t.blocks b;
     Cache.write cache ~kind:`Meta (header_block t cg) b;
     Hashtbl.replace t.replica_dirty (1 + cg) ()
   done;
@@ -2478,6 +2287,7 @@ let mount ?policy ?(cache_blocks = 4096)
           dir_rotor = 0;
           ra = Readahead.create ~max_window:sb.Csb.readahead_blocks ();
           parents = Hashtbl.create 1024;
+          blocks = block_map sb;
           frame_drought = false;
           replica_dirty = Hashtbl.create 16;
           namei = Cffs_namei.Namei.create ~config:namei ();
@@ -2487,9 +2297,12 @@ let mount ?policy ?(cache_blocks = 4096)
       Some t
 
 (* ------------------------------------------------------------------ *)
-(* Path-level interface. *)
+(* Path-level interface: the shared stack (lib/namei/stack.ml) over the
+   operations above.  [Vfs] is bound to a name, not only included, so its
+   module block stays live: the benchmark's peak-heap figure on
+   mclient_striped moves with that much startup data (ROADMAP). *)
 
-module Low = Cffs_vfs.Obs_low.Make (struct
+module Vfs = Cffs_namei.Stack.Make (struct
   type nonrec t = t
 
   let label = label
@@ -2511,65 +2324,7 @@ module Low = Cffs_vfs.Obs_low.Make (struct
   let usage = usage
   let device t = Cache.device t.cache
   let prefix = "cffs"
-end)
-
-(* The namei layer interposes between the instrumented LOW and the path
-   API: lookups and stats are served from the per-mount dentry/attribute
-   caches, mutations invalidate them (see lib/namei).  The obs spans
-   therefore time only real file-system work — a dentry hit never touches
-   [Low]. *)
-module Cached = Cffs_namei.Namei.Make (struct
-  include Low
-
   let namei = namei
 end)
 
-(* Re-export the cached, instrumented entry points so direct callers
-   (workloads, fsck, tests) see exactly what path-level access sees —
-   anything else would let a direct mutation leave a stale cache entry
-   behind. *)
-let lookup = Cached.lookup
-let mknod = Cached.mknod
-let remove = Cached.remove
-let hardlink = Cached.hardlink
-let rename = Cached.rename
-let readdir = Cached.readdir
-let readdir_plus = Cached.readdir_plus
-let stat_ino = Cached.stat_ino
-let read_ino = Cached.read_ino
-let write_ino = Cached.write_ino
-let truncate_ino = Cached.truncate_ino
-let remount = Cached.remount
-
-(* Path resolution goes through the full-path shortcut cache: a warm
-   repeated path skips the component walk entirely, and a shortcut miss
-   still walks through [Cached], so it benefits from (and warms) the
-   dentry cache. *)
-module Pathops =
-  Cffs_vfs.Pathfs.MakeWith
-    (Cached)
-    (Cffs_namei.Namei.Resolver (struct
-      include Cached
-
-      let namei = namei
-    end))
-
-let resolve = Pathops.resolve
-let create = Pathops.create
-let mkdir = Pathops.mkdir
-let mkdir_p = Pathops.mkdir_p
-let unlink = Pathops.unlink
-let rmdir = Pathops.rmdir
-let link = Pathops.link
-let rename_path = Pathops.rename_path
-let stat = Pathops.stat
-let exists = Pathops.exists
-let read = Pathops.read
-let write = Pathops.write
-let truncate = Pathops.truncate
-let file_runs = Pathops.file_runs
-let read_file = Pathops.read_file
-let write_file = Pathops.write_file
-let append_file = Pathops.append_file
-let list_dir = Pathops.list_dir
-let list_dir_plus = Pathops.list_dir_plus
+include Vfs

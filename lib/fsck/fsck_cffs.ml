@@ -333,14 +333,11 @@ let rebuild_metadata t =
   for cg = 0 to sb.Csb.cg_count - 1 do
     let hdr = Cache.read cache (Csb.cg_start sb cg) in
     Codec.zero hdr Csb.hdr_block_bitmap_off ((sb.Csb.cg_size + 7) / 8);
-    let set i =
-      let base = Csb.hdr_block_bitmap_off in
-      Codec.set_u8 hdr (base + (i lsr 3)) (Codec.get_u8 hdr (base + (i lsr 3)) lor (1 lsl (i land 7)))
-    in
     let free = ref 0 in
     for rel = 0 to sb.Csb.cg_size - 1 do
       let blk = Csb.cg_start sb cg + rel in
-      if rel = 0 || Hashtbl.mem survey.used blk then set rel else incr free
+      if rel = 0 || Hashtbl.mem survey.used blk then Bitview.set hdr Csb.hdr_block_bitmap_off rel
+      else incr free
     done;
     Codec.set_u32 hdr Csb.hdr_free_blocks_off !free;
     Cache.write cache ~kind:`Meta (Csb.cg_start sb cg) hdr

@@ -282,18 +282,15 @@ let rebuild_metadata t =
     let free_inodes = ref 0 and free_blocks = ref 0 in
     Codec.zero hdr ibm_off ((sb.Layout.inodes_per_cg + 7) / 8);
     Codec.zero hdr bbm_off ((sb.Layout.cg_size + 7) / 8);
-    let set base i =
-      Codec.set_u8 hdr (base + (i lsr 3)) (Codec.get_u8 hdr (base + (i lsr 3)) lor (1 lsl (i land 7)))
-    in
     for idx = 0 to sb.Layout.inodes_per_cg - 1 do
       let ino = (cg * sb.Layout.inodes_per_cg) + idx in
-      if ino < 2 || Hashtbl.mem survey.refs ino then set ibm_off idx
+      if ino < 2 || Hashtbl.mem survey.refs ino then Bitview.set hdr ibm_off idx
       else incr free_inodes
     done;
     for rel = 0 to sb.Layout.cg_size - 1 do
       let blk = Layout.cg_start sb cg + rel in
       if rel <= sb.Layout.itable_blocks || Hashtbl.mem survey.used blk then
-        set bbm_off rel
+        Bitview.set hdr bbm_off rel
       else incr free_blocks
     done;
     Codec.set_u32 hdr Layout.hdr_free_blocks_off !free_blocks;

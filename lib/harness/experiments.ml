@@ -1451,39 +1451,41 @@ let ablation_dirindex scale =
 
 (* ------------------------------------------------------------------ *)
 
-let run_all scale =
-  let p t =
-    Tablefmt.print t;
-    print_newline ()
+let experiments =
+  let one f scale = [ f scale ] in
+  let smallfile_tables policy scale =
+    let tput, reqs = smallfile scale policy in
+    [ tput; reqs ]
   in
-  p (table1_drives ());
-  p (fig2_access_time scale);
-  p (table2_setup_drive ());
-  let tput, reqs = smallfile scale Cache.Sync_metadata in
-  p tput;
-  p reqs;
-  let tput, reqs = smallfile scale Cache.Delayed in
-  p tput;
-  p reqs;
-  let tput, reqs = smallfile scale Cache.Soft_updates in
-  p tput;
-  p reqs;
-  let tput, reqs = smallfile scale Cache.Journaled in
-  p tput;
-  p reqs;
-  p (fig7_size_sweep scale);
-  p (fig8_aging scale);
-  p (fig8_decay scale);
-  p (table3_apps scale);
-  p (table_dirsize ());
-  p (table_large scale);
-  p (table_breakdown scale);
-  p (ablation_scheduler scale);
-  p (ablation_group_size scale);
-  p (ablation_readahead scale);
-  p (ablation_concurrency scale);
-  p (ablation_volume scale);
-  p (ablation_namei scale);
-  p (ablation_journal scale);
-  p (ablation_regroup scale);
-  p (ablation_dirindex scale)
+  [
+    ("table1", fun _ -> [ table1_drives () ]);
+    ("fig2", one fig2_access_time);
+    ("table2", fun _ -> [ table2_setup_drive () ]);
+    ("fig4", smallfile_tables Cache.Sync_metadata);
+    ("fig6", smallfile_tables Cache.Delayed);
+    ("softupdates", smallfile_tables Cache.Soft_updates);
+    ("journaled", smallfile_tables Cache.Journaled);
+    ("fig7", one fig7_size_sweep);
+    ("fig8", one fig8_aging);
+    ("fig8decay", one fig8_decay);
+    ("table3", one table3_apps);
+    ("dirsize", fun _ -> [ table_dirsize () ]);
+    ("large", one table_large);
+    ("breakdown", one table_breakdown);
+    ("sched", one ablation_scheduler);
+    ("groupsize", one ablation_group_size);
+    ("readahead", one ablation_readahead);
+    ("concurrency", one ablation_concurrency);
+    ("volume", one ablation_volume);
+    ("namei", one ablation_namei);
+    ("journal", one ablation_journal);
+    ("regroup", one ablation_regroup);
+    ("dirindex", one ablation_dirindex);
+  ]
+
+let print_tables =
+  List.iter (fun t ->
+      Tablefmt.print t;
+      print_newline ())
+
+let run_all scale = List.iter (fun (_, tables) -> print_tables (tables scale)) experiments

@@ -241,5 +241,14 @@ val ablation_dirindex : scale -> Cffs_util.Tablefmt.t
     so populating is quadratic and a 10^6-entry linear populate is
     infeasible — which is itself the result. *)
 
+val experiments : (string * (scale -> Cffs_util.Tablefmt.t list)) list
+(** Every experiment under its command-line name ([cffs experiment NAME]),
+    in the order {!run_all} prints them.  The small-file benchmark appears
+    once per write policy: [fig4] (sync metadata), [fig6] (delayed),
+    [softupdates] and [journaled]. *)
+
+val print_tables : Cffs_util.Tablefmt.t list -> unit
+(** Print each table followed by a blank line. *)
+
 val run_all : scale -> unit
-(** Print every table above (E4 in both integrity modes). *)
+(** Print every experiment of {!experiments}, in order. *)

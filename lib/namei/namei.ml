@@ -179,7 +179,8 @@ let shortcut_count t = Lru.length t.shortcuts
 (* ------------------------------------------------------------------ *)
 (* The caching interposer: a LOW over a LOW.
 
-   Sits between [Pathfs.Make] and the instrumented file system.  Reads
+   Sits between [Pathfs.MakeWith] and the instrumented file system
+   ([Stack.Make] builds that stack).  Reads
    (lookup / stat_ino) are served from the caches; every namespace or
    attribute mutation invalidates before the caller can observe the new
    on-disk truth, so a cached entry never outlives what it mirrors:
@@ -210,7 +211,7 @@ module type SOURCE = sig
   (** The mount's cache state (so two instances never share entries). *)
 end
 
-module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
+module Make (F : SOURCE) : SOURCE with type t = F.t = struct
   open Errno
 
   type t = F.t
@@ -397,6 +398,7 @@ module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
     F.remount fs
 
   let usage = F.usage
+  let namei = F.namei
 end
 
 (* ------------------------------------------------------------------ *)

@@ -58,11 +58,12 @@ module type SOURCE = sig
   (** The mount's cache state (so two instances never share entries). *)
 end
 
-module Make (F : SOURCE) : Cffs_vfs.Fs_intf.LOW with type t = F.t
+module Make (F : SOURCE) : SOURCE with type t = F.t
 (** The caching interposer.  [lookup] and [stat_ino] are served from the
     caches ([namei.dentry_hits] / [namei.attr_hits] / ...); failed
     lookups insert negative entries; [readdir] and [readdir_plus] warm
-    the caches; every mutation invalidates as described above. *)
+    the caches; every mutation invalidates as described above.  The
+    result carries [F.namei] on, so {!Resolver} can walk through it. *)
 
 module Resolver (F : SOURCE) : Cffs_vfs.Pathfs.RESOLVER with type t = F.t
 (** The full-path shortcut cache, for {!Cffs_vfs.Pathfs.MakeWith}: whole

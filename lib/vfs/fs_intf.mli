@@ -1,9 +1,10 @@
 (** The file-system interfaces.
 
     {!LOW} is what a concrete file system implements (inode-level
-    operations); {!Pathfs.Make} lifts it to the path-based {!S} that
-    workloads, examples and benchmarks program against, so every workload
-    runs unchanged on FFS and on any C-FFS configuration. *)
+    operations); {!Pathfs.MakeWith}, inside the one stack lib/namei's
+    [Stack.Make] builds for every file system, lifts it to the path-based
+    {!S} that workloads, examples and benchmarks program against, so every
+    workload runs unchanged on FFS and on any C-FFS configuration. *)
 
 type stat = {
   st_ino : int;

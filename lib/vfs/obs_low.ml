@@ -15,8 +15,8 @@
     carries the device-counter deltas it caused, which is exactly the
     accounting the paper's per-operation tables are built from.
 
-    Both [Ffs.Low] and [Cffs.Low] pass through here, so every filesystem
-    this repo grows is measured the same way. *)
+    Both file systems pass through here ([Cffs_namei.Stack.Make] applies
+    it), so every file system this repo grows is measured the same way. *)
 
 module Blockdev = Cffs_blockdev.Blockdev
 module Registry = Cffs_obs.Registry

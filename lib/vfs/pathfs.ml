@@ -3,28 +3,14 @@ open Errno
 let m_resolves = Cffs_obs.Registry.counter "vfs.resolves"
 let m_components = Cffs_obs.Registry.counter "vfs.path_components"
 
-(* How [resolve] maps a split path to an inode.  The default walks one
-   component at a time; a file system can interpose a smarter resolver —
-   lib/namei's full-path shortcut cache keys on the canonical path and
-   skips the walk entirely on a hit — without this module caring how,
-   because the resolver receives the canonical key alongside the parts. *)
+(* How [resolve] maps a split path to an inode.  lib/namei's full-path
+   shortcut cache keys on the canonical path and skips the component walk
+   entirely on a hit; this module need not care how, because the resolver
+   receives the canonical key alongside the parts. *)
 module type RESOLVER = sig
   type t
 
   val resolve_rel : t -> string -> string list -> int Errno.result
-end
-
-module Default (F : Fs_intf.LOW) = struct
-  type t = F.t
-
-  let resolve_rel t _key parts =
-    let rec walk ino = function
-      | [] -> Ok ino
-      | name :: rest ->
-          let* next = F.lookup t ~dir:ino name in
-          walk next rest
-    in
-    walk (F.root t) parts
 end
 
 module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
@@ -198,5 +184,3 @@ module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> Result.ok
 end
-
-module Make (F : Fs_intf.LOW) = MakeWith (F) (Default (F))

@@ -10,15 +10,9 @@ module type RESOLVER = sig
   val resolve_rel : t -> string -> string list -> int Errno.result
 end
 
-module Default (F : Fs_intf.LOW) : RESOLVER with type t = F.t
-(** The plain component-by-component walk through [F.lookup]. *)
-
 module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) :
   Fs_intf.S with type t = F.t
 (** Path operations over [F], resolving through [R] (lib/namei's
     full-path shortcut cache interposes here).  Trailing-slash directory
     claims are still checked above the resolver, so errnos are identical
     with and without caching. *)
-
-module Make (F : Fs_intf.LOW) : Fs_intf.S with type t = F.t
-(** [MakeWith (F) (Default (F))]. *)

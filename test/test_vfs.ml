@@ -1,10 +1,11 @@
-(* Tests for the VFS layer: paths, errno, the on-disk inode codec and the
-   shared block map. *)
+(* Tests for the VFS layer: paths, errno, the on-disk inode codec, the
+   shared block map and the shared cylinder-group allocator. *)
 
 module Errno = Cffs_vfs.Errno
 module Path = Cffs_vfs.Path
 module Inode = Cffs_vfs.Inode
 module Bmap = Cffs_vfs.Bmap
+module Alloc = Cffs_vfs.Alloc
 module Cache = Cffs_cache.Cache
 module Blockdev = Cffs_blockdev.Blockdev
 
@@ -311,6 +312,80 @@ let qcheck_bmap_model =
            (fun l p acc -> acc && Bmap.read cache inode l = Ok (Some p))
            model true)
 
+(* ------------------------------------------------------------------ *)
+(* Alloc, over headers kept in an array: 3 groups of 20 numbers from 1,
+   the first 2 bits of each group its metadata. *)
+
+module Hdrs = Alloc.Make (struct
+  type t = bytes array
+
+  let read t g = t.(g)
+  let write t g b = t.(g) <- b
+end)
+
+let alloc_map = Alloc.map ~bitmap:8 ~free:0 ~origin:1 ~per_group:20 ~groups:3 ~first:2
+
+let alloc_headers () =
+  Array.init 3 (fun _ ->
+      let b = Bytes.make 64 '\000' in
+      Alloc.format alloc_map b;
+      b)
+
+let int_opt = Alcotest.(option int)
+
+let test_alloc_near () =
+  let h = alloc_headers () in
+  check Alcotest.int "free after format" 18 (Alloc.free_count alloc_map h.(1));
+  check int_opt "group 1 from its first data bit" (Some 23)
+    (Hdrs.take_near h alloc_map ~cg:1 ~hint:0);
+  check int_opt "hint inside the group" (Some 30) (Hdrs.take_near h alloc_map ~cg:1 ~hint:30);
+  check int_opt "hint in another group ignored" (Some 24)
+    (Hdrs.take_near h alloc_map ~cg:1 ~hint:5);
+  check int_opt "hint on metadata clamps to first" (Some 25)
+    (Hdrs.take_near h alloc_map ~cg:1 ~hint:21);
+  Hdrs.release h alloc_map 30;
+  Hdrs.release h alloc_map 30;
+  check Alcotest.int "double release frees once" 15 (Alloc.free_count alloc_map h.(1));
+  Hdrs.claim h alloc_map 40;
+  check Alcotest.bool "claimed" true (Alloc.mem alloc_map h.(1) 19);
+  (* Fill group 2, then ask it again: the probe wraps to group 0. *)
+  for _ = 1 to 18 do
+    ignore (Hdrs.take_near h alloc_map ~cg:2 ~hint:0)
+  done;
+  check int_opt "full group wraps" (Some 3) (Hdrs.take_near h alloc_map ~cg:2 ~hint:0)
+
+(* A damaged header whose count and a metadata bit both read free still
+   never hands that metadata block out. *)
+let test_alloc_metadata_guard () =
+  let h = alloc_headers () in
+  for _ = 1 to 18 do
+    ignore (Hdrs.take_near h alloc_map ~cg:0 ~hint:0)
+  done;
+  Cffs_util.Bitview.clear h.(0) 8 0;
+  Cffs_util.Codec.set_u32 h.(0) 0 1;
+  check int_opt "next group instead" (Some 23) (Hdrs.take_near h alloc_map ~cg:0 ~hint:0)
+
+let qcheck_alloc_exhaustion =
+  qtest ~count:100 "alloc: every data number once, then None"
+    QCheck.(list (pair (int_bound 2) (int_bound 70)))
+    (fun asks ->
+      let h = alloc_headers () in
+      let seen = Hashtbl.create 64 in
+      let fresh n =
+        let g = (n - 1) / 20 and i = (n - 1) mod 20 in
+        g < 3 && i >= 2 && not (Hashtbl.mem seen n)
+        && (Hashtbl.replace seen n (); true)
+      in
+      let asks = asks @ List.init 60 (fun i -> (i mod 3, 0)) in
+      List.for_all
+        (fun (cg, hint) ->
+          match Hdrs.take_near h alloc_map ~cg ~hint with
+          | Some n -> fresh n
+          | None -> Hashtbl.length seen = 54)
+        asks
+      && Hashtbl.length seen = 54
+      && Array.for_all (fun b -> Alloc.free_count alloc_map b = 0) h)
+
 let () =
   Alcotest.run "cffs_vfs"
     [
@@ -350,5 +425,10 @@ let () =
           Alcotest.test_case "hint contiguity" `Quick test_bmap_hint_contiguity;
           Alcotest.test_case "iter/count" `Quick test_bmap_iter_count;
           qcheck_bmap_model;
+        ] );
+      ( "alloc",
+        [ Alcotest.test_case "take near / release / claim" `Quick test_alloc_near;
+          Alcotest.test_case "metadata guard" `Quick test_alloc_metadata_guard;
+          qcheck_alloc_exhaustion;
         ] );
     ]
