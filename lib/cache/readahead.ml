@@ -10,12 +10,14 @@
    sequential stream converges to full-window transfers within a handful
    of requests. *)
 
+module Int_tbl = Cffs_util.Keys.Int_tbl
+
 type entry = { mutable last : int; mutable streak : int; mutable window : int }
 
 type t = {
   max_window : int;
   capacity : int;
-  states : (int, entry) Hashtbl.t;
+  states : entry Int_tbl.t;
 }
 
 let g_window = Cffs_obs.Registry.gauge "cache.readahead_window"
@@ -23,19 +25,19 @@ let m_resets = Cffs_obs.Registry.counter "cache.readahead_resets"
 
 let create ?(capacity = 1024) ~max_window () =
   if max_window < 0 then invalid_arg "Readahead.create: max_window";
-  { max_window; capacity; states = Hashtbl.create 64 }
+  { max_window; capacity; states = Int_tbl.create 64 }
 
 let max_window t = t.max_window
 
 let entry t ino =
-  match Hashtbl.find_opt t.states ino with
+  match Int_tbl.find_opt t.states ino with
   | Some e -> e
   | None ->
       (* Wholesale drop when full: crude, but bounds the table and a hot
          stream rebuilds its streak in two accesses. *)
-      if Hashtbl.length t.states >= t.capacity then Hashtbl.reset t.states;
+      if Int_tbl.length t.states >= t.capacity then Int_tbl.reset t.states;
       let e = { last = min_int; streak = 0; window = 0 } in
-      Hashtbl.replace t.states ino e;
+      Int_tbl.replace t.states ino e;
       e
 
 let note t ~ino ~lblk =
@@ -66,7 +68,7 @@ let advise t ~ino ~lblk =
   end
 
 let window t ~ino =
-  match Hashtbl.find_opt t.states ino with None -> 0 | Some e -> e.window
+  match Int_tbl.find_opt t.states ino with None -> 0 | Some e -> e.window
 
-let forget t ~ino = Hashtbl.remove t.states ino
-let reset t = Hashtbl.reset t.states
+let forget t ~ino = Int_tbl.remove t.states ino
+let reset t = Int_tbl.reset t.states

@@ -48,17 +48,21 @@ let fold b ~init ~f =
   iter b (fun e -> acc := f !acc e);
   !acc
 
-let find b name =
-  let n = chunks_per_block ~block_size:(Bytes.length b) in
-  let rec loop i =
-    if i >= n then None
-    else begin
-      match read_entry b i with
-      | Some e when e.name = name -> Some e
-      | Some _ | None -> loop (i + 1)
-    end
-  in
-  loop 0
+(* Whether chunk [i] is a live entry named [name]: [read_entry]'s state
+   test and namelen clamp, with the name compared in place. *)
+let holds b i name =
+  let off = chunk_off i in
+  Codec.get_u8 b off = state_entry
+  && min (Codec.get_u8 b (off + 1)) max_name = String.length name
+  && Codec.equal_string b (off + 8) name
+
+(* A miss allocates nothing; only the matching chunk is decoded. *)
+let rec find_from b name n i =
+  if i >= n then None
+  else if holds b i name then read_entry b i
+  else find_from b name n (i + 1)
+
+let find b name = find_from b name (chunks_per_block ~block_size:(Bytes.length b)) 0
 
 let find_free ?limit b =
   let n = chunks_per_block ~block_size:(Bytes.length b) in

@@ -6,6 +6,7 @@ module Readahead = Cffs_cache.Readahead
 module Blockdev = Cffs_blockdev.Blockdev
 module Integrity = Cffs_blockdev.Integrity
 module Codec = Cffs_util.Codec
+module Int_tbl = Cffs_util.Keys.Int_tbl
 module Alloc = Cffs_vfs.Alloc
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
@@ -50,7 +51,7 @@ type t = {
   mutable dir_rotor : int;
   ra : Readahead.t;
       (** per-file sequential-access detector; drives adaptive read-ahead *)
-  parents : (int, int) Hashtbl.t;
+  parents : int Int_tbl.t;
       (** ino -> containing-directory ino; in-memory only (the vnode-layer
           parent pointer), repopulated by lookups after a remount *)
   blocks : Alloc.map;  (** the cylinder groups' block bitmaps *)
@@ -531,7 +532,7 @@ let fault_in t ~ino inode lblk p =
    the owning directory's frames when grouping is on and the parent is
    known; everything else gets FFS-style placement. *)
 let data_alloc t ~ino (inode : Inode.t) lblk ~hint =
-  let parent = Hashtbl.find_opt t.parents ino in
+  let parent = Int_tbl.find_opt t.parents ino in
   let grouped =
     t.sb.Csb.grouping
     && inode.Inode.kind = Inode.Regular
@@ -598,19 +599,20 @@ let drop_logical_range t ~ino ~nblocks =
 let dir_nblocks t (inode : Inode.t) = (inode.Inode.size + bs t - 1) / bs t
 
 (* Iterate a directory's blocks, giving [f] the logical index, physical
-   block and buffer; stops when [f] returns [Some _]. *)
+   block and buffer; stops when [f] returns [Some _].  The loop matches
+   where [let*] would build a continuation closure per block. *)
 let dir_scan t ~dir dinode f =
   let rec loop lblk =
     if lblk >= dir_nblocks t dinode then Ok None
     else begin
-      let* data = Data.block t ~ino:dir dinode lblk in
-      match data with
-      | None -> loop (lblk + 1)
-      | Some b -> begin
-          let* p = Bmap.read t.cache dinode lblk in
-          match p with
-          | None -> loop (lblk + 1)
-          | Some p -> begin
+      match Data.block t ~ino:dir dinode lblk with
+      | Error e -> Error e
+      | Ok None -> loop (lblk + 1)
+      | Ok (Some b) -> begin
+          match Bmap.read t.cache dinode lblk with
+          | Error e -> Error e
+          | Ok None -> loop (lblk + 1)
+          | Ok (Some p) -> begin
               match f ~lblk ~pblock:p b with
               | Some r -> Ok (Some r)
               | None -> loop (lblk + 1)
@@ -1423,7 +1425,7 @@ let lookup t ~dir name =
   let* found = dir_find t ~dir dinode name in
   match found with
   | Some f ->
-      Hashtbl.replace t.parents f.f_ino dir;
+      Int_tbl.replace t.parents f.f_ino dir;
       Ok f.f_ino
   | None -> Error Enoent
 
@@ -1465,7 +1467,7 @@ let mknod t ~dir name kind =
             else if r.r_dirty_dinode then write_inode t dir dinode ~kind:`Meta
             else Ok ()
           in
-          Hashtbl.replace t.parents ino dir;
+          Int_tbl.replace t.parents ino dir;
           Ok ino
         end
         else begin
@@ -1490,7 +1492,7 @@ let mknod t ~dir name kind =
               else if r.r_dirty_dinode then write_inode t dir dinode ~kind:`Meta
               else Ok ()
             in
-            Hashtbl.replace t.parents ino dir;
+            Int_tbl.replace t.parents ino dir;
             Ok ino
           end
         end
@@ -1557,7 +1559,7 @@ let remove t ~dir name ~rmdir =
           write_inode t f.f_ino inode ~kind:`Meta
         end
       in
-      Hashtbl.remove t.parents f.f_ino;
+      Int_tbl.remove t.parents f.f_ino;
       idx_maybe_demote t ~dir dinode ~leaf:b
 
 (* Externalize an embedded inode (needed before a second link can exist):
@@ -1580,11 +1582,11 @@ let externalize t ~dir f (inode : Inode.t) =
         Ok ()
   in
   drop_logical_range t ~ino:f.f_ino ~nblocks:((inode.Inode.size + bs t - 1) / bs t);
-  (match Hashtbl.find_opt t.parents f.f_ino with
+  (match Int_tbl.find_opt t.parents f.f_ino with
   | Some d ->
-      Hashtbl.remove t.parents f.f_ino;
-      Hashtbl.replace t.parents new_ino d
-  | None -> Hashtbl.replace t.parents new_ino dir);
+      Int_tbl.remove t.parents f.f_ino;
+      Int_tbl.replace t.parents new_ino d
+  | None -> Int_tbl.replace t.parents new_ino dir);
   Ok new_ino
 
 let hardlink t ~dir name ~ino =
@@ -1600,7 +1602,7 @@ let hardlink t ~dir name ~ino =
         let* ino =
           if is_embedded_ino ino then begin
             (* Find where the inode is embedded: its position is its number. *)
-            match Hashtbl.find_opt t.parents ino with
+            match Int_tbl.find_opt t.parents ino with
             | None -> Error Einval
             | Some src_dir ->
                 let pblock, chunk = embed_pos t ino in
@@ -1706,8 +1708,8 @@ let rename t ~sdir ~sname ~ddir ~dname =
       if new_ino <> f.f_ino then
         drop_logical_range t ~ino:f.f_ino
           ~nblocks:((inode.Inode.size + bs t - 1) / bs t);
-      Hashtbl.remove t.parents f.f_ino;
-      Hashtbl.replace t.parents new_ino ddir;
+      Int_tbl.remove t.parents f.f_ino;
+      Int_tbl.replace t.parents new_ino ddir;
       if inode.Inode.kind = Inode.Directory && sdir <> ddir then begin
         sdinode.Inode.nlink <- sdinode.Inode.nlink - 1;
         let* () = write_inode t sdir sdinode ~kind:`Meta in
@@ -1720,7 +1722,7 @@ let rename t ~sdir ~sname ~ddir ~dname =
 let readdir t ~dir =
   let* dinode = lookup_dir_inode t dir in
   let* entries = dir_entries t ~dir dinode in
-  List.iter (fun (_, ino) -> Hashtbl.replace t.parents ino dir) entries;
+  List.iter (fun (_, ino) -> Int_tbl.replace t.parents ino dir) entries;
   Ok entries
 
 let stat_of t ino (inode : Inode.t) =
@@ -1752,13 +1754,13 @@ let readdir_plus t ~dir =
         let ino = embed_ino t ~pblock ~chunk:e.Cdir.chunk in
         let inode = Cdir.read_inode b e.Cdir.chunk in
         Obs.incr m_embedded_hits;
-        Hashtbl.replace t.parents ino dir;
+        Int_tbl.replace t.parents ino dir;
         acc := (e.Cdir.name, stat_of t ino inode) :: !acc
       end
       else begin
         match read_inode t e.Cdir.ext_ino with
         | Ok inode ->
-            Hashtbl.replace t.parents e.Cdir.ext_ino dir;
+            Int_tbl.replace t.parents e.Cdir.ext_ino dir;
             acc := (e.Cdir.name, stat_of t e.Cdir.ext_ino inode) :: !acc
         | Error _ -> ()
       end
@@ -1828,7 +1830,7 @@ let rescan_ext_free t =
 
 let remount t =
   Cache.remount t.cache;
-  Hashtbl.reset t.parents;
+  Int_tbl.reset t.parents;
   Readahead.reset t.ra;
   t.frame_drought <- false;
   rescan_ext_free t
@@ -2214,7 +2216,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
       ext_free = [];
       dir_rotor = 0;
       ra = Readahead.create ~max_window:sb.Csb.readahead_blocks ();
-      parents = Hashtbl.create 1024;
+      parents = Int_tbl.create 1024;
       blocks = block_map sb;
       frame_drought = false;
       replica_dirty = Hashtbl.create 16;
@@ -2286,7 +2288,7 @@ let mount ?policy ?(cache_blocks = 4096)
           ext_free = [];
           dir_rotor = 0;
           ra = Readahead.create ~max_window:sb.Csb.readahead_blocks ();
-          parents = Hashtbl.create 1024;
+          parents = Int_tbl.create 1024;
           blocks = block_map sb;
           frame_drought = false;
           replica_dirty = Hashtbl.create 16;

@@ -52,16 +52,26 @@ let fold b ~init ~f =
   iter b (fun ~off:_ ~ino name -> acc := f !acc ~ino name);
   !acc
 
-let find b name =
-  let result = ref None in
-  (try
-     iter b (fun ~off ~ino n ->
-         if n = name then begin
-           result := Some (off, ino);
-           raise Exit
-         end)
-   with Exit -> ());
-  !result
+(* Whether the record at [off] is a live entry named [name]: [iter]'s
+   test, with the name compared in place. *)
+let holds b len off reclen name =
+  get_ino b off <> 0
+  && entry_ok b len off reclen
+  && get_namelen b off = String.length name
+  && Codec.equal_string b (off + header_bytes) name
+
+(* [find] and [remove] walk the chain as [iter] does, but decode nothing
+   on a miss and allocate only their result. *)
+let rec find_from b name len off =
+  if off + header_bytes > len then None
+  else begin
+    let reclen = get_reclen b off in
+    if reclen <= 0 || off + reclen > len then None
+    else if holds b len off reclen name then Some (off, get_ino b off)
+    else find_from b name len (off + reclen)
+  end
+
+let find b name = find_from b name (Bytes.length b) 0
 
 let insert b name ino =
   let needed = entry_bytes name in
@@ -91,28 +101,24 @@ let insert b name ino =
   in
   loop 0
 
-let remove b name =
-  let len = Bytes.length b in
-  let rec loop prev off =
-    if off + header_bytes > len then None
-    else begin
-      let reclen = get_reclen b off in
-      if reclen <= 0 || off + reclen > len then None
-      else if
-        get_ino b off <> 0 && entry_ok b len off reclen && get_name b off = name
-      then begin
-        let ino = get_ino b off in
-        (match prev with
-        | Some poff ->
-            (* Coalesce into the predecessor. *)
-            Codec.set_u16 b (poff + 4) (get_reclen b poff + reclen)
-        | None -> Codec.set_u32 b off 0);
-        Some ino
-      end
-      else loop (Some off) (off + reclen)
+(* [prev] is the predecessor's offset, or -1 at the head of the block. *)
+let rec remove_from b name len prev off =
+  if off + header_bytes > len then None
+  else begin
+    let reclen = get_reclen b off in
+    if reclen <= 0 || off + reclen > len then None
+    else if holds b len off reclen name then begin
+      let ino = get_ino b off in
+      if prev >= 0 then
+        (* Coalesce into the predecessor. *)
+        Codec.set_u16 b (prev + 4) (get_reclen b prev + reclen)
+      else Codec.set_u32 b off 0;
+      Some ino
     end
-  in
-  loop None 0
+    else remove_from b name len off (off + reclen)
+  end
+
+let remove b name = remove_from b name (Bytes.length b) (-1) 0
 
 let set_ino b off ino = Codec.set_u32 b off ino
 

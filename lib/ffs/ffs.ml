@@ -157,15 +157,18 @@ let data_runs = Data.data_runs
 
 let dir_nblocks t inode = (inode.Inode.size + bs t - 1) / bs t
 
+(* The block loops below match where [let*] would build a continuation
+   closure per block. *)
+
 (* Find [name]; returns the physical block, its logical index and the ino. *)
 let dir_find t ~dir inode name =
   let rec loop lblk =
     if lblk >= dir_nblocks t inode then Ok None
     else begin
-      let* data = Data.block t ~ino:dir inode lblk in
-      match data with
-      | None -> loop (lblk + 1)
-      | Some b -> begin
+      match Data.block t ~ino:dir inode lblk with
+      | Error e -> Error e
+      | Ok None -> loop (lblk + 1)
+      | Ok (Some b) -> begin
           match Dirent.find b name with
           | Some (_, ino) -> Ok (Some (lblk, ino))
           | None -> loop (lblk + 1)
@@ -194,17 +197,17 @@ let dir_insert t ~dir dinode name ino =
       end
     end
     else begin
-      let* data = Data.block t ~ino:dir dinode lblk in
-      match data with
-      | None -> loop (lblk + 1)
-      | Some b ->
+      match Data.block t ~ino:dir dinode lblk with
+      | Error e -> Error e
+      | Ok None -> loop (lblk + 1)
+      | Ok (Some b) ->
           if Dirent.insert b name ino then begin
-            let* p = bmap_read t dinode lblk in
-            match p with
-            | Some p ->
+            match bmap_read t dinode lblk with
+            | Error e -> Error e
+            | Ok (Some p) ->
                 Cache.write t.cache ~kind:`Meta p b;
                 Ok p
-            | None -> Error Einval
+            | Ok None -> Error Einval
           end
           else loop (lblk + 1)
     end
@@ -216,18 +219,18 @@ let dir_remove t ~dir dinode name =
   let rec loop lblk =
     if lblk >= dir_nblocks t dinode then Error Enoent
     else begin
-      let* data = Data.block t ~ino:dir dinode lblk in
-      match data with
-      | None -> loop (lblk + 1)
-      | Some b -> begin
+      match Data.block t ~ino:dir dinode lblk with
+      | Error e -> Error e
+      | Ok None -> loop (lblk + 1)
+      | Ok (Some b) -> begin
           match Dirent.remove b name with
           | Some ino -> begin
-              let* p = bmap_read t dinode lblk in
-              match p with
-              | Some p ->
+              match bmap_read t dinode lblk with
+              | Error e -> Error e
+              | Ok (Some p) ->
                   Cache.write t.cache ~kind:`Meta p b;
                   Ok (ino, p)
-              | None -> Error Einval
+              | Ok None -> Error Einval
             end
           | None -> loop (lblk + 1)
         end

@@ -1,5 +1,6 @@
 module Registry = Cffs_obs.Registry
 module Lru = Cffs_util.Lru
+module Int_tbl = Cffs_util.Keys.Int_tbl
 module Fs_intf = Cffs_vfs.Fs_intf
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
@@ -64,9 +65,9 @@ type t = {
   config : config;
   dentries : (int * string, dentry) Lru.t;
   attrs : (int, Fs_intf.stat) Lru.t;
-  epochs : (int, int) Hashtbl.t;
+  epochs : int Int_tbl.t;
   shortcuts : (string, shortcut) Lru.t;
-  gens : (int, int) Hashtbl.t;  (** per-directory namespace generation *)
+  gens : int Int_tbl.t;  (** per-directory namespace generation *)
 }
 
 let create ?(config = config_default) () =
@@ -74,9 +75,9 @@ let create ?(config = config_default) () =
     config;
     dentries = Lru.create ~size_hint:(min config.capacity 1024) ();
     attrs = Lru.create ~size_hint:(min config.attr_capacity 1024) ();
-    epochs = Hashtbl.create 64;
+    epochs = Int_tbl.create 64;
     shortcuts = Lru.create ~size_hint:(min config.capacity 1024) ();
-    gens = Hashtbl.create 64;
+    gens = Int_tbl.create 64;
   }
 
 let config t = t.config
@@ -84,14 +85,14 @@ let enabled t = t.config.enabled
 let dentry_count t = Lru.length t.dentries
 let attr_count t = Lru.length t.attrs
 
-let epoch t dir = Option.value ~default:0 (Hashtbl.find_opt t.epochs dir)
+let epoch t dir = Option.value ~default:0 (Int_tbl.find_opt t.epochs dir)
 
 let bump_epoch t dir =
   Registry.incr m_invalidations;
-  Hashtbl.replace t.epochs dir (epoch t dir + 1)
+  Int_tbl.replace t.epochs dir (epoch t dir + 1)
 
-let gen t dir = Option.value ~default:0 (Hashtbl.find_opt t.gens dir)
-let bump_gen t dir = Hashtbl.replace t.gens dir (gen t dir + 1)
+let gen t dir = Option.value ~default:0 (Int_tbl.find_opt t.gens dir)
+let bump_gen t dir = Int_tbl.replace t.gens dir (gen t dir + 1)
 
 let rec drain lru =
   match Lru.pop_lru lru with Some _ -> drain lru | None -> ()
@@ -101,8 +102,8 @@ let flush t =
   drain t.dentries;
   drain t.attrs;
   drain t.shortcuts;
-  Hashtbl.reset t.epochs;
-  Hashtbl.reset t.gens
+  Int_tbl.reset t.epochs;
+  Int_tbl.reset t.gens
 
 (* ------------------------------------------------------------------ *)
 (* Dentry cache primitives. *)

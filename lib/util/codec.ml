@@ -12,6 +12,13 @@ let set_u64 b off v = Bytes.set_int64_le b off (Int64.of_int v)
 let get_string b off len = Bytes.sub_string b off len
 let set_string b off s = Bytes.blit_string s 0 b off (String.length s)
 
+let rec equal_from b off s i n =
+  i >= n || (Bytes.get b (off + i) = String.get s i && equal_from b off s (i + 1) n)
+
+let equal_string b off s =
+  let n = String.length s in
+  off >= 0 && off + n <= Bytes.length b && equal_from b off s 0 n
+
 let get_cstring b off max =
   let rec len i = if i >= max || Bytes.get b (off + i) = '\000' then i else len (i + 1) in
   Bytes.sub_string b off (len 0)

@@ -23,6 +23,11 @@ val get_string : bytes -> int -> int -> string
 
 val set_string : bytes -> int -> string -> unit
 
+val equal_string : bytes -> int -> string -> bool
+(** [equal_string b off s] is [get_string b off (String.length s) = s],
+    compared in place: it allocates nothing, and is [false] when the
+    range runs outside [b]. *)
+
 val get_cstring : bytes -> int -> int -> string
 (** [get_cstring b off max] reads up to [max] bytes, stopping at NUL. *)
 

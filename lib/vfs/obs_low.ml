@@ -150,14 +150,15 @@ module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
   let readdir_plus fs ~dir = guard (fun () -> F.readdir_plus fs ~dir)
   let stat_ino fs ino = guard (fun () -> F.stat_ino fs ino)
 
+  (* Only a traced span reads its target; untraced calls build none. *)
+  let ino_target ino = if Trace.is_enabled () then "ino:" ^ string_of_int ino else ""
+
   let read_ino fs ~ino ~off ~len =
-    span fs "read" h_read l_read
-      ~target:("ino:" ^ string_of_int ino)
+    span fs "read" h_read l_read ~target:(ino_target ino)
       (fun () -> guard (fun () -> F.read_ino fs ~ino ~off ~len))
 
   let write_ino fs ~ino ~off data =
-    span fs "write" h_write l_write
-      ~target:("ino:" ^ string_of_int ino)
+    span fs "write" h_write l_write ~target:(ino_target ino)
       (fun () -> guard (fun () -> F.write_ino fs ~ino ~off data))
 
   let truncate_ino fs ~ino ~size = guard (fun () -> F.truncate_ino fs ~ino ~size)

@@ -12,18 +12,20 @@ let split p =
     else Ok parts
   end
 
-let dirname_basename p =
+let key parts = "/" ^ String.concat "/" parts
+
+let split_parent p =
   match split p with
-  | Error _ as e -> e
-  | Ok [] -> Error Errno.Einval
-  | Ok parts ->
-      let rec last_and_init acc = function
-        | [ x ] -> (List.rev acc, x)
-        | x :: rest -> last_and_init (x :: acc) rest
-        | [] -> assert false
-      in
-      let init, base = last_and_init [] parts in
-      Ok ("/" ^ String.concat "/" init, base)
+  | Error e -> Error e
+  | Ok parts -> (
+      match List.rev parts with
+      | [] -> Error Errno.Einval
+      | base :: rinit -> Ok (List.rev rinit, base))
+
+let dirname_basename p =
+  match split_parent p with
+  | Error e -> Error e
+  | Ok (init, base) -> Ok (key init, base)
 
 let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
 

@@ -7,6 +7,13 @@ val split : string -> string list Errno.result
 val max_name : int
 (** Longest permitted component name (as in the on-disk formats): 255. *)
 
+val key : string list -> string
+(** The canonical path of split components: [key ["a"; "b"]] is ["/a/b"],
+    [key []] is ["/"]. *)
+
+val split_parent : string -> (string list * string) Errno.result
+(** [split_parent "/a/b/c"] is [Ok (["a"; "b"], "c")].  Errors on ["/"]. *)
+
 val dirname_basename : string -> (string * string) Errno.result
 (** [dirname_basename "/a/b/c"] is [Ok ("/a/b", "c")].  Errors on ["/"]. *)
 

@@ -16,11 +16,15 @@ end
 module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
   include F
 
+  (* The walk of an already split path; the caller counts the resolve. *)
+  let resolve_parts t parts =
+    Cffs_obs.Registry.incr ~by:(List.length parts) m_components;
+    R.resolve_rel t (Path.key parts) parts
+
   let resolve t p =
     Cffs_obs.Registry.incr m_resolves;
     let* parts = Path.split p in
-    Cffs_obs.Registry.incr ~by:(List.length parts) m_components;
-    let* ino = R.resolve_rel t ("/" ^ String.concat "/" parts) parts in
+    let* ino = resolve_parts t parts in
     (* "/a/" claims a is a directory; POSIX answers ENOTDIR when it is
        not.  The check lives here, above any name cache, so the errno is
        identical with caching on and off. *)
@@ -30,9 +34,12 @@ module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
     end
     else Ok ino
 
+  (* The path is split once: the parent is walked from its components,
+     counted as one resolve, as [resolve] of its path would be. *)
   let resolve_parent t p =
-    let* dir_path, name = Path.dirname_basename p in
-    let* dir = resolve t dir_path in
+    let* dir_parts, name = Path.split_parent p in
+    Cffs_obs.Registry.incr m_resolves;
+    let* dir = resolve_parts t dir_parts in
     let* st = F.stat_ino t dir in
     if st.Fs_intf.st_kind <> Inode.Directory then Error Enotdir
     else Ok (dir, name)

@@ -100,6 +100,88 @@ let test_cdir_fills () =
   check (Alcotest.option Alcotest.int) "full" None (Cdir.find_free b);
   check Alcotest.int "16 live" 16 (Cdir.live_count b)
 
+(* [Cdir.find] compares names in place; the reference decodes every
+   entry through [Cdir.iter] and takes the first whose name is equal. *)
+let decoded_find b name =
+  let r = ref None in
+  Cdir.iter b (fun e -> if !r = None && e.Cdir.name = name then r := Some e);
+  !r
+
+let name_pool = [| ""; "a"; "f00"; "hello.txt"; "x\000y"; String.make Cdir.max_name 'n' |]
+
+(* A block of live, free, external and overflow-link chunks, then torn
+   by byte pokes that favour the state and namelen bytes (namelen up to
+   255, past the 119-byte clamp). *)
+let gen_cdir_block =
+  let open QCheck.Gen in
+  let chunk =
+    oneof
+      [
+        return `Free;
+        map (fun i -> `Embedded name_pool.(i)) (int_bound (Array.length name_pool - 1));
+        map2 (fun i ino -> `External (name_pool.(i), ino))
+          (int_bound (Array.length name_pool - 1)) (int_bound 100_000);
+        map (fun next -> `Overflow next) (int_bound 100_000);
+      ]
+  in
+  let poke =
+    map3
+      (fun i field v -> (i, field, v))
+      (int_bound 15)
+      (frequencyl [ (3, `State); (3, `Namelen); (2, `Name) ])
+      (frequency [ (2, int_bound 255); (1, int_range 120 255); (1, return 1) ])
+  in
+  map2
+    (fun chunks pokes ->
+      let b = Bytes.make 4096 '\000' in
+      Cdir.init_block b;
+      List.iteri
+        (fun i -> function
+          | `Free -> ()
+          | `Embedded name -> Cdir.set_embedded b i name (Inode.mk Inode.Regular)
+          | `External (name, ino) -> Cdir.set_external b i name ino
+          | `Overflow next -> Cdir.set_overflow b i ~next)
+        chunks;
+      List.iter
+        (fun (i, field, v) ->
+          let off = Cdir.chunk_off i in
+          match field with
+          | `State -> Bytes.set_uint8 b off v
+          | `Namelen -> Bytes.set_uint8 b (off + 1) v
+          | `Name -> Bytes.set_uint8 b (off + 8 + (v mod 120)) (v land 0x7f))
+        pokes;
+      b)
+    (list_repeat 16 chunk) (list_size (int_bound 8) poke)
+
+(* Query every pooled name, every name the reference decodes (clamped
+   ones included), and one longer than any chunk can hold. *)
+let cdir_queries b =
+  let decoded = ref [] in
+  Cdir.iter b (fun e -> decoded := e.Cdir.name :: !decoded);
+  (String.make (Cdir.max_name + 1) 'n' :: Array.to_list name_pool) @ !decoded
+
+let qcheck_cdir_find_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"find = decoded reference on torn blocks"
+       (QCheck.make gen_cdir_block) (fun b ->
+         List.for_all (fun q -> Cdir.find b q = decoded_find b q) (cdir_queries b)))
+
+let test_cdir_find_miss_allocates_nothing () =
+  let b = Bytes.make 4096 '\000' in
+  Cdir.init_block b;
+  for i = 0 to 15 do
+    Cdir.set_embedded b i (Printf.sprintf "f%02d" i) (Inode.mk Inode.Regular)
+  done;
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Cdir.find b "absent"))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f words per miss on a full block" per_call)
+    true (per_call < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* The battery, in all four configurations. *)
 
@@ -524,6 +606,9 @@ let () =
           Alcotest.test_case "external entry" `Quick test_cdir_external_entry;
           Alcotest.test_case "name limit" `Quick test_cdir_name_limit;
           Alcotest.test_case "fills" `Quick test_cdir_fills;
+          qcheck_cdir_find_oracle;
+          Alcotest.test_case "find miss allocates nothing" `Quick
+            test_cdir_find_miss_allocates_nothing;
         ] );
       ("equivalence", [ qcheck_config_equivalence ]);
       ( "readahead",

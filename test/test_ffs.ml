@@ -81,6 +81,116 @@ let test_dirent_fills_up () =
   ignore (Dirent.remove b "name0010");
   check Alcotest.bool "slot reused" true (Dirent.insert b "fresh" 99)
 
+(* [Dirent.find] and [Dirent.remove] compare names in place; the
+   references decode every live entry through [Dirent.iter] and take the
+   first whose name is equal. *)
+let decoded_find b name =
+  let r = ref None in
+  Dirent.iter b (fun ~off ~ino n -> if !r = None && n = name then r := Some (off, ino));
+  !r
+
+(* Remove the entry [decoded_find] names: coalesce it into the record
+   before it in the chain, or free it in place at the head. *)
+let decoded_remove b name =
+  match decoded_find b name with
+  | None -> None
+  | Some (off, ino) ->
+      let reclen o = Bytes.get_uint16_le b (o + 4) in
+      let rec pred prev o = if o = off then prev else pred (Some o) (o + reclen o) in
+      (match pred None 0 with
+      | Some p -> Bytes.set_uint16_le b (p + 4) (reclen p + reclen off)
+      | None -> Bytes.set_int32_le b off 0l);
+      Some ino
+
+let dirent_pool = [| "a"; "bb"; "f00"; "hello.txt"; "x\000y"; String.make 40 'n' |]
+
+(* Record offsets along [b]'s reclen chain, as far as it stays sane. *)
+let record_starts b =
+  let len = Bytes.length b in
+  let rec walk acc off =
+    if off + Dirent.header_bytes > len then List.rev acc
+    else begin
+      let reclen = Bytes.get_uint16_le b (off + 4) in
+      if reclen <= 0 || off + reclen > len then List.rev (off :: acc)
+      else walk (off :: acc) (off + reclen)
+    end
+  in
+  walk [] 0
+
+(* Blocks built by inserts and removes, torn by splicing in 512-byte
+   sectors of a second such block and by poking the ino, reclen and
+   namelen fields of records on the chain — small reclens cut a record
+   short of its name and send the chain into the middle of it. *)
+let gen_dirent_block =
+  let open QCheck.Gen in
+  let ops =
+    list_size (int_bound 40)
+      (pair bool (pair (int_bound (Array.length dirent_pool - 1)) (int_range 1 1000)))
+  in
+  let build ops =
+    let b = Bytes.make 2048 '\000' in
+    Dirent.init_block b;
+    List.iter
+      (fun (add, (i, ino)) ->
+        let name = dirent_pool.(i) in
+        if add then ignore (Dirent.insert b name ino) else ignore (Dirent.remove b name))
+      ops;
+    b
+  in
+  let poke = triple (int_bound 63) (int_bound 4) (int_bound 0xffff) in
+  map2
+    (fun (a, other, sectors) pokes ->
+      let a = build a and other = build other in
+      List.iteri (fun s take -> if take then Bytes.blit other (s * 512) a (s * 512) 512) sectors;
+      List.iter
+        (fun (k, field, v) ->
+          let starts = record_starts a in
+          let off = List.nth starts (k mod List.length starts) in
+          if off + Dirent.header_bytes <= Bytes.length a then
+            match field with
+            | 0 -> Bytes.set_int32_le a off (Int32.of_int (v land 3))
+            | 1 -> Bytes.set_uint16_le a (off + 4) (4 * (v mod 16))
+            | 2 -> Bytes.set_uint16_le a (off + 4) (v land 0x7fc)
+            | 3 -> Bytes.set_uint16_le a (off + 6) (v land 0xff)
+            | _ -> Bytes.set_uint16_le a (off + 6) (v mod 64))
+        pokes;
+      a)
+    (triple ops ops (list_repeat 4 (frequencyl [ (3, false); (1, true) ])))
+    (list_size (int_bound 3) poke)
+
+let dirent_queries b =
+  let decoded = ref [] in
+  Dirent.iter b (fun ~off:_ ~ino:_ n -> decoded := n :: !decoded);
+  ("absent" :: Array.to_list dirent_pool) @ !decoded
+
+let qcheck_dirent_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"find/remove = decoded reference on torn blocks"
+       (QCheck.make gen_dirent_block) (fun b ->
+         List.for_all
+           (fun q ->
+             let mine = Bytes.copy b and reference = Bytes.copy b in
+             Dirent.find b q = decoded_find b q
+             && Dirent.remove mine q = decoded_remove reference q
+             && Bytes.equal mine reference)
+           (dirent_queries b)))
+
+let test_dirent_find_miss_allocates_nothing () =
+  let b = Bytes.make 4096 '\000' in
+  Dirent.init_block b;
+  let rec fill i = if Dirent.insert b (Printf.sprintf "name%04d" i) (i + 1) then fill (i + 1) in
+  fill 0;
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Dirent.find b "absent"));
+    ignore (Sys.opaque_identity (Dirent.remove b "absent"))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f words per missed find + remove on a full block" per_call)
+    true (per_call < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* FFS-specific behaviour *)
 
@@ -184,6 +294,9 @@ let () =
         [
           Alcotest.test_case "insert/find/remove" `Quick test_dirent_block;
           Alcotest.test_case "fills and reuses" `Quick test_dirent_fills_up;
+          qcheck_dirent_oracle;
+          Alcotest.test_case "find/remove miss allocates nothing" `Quick
+            test_dirent_find_miss_allocates_nothing;
         ] );
       ("battery", Battery.tests fresh_fs);
       ( "ffs-specific",

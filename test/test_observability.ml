@@ -387,6 +387,54 @@ let test_benchdiff_duplicates () =
     | exception Benchdiff.Duplicate_path p ->
         String.starts_with ~prefix:"configs.C-FFS.phases.read." p)
 
+(* ------------------------------------------------------------------ *)
+(* Op spans *)
+
+(* A traced read or write span names its inode as "ino:N"; the target is
+   built only while tracing is on. *)
+let test_span_ino_targets () =
+  let module Trace = Cffs_obs.Trace in
+  let fs = Cffs.format (Cffs_blockdev.Blockdev.memory ~block_size:4096 ~nblocks:6144) in
+  let ok what = Cffs_vfs.Errno.get_ok what in
+  ok "write" (Cffs.write_file fs "/f" (Bytes.make 1024 'x'));
+  let ino = (ok "stat" (Cffs.stat fs "/f")).Fs_intf.st_ino in
+  Trace.clear ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.clear ())
+    (fun () ->
+      ok "overwrite" (Cffs.write fs "/f" ~off:0 (Bytes.make 16 'y'));
+      ignore (ok "read" (Cffs.read_file fs "/f"));
+      let targets name =
+        List.filter_map
+          (fun e -> if e.Trace.name = name then Some e.Trace.target else None)
+          (Trace.events ())
+      in
+      let want = [ Printf.sprintf "ino:%d" ino ] in
+      check (Alcotest.list Alcotest.string) "write target" want (targets "cffs.write");
+      check (Alcotest.list Alcotest.string) "read target" want (targets "cffs.read"))
+
+(* A path op resolves its parent once, counting the parent's components;
+   a bad path counts nothing. *)
+let test_resolve_counts () =
+  let fs = Cffs.format (Cffs_blockdev.Blockdev.memory ~block_size:4096 ~nblocks:6144) in
+  let ok what = Cffs_vfs.Errno.get_ok what in
+  ok "mkdir" (Cffs.mkdir_p fs "/a/b");
+  let counted f =
+    let before = Registry.snapshot () in
+    ignore (f ());
+    let d = Registry.diff (Registry.snapshot ()) before in
+    (Registry.get_counter d "vfs.resolves", Registry.get_counter d "vfs.path_components")
+  in
+  let pair = Alcotest.(pair int int) in
+  check pair "create under /a/b" (1, 2) (counted (fun () -> Cffs.create fs "/a/b/c"));
+  check pair "create at the root" (1, 0) (counted (fun () -> Cffs.create fs "/d"));
+  check pair "stat walks every component" (1, 3) (counted (fun () -> Cffs.stat fs "/a/b/c"));
+  check pair "relative path" (0, 0) (counted (fun () -> Cffs.create fs "a/x"));
+  check pair "root has no parent" (0, 0) (counted (fun () -> Cffs.mkdir fs "/"))
+
 let () =
   Alcotest.run "observability"
     [
@@ -403,6 +451,10 @@ let () =
         [ Alcotest.test_case "v2 sections" `Quick test_document_sections ] );
       ( "sampler",
         [ Alcotest.test_case "polling" `Quick test_sampler_polling ] );
+      ( "spans",
+        [ Alcotest.test_case "ino targets" `Quick test_span_ino_targets ] );
+      ( "pathfs",
+        [ Alcotest.test_case "resolve counts" `Quick test_resolve_counts ] );
       ( "benchdiff",
         [
           Alcotest.test_case "numeric leaf" `Quick test_benchdiff_number;

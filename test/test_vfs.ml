@@ -43,7 +43,12 @@ let test_path_dirname () =
   let pair = Alcotest.result (Alcotest.pair Alcotest.string Alcotest.string) err in
   check pair "two levels" (Ok ("/a", "b")) (Path.dirname_basename "/a/b");
   check pair "top level" (Ok ("/", "a")) (Path.dirname_basename "/a");
-  check pair "root invalid" (Error Errno.Einval) (Path.dirname_basename "/")
+  check pair "root invalid" (Error Errno.Einval) (Path.dirname_basename "/");
+  let parts = Alcotest.result (Alcotest.pair (Alcotest.list Alcotest.string) Alcotest.string) err in
+  check parts "split parent" (Ok ([ "a"; "b" ], "c")) (Path.split_parent "//a/b//c/");
+  check parts "split root" (Error Errno.Einval) (Path.split_parent "/");
+  check Alcotest.string "key" "/a/b" (Path.key [ "a"; "b" ]);
+  check Alcotest.string "root key" "/" (Path.key [])
 
 let test_path_join () =
   check Alcotest.string "root join" "/a" (Path.join "/" "a");
