@@ -20,22 +20,21 @@ let state_overflow = 2
 
 let state b i = Codec.get_u8 b (chunk_off i)
 
-let read_entry b i =
+(* Chunk [i], known to be a live entry. *)
+let decode_entry b i =
   let off = chunk_off i in
-  if Codec.get_u8 b off <> state_entry then None
-  else begin
-    (* Untrusted on-disk byte: clamp so a corrupt chunk cannot push the
-       name read past the chunk's own name field. *)
-    let namelen = min (Codec.get_u8 b (off + 1)) max_name in
-    let flags = Codec.get_u16 b (off + 2) in
-    Some
-      {
-        chunk = i;
-        name = Codec.get_string b (off + 8) namelen;
-        embedded = flags land 1 <> 0;
-        ext_ino = Codec.get_u32 b (off + 4);
-      }
-  end
+  (* Untrusted on-disk byte: clamp so a corrupt chunk cannot push the
+     name read past the chunk's own name field. *)
+  let namelen = min (Codec.get_u8 b (off + 1)) max_name in
+  let flags = Codec.get_u16 b (off + 2) in
+  {
+    chunk = i;
+    name = Codec.get_string b (off + 8) namelen;
+    embedded = flags land 1 <> 0;
+    ext_ino = Codec.get_u32 b (off + 4);
+  }
+
+let read_entry b i = if state b i <> state_entry then None else Some (decode_entry b i)
 
 let iter b f =
   let n = chunks_per_block ~block_size:(Bytes.length b) in
@@ -59,10 +58,20 @@ let holds b i name =
 (* A miss allocates nothing; only the matching chunk is decoded. *)
 let rec find_from b name n i =
   if i >= n then None
-  else if holds b i name then read_entry b i
+  else if holds b i name then Some (decode_entry b i)
   else find_from b name n (i + 1)
 
 let find b name = find_from b name (chunks_per_block ~block_size:(Bytes.length b)) 0
+
+(* [find]'s walk, noting the first free chunk on the way. *)
+let rec probe_from b name n room i =
+  if i >= n then if room >= 0 then `Room room else `Full
+  else if holds b i name then `Hit (decode_entry b i)
+  else
+    let room = if room < 0 && state b i = state_free then i else room in
+    probe_from b name n room (i + 1)
+
+let probe b name = probe_from b name (chunks_per_block ~block_size:(Bytes.length b)) (-1) 0
 
 let find_free ?limit b =
   let n = chunks_per_block ~block_size:(Bytes.length b) in

@@ -46,6 +46,10 @@ val find_free : ?limit:int -> bytes -> int option
 (** Index of a free chunk; [?limit] restricts the scan to chunks below it
     (indexed leaves reserve the last chunk for the overflow link). *)
 
+val probe : bytes -> string -> [ `Hit of entry | `Room of int | `Full ]
+(** {!find} and {!find_free} in one walk: [`Hit] as {!find} finds
+    [name], else [`Room] with {!find_free}'s chunk, or [`Full]. *)
+
 val state_free : int
 val state_entry : int
 val state_overflow : int

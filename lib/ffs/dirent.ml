@@ -73,6 +73,24 @@ let rec find_from b name len off =
 
 let find b name = find_from b name (Bytes.length b) 0
 
+(* Whether the record at [off], [reclen] long, can take an entry of
+   [needed] bytes: a free record whole, or a live one in the slack
+   behind its name.  [insert] and [probe] make this same test. *)
+let fits b off reclen needed =
+  if get_ino b off = 0 then reclen >= needed else reclen - used_bytes b off >= needed
+
+let insert_at b off name ino =
+  let reclen = get_reclen b off in
+  if get_ino b off = 0 then
+    (* Take over the free entry, keeping its full extent. *)
+    set_entry b off ~ino ~reclen ~name
+  else begin
+    (* Carve the new entry out of this entry's slack. *)
+    let used = used_bytes b off in
+    Codec.set_u16 b (off + 4) used;
+    set_entry b (off + used) ~ino ~reclen:(reclen - used) ~name
+  end
+
 let insert b name ino =
   let needed = entry_bytes name in
   let len = Bytes.length b in
@@ -81,25 +99,30 @@ let insert b name ino =
     else begin
       let reclen = get_reclen b off in
       if reclen <= 0 || off + reclen > len then false
-      else if get_ino b off = 0 && reclen >= needed then begin
-        (* Take over the free entry, keeping its full extent. *)
-        set_entry b off ~ino ~reclen ~name;
+      else if fits b off reclen needed then begin
+        insert_at b off name ino;
         true
       end
-      else begin
-        let used = used_bytes b off in
-        if get_ino b off <> 0 && reclen - used >= needed then begin
-          (* Carve the new entry out of this entry's slack. *)
-          let new_off = off + used in
-          Codec.set_u16 b (off + 4) used;
-          set_entry b new_off ~ino ~reclen:(reclen - used) ~name;
-          true
-        end
-        else loop (off + reclen)
-      end
+      else loop (off + reclen)
     end
   in
   loop 0
+
+let absent room = if room >= 0 then `Room room else `Full
+
+(* [find]'s walk, noting the first record that [fits] on the way. *)
+let rec probe_from b name needed len room off =
+  if off + header_bytes > len then absent room
+  else begin
+    let reclen = get_reclen b off in
+    if reclen <= 0 || off + reclen > len then absent room
+    else if holds b len off reclen name then `Hit (off, get_ino b off)
+    else
+      let room = if room < 0 && fits b off reclen needed then off else room in
+      probe_from b name needed len room (off + reclen)
+  end
+
+let probe b name = probe_from b name (entry_bytes name) (Bytes.length b) (-1) 0
 
 (* [prev] is the predecessor's offset, or -1 at the head of the block. *)
 let rec remove_from b name len prev off =
@@ -123,19 +146,3 @@ let remove b name = remove_from b name (Bytes.length b) (-1) 0
 let set_ino b off ino = Codec.set_u32 b off ino
 
 let live_count b = fold b ~init:0 ~f:(fun acc ~ino:_ _ -> acc + 1)
-
-let free_bytes b =
-  let len = Bytes.length b in
-  let acc = ref 0 in
-  let rec loop off =
-    if off + header_bytes <= len then begin
-      let reclen = get_reclen b off in
-      if reclen <= 0 || off + reclen > len then ()
-      else begin
-        acc := !acc + (reclen - used_bytes b off);
-        loop (off + reclen)
-      end
-    end
-  in
-  loop 0;
-  !acc

@@ -29,6 +29,15 @@ val insert : bytes -> string -> int -> bool
     (a sufficient free entry or slack behind a live one); [false] if not.
     The caller must ensure [name] is not already present. *)
 
+val probe : bytes -> string -> [ `Hit of int * int | `Room of int | `Full ]
+(** One walk of the chain: [`Hit (offset, ino)] as {!find} finds [name],
+    else [`Room off], the first record {!insert} would place it in, or
+    [`Full] when it would not fit. *)
+
+val insert_at : bytes -> int -> string -> int -> unit
+(** [insert_at block off name ino] places the entry in the record at
+    [off], which {!probe} named as [`Room off]. *)
+
 val remove : bytes -> string -> int option
 (** Remove an entry, returning its inode number. *)
 
@@ -37,5 +46,3 @@ val set_ino : bytes -> int -> int -> unit
     [off] (used by rename). *)
 
 val live_count : bytes -> int
-val free_bytes : bytes -> int
-(** Total reusable space (free entries + slack). *)

@@ -1356,6 +1356,18 @@ let dirindex_cell ~entries config =
         Cffs.sync fs)
   in
   let delta = Registry.diff (Registry.snapshot ()) before in
+  (* A linear populate runs wholly in the cache: with no miss and no
+     eviction, the order its directory walks touch blocks in cannot reach
+     a column — cache hits carry no simulated time, and the probe below
+     remounts cold. *)
+  let misses = Registry.get_counter delta "cache.misses" in
+  let evictions = Registry.get_counter delta "cache.evictions" in
+  if config.Cffs.dirindex_threshold = 0 && (misses > 0 || evictions > 0) then
+    failwith
+      (Printf.sprintf
+         "dirindex_cell: the linear %d-entry populate missed %d times and \
+          evicted %d blocks behind its %d-block cache (populate_cache)"
+         entries misses evictions populate_cache);
   let promotions = Registry.get_counter delta "dirindex.promotions" in
   let splits = Registry.get_counter delta "dirindex.leaf_splits" in
   let fs =

@@ -44,6 +44,49 @@ module Make (F : FS) = struct
             Ok (Some b)
       end
 
+  let mapped t inode lblk =
+    match Bmap.read (F.cache t) inode lblk with
+    | Ok (Some p) -> Ok p
+    | Ok None -> Error Einval
+    | Error e -> Error e
+
+  let dir_block t ~ino inode lblk =
+    match block t ~ino inode lblk with
+    | Error e -> Error e
+    | Ok None -> Error Einval
+    | Ok (Some b) -> (
+        match mapped t inode lblk with Ok p -> Ok (p, b) | Error e -> Error e)
+
+  let dir_scan t ~ino inode f =
+    let n = nblocks t inode in
+    let rec loop lblk =
+      if lblk >= n then Ok None
+      else begin
+        match block t ~ino inode lblk with
+        | Error e -> Error e
+        | Ok None -> loop (lblk + 1)
+        | Ok (Some b) -> begin
+            match f ~lblk b with Some _ as r -> Ok r | None -> loop (lblk + 1)
+          end
+      end
+    in
+    loop 0
+
+  let dir_probe t ~ino inode probe =
+    let room = ref None in
+    match
+      dir_scan t ~ino inode (fun ~lblk b ->
+          match probe b with
+          | `Hit h -> Some (lblk, h)
+          | `Room at ->
+              if Option.is_none !room then room := Some (lblk, at);
+              None
+          | `Full -> None)
+    with
+    | Error e -> Error e
+    | Ok (Some h) -> Ok (`Found h)
+    | Ok None -> Ok (`Absent !room)
+
   (* [block] for a reader that only copies bytes out: [n] bytes of the
      block from [boff] land in [out] at [pos], and the cache makes no
      private copy of the block.  [Ok false] for a hole. *)

@@ -1,7 +1,8 @@
 (** The file-data path shared by both file systems: block reads through
     the cache's logical index, the read and read-modify-write loops,
-    truncate with tail zeroing, freeing a file's blocks and the
-    contiguous-run map.  Block mapping is {!Bmap}'s; what differs between
+    truncate with tail zeroing, freeing a file's blocks, the
+    contiguous-run map, and the directory block walk each directory
+    format plugs its per-block test into.  Block mapping is {!Bmap}'s; what differs between
     FFS and C-FFS — where a new block goes, what a read miss fetches
     besides the block, how an inode is stored — comes in through
     {!FS}. *)
@@ -39,6 +40,36 @@ module Make (F : FS) : sig
   val block : F.t -> ino:int -> Inode.t -> int -> bytes option Errno.result
   (** A logical block as the cache's buffer ([None] for a hole), for
       callers that edit it in place (directories). *)
+
+  val mapped : F.t -> Inode.t -> int -> int Errno.result
+  (** The physical block behind logical block [lblk]; [Einval] for a
+      hole. *)
+
+  val dir_block : F.t -> ino:int -> Inode.t -> int -> (int * bytes) Errno.result
+  (** Logical block [lblk] of directory [ino], which a walk found, as its
+      physical number and the cache's buffer, fetched now: a buffer held
+      from an earlier walk may have left the cache since. *)
+
+  val dir_scan :
+    F.t -> ino:int -> Inode.t -> (lblk:int -> bytes -> 'a option) -> 'a option Errno.result
+  (** The directory block walk: [f] sees each block of directory [ino] in
+      logical order, holes skipped, each read once through {!block}; the
+      walk stops at the first [Some].  A caller that needs a block's
+      physical number asks {!mapped} for the block it stopped at. *)
+
+  val dir_probe :
+    F.t ->
+    ino:int ->
+    Inode.t ->
+    (bytes -> [< `Hit of 'a | `Room of int | `Full ]) ->
+    [ `Found of int * 'a | `Absent of (int * int) option ] Errno.result
+  (** A create's one pass over a directory.  [probe] is the block
+      format's answer for the name: the entry ([`Hit]), else the first
+      place in the block that will take it ([`Room]) or none.
+      [`Found (lblk, hit)] when some block holds the name; otherwise
+      [`Absent slot], with [slot] the first [`Room]'s logical block and
+      place, or [None] when no block has room and the directory must
+      grow. *)
 
   val read_ino : F.t -> ino:int -> off:int -> len:int -> bytes Errno.result
   (** Copy-out read: bytes land in the result straight from the cache. *)

@@ -18,6 +18,7 @@ type t = {
 let n_direct = 12
 let n_spare = 4
 let size_bytes = 128
+let link_max = 65000
 
 let empty () =
   {

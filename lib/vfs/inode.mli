@@ -40,6 +40,10 @@ val n_spare : int
 val size_bytes : int
 (** 128. *)
 
+val link_max : int
+(** 65000: the most links a file may have ([EMLINK] past it), well
+    below where the u16 [nlink] field wraps. *)
+
 val empty : unit -> t
 (** A fresh free inode. *)
 

@@ -202,6 +202,16 @@ module Make (F : Fs_intf.S) = struct
     check Alcotest.bytes "replaced" (Bytes.of_string "new") (ok "r" (F.read_file fs "/g"));
     check Alcotest.bool "src gone" false (F.exists fs "/f")
 
+  (* POSIX: renaming a name onto another link of the same file succeeds
+     and changes nothing. *)
+  let test_rename_onto_own_link fs () =
+    ok "w" (F.write_file fs "/f" (Bytes.of_string "x"));
+    ok "ln" (F.link fs ~existing:"/f" ~target:"/g");
+    ok "mv" (F.rename_path fs ~src:"/f" ~dst:"/g");
+    check (Alcotest.list Alcotest.string) "both names, once each" [ "f"; "g" ]
+      (List.sort compare (ok "ls" (F.list_dir fs "/")));
+    check Alcotest.int "nlink" 2 (ok "stat" (F.stat fs "/g")).Fs_intf.st_nlink
+
   let test_rename_dir fs () =
     ok "mk" (F.mkdir_p fs "/a/b");
     ok "w" (F.write_file fs "/a/b/f" (Bytes.of_string "deep"));
@@ -301,6 +311,29 @@ module Make (F : Fs_intf.S) = struct
     (* The file system is still usable: delete one, write a small file. *)
     ok "rm" (F.unlink fs "/x00000");
     ok "w" (F.write_file fs "/small" (Bytes.of_string "fits"))
+
+  (* A first block of 8-byte names with every other one unlinked has room
+     only in 16-byte gaps: a 100-byte name must go to a block that can
+     take it whole, and the create must leave a clean file system. *)
+  let test_fragmented_block ~fsck fs () =
+    ok "mkdir" (F.mkdir fs "/d");
+    let name i = Printf.sprintf "/d/n%07d" i in
+    let size () = (ok "stat" (F.stat fs "/d")).Fs_intf.st_size in
+    ok "create" (F.create fs (name 0));
+    let one_block = size () in
+    let rec fill i =
+      ok "create" (F.create fs (name i));
+      if size () > one_block then i else fill (i + 1)
+    in
+    let spilled = fill 1 in
+    for i = 0 to spilled - 1 do
+      if i mod 2 = 1 then ok "unlink" (F.unlink fs (name i))
+    done;
+    ok "long name" (F.create fs ("/d/" ^ String.make 100 'L'));
+    F.sync fs;
+    let r = fsck fs in
+    if not (Cffs_fsck.Report.clean r) then
+      Alcotest.failf "fsck: %s" (Format.asprintf "%a" Cffs_fsck.Report.pp r)
 
   (* ---------------- model-based property test ---------------- *)
 
@@ -446,7 +479,7 @@ module Make (F : Fs_intf.S) = struct
 
   (* ---------------- the suite ---------------- *)
 
-  let tests fresh_fs =
+  let tests ~fsck fresh_fs =
     let t name f = Alcotest.test_case name `Quick (fun () -> f (fresh_fs ()) ()) in
     [
       t "write/read roundtrip" test_write_read;
@@ -468,6 +501,7 @@ module Make (F : Fs_intf.S) = struct
       t "rename file" test_rename_file;
       t "rename across dirs" test_rename_across_dirs;
       t "rename replaces" test_rename_replaces;
+      t "rename onto own link" test_rename_onto_own_link;
       t "rename directory" test_rename_dir;
       t "rename into self rejected" test_rename_into_self_rejected;
       t "hard links" test_hardlink;
@@ -476,6 +510,7 @@ module Make (F : Fs_intf.S) = struct
       t "many files in one dir" test_many_files;
       t "space reclaimed" test_space_reclaimed;
       t "ENOSPC handling" test_enospc;
+      t "long name after a fragmented block" (test_fragmented_block ~fsck);
       qcheck_model fresh_fs;
     ]
 end

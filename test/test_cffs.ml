@@ -166,6 +166,19 @@ let qcheck_cdir_find_oracle =
        (QCheck.make gen_cdir_block) (fun b ->
          List.for_all (fun q -> Cdir.find b q = decoded_find b q) (cdir_queries b)))
 
+(* The probe is [find] and [find_free] in one walk. *)
+let qcheck_cdir_probe_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"probe = find, then find_free, on torn blocks"
+       (QCheck.make gen_cdir_block) (fun b ->
+         List.for_all
+           (fun q ->
+             match Cdir.probe b q with
+             | `Hit e -> Cdir.find b q = Some e
+             | `Room c -> Cdir.find b q = None && Cdir.find_free b = Some c
+             | `Full -> Cdir.find b q = None && Cdir.find_free b = None)
+           (cdir_queries b)))
+
 let test_cdir_find_miss_allocates_nothing () =
   let b = Bytes.make 4096 '\000' in
   Cdir.init_block b;
@@ -185,10 +198,11 @@ let test_cdir_find_miss_allocates_nothing () =
 (* ------------------------------------------------------------------ *)
 (* The battery, in all four configurations. *)
 
-let battery_default = Battery.tests fresh_default
-let battery_none = Battery.tests (fresh Cffs.config_ffs_like)
-let battery_ei = Battery.tests (fresh { Cffs.config_default with grouping = false })
-let battery_eg = Battery.tests (fresh { Cffs.config_default with embed_inodes = false })
+let battery = Battery.tests ~fsck:Cffs_fsck.Fsck_cffs.check
+let battery_default = battery fresh_default
+let battery_none = battery (fresh Cffs.config_ffs_like)
+let battery_ei = battery (fresh { Cffs.config_default with grouping = false })
+let battery_eg = battery (fresh { Cffs.config_default with embed_inodes = false })
 
 (* ------------------------------------------------------------------ *)
 (* Embedded-inode mechanics *)
@@ -242,6 +256,52 @@ let test_link_externalizes () =
   check Alcotest.int "nlink 2" 2 (ok "stat" (Cffs.stat fs "/f")).Fs_intf.st_nlink;
   check Alcotest.bytes "content intact" (Bytes.of_string "data")
     (ok "read" (Cffs.read_file fs "/f2"))
+
+(* nlink is a u16 on disk: a link past [Inode.link_max] is refused
+   before anything is written, so an embedded inode stays where it is. *)
+let test_link_max () =
+  let fs = fresh_default () in
+  ok "w" (Cffs.write_file fs "/f" (Bytes.of_string "x"));
+  let ino = ok "resolve" (Cffs.resolve fs "/f") in
+  let inode = ok "read" (Cffs.read_inode fs ino) in
+  inode.Inode.nlink <- Inode.link_max;
+  ok "raw" (Cffs.write_inode_raw fs ino inode);
+  check Alcotest.bool "EMLINK" true
+    (Cffs.link fs ~existing:"/f" ~target:"/g" = Error Errno.Emlink);
+  check Alcotest.bool "no second name" false (Cffs.exists fs "/g");
+  Cffs.remount fs;
+  check Alcotest.int "still embedded" ino (ok "resolve" (Cffs.resolve fs "/f"));
+  check Alcotest.int "nlink kept" Inode.link_max
+    (ok "read" (Cffs.read_inode fs ino)).Inode.nlink
+
+(* Buffer-cache lookups of one create in a linear directory just grown
+   to [n] blocks. *)
+let create_lookups config n =
+  let fs = fresh config () in
+  ok "mkdir" (Cffs.mkdir fs "/d");
+  let rec fill i =
+    if (ok "stat" (Cffs.stat fs "/d")).Fs_intf.st_size < n * 4096 then begin
+      ok "create" (Cffs.create fs (Printf.sprintf "/d/n%07d" i));
+      fill (i + 1)
+    end
+  in
+  fill 0;
+  let lookups () =
+    let s = Cache.stats (Cffs.cache fs) in
+    s.Cache.phys_hits + s.Cache.logical_hits + s.Cache.misses
+  in
+  let before = lookups () in
+  ok "create" (Cffs.create fs "/d/probe");
+  lookups () - before
+
+(* Proving the name absent and finding its slot is one pass: four more
+   directory blocks cost a create four more lookups, not eight. *)
+let test_create_reads_each_block_once () =
+  List.iter
+    (fun config ->
+      check Alcotest.int (Cffs.config_label config) 4
+        (create_lookups config 8 - create_lookups config 4))
+    [ { Cffs.config_default with Cffs.dirindex_threshold = 0 }; Cffs.config_ffs_like ]
 
 let test_rename_changes_embedded_ino () =
   let fs = fresh_default () in
@@ -607,6 +667,7 @@ let () =
           Alcotest.test_case "name limit" `Quick test_cdir_name_limit;
           Alcotest.test_case "fills" `Quick test_cdir_fills;
           qcheck_cdir_find_oracle;
+          qcheck_cdir_probe_oracle;
           Alcotest.test_case "find miss allocates nothing" `Quick
             test_cdir_find_miss_allocates_nothing;
         ] );
@@ -633,6 +694,9 @@ let () =
           Alcotest.test_case "external create = 2 sync writes" `Quick
             test_external_create_two_sync_writes;
           Alcotest.test_case "link externalizes" `Quick test_link_externalizes;
+          Alcotest.test_case "link past link_max" `Quick test_link_max;
+          Alcotest.test_case "create reads each block once" `Quick
+            test_create_reads_each_block_once;
           Alcotest.test_case "rename moves inode" `Quick test_rename_changes_embedded_ino;
           Alcotest.test_case "external slot reuse" `Quick test_external_ino_reuse;
           Alcotest.test_case "free list after remount" `Quick

@@ -175,6 +175,25 @@ let qcheck_dirent_oracle =
              && Bytes.equal mine reference)
            (dirent_queries b)))
 
+(* The probe finds what [find] finds, else names the record [insert]
+   fills, and [insert_at] there writes what [insert] writes. *)
+let qcheck_dirent_probe_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"probe = find, then insert's record, on torn blocks"
+       (QCheck.make gen_dirent_block) (fun b ->
+         List.for_all
+           (fun q ->
+             let inserted = Bytes.copy b in
+             let fits = Dirent.insert inserted q 7 in
+             match Dirent.probe b q with
+             | `Hit h -> Dirent.find b q = Some h
+             | `Room off ->
+                 let mine = Bytes.copy b in
+                 Dirent.insert_at mine off q 7;
+                 Dirent.find b q = None && fits && Bytes.equal mine inserted
+             | `Full -> Dirent.find b q = None && not fits)
+           (String.make 255 'L' :: String.make 100 'M' :: dirent_queries b)))
+
 let test_dirent_find_miss_allocates_nothing () =
   let b = Bytes.make 4096 '\000' in
   Dirent.init_block b;
@@ -295,10 +314,11 @@ let () =
           Alcotest.test_case "insert/find/remove" `Quick test_dirent_block;
           Alcotest.test_case "fills and reuses" `Quick test_dirent_fills_up;
           qcheck_dirent_oracle;
+          qcheck_dirent_probe_oracle;
           Alcotest.test_case "find/remove miss allocates nothing" `Quick
             test_dirent_find_miss_allocates_nothing;
         ] );
-      ("battery", Battery.tests fresh_fs);
+      ("battery", Battery.tests ~fsck:Cffs_fsck.Fsck_ffs.check fresh_fs);
       ( "ffs-specific",
         [
           Alcotest.test_case "inode exhaustion" `Quick test_inode_exhaustion;
