@@ -1467,10 +1467,15 @@ let mknod t ~dir name kind =
         let* ino = alloc_ext_ino t in
         let* () = write_inode t ino inode ~kind:`Meta in
         (* Soft updates: initialised inode before the name. *)
-        let* _ =
+        match
           dir_add t ~dir dinode slot name (Ext ino) ~after:(ext_ino_block t ino) ~subdir
-        in
-        Ok ino
+        with
+        | Ok _ -> Ok ino
+        | Error e ->
+            (* No name reached the directory (it could not grow): the
+               slot goes back, or fsck finds an orphan inode. *)
+            let* () = free_ext_ino t ino ~generation:inode.Inode.generation in
+            Error e
       end
     in
     Int_tbl.replace t.parents ino dir;
@@ -1627,8 +1632,20 @@ let rename t ~sdir ~sname ~ddir ~dname =
           (* Place the entry at the destination first, then clear the source, so
              the file never becomes unreachable. *)
           let carried = if f.f_embedded then Embed inode else Ext f.f_ino in
+          let was_indexed = dir_indexed t ddinode in
           let* dst_blk, chunk =
             dir_add t ~dir:ddir ddinode slot dname carried ~after:None ~subdir:false
+          in
+          (* Adding the name may have promoted the directory: every entry,
+             the source's too, moved into index leaves and the linear
+             blocks were freed.  The source is cleared where it now is. *)
+          let* f =
+            if sdir = ddir && (not was_indexed) && dir_indexed t ddinode then
+              match dir_find t ~dir:sdir ddinode sname with
+              | Ok (Some f) -> Ok f
+              | Ok None -> Error Enoent
+              | Error e -> Error e
+            else Ok f
           in
           let new_ino =
             if f.f_embedded then embed_ino t ~pblock:dst_blk ~chunk else f.f_ino

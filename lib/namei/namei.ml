@@ -1,6 +1,7 @@
 module Registry = Cffs_obs.Registry
 module Lru = Cffs_util.Lru
-module Int_tbl = Cffs_util.Keys.Int_tbl
+module Keys = Cffs_util.Keys
+module Int_tbl = Keys.Int_tbl
 module Fs_intf = Cffs_vfs.Fs_intf
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
@@ -47,9 +48,27 @@ let m_shortcut_stale = Registry.counter "namei.shortcut_stale"
    directory; bumping a directory's epoch invalidates every entry under
    it in O(1), which is how rename — which renumbers embedded inodes —
    is handled without per-entry surgery.  The attribute cache maps an
-   ino to its stat.  Both are bounded LRUs. *)
+   ino to its stat.  Both are bounded LRUs over monomorphic keys, read
+   through [use_exn] (a miss is [Not_found]), and every entry stores the
+   ready [Errno.result] a hit returns, so a hit allocates nothing. *)
 
-type dentry = { target : int option; epoch : int }
+type dentry = { d_result : int Errno.result; epoch : int }
+
+module Dentries = Lru.Make (struct
+  type t = int * string
+
+  let equal ((d1 : int), n1) (d2, n2) = d1 = d2 && String.equal n1 n2
+  let hash (d, n) = Keys.Int.hash (d + String.hash n)
+end)
+
+module Attrs = Lru.Make (Keys.Int)
+
+module Shortcuts = Lru.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
 
 (* A full-path shortcut: the outcome of a whole resolution, keyed by
    the canonical path.  [sc_deps] records every directory the walk
@@ -59,123 +78,125 @@ type dentry = { target : int option; epoch : int }
    every namespace mutation in a directory, so a create anywhere along
    the path kills the shortcuts through it — including the negative
    ones proving the created name absent. *)
-type shortcut = { sc_target : int option; sc_deps : (int * int) list }
+type shortcut = { sc_result : int Errno.result; sc_deps : (int * int) list }
 
 type t = {
   config : config;
-  dentries : (int * string, dentry) Lru.t;
-  attrs : (int, Fs_intf.stat) Lru.t;
+  dentries : dentry Dentries.t;
+  attrs : Fs_intf.stat Errno.result Attrs.t;
   epochs : int Int_tbl.t;
-  shortcuts : (string, shortcut) Lru.t;
+  shortcuts : shortcut Shortcuts.t;
   gens : int Int_tbl.t;  (** per-directory namespace generation *)
 }
 
 let create ?(config = config_default) () =
   {
     config;
-    dentries = Lru.create ~size_hint:(min config.capacity 1024) ();
-    attrs = Lru.create ~size_hint:(min config.attr_capacity 1024) ();
+    dentries = Dentries.create ~size_hint:(min config.capacity 1024) ();
+    attrs = Attrs.create ~size_hint:(min config.attr_capacity 1024) ();
     epochs = Int_tbl.create 64;
-    shortcuts = Lru.create ~size_hint:(min config.capacity 1024) ();
+    shortcuts = Shortcuts.create ~size_hint:(min config.capacity 1024) ();
     gens = Int_tbl.create 64;
   }
 
 let config t = t.config
 let enabled t = t.config.enabled
-let dentry_count t = Lru.length t.dentries
-let attr_count t = Lru.length t.attrs
+let dentry_count t = Dentries.length t.dentries
+let attr_count t = Attrs.length t.attrs
 
-let epoch t dir = Option.value ~default:0 (Int_tbl.find_opt t.epochs dir)
+(* Epochs and generations start at 0. *)
+let stamp tbl dir = match Int_tbl.find tbl dir with v -> v | exception Not_found -> 0
+let epoch t dir = stamp t.epochs dir
 
 let bump_epoch t dir =
   Registry.incr m_invalidations;
   Int_tbl.replace t.epochs dir (epoch t dir + 1)
 
-let gen t dir = Option.value ~default:0 (Int_tbl.find_opt t.gens dir)
+let gen t dir = stamp t.gens dir
 let bump_gen t dir = Int_tbl.replace t.gens dir (gen t dir + 1)
 
-let rec drain lru =
-  match Lru.pop_lru lru with Some _ -> drain lru | None -> ()
+let rec drain pop lru = match pop lru with Some _ -> drain pop lru | None -> ()
 
 let flush t =
   Registry.incr m_invalidations;
-  drain t.dentries;
-  drain t.attrs;
-  drain t.shortcuts;
+  drain Dentries.pop_lru t.dentries;
+  drain Attrs.pop_lru t.attrs;
+  drain Shortcuts.pop_lru t.shortcuts;
   Int_tbl.reset t.epochs;
   Int_tbl.reset t.gens
 
 (* ------------------------------------------------------------------ *)
 (* Dentry cache primitives. *)
 
-let insert_dentry t ~dir name target =
-  if enabled t && (target <> None || t.config.negative) then begin
-    Lru.add t.dentries (dir, name) { target; epoch = epoch t dir };
-    if Lru.length t.dentries > t.config.capacity then begin
-      ignore (Lru.pop_lru t.dentries);
+(* [Ok ino] binds the name; [Error Enoent] proves it absent (a
+   negative entry, kept only under [config.negative]). *)
+let insert_dentry t ~dir name d_result =
+  if enabled t && (Result.is_ok d_result || t.config.negative) then begin
+    Dentries.add t.dentries (dir, name) { d_result; epoch = epoch t dir };
+    if Dentries.length t.dentries > t.config.capacity then begin
+      ignore (Dentries.pop_lru t.dentries);
       Registry.incr m_evictions
     end
   end
 
-(* [Some (Some ino)] positive hit, [Some None] negative hit, [None] miss.
-   Stale-epoch entries are dropped on the way out. *)
+(* The stored answer; [Not_found] on a miss.  A stale-epoch entry is
+   dropped on the way out and is a miss.  The tables stay empty while
+   the cache is disabled. *)
 let find_dentry t ~dir name =
-  if not (enabled t) then None
+  let key = (dir, name) in
+  let d = Dentries.use_exn t.dentries key in
+  if d.epoch = epoch t dir then d.d_result
   else begin
-    match Lru.use t.dentries (dir, name) with
-    | Some d when d.epoch = epoch t dir -> Some d.target
-    | Some _ ->
-        Lru.remove t.dentries (dir, name);
-        None
-    | None -> None
+    Dentries.remove t.dentries key;
+    raise Not_found
   end
 
-let remove_dentry t ~dir name = Lru.remove t.dentries (dir, name)
+let remove_dentry t ~dir name = Dentries.remove t.dentries (dir, name)
 
 (* ------------------------------------------------------------------ *)
 (* Attribute cache primitives. *)
 
-let insert_attr t ino st =
+(* [r] is the [Ok st] a hit hands back. *)
+let insert_attr t ino r =
   if enabled t then begin
-    Lru.add t.attrs ino st;
-    if Lru.length t.attrs > t.config.attr_capacity then begin
-      ignore (Lru.pop_lru t.attrs);
+    Attrs.add t.attrs ino r;
+    if Attrs.length t.attrs > t.config.attr_capacity then begin
+      ignore (Attrs.pop_lru t.attrs);
       Registry.incr m_evictions
     end
   end
 
-let find_attr t ino = if enabled t then Lru.use t.attrs ino else None
-let remove_attr t ino = Lru.remove t.attrs ino
+let remove_attr t ino = Attrs.remove t.attrs ino
 
 (* ------------------------------------------------------------------ *)
 (* Full-path shortcut primitives. *)
 
-let insert_shortcut t key ~deps target =
-  if enabled t && (target <> None || t.config.negative) then begin
-    Lru.add t.shortcuts key { sc_target = target; sc_deps = deps };
-    if Lru.length t.shortcuts > t.config.capacity then begin
-      ignore (Lru.pop_lru t.shortcuts);
+let insert_shortcut t key ~deps sc_result =
+  if enabled t && (Result.is_ok sc_result || t.config.negative) then begin
+    Shortcuts.add t.shortcuts key { sc_result; sc_deps = deps };
+    if Shortcuts.length t.shortcuts > t.config.capacity then begin
+      ignore (Shortcuts.pop_lru t.shortcuts);
       Registry.incr m_evictions
     end
   end
 
-(* [Some (Some ino)] positive hit, [Some None] negative hit, [None]
-   miss.  An entry whose recorded generations no longer all match is
-   stale — counted, dropped, and reported as a miss. *)
+let rec deps_current t = function
+  | [] -> true
+  | (dir, g) :: rest -> gen t dir = g && deps_current t rest
+
+(* The stored answer; [Not_found] on a miss.  An entry whose recorded
+   generations no longer all match is stale — counted, dropped, and a
+   miss. *)
 let find_shortcut t key =
-  if not (enabled t) then None
+  let sc = Shortcuts.use_exn t.shortcuts key in
+  if deps_current t sc.sc_deps then sc.sc_result
   else begin
-    match Lru.use t.shortcuts key with
-    | Some sc when List.for_all (fun (d, g) -> gen t d = g) sc.sc_deps ->
-        Some sc.sc_target
-    | Some _ ->
-        Registry.incr m_shortcut_stale;
-        Lru.remove t.shortcuts key;
-        None
-    | None -> None
+    Registry.incr m_shortcut_stale;
+    Shortcuts.remove t.shortcuts key;
+    raise Not_found
   end
 
-let shortcut_count t = Lru.length t.shortcuts
+let shortcut_count t = Shortcuts.length t.shortcuts
 
 (* ------------------------------------------------------------------ *)
 (* The caching interposer: a LOW over a LOW.
@@ -225,51 +246,46 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
     if not (enabled s) then F.lookup fs ~dir name
     else begin
       match find_dentry s ~dir name with
-      | Some (Some ino) ->
+      | Ok _ as r ->
           Registry.incr m_dentry_hits;
-          Ok ino
-      | Some None ->
+          r
+      | Error _ as r ->
           Registry.incr m_negative_hits;
-          Error Enoent
-      | None -> begin
+          r
+      | exception Not_found ->
           Registry.incr m_dentry_misses;
-          match F.lookup fs ~dir name with
-          | Ok ino as r ->
-              insert_dentry s ~dir name (Some ino);
-              r
-          | Error Enoent as r ->
-              insert_dentry s ~dir name None;
-              r
-          | Error _ as r -> r
-        end
+          let r = F.lookup fs ~dir name in
+          (match r with
+          | Ok _ | Error Enoent -> insert_dentry s ~dir name r
+          | Error _ -> ());
+          r
     end
 
   let stat_ino fs ino =
     let s = F.namei fs in
     if not (enabled s) then F.stat_ino fs ino
     else begin
-      match find_attr s ino with
-      | Some st ->
+      match Attrs.use_exn s.attrs ino with
+      | r ->
           Registry.incr m_attr_hits;
-          Ok st
-      | None -> begin
+          r
+      | exception Not_found ->
           Registry.incr m_attr_misses;
-          match F.stat_ino fs ino with
-          | Ok st as r ->
-              insert_attr s ino st;
-              r
-          | Error _ as r -> r
-        end
+          let r = F.stat_ino fs ino in
+          if Result.is_ok r then insert_attr s ino r;
+          r
     end
 
   (* Which ino does (dir, name) currently bind?  The invalidation hooks
      need to know whose attrs a mutation kills; answered from the cache
      when possible, else one (buffer-cache-served) lookup. *)
   let peek_ino fs ~dir name =
-    let s = F.namei fs in
-    match find_dentry s ~dir name with
-    | Some target -> target
-    | None -> ( match F.lookup fs ~dir name with Ok ino -> Some ino | Error _ -> None)
+    let r =
+      match find_dentry (F.namei fs) ~dir name with
+      | r -> r
+      | exception Not_found -> F.lookup fs ~dir name
+    in
+    Result.to_option r
 
   let mknod fs ~dir name kind =
     let s = F.namei fs in
@@ -283,7 +299,7 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
              stale attrs from its previous life before anyone stats it. *)
           bump_gen s dir;
           remove_attr s ino;
-          insert_dentry s ~dir name (Some ino)
+          insert_dentry s ~dir name r
       | Error _ -> remove_dentry s ~dir name);
       r
     end
@@ -308,7 +324,7 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
                 bump_gen s ino
               end
           | None -> ());
-          insert_dentry s ~dir name None
+          insert_dentry s ~dir name (Error Enoent)
       | Error _ -> remove_dentry s ~dir name);
       r
     end
@@ -353,7 +369,7 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
     | Ok entries when enabled s ->
         List.iter
           (fun (n, ino) ->
-            if n <> "." && n <> ".." then insert_dentry s ~dir n (Some ino))
+            if n <> "." && n <> ".." then insert_dentry s ~dir n (Ok ino))
           entries
     | _ -> ());
     r
@@ -367,8 +383,8 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
           (fun (n, st) ->
             if n <> "." && n <> ".." then begin
               Registry.incr m_readdirplus_warms;
-              insert_dentry s ~dir n (Some st.Fs_intf.st_ino);
-              insert_attr s st.Fs_intf.st_ino st
+              insert_dentry s ~dir n (Ok st.Fs_intf.st_ino);
+              insert_attr s st.Fs_intf.st_ino (Ok st)
             end)
           entries
     | _ -> ());
@@ -416,43 +432,46 @@ end
 module Resolver (F : SOURCE) = struct
   type t = F.t
 
-  let plain_walk fs parts =
-    let rec walk ino = function
-      | [] -> Ok ino
-      | name :: rest -> (
-          match F.lookup fs ~dir:ino name with
-          | Ok next -> walk next rest
-          | Error _ as e -> e)
-    in
-    walk (F.root fs) parts
+  (* The components of a canonical key, split only to walk them. *)
+  let parts key =
+    if String.length key = 1 then [] else List.tl (String.split_on_char '/' key)
 
-  let resolve_rel fs key parts =
+  let rec plain_walk fs ino = function
+    | [] -> Ok ino
+    | name :: rest -> (
+        match F.lookup fs ~dir:ino name with
+        | Ok next -> plain_walk fs next rest
+        | Error _ as e -> e)
+
+  (* A shortcut miss: walk, recording each directory passed through with
+     its generation, and store the outcome under [key]. *)
+  let rec walk fs s key deps ino = function
+    | [] ->
+        let r = Ok ino in
+        insert_shortcut s key ~deps r;
+        r
+    | name :: rest -> (
+        let deps = (ino, gen s ino) :: deps in
+        match F.lookup fs ~dir:ino name with
+        | Ok next -> walk fs s key deps next rest
+        | Error Errno.Enoent as e ->
+            if rest = [] then insert_shortcut s key ~deps e;
+            e
+        | Error _ as e -> e)
+
+  let resolve_rel fs key =
     let s = F.namei fs in
-    if not (enabled s) then plain_walk fs parts
+    if not (enabled s) then plain_walk fs (F.root fs) (parts key)
     else begin
       match find_shortcut s key with
-      | Some (Some ino) ->
+      | Ok _ as r ->
           Registry.incr m_shortcut_hits;
-          Ok ino
-      | Some None ->
+          r
+      | Error _ as r ->
           Registry.incr m_shortcut_negative_hits;
-          Error Errno.Enoent
-      | None ->
+          r
+      | exception Not_found ->
           Registry.incr m_shortcut_misses;
-          let deps = ref [] in
-          let rec walk ino = function
-            | [] ->
-                insert_shortcut s key ~deps:!deps (Some ino);
-                Ok ino
-            | name :: rest -> (
-                deps := (ino, gen s ino) :: !deps;
-                match F.lookup fs ~dir:ino name with
-                | Ok next -> walk next rest
-                | Error Errno.Enoent as e ->
-                    if rest = [] then insert_shortcut s key ~deps:!deps None;
-                    e
-                | Error _ as e -> e)
-          in
-          walk (F.root fs) parts
+          walk fs s key [] (F.root fs) (parts key)
     end
 end

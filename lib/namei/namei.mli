@@ -72,7 +72,9 @@ module Resolver (F : SOURCE) : Cffs_vfs.Pathfs.RESOLVER with type t = F.t
     remove or rename in any directory the walk passed through
     invalidates the shortcut — [namei.shortcut_stale]).  Hits skip the
     component walk entirely ([namei.shortcut_hits] /
-    [namei.shortcut_negative_hits]); misses walk through [F.lookup] and
-    so still benefit from the dentry cache.  Negative shortcuts are
-    cached only for ENOENT at the final component, gated by
-    [config.negative]. *)
+    [namei.shortcut_negative_hits]) and return the result stored with
+    the entry, so a hit allocates nothing.  The key is split into
+    components only on a miss, or when the caches are disabled; the walk
+    goes through [F.lookup] and so still benefits from the dentry cache.
+    Negative shortcuts are cached only for ENOENT at the final
+    component, gated by [config.negative]. *)

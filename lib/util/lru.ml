@@ -9,6 +9,7 @@ module type TABLE = sig
 
   val create : int -> ('k, 'v) t
   val find_opt : ('k, 'v) t -> 'k key -> 'v option
+  val find : ('k, 'v) t -> 'k key -> 'v
   val mem : ('k, 'v) t -> 'k key -> bool
   val replace : ('k, 'v) t -> 'k key -> 'v -> unit
   val remove : ('k, 'v) t -> 'k key -> unit
@@ -54,6 +55,15 @@ module Over (H : TABLE) = struct
 
   let find t k =
     match H.find_opt t.table k with Some n -> Some n.value | None -> None
+
+  let use_exn t k =
+    let n = H.find t.table k in
+    (match t.sentinel with
+    | Some s ->
+        unlink n;
+        link_mru s n
+    | None -> ());
+    n.value
 
   let use t k =
     match H.find_opt t.table k with
@@ -129,6 +139,7 @@ include Over (struct
 
   let create n = Hashtbl.create n
   let find_opt = Hashtbl.find_opt
+  let find = Hashtbl.find
   let mem = Hashtbl.mem
   let replace = Hashtbl.replace
   let remove = Hashtbl.remove
@@ -143,6 +154,7 @@ module type S = sig
   val mem : 'v t -> key -> bool
   val find : 'v t -> key -> 'v option
   val use : 'v t -> key -> 'v option
+  val use_exn : 'v t -> key -> 'v
   val add : 'v t -> key -> 'v -> unit
   val remove : 'v t -> key -> unit
   val length : 'v t -> int
@@ -162,6 +174,7 @@ module Make (K : Hashtbl.HashedType) = struct
 
     let create n = H.create n
     let find_opt = H.find_opt
+    let find = H.find
     let mem = H.mem
     let replace = H.replace
     let remove = H.remove
@@ -175,6 +188,7 @@ module Make (K : Hashtbl.HashedType) = struct
   let mem = L.mem
   let find = L.find
   let use = L.use
+  let use_exn = L.use_exn
   let add = L.add
   let remove = L.remove
   let length = L.length

@@ -17,6 +17,10 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val use : ('k, 'v) t -> 'k -> 'v option
 (** Lookup and mark most-recently-used. *)
 
+val use_exn : ('k, 'v) t -> 'k -> 'v
+(** {!use} without the option: raises [Not_found] on a miss, so a hit
+    allocates nothing. *)
+
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, marking most-recently-used. *)
 
@@ -49,6 +53,7 @@ module type S = sig
   val mem : 'v t -> key -> bool
   val find : 'v t -> key -> 'v option
   val use : 'v t -> key -> 'v option
+  val use_exn : 'v t -> key -> 'v
   val add : 'v t -> key -> 'v -> unit
   val remove : 'v t -> key -> unit
   val length : 'v t -> int

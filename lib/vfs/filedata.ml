@@ -144,7 +144,9 @@ module Make (F : FS) = struct
       let len = Bytes.length data in
       let bsz = block_size t in
       let old_size = inode.Inode.size in
+      let reached = ref 0 in
       let rec loop pos =
+        reached := pos;
         if pos >= len then Ok ()
         else begin
           let fo = off + pos in
@@ -181,10 +183,14 @@ module Make (F : FS) = struct
                   loop (pos + n))
         end
       in
-      let* () = loop 0 in
-      inode.Inode.size <- max inode.Inode.size (off + len);
+      let r = loop 0 in
+      (* On an error the blocks taken so far are named only by this copy
+         of the inode: it is written all the same, as a short write, or
+         they would leak. *)
+      inode.Inode.size <- max inode.Inode.size (off + !reached);
       inode.Inode.mtime <- mtime_now t;
-      F.write_inode t ino inode ~kind:`Meta_delayed
+      let w = F.write_inode t ino inode ~kind:`Meta_delayed in
+      match r with Ok () -> w | Error _ -> r
     end
 
   let truncate_ino t ~ino ~size =

@@ -14,18 +14,60 @@ let split p =
 
 let key parts = "/" ^ String.concat "/" parts
 
-let split_parent p =
-  match split p with
-  | Error e -> Error e
-  | Ok parts -> (
-      match List.rev parts with
-      | [] -> Error Errno.Einval
-      | base :: rinit -> Ok (List.rev rinit, base))
+(* The key of a valid path that is not canonical: its non-empty
+   components, each after one slash. *)
+let normalize p =
+  let b = Buffer.create (String.length p) in
+  String.split_on_char '/' p
+  |> List.iter (fun c ->
+         if c <> "" then begin
+           Buffer.add_char b '/';
+           Buffer.add_string b c
+         end);
+  if Buffer.length b = 0 then "/" else Buffer.contents b
+
+(* One scan validates [p] the way [split] does — an over-long name
+   anywhere wins over a "." or ".." anywhere — and notes whether [p] is
+   already its own key: no empty component, so no doubled or trailing
+   slash, except in "/" itself.  [i] walks the component that starts at
+   [start]; top level, so the scan allocates nothing. *)
+let rec scan p n i start dots canon =
+  if i < n && p.[i] <> '/' then scan p n (i + 1) start dots canon
+  else begin
+    let len = i - start in
+    if len > max_name then Error Errno.Enametoolong
+    else begin
+      let dots =
+        dots
+        || (len = 1 && p.[start] = '.')
+        || (len = 2 && p.[start] = '.' && p.[start + 1] = '.')
+      in
+      let canon = canon && (len > 0 || n = 1) in
+      if i < n then scan p n (i + 1) (i + 1) dots canon
+      else if dots then Error Errno.Einval
+      else if canon then Ok p
+      else Ok (normalize p)
+    end
+  end
+
+let canonical p =
+  let n = String.length p in
+  if n = 0 || p.[0] <> '/' then Error Errno.Einval else scan p n 1 1 false true
+
+let components key =
+  if String.length key = 1 then 0
+  else String.fold_left (fun k c -> if c = '/' then k + 1 else k) 0 key
+
+let parent_name key =
+  let i = String.rindex key '/' in
+  ( (if i = 0 then "/" else String.sub key 0 i),
+    String.sub key (i + 1) (String.length key - i - 1) )
 
 let dirname_basename p =
-  match split_parent p with
+  match canonical p with
   | Error e -> Error e
-  | Ok (init, base) -> Ok (key init, base)
+  | Ok "/" -> Error Errno.Einval
+  | Ok key -> Ok (parent_name key)
 
 let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
 

@@ -11,11 +11,23 @@ val key : string list -> string
 (** The canonical path of split components: [key ["a"; "b"]] is ["/a/b"],
     [key []] is ["/"]. *)
 
-val split_parent : string -> (string list * string) Errno.result
-(** [split_parent "/a/b/c"] is [Ok (["a"; "b"], "c")].  Errors on ["/"]. *)
+val canonical : string -> string Errno.result
+(** The key {!split} and {!key} would give, in one scan: [canonical
+    "//a///b/"] is [Ok "/a/b"].  A path that is already canonical comes
+    back physically ([==]), so resolving one allocates no string.  The
+    errors are {!split}'s, with the same precedence (an over-long name
+    anywhere before a ["."] or [".."] anywhere). *)
+
+val components : string -> int
+(** The number of components of a canonical key: 0 for ["/"]. *)
+
+val parent_name : string -> string * string
+(** [parent_name "/a/b/c"] is [("/a/b", "c")]: the parent's key and the
+    last name, as two substrings of a canonical key other than ["/"]. *)
 
 val dirname_basename : string -> (string * string) Errno.result
-(** [dirname_basename "/a/b/c"] is [Ok ("/a/b", "c")].  Errors on ["/"]. *)
+(** [dirname_basename "/a/b/c"] is [Ok ("/a/b", "c")]: {!canonical}, then
+    {!parent_name}.  Errors on ["/"]. *)
 
 val join : string -> string -> string
 (** [join "/a" "b"] is ["/a/b"]. *)

@@ -3,46 +3,57 @@ open Errno
 let m_resolves = Cffs_obs.Registry.counter "vfs.resolves"
 let m_components = Cffs_obs.Registry.counter "vfs.path_components"
 
-(* How [resolve] maps a split path to an inode.  lib/namei's full-path
-   shortcut cache keys on the canonical path and skips the component walk
-   entirely on a hit; this module need not care how, because the resolver
-   receives the canonical key alongside the parts. *)
+(* How [resolve] maps a canonical path to an inode.  lib/namei's
+   full-path shortcut cache keys on that path and skips the component
+   walk entirely on a hit; a resolver splits the key only when it walks. *)
 module type RESOLVER = sig
   type t
 
-  val resolve_rel : t -> string -> string list -> int Errno.result
+  val resolve_rel : t -> string -> int Errno.result
 end
 
 module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
   include F
 
-  (* The walk of an already split path; the caller counts the resolve. *)
-  let resolve_parts t parts =
-    Cffs_obs.Registry.incr ~by:(List.length parts) m_components;
-    R.resolve_rel t (Path.key parts) parts
+  (* The walk of a canonical key; the caller counts the resolve. *)
+  let resolve_key t key =
+    Cffs_obs.Registry.incr ~by:(Path.components key) m_components;
+    R.resolve_rel t key
 
+  (* Written as matches, not [let*]: a warm resolve returns the
+     resolver's own result and builds no closure. *)
   let resolve t p =
     Cffs_obs.Registry.incr m_resolves;
-    let* parts = Path.split p in
-    let* ino = resolve_parts t parts in
-    (* "/a/" claims a is a directory; POSIX answers ENOTDIR when it is
-       not.  The check lives here, above any name cache, so the errno is
-       identical with caching on and off. *)
-    if Path.trailing_slash p then begin
-      let* st = F.stat_ino t ino in
-      if st.Fs_intf.st_kind <> Inode.Directory then Error Enotdir else Ok ino
-    end
-    else Ok ino
+    match Path.canonical p with
+    | Error e -> Error e
+    | Ok key -> (
+        let r = resolve_key t key in
+        (* "/a/" claims a is a directory; POSIX answers ENOTDIR when it
+           is not.  The check lives here, above any name cache, so the
+           errno is identical with caching on and off. *)
+        match r with
+        | Ok ino when Path.trailing_slash p -> (
+            match F.stat_ino t ino with
+            | Ok st ->
+                if st.Fs_intf.st_kind <> Inode.Directory then Error Enotdir
+                else r
+            | Error e -> Error e)
+        | _ -> r)
 
-  (* The path is split once: the parent is walked from its components,
-     counted as one resolve, as [resolve] of its path would be. *)
+  (* The parent's key and the name are two substrings of the path's key;
+     the parent is counted as one resolve, as [resolve] of its path
+     would be. *)
   let resolve_parent t p =
-    let* dir_parts, name = Path.split_parent p in
-    Cffs_obs.Registry.incr m_resolves;
-    let* dir = resolve_parts t dir_parts in
-    let* st = F.stat_ino t dir in
-    if st.Fs_intf.st_kind <> Inode.Directory then Error Enotdir
-    else Ok (dir, name)
+    match Path.canonical p with
+    | Error e -> Error e
+    | Ok "/" -> Error Einval
+    | Ok key ->
+        let dir_key, name = Path.parent_name key in
+        Cffs_obs.Registry.incr m_resolves;
+        let* dir = resolve_key t dir_key in
+        let* st = F.stat_ino t dir in
+        if st.Fs_intf.st_kind <> Inode.Directory then Error Enotdir
+        else Ok (dir, name)
 
   let create t p =
     (* open("a/", O_CREAT) is EISDIR: a trailing slash demands a directory,
@@ -112,8 +123,7 @@ module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
     end
 
   let stat t p =
-    let* ino = resolve t p in
-    F.stat_ino t ino
+    match resolve t p with Ok ino -> F.stat_ino t ino | Error e -> Error e
 
   let exists t p = match stat t p with Ok _ -> true | Error _ -> false
 

@@ -1,13 +1,14 @@
 (** Lift an inode-level file system to the path-based interface. *)
 
-(** How [resolve] turns a split path into an inode.  [resolve_rel t key
-    parts] receives the canonical absolute path ([key], "/"-joined from
-    [parts]) alongside the components, so a caching resolver can index
-    whole paths without re-deriving the key. *)
+(** How [resolve] turns a path into an inode.  [resolve_rel t key]
+    receives only the canonical absolute path ({!Path.canonical}: ["/"],
+    or ["/a/b"] with no empty, ["."] or [".."] component), so a caching
+    resolver can index whole paths as they come.  A resolver that must
+    walk splits [key] itself, and only then. *)
 module type RESOLVER = sig
   type t
 
-  val resolve_rel : t -> string -> string list -> int Errno.result
+  val resolve_rel : t -> string -> int Errno.result
 end
 
 module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) :

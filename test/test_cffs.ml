@@ -314,6 +314,46 @@ let test_rename_changes_embedded_ino () =
   check Alcotest.bytes "content follows" (Bytes.of_string "moving")
     (ok "read" (Cffs.read_file fs "/d/g"))
 
+let fsck_clean what fs =
+  let r = Cffs_fsck.Fsck_cffs.check fs in
+  if not (Cffs_fsck.Report.clean r) then
+    Alcotest.failf "%s: fsck: %s" what (Format.asprintf "%a" Cffs_fsck.Report.pp r)
+
+(* The 128th create fills /d's linear blocks, so the rename's insert
+   promotes /d to an index and moves the source entry with every other:
+   the source must be cleared where it went, not in a freed block. *)
+let test_rename_across_promotion () =
+  let fs = fresh_default () in
+  ok "mkdir" (Cffs.mkdir fs "/d");
+  for i = 0 to 127 do
+    ok "create" (Cffs.create fs (Printf.sprintf "/d/f%03d" i))
+  done;
+  ok "rename" (Cffs.rename_path fs ~src:"/d/f005" ~dst:"/d/g005");
+  let names = ok "list" (Cffs.list_dir fs "/d") in
+  check Alcotest.int "entries" 128 (List.length names);
+  check Alcotest.bool "source gone" false (List.mem "f005" names);
+  check Alcotest.bool "target there" true (List.mem "g005" names);
+  fsck_clean "after rename" fs
+
+(* Filling the device ends in a short write, whose blocks the file keeps.
+   Without embedded inodes a create then takes an inode-file slot before
+   its name; when the directory cannot grow, the slot must go back. *)
+let test_enospc_create_frees_inode () =
+  let fs = fresh Cffs.config_ffs_like () in
+  ok "mkdir" (Cffs.mkdir fs "/d");
+  let chunk = Bytes.make (64 * 1024) 'x' in
+  let rec fill i =
+    match Cffs.write_file fs (Printf.sprintf "/f%04d" i) chunk with
+    | Ok () -> fill (i + 1)
+    | Error Errno.Enospc -> ()
+    | Error e -> Alcotest.failf "fill: %s" (Errno.to_string e)
+  in
+  fill 0;
+  fsck_clean "after fill" fs;
+  check Alcotest.bool "create in empty /d" true
+    (Cffs.create fs "/d/x" = Error Errno.Enospc);
+  fsck_clean "after ENOSPC" fs
+
 let test_external_ino_reuse () =
   let fs = fresh (Cffs.config_ffs_like) () in
   ok "w1" (Cffs.write_file fs "/a" (Bytes.of_string "1"));
@@ -698,6 +738,9 @@ let () =
           Alcotest.test_case "create reads each block once" `Quick
             test_create_reads_each_block_once;
           Alcotest.test_case "rename moves inode" `Quick test_rename_changes_embedded_ino;
+          Alcotest.test_case "rename across promotion" `Quick test_rename_across_promotion;
+          Alcotest.test_case "ENOSPC create frees its inode" `Quick
+            test_enospc_create_frees_inode;
           Alcotest.test_case "external slot reuse" `Quick test_external_ino_reuse;
           Alcotest.test_case "free list after remount" `Quick
             test_ext_free_list_survives_remount;

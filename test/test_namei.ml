@@ -385,6 +385,52 @@ let qcheck_cached_uncached_agree =
       List.for_all (fun op -> observe a op = observe b op) ops)
 
 (* ------------------------------------------------------------------ *)
+(* The warm path's allocation: Pathfs resolves an already canonical path
+   as itself, and every namei hit hands back the answer it stored. *)
+
+module Shortcut = Namei.Resolver (Cffs)
+
+let words_per_call calls f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_warm_stat_allocation () =
+  let fs = mk_fs () in
+  ok "mkdir" (Cffs.mkdir_p fs "/a/b");
+  ok "create" (Cffs.write_file fs "/a/b/f" payload);
+  let p = "/a/b/f" in
+  ignore (ok "warm" (Cffs.stat fs p));
+  let stat = words_per_call 1000 (fun () -> Cffs.stat fs p) in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f words per warm stat (at most 24)" stat)
+    true (stat <= 24.0);
+  let hits0 = Registry.get_counter (Registry.snapshot ()) "namei.shortcut_hits" in
+  let hit = words_per_call 1000 (fun () -> Shortcut.resolve_rel fs p) in
+  check Alcotest.int "every call a shortcut hit" 1000
+    (Registry.get_counter (Registry.snapshot ()) "namei.shortcut_hits" - hits0);
+  check Alcotest.bool
+    (Printf.sprintf "%.3f words per shortcut hit (none)" hit)
+    true (hit < 0.01)
+
+(* A path is counted by its key: spelling it with extra slashes changes
+   neither the resolve count nor the component count. *)
+let test_spelling_counts_alike () =
+  let fs = mk_fs () in
+  ok "mkdir" (Cffs.mkdir_p fs "/a/b");
+  let counts p =
+    let before = Registry.snapshot () in
+    ignore (ok p (Cffs.stat fs p));
+    let d = Registry.diff (Registry.snapshot ()) before in
+    (Registry.get_counter d "vfs.resolves", Registry.get_counter d "vfs.path_components")
+  in
+  let plain = counts "/a/b" in
+  check Alcotest.(pair int int) "resolves, components" (1, 2) plain;
+  check Alcotest.(pair int int) "same for //a///b/" plain (counts "//a///b/")
+
+(* ------------------------------------------------------------------ *)
 (* The acceptance criterion: warm repeated-stat on C-FFS with the caches
    on is at least 5x faster than with them off, once the metadata working
    set exceeds the buffer cache. *)
@@ -447,6 +493,10 @@ let () =
             test_shortcut_stale_after_top_rename;
           Alcotest.test_case "negative purged on create" `Quick
             test_shortcut_negative_purged_on_create;
+          Alcotest.test_case "warm stat allocation" `Quick
+            test_warm_stat_allocation;
+          Alcotest.test_case "spelling counts alike" `Quick
+            test_spelling_counts_alike;
         ] );
       ( "bounds",
         [

@@ -44,11 +44,52 @@ let test_path_dirname () =
   check pair "two levels" (Ok ("/a", "b")) (Path.dirname_basename "/a/b");
   check pair "top level" (Ok ("/", "a")) (Path.dirname_basename "/a");
   check pair "root invalid" (Error Errno.Einval) (Path.dirname_basename "/");
-  let parts = Alcotest.result (Alcotest.pair (Alcotest.list Alcotest.string) Alcotest.string) err in
-  check parts "split parent" (Ok ([ "a"; "b" ], "c")) (Path.split_parent "//a/b//c/");
-  check parts "split root" (Error Errno.Einval) (Path.split_parent "/");
+  check pair "normalized first" (Ok ("/a/b", "c")) (Path.dirname_basename "//a/b//c/");
+  check pair "root spelled long" (Error Errno.Einval) (Path.dirname_basename "//");
+  check (Alcotest.pair Alcotest.string Alcotest.string) "parent of key"
+    ("/a/b", "c") (Path.parent_name "/a/b/c");
   check Alcotest.string "key" "/a/b" (Path.key [ "a"; "b" ]);
   check Alcotest.string "root key" "/" (Path.key [])
+
+let test_path_canonical () =
+  let key = Alcotest.result Alcotest.string err in
+  check key "normalized" (Ok "/a/b") (Path.canonical "//a///b/");
+  check key "root" (Ok "/") (Path.canonical "///");
+  check key "long name beats dots" (Error Errno.Enametoolong)
+    (Path.canonical ("/../" ^ String.make 256 'x'));
+  let p = "/a/b/c" in
+  check Alcotest.bool "canonical comes back as itself" true
+    (match Path.canonical p with Ok k -> k == p | Error _ -> false);
+  check Alcotest.int "components" 3 (Path.components p);
+  check Alcotest.int "root components" 0 (Path.components "/")
+
+(* [canonical] is [split] then [key], in one scan: the same key or the
+   same error, and the path itself exactly when it is already its key. *)
+let prop_canonical_oracle =
+  let token =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ "/"; "//"; "."; ".."; "a"; "bc"; ".x"; "x."; "..." ];
+          map (fun n -> String.make n 'n') (int_range 254 256);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun abs toks -> (if abs then "/" else "") ^ String.concat "" toks)
+        (frequency [ (9, return true); (1, return false) ])
+        (list_size (int_bound 8) token))
+  in
+  let print p =
+    if String.length p <= 60 then Printf.sprintf "%S" p
+    else Printf.sprintf "%S... (%d bytes)" (String.sub p 0 60) (String.length p)
+  in
+  qtest ~count:2000 "canonical = key of split" (QCheck.make ~print gen) (fun p ->
+      let want = Result.map Path.key (Path.split p) in
+      let got = Path.canonical p in
+      got = want
+      && match got with Ok k -> (k == p) = String.equal k p | Error _ -> true)
 
 let test_path_join () =
   check Alcotest.string "root join" "/a" (Path.join "/" "a");
@@ -400,6 +441,8 @@ let () =
           Alcotest.test_case "trailing slash" `Quick test_path_trailing_slash;
           Alcotest.test_case "dirname/basename" `Quick test_path_dirname;
           Alcotest.test_case "join" `Quick test_path_join;
+          Alcotest.test_case "canonical" `Quick test_path_canonical;
+          prop_canonical_oracle;
         ] );
       ( "pathfs",
         [
