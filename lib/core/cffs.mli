@@ -118,6 +118,19 @@ val write_inode_raw : t -> int -> Cffs_vfs.Inode.t -> unit Cffs_vfs.Errno.result
 (** Overwrite an inode in place (synchronously), bypassing the namespace —
     for fsck repairs only. *)
 
+val read_header : t -> int -> bytes
+(** Cylinder group [cg]'s header block.  An unreadable primary is served
+    from its replica on an integrity volume (and queued for rewrite);
+    otherwise the read raises {!Cffs_util.Io_error.E}. *)
+
+val block_map : t -> Cffs_vfs.Alloc.map
+(** The groups' block bitmaps inside those headers. *)
+
+val chunk_ino : t -> pblock:int -> Cdir.entry -> int
+(** The inode number a directory entry names: positional for an inode
+    embedded in chunk [e.chunk] of directory block [pblock], else the
+    external number the entry carries. *)
+
 val is_embedded_ino : int -> bool
 val frame_of_block : t -> int -> int option
 (** Start of the aligned group frame containing a block, if the block lies

@@ -51,4 +51,16 @@ val namei : t -> Cffs_namei.Namei.t
 val read_inode : t -> int -> Cffs_vfs.Inode.t Cffs_vfs.Errno.result
 (** Direct inode access, for fsck and tests. *)
 
+val read_header : t -> int -> bytes
+(** Cylinder group [cg]'s header block, as the cache's buffer. *)
+
+val block_map : t -> Cffs_vfs.Alloc.map
+val inode_map : t -> Cffs_vfs.Alloc.map
+(** The groups' block and inode bitmaps inside those headers. *)
+
+val block_in_use : t -> int -> bool
+(** Is [blk] allocated (per the cylinder-group bitmaps)?  Block 0 and
+    each group's header and inode table count as in use; blocks outside
+    the file system do not. *)
+
 include Cffs_vfs.Fs_intf.S with type t := t

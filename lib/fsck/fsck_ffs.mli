@@ -1,9 +1,6 @@
-(** Off-line checker/repairer for the FFS baseline, in the spirit of
-    [McKusick94]'s fsck: walks the directory hierarchy from the root,
-    cross-checks it against the static inode tables and both bitmaps, and
-    can repair what it finds (remove dangling entries, reattach orphan files
-    under [/lost+found], clear orphan directories, rebuild bitmaps, fix link
-    counts). *)
+(** {!Fsck} for the FFS baseline: orphans are sought in the static inode
+    tables, both group bitmaps are checked, and every "." / ".." entry
+    counts as a link. *)
 
 val check : Ffs.t -> Report.t
 (** Read-only examination. *)

@@ -1,5 +1,4 @@
-module Cache = Cffs_cache.Cache
-module Bitview = Cffs_util.Bitview
+module Alloc = Cffs_vfs.Alloc
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
 module Json = Cffs_obs.Json
@@ -194,18 +193,14 @@ let ok_or_default d = function Ok v -> v | Error _ -> d
 
 let cffs_source (fs : Cffs.t) =
   let sb = Cffs.superblock fs in
-  let total = 1 + Csb.total_blocks sb in
-  let data_block blk =
-    blk >= 1 && blk < total && blk - Csb.cg_start sb (Csb.cg_of_block sb blk) > 0
-  in
   {
     src_label = Cffs.label fs;
     src_root = Csb.root_ino;
-    src_total = total;
+    src_total = 1 + Csb.total_blocks sb;
     src_readdir = (fun dir -> ok_or_default [] (Cffs.readdir fs ~dir));
     src_stat = (fun ino -> Result.to_option (Cffs.stat_ino fs ino));
     src_runs = (fun ino -> ok_or_default [] (Cffs.data_runs fs ~ino));
-    src_data_block = data_block;
+    src_data_block = Alloc.allocatable (Cffs.block_map fs);
     src_block_used = Cffs.block_in_use fs;
     src_frame_of = Cffs.frame_of_block fs;
     src_group_blocks = (if (Cffs.config fs).Cffs.grouping then sb.Csb.group_blocks else 0);
@@ -217,33 +212,16 @@ let cffs_source (fs : Cffs.t) =
   }
 
 let ffs_source (fs : Ffs.t) =
-  let module L = Ffs.Layout in
   let sb = Ffs.superblock fs in
-  let cache = Ffs.cache fs in
-  let total = 1 + (sb.L.cg_count * sb.L.cg_size) in
-  (* One header read per group; bit indices are cg-relative. *)
-  let hdrs =
-    Array.init sb.L.cg_count (fun cg -> Cache.read cache (L.cg_start sb cg))
-  in
-  let data_block blk =
-    blk >= 1 && blk < total
-    &&
-    let cg = L.cg_of_block sb blk in
-    blk - L.cg_start sb cg > sb.L.itable_blocks
-  in
-  let block_used blk =
-    let cg = L.cg_of_block sb blk in
-    Bitview.get hdrs.(cg) (L.hdr_block_bitmap_off sb) (blk - L.cg_start sb cg)
-  in
   {
     src_label = Ffs.label fs;
-    src_root = sb.L.root_ino;
-    src_total = total;
+    src_root = sb.Ffs.Layout.root_ino;
+    src_total = 1 + (sb.Ffs.Layout.cg_count * sb.Ffs.Layout.cg_size);
     src_readdir = (fun dir -> ok_or_default [] (Ffs.readdir fs ~dir));
     src_stat = (fun ino -> Result.to_option (Ffs.stat_ino fs ino));
     src_runs = (fun ino -> ok_or_default [] (Ffs.data_runs fs ~ino));
-    src_data_block = data_block;
-    src_block_used = block_used;
+    src_data_block = Alloc.allocatable (Ffs.block_map fs);
+    src_block_used = Ffs.block_in_use fs;
     src_frame_of = (fun _ -> None);  (* FFS has no grouping *)
     src_group_blocks = 0;
     src_small_blocks = Cffs.config_default.Cffs.group_file_blocks;

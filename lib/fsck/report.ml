@@ -8,6 +8,7 @@ type problem =
   | Block_bitmap_mismatch of { cg : int; expected_free : int; found_free : int }
   | Inode_bitmap_mismatch of { cg : int; expected_free : int; found_free : int }
   | Bad_directory_block of { dir : int; lblk : int }
+  | Bad_group_header of { cg : int }
 
 type t = {
   problems : problem list;
@@ -46,6 +47,7 @@ let pp_problem ppf = function
         found_free expected_free
   | Bad_directory_block { dir; lblk } ->
       Format.fprintf ppf "unreadable block %d of directory %d" lblk dir
+  | Bad_group_header { cg } -> Format.fprintf ppf "cg %d header unreadable" cg
 
 let pp ppf t =
   Format.fprintf ppf "%d files, %d dirs, %d blocks; %d problem(s)%s" t.files t.dirs

@@ -17,6 +17,9 @@ type problem =
   | Block_bitmap_mismatch of { cg : int; expected_free : int; found_free : int }
   | Inode_bitmap_mismatch of { cg : int; expected_free : int; found_free : int }
   | Bad_directory_block of { dir : int; lblk : int }
+  | Bad_group_header of { cg : int }
+      (** a cylinder-group header no copy of which can be read; its
+          bitmaps are neither compared nor rebuilt *)
 
 type t = {
   problems : problem list;
