@@ -1,33 +1,39 @@
 (* Doubly-linked list threaded through hashtable nodes.  The list header is a
    sentinel node: [sentinel.next] is the LRU end, [sentinel.prev] the MRU
-   end.  The list is written once over the table that indexes it, so the
-   polymorphic LRU and every [Make] instance share this code. *)
+   end. *)
 
-module type TABLE = sig
-  type 'k key
-  type ('k, 'v) t
+module type S = sig
+  type key
+  type 'v t
 
-  val create : int -> ('k, 'v) t
-  val find_opt : ('k, 'v) t -> 'k key -> 'v option
-  val find : ('k, 'v) t -> 'k key -> 'v
-  val mem : ('k, 'v) t -> 'k key -> bool
-  val replace : ('k, 'v) t -> 'k key -> 'v -> unit
-  val remove : ('k, 'v) t -> 'k key -> unit
-  val length : ('k, 'v) t -> int
+  val create : ?size_hint:int -> unit -> 'v t
+  val mem : 'v t -> key -> bool
+  val find : 'v t -> key -> 'v option
+  val use : 'v t -> key -> 'v option
+  val use_exn : 'v t -> key -> 'v
+  val add : 'v t -> key -> 'v -> unit
+  val remove : 'v t -> key -> unit
+  val length : 'v t -> int
+  val lru : 'v t -> (key * 'v) option
+  val pop_lru : 'v t -> (key * 'v) option
+  val iter : 'v t -> (key -> 'v -> unit) -> unit
+  val fold : 'v t -> init:'a -> f:('a -> key -> 'v -> 'a) -> 'a
+  val to_list : 'v t -> (key * 'v) list
 end
 
-module Over (H : TABLE) = struct
-  type ('k, 'v) node = {
-    key : 'k H.key;
+module Make (K : Hashtbl.HashedType) = struct
+  module H = Hashtbl.Make (K)
+
+  type key = K.t
+
+  type 'v node = {
+    key : key;
     mutable value : 'v;
-    mutable prev : ('k, 'v) node;
-    mutable next : ('k, 'v) node;
+    mutable prev : 'v node;
+    mutable next : 'v node;
   }
 
-  type ('k, 'v) t = {
-    table : ('k, ('k, 'v) node) H.t;
-    mutable sentinel : ('k, 'v) node option;
-  }
+  type 'v t = { table : 'v node H.t; mutable sentinel : 'v node option }
 
   let create ?(size_hint = 64) () = { table = H.create size_hint; sentinel = None }
 
@@ -51,6 +57,13 @@ module Over (H : TABLE) = struct
     s.prev.next <- n;
     s.prev <- n
 
+  let touch t n =
+    match t.sentinel with
+    | Some s ->
+        unlink n;
+        link_mru s n
+    | None -> ()
+
   let mem t k = H.mem t.table k
 
   let find t k =
@@ -58,33 +71,21 @@ module Over (H : TABLE) = struct
 
   let use_exn t k =
     let n = H.find t.table k in
-    (match t.sentinel with
-    | Some s ->
-        unlink n;
-        link_mru s n
-    | None -> ());
+    touch t n;
     n.value
 
   let use t k =
     match H.find_opt t.table k with
     | None -> None
     | Some n ->
-        (match t.sentinel with
-        | Some s ->
-            unlink n;
-            link_mru s n
-        | None -> ());
+        touch t n;
         Some n.value
 
   let add t k v =
     match H.find_opt t.table k with
     | Some n ->
         n.value <- v;
-        (match t.sentinel with
-        | Some s ->
-            unlink n;
-            link_mru s n
-        | None -> ())
+        touch t n
     | None ->
         let s = get_sentinel t k v in
         let rec n = { key = k; value = v; prev = n; next = n } in
@@ -131,70 +132,4 @@ module Over (H : TABLE) = struct
     !acc
 
   let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-end
-
-include Over (struct
-  type 'k key = 'k
-  type ('k, 'v) t = ('k, 'v) Hashtbl.t
-
-  let create n = Hashtbl.create n
-  let find_opt = Hashtbl.find_opt
-  let find = Hashtbl.find
-  let mem = Hashtbl.mem
-  let replace = Hashtbl.replace
-  let remove = Hashtbl.remove
-  let length = Hashtbl.length
-end)
-
-module type S = sig
-  type key
-  type 'v t
-
-  val create : ?size_hint:int -> unit -> 'v t
-  val mem : 'v t -> key -> bool
-  val find : 'v t -> key -> 'v option
-  val use : 'v t -> key -> 'v option
-  val use_exn : 'v t -> key -> 'v
-  val add : 'v t -> key -> 'v -> unit
-  val remove : 'v t -> key -> unit
-  val length : 'v t -> int
-  val lru : 'v t -> (key * 'v) option
-  val pop_lru : 'v t -> (key * 'v) option
-  val iter : 'v t -> (key -> 'v -> unit) -> unit
-  val fold : 'v t -> init:'a -> f:('a -> key -> 'v -> 'a) -> 'a
-  val to_list : 'v t -> (key * 'v) list
-end
-
-module Make (K : Hashtbl.HashedType) = struct
-  module H = Hashtbl.Make (K)
-
-  module L = Over (struct
-    type 'k key = K.t
-    type ('k, 'v) t = 'v H.t
-
-    let create n = H.create n
-    let find_opt = H.find_opt
-    let find = H.find
-    let mem = H.mem
-    let replace = H.replace
-    let remove = H.remove
-    let length = H.length
-  end)
-
-  type key = K.t
-  type 'v t = (unit, 'v) L.t
-
-  let create = L.create
-  let mem = L.mem
-  let find = L.find
-  let use = L.use
-  let use_exn = L.use_exn
-  let add = L.add
-  let remove = L.remove
-  let length = L.length
-  let lru = L.lru
-  let pop_lru = L.pop_lru
-  let iter = L.iter
-  let fold = L.fold
-  let to_list = L.to_list
 end

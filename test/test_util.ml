@@ -272,62 +272,65 @@ let qcheck_bitmap_find_clear_scan =
 (* ------------------------------------------------------------------ *)
 (* Lru *)
 
+module Keys = Cffs_util.Keys
+module Int_lru = Lru.Make (Keys.Int)
+
 let test_lru_order () =
-  let l = Lru.create () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.add l 3 "c";
+  let l = Int_lru.create () in
+  Int_lru.add l 1 "a";
+  Int_lru.add l 2 "b";
+  Int_lru.add l 3 "c";
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "lru is 1"
-    (Some (1, "a")) (Lru.lru l);
-  ignore (Lru.use l 1);
+    (Some (1, "a")) (Int_lru.lru l);
+  ignore (Int_lru.use l 1);
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "lru is 2 after touch"
-    (Some (2, "b")) (Lru.lru l);
-  check Alcotest.int "length" 3 (Lru.length l)
+    (Some (2, "b")) (Int_lru.lru l);
+  check Alcotest.int "length" 3 (Int_lru.length l)
 
 let test_lru_pop () =
-  let l = Lru.create () in
-  Lru.add l 1 1;
-  Lru.add l 2 2;
+  let l = Int_lru.create () in
+  Int_lru.add l 1 1;
+  Int_lru.add l 2 2;
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int)) "pop 1" (Some (1, 1))
-    (Lru.pop_lru l);
+    (Int_lru.pop_lru l);
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int)) "pop 2" (Some (2, 2))
-    (Lru.pop_lru l);
+    (Int_lru.pop_lru l);
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int)) "empty" None
-    (Lru.pop_lru l)
+    (Int_lru.pop_lru l)
 
 let test_lru_replace () =
-  let l = Lru.create () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.add l 1 "a2";
-  check Alcotest.int "no dup" 2 (Lru.length l);
-  check (Alcotest.option Alcotest.string) "replaced" (Some "a2") (Lru.find l 1);
+  let l = Int_lru.create () in
+  Int_lru.add l 1 "a";
+  Int_lru.add l 2 "b";
+  Int_lru.add l 1 "a2";
+  check Alcotest.int "no dup" 2 (Int_lru.length l);
+  check (Alcotest.option Alcotest.string) "replaced" (Some "a2") (Int_lru.find l 1);
   (* replacing touched key 1, so 2 is now LRU *)
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "2 is lru"
-    (Some (2, "b")) (Lru.lru l)
+    (Some (2, "b")) (Int_lru.lru l)
 
 let test_lru_remove () =
-  let l = Lru.create () in
-  Lru.add l 1 "a";
-  Lru.add l 2 "b";
-  Lru.remove l 1;
-  check Alcotest.bool "gone" false (Lru.mem l 1);
-  check Alcotest.int "length" 1 (Lru.length l);
-  Lru.remove l 42 (* removing a missing key is fine *)
+  let l = Int_lru.create () in
+  Int_lru.add l 1 "a";
+  Int_lru.add l 2 "b";
+  Int_lru.remove l 1;
+  check Alcotest.bool "gone" false (Int_lru.mem l 1);
+  check Alcotest.int "length" 1 (Int_lru.length l);
+  Int_lru.remove l 42 (* removing a missing key is fine *)
 
 let test_lru_iter_order () =
-  let l = Lru.create () in
-  List.iter (fun i -> Lru.add l i i) [ 1; 2; 3; 4 ];
-  ignore (Lru.use l 2);
+  let l = Int_lru.create () in
+  List.iter (fun i -> Int_lru.add l i i) [ 1; 2; 3; 4 ];
+  ignore (Int_lru.use l 2);
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "lru-to-mru"
     [ (1, 1); (3, 3); (4, 4); (2, 2) ]
-    (Lru.to_list l)
+    (Int_lru.to_list l)
 
 let qcheck_lru_model =
   qtest "lru: agrees with a list-based model"
     QCheck.(list (pair (int_bound 20) (int_bound 2)))
     (fun ops ->
-      let l = Lru.create () in
+      let l = Int_lru.create () in
       (* model: association list in LRU order (head = LRU) *)
       let model = ref [] in
       let model_add k v =
@@ -344,39 +347,16 @@ let qcheck_lru_model =
         (fun (k, op) ->
           match op with
           | 0 ->
-              Lru.add l k k;
+              Int_lru.add l k k;
               model_add k k
           | 1 ->
-              ignore (Lru.use l k);
+              ignore (Int_lru.use l k);
               model_use k
           | _ ->
-              Lru.remove l k;
+              Int_lru.remove l k;
               model_remove k)
         ops;
-      Lru.to_list l = !model)
-
-module Keys = Cffs_util.Keys
-module Int_lru = Lru.Make (Keys.Int)
-
-let qcheck_lru_make_agrees =
-  qtest "lru: a Make instance behaves as the polymorphic one"
-    QCheck.(list (triple (int_bound 20) bool (int_bound 2)))
-    (fun ops ->
-      let p = Lru.create () and m = Int_lru.create ~size_hint:4 () in
-      List.iter
-        (fun (k, high, op) ->
-          (* embedded inode numbers live above 2^40 *)
-          let k = if high then (1 lsl 40) + k else k in
-          match op with
-          | 0 ->
-              Lru.add p k k;
-              Int_lru.add m k k
-          | 1 -> assert (Lru.use p k = Int_lru.use m k)
-          | _ ->
-              Lru.remove p k;
-              Int_lru.remove m k)
-        ops;
-      Lru.to_list p = Int_lru.to_list m && Lru.lru p = Int_lru.lru m)
+      Int_lru.to_list l = !model)
 
 (* Hashtbl keeps only the low bits of a hash: strided block numbers and
    (ino, lblk) pairs must still fill most of a 4096-bucket mask. *)
@@ -527,7 +507,6 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "iter order" `Quick test_lru_iter_order;
           qcheck_lru_model;
-          qcheck_lru_make_agrees;
           Alcotest.test_case "key hashes spread" `Quick test_keys_spread;
         ] );
       ( "codec",
