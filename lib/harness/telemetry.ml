@@ -123,26 +123,22 @@ let derived_json runs =
     end
   | _ -> []
 
-(* Self-healing counters are always present (zero included), unlike the
-   per-run counter deltas which drop zeros: consumers of the document can
-   assert on these keys without caring whether the run used an
-   integrity-formatted volume. *)
-let integrity_json () =
-  let snap = Registry.snapshot () in
-  Json.Obj
-    (List.map
-       (fun name -> (name, Json.Int (Registry.get_counter snap name)))
-       [
-         "integrity.checksum_failures";
-         "integrity.remaps";
-         "integrity.degraded_reads";
-         "scrub.blocks_verified";
-       ])
+(* The counter sections are always present, every key with its value,
+   zeros included, unlike the per-run counter deltas which drop zeros:
+   consumers of the document can assert on these keys whether or not the
+   run used the subsystem (an integrity-formatted volume, the [Journaled]
+   policy, a regroup pass, a promoted directory). *)
+let counters_json snap names =
+  Json.Obj (List.map (fun name -> (name, Json.Int (Registry.get_counter snap name))) names)
 
-(* Same always-present contract for the write-ahead log: zeros included,
-   whether or not the run used the [Journaled] policy, so the benchdiff
-   gate and dashboard consumers can track journal traffic (records,
-   commits, replays, checkpoint lag) across documents unconditionally. *)
+let integrity_counter_names =
+  [
+    "integrity.checksum_failures";
+    "integrity.remaps";
+    "integrity.degraded_reads";
+    "scrub.blocks_verified";
+  ]
+
 let journal_counter_names =
   [
     "journal.records";
@@ -157,16 +153,6 @@ let journal_counter_names =
     "journal.overflow_syncs";
   ]
 
-let journal_json () =
-  let snap = Registry.snapshot () in
-  Json.Obj
-    (List.map
-       (fun name -> (name, Json.Int (Registry.get_counter snap name)))
-       journal_counter_names)
-
-(* Same always-present contract for the dentry/attribute cache: every
-   [cffs-telemetry-v2] document carries the full namei key set, zeros
-   included, whether or not the run resolved a single name. *)
 let namei_counter_names =
   [
     "namei.dentry_hits";
@@ -183,17 +169,6 @@ let namei_counter_names =
     "namei.shortcut_stale";
   ]
 
-let namei_json ?snap () =
-  let snap = match snap with Some s -> s | None -> Registry.snapshot () in
-  Json.Obj
-    (List.map
-       (fun name -> (name, Json.Int (Registry.get_counter snap name)))
-       namei_counter_names)
-
-(* Same always-present contract for the online regrouper: zeros included,
-   whether or not a pass ran, so consumers can track compaction traffic
-   (passes, moves, copied blocks) and its fault handling (skips, ENOSPC
-   aborts, resumes) across documents unconditionally. *)
 let regroup_counter_names =
   [
     "regroup.passes";
@@ -206,18 +181,6 @@ let regroup_counter_names =
     "regroup.cursor_writes";
   ]
 
-let regroup_json ?snap () =
-  let snap = match snap with Some s -> s | None -> Registry.snapshot () in
-  Json.Obj
-    (List.map
-       (fun name -> (name, Json.Int (Registry.get_counter snap name)))
-       regroup_counter_names)
-
-(* Same always-present contract for the hashed directory index: zeros
-   included, whether or not any directory outgrew the promotion
-   threshold, so consumers can watch namespace-scaling traffic
-   (promotions, splits, table doublings, overflow chains) appear as a
-   volume's directories grow. *)
 let dirindex_counter_names =
   [
     "dirindex.promotions";
@@ -229,12 +192,18 @@ let dirindex_counter_names =
     "dirindex.indexed_inserts";
   ]
 
-let dirindex_json ?snap () =
-  let snap = match snap with Some s -> s | None -> Registry.snapshot () in
-  Json.Obj
-    (List.map
-       (fun name -> (name, Json.Int (Registry.get_counter snap name)))
-       dirindex_counter_names)
+(* The five sections of a document, from the live registry. *)
+let counter_sections () =
+  let snap = Registry.snapshot () in
+  List.map
+    (fun (section, names) -> (section, counters_json snap names))
+    [
+      ("integrity", integrity_counter_names);
+      ("journal", journal_counter_names);
+      ("namei", namei_counter_names);
+      ("regroup", regroup_counter_names);
+      ("dirindex", dirindex_counter_names);
+    ]
 
 (* --- grouping: the layout introspector on freshly populated images ------- *)
 
@@ -458,25 +427,23 @@ let document ?(nfiles = 400) ?(file_bytes = 1024)
   in
   let volume = volume_json ?drives:vol_drives ?layout:vol_layout () in
   Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("benchmark", Json.String "smallfile");
-      ("nfiles", Json.Int nfiles);
-      ("file_bytes", Json.Int file_bytes);
-      ("policy", Json.String (Cffs_cache.Cache.policy_name policy));
-      ("configs", Json.List (List.map config_to_json runs));
-      ("grouping", grouping);
-      ("latency_breakdown", latency_breakdown_json lat_delta);
-      ("timeseries", timeseries_json runs);
-      ("integrity", integrity_json ());
-      ("journal", journal_json ());
-      ("namei", namei_json ());
-      ("regroup", regroup_json ());
-      ("dirindex", dirindex_json ());
-      ("concurrency", concurrency);
-      ("volume", volume);
-      ("derived", Json.Obj (derived_json runs));
-    ]
+    ([
+       ("schema", Json.String schema);
+       ("benchmark", Json.String "smallfile");
+       ("nfiles", Json.Int nfiles);
+       ("file_bytes", Json.Int file_bytes);
+       ("policy", Json.String (Cffs_cache.Cache.policy_name policy));
+       ("configs", Json.List (List.map config_to_json runs));
+       ("grouping", grouping);
+       ("latency_breakdown", latency_breakdown_json lat_delta);
+       ("timeseries", timeseries_json runs);
+     ]
+    @ counter_sections ()
+    @ [
+        ("concurrency", concurrency);
+        ("volume", volume);
+        ("derived", Json.Obj (derived_json runs));
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* The stat-heavy benchmark as a telemetry document: both file systems
@@ -517,7 +484,7 @@ let statbench_run_json ~scale ~entries ~depth ~drives ~vol_layout ~fs ~cached =
         ("label", Json.String (Setup.fs_kind_label fs));
         ("namei", Json.String (if cached then "on" else "off"));
         ("phases", Json.List (List.map statbench_phase_json results));
-        ("namei_counters", namei_json ~snap:delta ());
+        ("namei_counters", counters_json delta namei_counter_names);
         ("ops", Json.Obj ops);
         ("counters", Json.Obj counters);
       ],
@@ -570,30 +537,26 @@ let statbench_document ?(scale = Experiments.quick) ?(entries = 0) ?(depth = 0)
   (* the spindle count and layout every instance above ran on *)
   let vol = Setup.standard ~drives ~vol_layout Setup.Ffs_baseline in
   Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("benchmark", Json.String "statbench");
-      ("dirs", Json.Int scale.Experiments.stat_dirs);
-      ("files_per_dir", Json.Int scale.Experiments.stat_files_per_dir);
-      ("repeats", Json.Int scale.Experiments.stat_repeats);
-      ("cache_blocks", Json.Int scale.Experiments.stat_cache_blocks);
-      ("bigdir_entries", Json.Int entries);
-      ("deep_depth", Json.Int depth);
-      ("drives", Json.Int vol.Setup.drives);
-      ("vol_layout", Json.String (Volume.layout_name vol.Setup.vol_layout));
-      ("configs", Json.List (List.map (fun (c, _, _) -> c) runs));
-      ("grouping", grouping_json statbench_fss);
-      ("latency_breakdown", latency_breakdown_json lat_delta);
-      ( "timeseries",
-        Json.Obj
-          [ ("configs", Json.List (List.map (fun (_, ts, _) -> ts) runs)) ] );
-      ("integrity", integrity_json ());
-      ("journal", journal_json ());
-      ("namei", namei_json ());
-      ("regroup", regroup_json ());
-      ("dirindex", dirindex_json ());
-      ("derived", Json.Obj derived);
-    ]
+    ([
+       ("schema", Json.String schema);
+       ("benchmark", Json.String "statbench");
+       ("dirs", Json.Int scale.Experiments.stat_dirs);
+       ("files_per_dir", Json.Int scale.Experiments.stat_files_per_dir);
+       ("repeats", Json.Int scale.Experiments.stat_repeats);
+       ("cache_blocks", Json.Int scale.Experiments.stat_cache_blocks);
+       ("bigdir_entries", Json.Int entries);
+       ("deep_depth", Json.Int depth);
+       ("drives", Json.Int vol.Setup.drives);
+       ("vol_layout", Json.String (Volume.layout_name vol.Setup.vol_layout));
+       ("configs", Json.List (List.map (fun (c, _, _) -> c) runs));
+       ("grouping", grouping_json statbench_fss);
+       ("latency_breakdown", latency_breakdown_json lat_delta);
+       ( "timeseries",
+         Json.Obj
+           [ ("configs", Json.List (List.map (fun (_, ts, _) -> ts) runs)) ] );
+     ]
+    @ counter_sections ()
+    @ [ ("derived", Json.Obj derived) ])
 
 let print_human ?(nfiles = 400) ?(file_bytes = 1024)
     ?(policy = Cffs_cache.Cache.Sync_metadata) ?(configs = default_pair) () =

@@ -63,51 +63,34 @@ val default_pair : Setup.fs_kind list
 (** [C-FFS (none); C-FFS (EI+EG)] — the comparison the paper's Tables 2–4
     make. *)
 
-val journal_counter_names : string list
-(** The always-present keys of the document's ["journal"] section, in
-    order: write-ahead-log traffic (records, commits, revokes), recovery
-    (replays, replayed/discarded transactions) and checkpoint pressure
-    (checkpoints, cumulative lag in log blocks, overflow syncs). *)
+val counters_json : Cffs_obs.Registry.snapshot -> string list -> Cffs_obs.Json.t
+(** The named counters of a snapshot as an object, every key present
+    (zeros included) — the contract of the document's always-present
+    counter sections, so consumers can assert on the keys whether or not
+    the run used the subsystem. *)
 
-val journal_json : unit -> Cffs_obs.Json.t
-(** The write-ahead-log counters as an object with every key from
-    {!journal_counter_names} present (zeros included), read from the live
-    registry — same contract as the ["integrity"] section, whether or not
-    the run used the [Journaled] policy. *)
+val integrity_counter_names : string list
+(** The keys of the ["integrity"] section, in order: checksum failures,
+    remaps, degraded reads and scrub progress. *)
+
+val journal_counter_names : string list
+(** The keys of the ["journal"] section, in order: write-ahead-log
+    traffic (records, commits, revokes), recovery (replays,
+    replayed/discarded transactions) and checkpoint pressure (checkpoints,
+    cumulative lag in log blocks, overflow syncs). *)
 
 val namei_counter_names : string list
-(** The always-present keys of the document's ["namei"] section, in
-    order. *)
-
-val namei_json : ?snap:Cffs_obs.Registry.snapshot -> unit -> Cffs_obs.Json.t
-(** The dentry/attribute-cache counters as an object with every key from
-    {!namei_counter_names} present (zeros included) — same contract as the
-    ["integrity"] section, so consumers can assert on the keys whether or
-    not the run resolved a single name.  Reads the live registry unless
-    [?snap] (e.g. a per-run delta) is given. *)
+(** The keys of the ["namei"] section, in order. *)
 
 val regroup_counter_names : string list
-(** The always-present keys of the document's ["regroup"] section, in
-    order: compaction traffic (passes, files scanned/moved, blocks
-    copied) and fault handling (IO skips, ENOSPC aborts, cursor resumes
-    and writes). *)
-
-val regroup_json : ?snap:Cffs_obs.Registry.snapshot -> unit -> Cffs_obs.Json.t
-(** The online-regrouper counters as an object with every key from
-    {!regroup_counter_names} present (zeros included), read from the live
-    registry unless [?snap] is given — same contract as the ["journal"]
-    section, whether or not a regroup pass ran. *)
+(** The keys of the ["regroup"] section, in order: compaction traffic
+    (passes, files scanned/moved, blocks copied) and fault handling (IO
+    skips, ENOSPC aborts, cursor resumes and writes). *)
 
 val dirindex_counter_names : string list
-(** The always-present keys of the document's ["dirindex"] section, in
-    order: promotions, leaf splits, table doublings, overflow chains, and
-    indexed lookup/insert traffic. *)
-
-val dirindex_json : ?snap:Cffs_obs.Registry.snapshot -> unit -> Cffs_obs.Json.t
-(** The hashed-directory-index counters as an object with every key from
-    {!dirindex_counter_names} present (zeros included), read from the
-    live registry unless [?snap] is given — same contract as the
-    ["regroup"] section, whether or not any directory was promoted. *)
+(** The keys of the ["dirindex"] section, in order: promotions, leaf
+    splits, table doublings, overflow chains, and indexed lookup/insert
+    traffic. *)
 
 val spindle_json : Cffs_volume.Volume.spindle -> Cffs_obs.Json.t
 (** One spindle's counters (reads/writes, sectors, busy/seek/rotation/
