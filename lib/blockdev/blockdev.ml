@@ -9,14 +9,14 @@ let m_writes = Cffs_obs.Registry.counter "blockdev.writes"
 let m_read_sectors = Cffs_obs.Registry.counter "blockdev.read_sectors"
 let m_write_sectors = Cffs_obs.Registry.counter "blockdev.write_sectors"
 let m_io_errors = Cffs_obs.Registry.counter "blockdev.io_errors"
-let m_host = Cffs_obs.Registry.fcounter "blockdev.host_s"
+let m_host = Cffs_obs.Registry.fcell (Cffs_obs.Registry.fcounter "blockdev.host_s")
 
 type outcome = Proceed | Torn of int | Fail of Io_error.cause
 type injector = Io_error.op -> blk:int -> nblocks:int -> outcome
 type write_observer = blk:int -> data:bytes -> torn:int option -> unit
 
 type media =
-  | Memory of { mutable clock : float; stats : Request.Stats.s }
+  | Memory of { stats : Request.Stats.s }
   | Timed of { drive : Drive.t; host_overhead : float }
 
 (* The pipeline carries data as one buffer per block, never as one
@@ -65,9 +65,14 @@ type frag = {
 
 (* One simulated spindle: the media with its contents and their
    out-of-band integrity tags (keyed by physical block), and the spindle's
-   own tagged queue. *)
+   own tagged queue.  [clock] is the media's clock, the drive's own cell
+   for a timed spindle: read and advanced in place, so the per-request
+   path never boxes a time. *)
 type spindle = {
   media : media;
+  clock : Cffs_obs.Registry.cell;
+  wait : Cffs_obs.Registry.cell;  (* a dispatch's queue wait, for [h_wait] *)
+  geom : Geometry.t option;  (* [None] for memory: queues order by lba *)
   store : slot Int_tbl.t;  (* owned by the store: written by copy, read by view *)
   tags : int Int_tbl.t;
   queue : frag Ioqueue.t;
@@ -149,6 +154,15 @@ let one_spindle ?policy media ~block_size ~nblocks =
   let sp =
     {
       media;
+      clock =
+        (match media with
+        | Memory _ -> { Cffs_obs.Registry.v = 0.0 }
+        | Timed { drive; _ } -> Drive.clock drive);
+      wait = { Cffs_obs.Registry.v = 0.0 };
+      geom =
+        (match media with
+        | Memory _ -> None
+        | Timed { drive; _ } -> Some (Drive.geometry drive));
       store = Int_tbl.create 4096;
       tags = Int_tbl.create 64;
       queue = Ioqueue.create ?policy ();
@@ -167,7 +181,7 @@ let of_drive ?(policy = Scheduler.Clook) ?(host_overhead = 0.5e-3) drive ~block_
 let memory ~block_size ~nblocks =
   if block_size <= 0 || nblocks <= 0 then invalid_arg "Blockdev.memory";
   one_spindle
-    (Memory { clock = 0.0; stats = Request.Stats.create () })
+    (Memory { stats = Request.Stats.create () })
     ~block_size ~nblocks
 
 let multi ~subs ~extents =
@@ -369,41 +383,32 @@ let notify t si pblk blocks torn =
 
 (* --- spindle media ---------------------------------------------------------- *)
 
-let spindle_now sp =
-  match sp.media with Memory m -> m.clock | Timed { drive; _ } -> Drive.now drive
-
-let spindle_advance sp dt =
-  match sp.media with
-  | Memory m -> m.clock <- m.clock +. dt
-  | Timed { drive; _ } -> Drive.advance drive dt
-
 let spindle_stats sp =
   match sp.media with Memory m -> m.stats | Timed { drive; _ } -> Drive.stats drive
-
-let geom_of sp =
-  match sp.media with Memory _ -> None | Timed { drive; _ } -> Some (Drive.geometry drive)
 
 let head_cyl sp =
   match sp.media with Memory _ -> 0 | Timed { drive; _ } -> Drive.current_cyl drive
 
-(* The device clock: the latest spindle clock. *)
-let now t =
+(* The spindle with the latest clock, whose clock is the device clock. *)
+let latest t =
   let best = ref t.spindles.(0) in
   for i = 1 to Array.length t.spindles - 1 do
-    if spindle_now t.spindles.(i) > spindle_now !best then best := t.spindles.(i)
+    if t.spindles.(i).clock.v > !best.clock.v then best := t.spindles.(i)
   done;
-  spindle_now !best
+  !best
+
+let now t = (latest t).clock.v
 
 (* A dependent operation is a barrier: every spindle reaches the device
    clock before new work is charged, so idle spindles account their idle
    time.  Drains then let each spindle advance independently —
    overlapping service is what produces near-linear scaling. *)
 let sync t =
-  let c = now t in
+  let c = (latest t).clock in
   for i = 0 to Array.length t.spindles - 1 do
     let sp = t.spindles.(i) in
-    let d = c -. spindle_now sp in
-    if d > 0.0 then spindle_advance sp d
+    let d = c.v -. sp.clock.v in
+    if d > 0.0 then sp.clock.v <- sp.clock.v +. d
   done
 
 (* A view of physical block [blk]: its slot, counted, or the zero slot
@@ -473,10 +478,10 @@ let time_request sp (req : Request.t) =
   (match req.kind with
   | Read ->
       Cffs_obs.Registry.incr m_reads;
-      Cffs_obs.Registry.incr ~by:req.sectors m_read_sectors
+      Cffs_obs.Registry.add m_read_sectors req.sectors
   | Write ->
       Cffs_obs.Registry.incr m_writes;
-      Cffs_obs.Registry.incr ~by:req.sectors m_write_sectors);
+      Cffs_obs.Registry.add m_write_sectors req.sectors);
   match sp.media with
   | Memory m -> (
       let s = m.stats in
@@ -488,8 +493,8 @@ let time_request sp (req : Request.t) =
           s.writes <- s.writes + 1;
           s.write_sectors <- s.write_sectors + req.sectors)
   | Timed { drive; host_overhead } ->
-      Cffs_obs.Registry.fadd m_host host_overhead;
-      Drive.advance drive host_overhead;
+      m_host.v <- m_host.v +. host_overhead;
+      sp.clock.v <- sp.clock.v +. host_overhead;
       ignore (Drive.service drive req)
 
 let err op ~blk ~nblocks cause =
@@ -497,17 +502,23 @@ let err op ~blk ~nblocks cause =
 
 let ok_empty = Ok no_views
 
-(* One read request of [n] blocks at physical block [pblk] of spindle
-   [si]: consult the fault injector, account the request (reads are timed
-   even when they fail — the head still moved), then hand out a view of
-   each block.  A failure names the logical range [lblk, lblk+n). *)
-let read_service t si pblk n ~lblk =
+(* One read request [req] (a whole number of blocks) on spindle [si]:
+   consult the fault injector, account the request (reads are timed even
+   when they fail — the head still moved), then hand out a view of each
+   block.  A failure names the logical range [lblk, lblk+n). *)
+let read_service t si (req : Request.t) ~lblk =
   let sp = t.spindles.(si) in
   let spb = sectors_per_block t in
+  let pblk = req.lba / spb and n = req.sectors / spb in
   let outcome = consult t si Io_error.Read pblk n in
-  time_request sp (Request.read ~lba:(pblk * spb) ~sectors:(n * spb));
+  time_request sp req;
   match outcome with
-  | Proceed | Torn _ -> Ok (Array.init n (fun i -> view_out t sp (pblk + i)))
+  | Proceed | Torn _ ->
+      let views = Array.make n t.zero in
+      for i = 0 to n - 1 do
+        views.(i) <- view_out t sp (pblk + i)
+      done;
+      Ok views
   | Fail cause ->
       Cffs_obs.Registry.incr m_io_errors;
       Error (err Io_error.Read ~blk:lblk ~nblocks:n cause)
@@ -517,14 +528,15 @@ let read_service t si pblk n ~lblk =
    [Power_cut] — a tear is only ever caused by losing power mid-request, so
    nothing after it completes either.  The write observer sees every request
    that persisted anything (full or torn), with the full intended payload. *)
-let write_service t si pblk blocks ~lblk =
+let write_service t si (req : Request.t) blocks ~lblk =
   let sp = t.spindles.(si) in
   let n = Array.length blocks in
   let spb = sectors_per_block t in
+  let pblk = req.lba / spb in
   let outcome = consult t si Io_error.Write pblk n in
   (match outcome with
   | Fail Io_error.Power_cut -> ()
-  | _ -> time_request sp (Request.write ~lba:(pblk * spb) ~sectors:(n * spb)));
+  | _ -> time_request sp req);
   match outcome with
   | Proceed ->
       persist t sp pblk blocks ~keep_sectors:None;
@@ -543,7 +555,7 @@ let write_service t si pblk blocks ~lblk =
 (* --- the tagged-queue pipeline ------------------------------------------- *)
 
 let h_wait = Cffs_obs.Registry.histogram "ioqueue.wait_s"
-let m_wait_total = Cffs_obs.Registry.fcounter "ioqueue.wait_total_s"
+let m_wait_total = Cffs_obs.Registry.fcell (Cffs_obs.Registry.fcounter "ioqueue.wait_total_s")
 
 let set_queue t ?depth ?policy ?coalesce () =
   Array.iter
@@ -574,7 +586,7 @@ let enqueue t op e lblk len data parent tag =
   ignore
     (Ioqueue.submit sp.queue req
        { f_tag = tag; f_lblk = lblk; f_data = data; f_parent = parent }
-       ~now:(spindle_now sp))
+       ~now:sp.clock.v)
 
 (* Submit one logical request, split at extent boundaries into one
    fragment per piece (a write's fragments share its block buffers).
@@ -672,11 +684,11 @@ let finish t ~lo ~hi verdict (it : frag Ioqueue.item) result =
   | Error _, _ -> verdict
 
 let service_one t si ~lo ~hi verdict (it : frag Ioqueue.item) =
-  let pblk = it.req.Request.lba / sectors_per_block t and q = it.payload in
+  let q = it.payload in
   finish t ~lo ~hi verdict it
     (match it.req.Request.kind with
-    | Request.Read -> read_service t si pblk (item_blocks t it) ~lblk:q.f_lblk
-    | Request.Write -> write_service t si pblk q.f_data ~lblk:q.f_lblk)
+    | Request.Read -> read_service t si it.req ~lblk:q.f_lblk
+    | Request.Write -> write_service t si it.req q.f_data ~lblk:q.f_lblk)
 
 (* A coalesced group as a single contiguous request.  When the merged
    request fails with a retryable cause, fall back to servicing the
@@ -691,9 +703,10 @@ let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
   let total = List.fold_left (fun acc it -> acc + item_blocks t it) 0 group in
   let off (it : frag Ioqueue.item) = (it.req.Request.lba / spb) - start in
   let each f = List.fold_left (fun v it -> finish t ~lo ~hi v it (f it)) Go group in
+  let req = { first.req with Request.sectors = total * spb } in
   let merged =
     match first.req.Request.kind with
-    | Request.Read -> read_service t si start total ~lblk:first.payload.f_lblk
+    | Request.Read -> read_service t si req ~lblk:first.payload.f_lblk
     | Request.Write ->
         let blocks = Array.make total Bytes.empty in
         List.iter
@@ -701,7 +714,7 @@ let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
             let d = it.payload.f_data in
             Array.blit d 0 blocks (off it) (Array.length d))
           group;
-        write_service t si start blocks ~lblk:first.payload.f_lblk
+        write_service t si req blocks ~lblk:first.payload.f_lblk
   in
   match merged with
   | Ok views when first.req.Request.kind = Request.Read ->
@@ -713,16 +726,16 @@ let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
           Error { e with Io_error.blk = it.payload.f_lblk; nblocks = item_blocks t it })
   | Error _ -> List.fold_left (service_one t si ~lo ~hi) Go group
 
-let rec account_waits now = function
+let rec account_waits sp = function
   | [] -> ()
   | (it : frag Ioqueue.item) :: rest ->
-      let wait = now -. it.Ioqueue.submitted_at in
-      Cffs_obs.Registry.observe h_wait wait;
-      Cffs_obs.Registry.fadd m_wait_total wait;
-      account_waits now rest
+      sp.wait.v <- sp.clock.v -. it.Ioqueue.submitted_at;
+      Cffs_obs.Registry.observe_cell h_wait sp.wait;
+      m_wait_total.v <- m_wait_total.v +. sp.wait.v;
+      account_waits sp rest
 
 let service_group t si ~lo ~hi (group : frag Ioqueue.item list) =
-  account_waits (spindle_now t.spindles.(si)) group;
+  account_waits t.spindles.(si) group;
   match group with
   | [] -> Go
   | [ it ] -> service_one t si ~lo ~hi Go it
@@ -748,11 +761,14 @@ let no_hi = 0
 
 let holds sp tag = Int_tbl.mem sp.held tag
 
-let unhold sp (it : frag Ioqueue.item) =
-  let tag = it.payload.f_tag in
-  match Int_tbl.find sp.held tag with
-  | 1 -> Int_tbl.remove sp.held tag
-  | n -> Int_tbl.replace sp.held tag (n - 1)
+let rec unhold sp = function
+  | [] -> ()
+  | (it : frag Ioqueue.item) :: rest ->
+      let tag = it.payload.f_tag in
+      (match Int_tbl.find sp.held tag with
+      | 1 -> Int_tbl.remove sp.held tag
+      | n -> Int_tbl.replace sp.held tag (n - 1));
+      unhold sp rest
 
 (* Service spindle [si]'s queue one dispatch group at a time — only while
    it still holds a fragment of [tag], unless [tag] is [any_tag].  A power
@@ -765,14 +781,14 @@ let unhold sp (it : frag Ioqueue.item) =
    position at the start of the run for the first pick). *)
 let run t si ~tag ~lo ~hi =
   let sp = t.spindles.(si) in
-  let geom = geom_of sp in
+  let geom = sp.geom in
   let cyl = ref (head_cyl sp) in
   let failed = ref None and go = ref true in
   while !go && (tag = any_tag || holds sp tag) do
     match Ioqueue.take sp.queue ~geom ~current_cyl:!cyl with
     | None -> go := false
     | Some group -> (
-        List.iter (unhold sp) group;
+        unhold sp group;
         (match (geom, group) with
         | Some g, (it : frag Ioqueue.item) :: _ ->
             cyl := Geometry.cyl_of_lba g it.req.Request.lba
@@ -835,26 +851,35 @@ let drain t =
     (drain_views t)
 
 let rec take_completed t tag before = function
-  | [] -> None
+  | [] -> raise Not_found
   | c :: rest when c.cq_tag = tag ->
       t.completed <- List.rev_append before rest;
-      Some c
+      c
   | c :: rest -> take_completed t tag (c :: before) rest
+
+(* [tag]'s completion, out of the completed list.  A synchronous request
+   finds its own completion alone there, which is taken as it is. *)
+let completion t tag =
+  match t.completed with
+  | [ c ] when c.cq_tag = tag ->
+      t.completed <- [];
+      c
+  | l -> take_completed t tag [] l
 
 (* Drain only the spindles holding [tag], each only until its share of
    [tag] is serviced, leaving other pending requests queued and other
    completions for a later [drain]. *)
 let drain_tag t tag =
-  match take_completed t tag [] t.completed with
-  | Some c -> c
-  | None -> (
+  match completion t tag with
+  | c -> c
+  | exception Not_found -> (
       sync t;
       for si = 0 to Array.length t.spindles - 1 do
         ignore (run t si ~tag ~lo:no_lo ~hi:no_hi)
       done;
-      match take_completed t tag [] t.completed with
-      | Some c -> c
-      | None -> invalid_arg "Blockdev.drain_tag: unknown tag")
+      match completion t tag with
+      | c -> c
+      | exception Not_found -> invalid_arg "Blockdev.drain_tag: unknown tag")
 
 let reset_queue t =
   let n = pending t in
@@ -955,7 +980,8 @@ let store_raw t blk data ~keep_sectors =
 let advance t dt =
   sync t;
   for i = 0 to Array.length t.spindles - 1 do
-    spindle_advance t.spindles.(i) dt
+    let c = t.spindles.(i).clock in
+    c.v <- c.v +. dt
   done
 
 let stats t =

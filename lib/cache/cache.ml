@@ -151,6 +151,10 @@ let set_observer t f = t.observer <- f
 
 let notify t ev = match t.observer with None -> () | Some f -> f ev
 
+(* Events are built only for an observer: a [Read_hit] would otherwise
+   be most of what a cache hit allocates. *)
+let observed t = match t.observer with None -> false | Some _ -> true
+
 let device t = t.dev
 let set_integrity t ig = t.integ <- ig
 let integrity t = t.integ
@@ -318,7 +322,7 @@ let writeback_block t blk =
       | () ->
           t.stats.writebacks <- t.stats.writebacks + 1;
           Obs.incr m_writebacks;
-          notify t (Writeback { blk; nblocks = 1 });
+          if observed t then notify t (Writeback { blk; nblocks = 1 });
           mark_clean t blk;
           true
       | exception Cffs_util.Io_error.E _ ->
@@ -351,7 +355,7 @@ let order t ~first ~second =
          [Order] event fires: nothing was promised about future writes. *)
       ignore (writeback_with_deps t first)
     else begin
-      notify t (Order { first; second });
+      if observed t then notify t (Order { first; second });
       let existing = Option.value ~default:[] (Hashtbl.find_opt t.deps second) in
       if not (List.mem first existing) then
         Hashtbl.replace t.deps second (first :: existing)
@@ -380,10 +384,11 @@ let writeback_units t units =
   | () ->
       let n = List.fold_left (fun acc (_, bl) -> acc + List.length bl) 0 units in
       t.stats.writebacks <- t.stats.writebacks + n;
-      Obs.incr ~by:n m_writebacks;
+      Obs.add m_writebacks n;
       List.iter
         (fun (start, blocks) ->
-          notify t (Writeback { blk = start; nblocks = List.length blocks });
+          if observed t then
+            notify t (Writeback { blk = start; nblocks = List.length blocks });
           List.iteri (fun i _ -> mark_clean t (start + i)) blocks)
         units;
       n
@@ -434,10 +439,10 @@ let checkpoint_journal t j =
   let units = logged_meta_units t in
   if units <> [] || Journal.head j > 0 then begin
     Obs.incr m_checkpoints;
-    Obs.incr ~by:(Journal.head j) m_checkpoint_lag;
+    Obs.add m_checkpoint_lag (Journal.head j);
     if units <> [] then begin
       let n = writeback_units t units in
-      if n > 0 then notify t (Flush { nblocks = n })
+      if n > 0 && observed t then notify t (Flush { nblocks = n })
     end;
     if dirty_meta_count t = 0 && Journal.head j > 0 then begin
       (match t.integ with None -> () | Some ig -> Integrity.flush_tags ig);
@@ -521,7 +526,7 @@ let journal_commit t j =
 let flush_dirty t =
   if t.policy <> Soft_updates || Hashtbl.length t.deps = 0 then begin
     let n = writeback_units t (dirty_units ~want:(home_writable t) t) in
-    if n > 0 then notify t (Flush { nblocks = n });
+    if n > 0 && observed t then notify t (Flush { nblocks = n });
     if dirty_count t = 0 then Hashtbl.reset t.deps
   end
   else begin
@@ -581,6 +586,9 @@ let flush t =
       if 2 * Journal.head j >= Journal.log_blocks j then checkpoint_journal t j
   | _ -> ()
 
+let any _ = true
+let clean e = not e.dirty
+
 (* Make room for one more entry.  When the LRU victim is dirty, push the
    whole dirty set out as one scheduler-ordered batch first — the update
    daemon / write clustering behaviour — so evictions never degrade into
@@ -589,28 +597,20 @@ let evict_if_full t =
   let stuck = ref false in
   let tried_checkpoint = ref false in
   while (not !stuck) && Lru.length t.entries >= t.capacity do
-    (match Lru.lru t.entries with
-    | Some (_, e) when e.dirty ->
+    (match Lru.find_exn t.entries (Lru.oldest t.entries any) with
+    | e when e.dirty ->
         (* Not a sync barrier: push the dirty set but leave the at-rest
            checksum region for the next real flush. *)
         Obs.incr m_flushes;
         flush_dirty t
-    | Some _ | None -> ());
+    | _ | (exception Not_found) -> ());
     (* Never drop a block that is still dirty: after a failed writeback the
        victim stays pinned, so evict the oldest clean block instead — and if
        every resident block is pinned, grow past capacity rather than lose
        data. *)
-    let victim =
-      match Lru.lru t.entries with
-      | Some (blk, e) when not e.dirty -> Some (blk, e)
-      | _ ->
-          Lru.fold t.entries ~init:None ~f:(fun acc blk e ->
-              match acc with
-              | Some _ -> acc
-              | None -> if e.dirty then None else Some (blk, e))
-    in
-    match victim with
-    | Some (blk, e) ->
+    match Lru.oldest t.entries clean with
+    | blk ->
+        let e = Lru.find_exn t.entries blk in
         Lru.remove t.entries blk;
         detach_logical t e;
         if holds_view e then begin
@@ -619,8 +619,8 @@ let evict_if_full t =
         end;
         t.stats.evictions <- t.stats.evictions + 1;
         Obs.incr m_evictions;
-        notify t (Evict { blk })
-    | None ->
+        if observed t then notify t (Evict { blk })
+    | exception Not_found ->
         (* Every resident block is dirty.  Under an active journal the
            eviction-path flush skips uncommitted metadata (the write-ahead
            rule), so committed metadata may be the only reclaimable kind:
@@ -667,16 +667,16 @@ let blit_entry e ~src_off dst ~dst_off ~len =
 
 (* The entry of [blk] for a reader, fetched as a view on a miss. *)
 let read_entry t blk =
-  match Lru.use t.entries blk with
-  | Some e ->
+  match Lru.use_exn t.entries blk with
+  | e ->
       t.stats.phys_hits <- t.stats.phys_hits + 1;
       Obs.incr m_phys_hits;
-      notify t (Read_hit { blk; logical = false });
+      if observed t then notify t (Read_hit { blk; logical = false });
       e
-  | None ->
+  | exception Not_found ->
       t.stats.misses <- t.stats.misses + 1;
       Obs.incr m_misses;
-      notify t (Read_miss { blk; nblocks = 1 });
+      if observed t then notify t (Read_miss { blk; nblocks = 1 });
       let v = (with_retry t (fun () -> dev_read t blk 1)).(0) in
       insert t blk Bytes.empty v ~dirty:false
 
@@ -693,7 +693,7 @@ let read_group t blk n =
   if missing then begin
     t.stats.misses <- t.stats.misses + 1;
     Obs.incr m_misses;
-    notify t (Read_miss { blk; nblocks = n });
+    if observed t then notify t (Read_miss { blk; nblocks = n });
     match with_retry t (fun () -> dev_read t blk n) with
     | views -> Array.iteri (fun i v -> install_view t (blk + i) v) views
     | exception
@@ -749,7 +749,7 @@ let prefetch t runs =
               let tag = Blockdev.submit_read t.dev start (stop - start) in
               Int_tbl.replace tags tag ();
               Obs.incr m_prefetch_runs;
-              Obs.incr ~by:(stop - start) m_prefetch_blocks
+              Obs.add m_prefetch_blocks (stop - start)
             end
           in
           let rec sub i start =
@@ -776,32 +776,30 @@ let prefetch t runs =
             | Error _ -> if mine then Obs.incr m_prefetch_failed)
           (Blockdev.drain_views t.dev)
 
-(* The entry a logical identity maps to, counted as a logical hit. *)
+(* The entry a logical identity maps to, counted as a logical hit;
+   raises [Not_found] on a miss. *)
 let logical_entry t ~ino ~lblk =
-  match Logical.find_opt t.logical (ino, lblk) with
-  | None -> None
-  | Some blk -> begin
-      match Lru.use t.entries blk with
-      | Some _ as hit ->
-          t.stats.logical_hits <- t.stats.logical_hits + 1;
-          Obs.incr m_logical_hits;
-          notify t (Read_hit { blk; logical = true });
-          hit
-      | None ->
-          (* Stale mapping left by an eviction race; drop it. *)
-          Logical.remove t.logical (ino, lblk);
-          None
-    end
+  let blk = Logical.find t.logical (ino, lblk) in
+  match Lru.use_exn t.entries blk with
+  | e ->
+      t.stats.logical_hits <- t.stats.logical_hits + 1;
+      Obs.incr m_logical_hits;
+      if observed t then notify t (Read_hit { blk; logical = true });
+      e
+  | exception Not_found ->
+      (* Stale mapping left by an eviction race; drop it. *)
+      Logical.remove t.logical (ino, lblk);
+      raise Not_found
 
 let find_logical t ~ino ~lblk =
-  match logical_entry t ~ino ~lblk with Some e -> Some (lend e) | None -> None
+  match logical_entry t ~ino ~lblk with e -> Some (lend e) | exception Not_found -> None
 
 let find_logical_into t ~ino ~lblk ~src_off dst ~dst_off ~len =
   match logical_entry t ~ino ~lblk with
-  | Some e ->
+  | e ->
       blit_entry e ~src_off dst ~dst_off ~len;
       true
-  | None -> false
+  | exception Not_found -> false
 
 let set_logical t blk ~ino ~lblk =
   match Lru.find t.entries blk with
@@ -846,8 +844,8 @@ let write t ~kind blk data =
     (not is_meta) && journaled_active t
     && Hashtbl.mem t.logged_in_log blk
   then Hashtbl.replace t.revoked blk ();
-  (match Lru.use t.entries blk with
-  | Some e ->
+  (match Lru.use_exn t.entries blk with
+  | e ->
       drop_view e;
       e.data <- data;
       e.meta <- is_meta;
@@ -857,8 +855,9 @@ let write t ~kind blk data =
         e.dirty_seq <- t.seq
       end;
       e.dirty <- not sync
-  | None -> ignore (insert t blk data Blockdev.no_view ~dirty:(not sync) ~meta:is_meta));
-  notify t (Write { blk; sync });
+  | exception Not_found ->
+      ignore (insert t blk data Blockdev.no_view ~dirty:(not sync) ~meta:is_meta));
+  if observed t then notify t (Write { blk; sync });
   if sync then begin
     match with_retry t (fun () -> dev_write t blk data) with
     | () ->
@@ -938,14 +937,8 @@ let invalidate t blk =
 let drop_all t =
   Hashtbl.reset t.deps;
   Logical.reset t.logical;
-  let rec loop () =
-    match Lru.pop_lru t.entries with
-    | Some (_, e) ->
-        drop_view e;
-        loop ()
-    | None -> ()
-  in
-  loop ()
+  Lru.iter t.entries (fun _ e -> drop_view e);
+  Lru.clear t.entries
 
 let remount t =
   flush t;

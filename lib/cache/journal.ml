@@ -172,8 +172,8 @@ let commit t ~images ~revokes =
           t.head <- t.head + need;
           t.next_seq <- seq + 1;
           Obs.incr m_commits;
-          Obs.incr ~by:nimages m_records;
-          Obs.incr ~by:(List.length revokes) m_revokes;
+          Obs.add m_records nimages;
+          Obs.add m_revokes (List.length revokes);
           Committed
       | exception Io_error.E _ -> Io_failed
 
@@ -274,8 +274,8 @@ let replay ?integ dev ~usable =
          replayed contents; the log itself carries no tags. *)
       (match integ with Some ig -> Integrity.flush_tags ig | None -> ());
       Obs.incr m_replays;
-      Obs.incr ~by:(List.length txns) m_replayed_txns;
-      Obs.incr ~by:blocks m_replayed_blocks;
+      Obs.add m_replayed_txns (List.length txns);
+      Obs.add m_replayed_blocks blocks;
       Some (base_seq, log_start, log_len, List.length txns)
 
 let replay_once ?integ dev ~usable =

@@ -12,22 +12,22 @@ type t
 
 val create : segments:int -> segment_sectors:int -> t
 
-val settle : t -> elapsed:float -> sectors_per_sec:float -> max_lba:int -> unit
-(** Let [elapsed] seconds of idle/bus time pass: every open segment's
-    prefetch frontier advances at the media rate, up to the segment
-    capacity. *)
+val settle : t -> gain:int -> max_lba:int -> unit
+(** Let idle/bus time pass in which the media rate reads [gain] sectors:
+    every open segment's prefetch frontier advances by [gain], up to the
+    segment capacity. *)
 
 val hit : t -> lba:int -> sectors:int -> bool
 (** Containment check; touches the segment's recency on hit.  Call {!settle}
     first. *)
 
-val streaming : t -> lba:int -> sectors:int -> int option
+val streaming : t -> lba:int -> sectors:int -> int
 (** [streaming t ~lba ~sectors] checks whether the request joins an active
     prefetch stream: [lba] falls inside an {e open} segment but the request
-    extends past its frontier.  Returns [Some cached] where [cached] is the
-    number of leading sectors already buffered; the segment is extended to
-    cover the request (the head keeps streaming — no seek, no rotational
-    loss).  Returns [None] otherwise. *)
+    extends past its frontier.  Returns [cached >= 0], the number of
+    leading sectors already buffered, and extends the segment to cover the
+    request (the head keeps streaming — no seek, no rotational loss).
+    Returns [-1] otherwise.  No call allocates. *)
 
 val close_open : t -> unit
 (** The head repositioned: all prefetch activity stops (cached contents

@@ -1,34 +1,62 @@
 module Obs = Cffs_obs.Registry
 module Otrace = Cffs_obs.Trace
 
-(* Registry mirrors of [Request.Stats]: the per-drive record stays the
-   source of truth for experiments that own a drive; the registry
-   aggregates across every drive in the process for the obs exporters. *)
+(* Registry mirrors of the drive's counters: the per-drive counters stay
+   the source of truth for experiments that own a drive; the registry
+   aggregates across every drive in the process for the obs exporters.
+   The float mirrors are updated through their cells, in place. *)
 let m_reads = Obs.counter "drive.reads"
 let m_writes = Obs.counter "drive.writes"
 let m_read_sectors = Obs.counter "drive.read_sectors"
 let m_write_sectors = Obs.counter "drive.write_sectors"
 let m_cache_hits = Obs.counter "drive.cache_hits"
-let m_seek = Obs.fcounter "drive.seek_s"
-let m_rotation = Obs.fcounter "drive.rotation_s"
-let m_transfer = Obs.fcounter "drive.transfer_s"
-let m_overhead = Obs.fcounter "drive.overhead_s"
-let m_cachehit = Obs.fcounter "drive.cachehit_s"
-let m_busy = Obs.fcounter "drive.busy_s"
+let m_seek = Obs.fcell (Obs.fcounter "drive.seek_s")
+let m_rotation = Obs.fcell (Obs.fcounter "drive.rotation_s")
+let m_transfer = Obs.fcell (Obs.fcounter "drive.transfer_s")
+let m_overhead = Obs.fcell (Obs.fcounter "drive.overhead_s")
+let m_cachehit = Obs.fcell (Obs.fcounter "drive.cachehit_s")
+let m_busy = Obs.fcell (Obs.fcounter "drive.busy_s")
 let h_service = Obs.histogram "drive.service_s"
+
+(* Seconds per service component.  A float-only record, so its fields are
+   stored unboxed: the service path writes them without allocating (a
+   mutable float field of a mixed record boxes every store). *)
+type times = {
+  mutable seek : float;
+  mutable rotation : float;
+  mutable transfer : float;
+  mutable overhead : float;
+  mutable cachehit : float;
+  mutable busy : float;
+}
+
+let zero_times () =
+  { seek = 0.0; rotation = 0.0; transfer = 0.0; overhead = 0.0; cachehit = 0.0; busy = 0.0 }
 
 type t = {
   profile : Profile.t;
   geom : Geometry.t;
-  seek : Seek.t;
+  seek_curve : Seek.t;
   cache : Dcache.t;
-  stats : Request.Stats.s;
   rev_time : float;
-  mutable clock : float;
+  head_switch : float;  (* seconds, from the profile's milliseconds *)
+  cylinder_switch : float;
+  controller_overhead : float;
+  clock : Obs.cell;  (* simulated seconds *)
+  settled : Obs.cell;  (* clock up to which prefetch has been settled *)
+  total : times;  (* every request so far *)
+  cur : times;  (* the request being serviced; [busy] is its duration *)
+  sample : Obs.cell;  (* [cur.busy], for [h_service] *)
   mutable cyl : int;
   mutable head : int;
-  mutable last_settle : float; (* clock up to which prefetch has been settled *)
+  mutable reads : int;
+  mutable writes : int;
+  mutable read_sectors : int;
+  mutable write_sectors : int;
+  mutable cache_hits : int;
 }
+
+let ms = Cffs_util.Units.ms
 
 let create (p : Profile.t) =
   let segment_sectors =
@@ -37,56 +65,72 @@ let create (p : Profile.t) =
   {
     profile = p;
     geom = Geometry.of_profile p;
-    seek = Seek.of_profile p;
+    seek_curve = Seek.of_profile p;
     cache = Dcache.create ~segments:p.cache_segments ~segment_sectors;
-    stats = Request.Stats.create ();
     rev_time = Cffs_util.Units.rpm_to_rev_time p.rpm;
-    clock = 0.0;
+    head_switch = ms p.head_switch_ms;
+    cylinder_switch = ms p.cylinder_switch_ms;
+    controller_overhead = ms p.controller_overhead_ms;
+    clock = { Obs.v = 0.0 };
+    settled = { Obs.v = 0.0 };
+    total = zero_times ();
+    cur = zero_times ();
+    sample = { Obs.v = 0.0 };
     cyl = 0;
     head = 0;
-    last_settle = 0.0;
+    reads = 0;
+    writes = 0;
+    read_sectors = 0;
+    write_sectors = 0;
+    cache_hits = 0;
   }
 
 let profile t = t.profile
 let geometry t = t.geom
-let now t = t.clock
-let advance t dt = t.clock <- t.clock +. dt
+let now t = t.clock.v
+let clock t = t.clock
+let advance t dt = t.clock.v <- t.clock.v +. dt
 let current_cyl t = t.cyl
-let stats t = t.stats
-let seek_time t d = Seek.time t.seek d
+
+let stats t =
+  let s = t.total in
+  {
+    Request.Stats.reads = t.reads;
+    writes = t.writes;
+    read_sectors = t.read_sectors;
+    write_sectors = t.write_sectors;
+    cache_hits = t.cache_hits;
+    busy_time = s.busy;
+    seek_time = s.seek;
+    rotation_time = s.rotation;
+    transfer_time = s.transfer;
+    overhead_time = s.overhead;
+    cachehit_time = s.cachehit;
+  }
+
+let seek_time t d = Seek.time t.seek_curve d
 let total_sectors t = Geometry.total_sectors t.geom
 let flush_cache t = Dcache.clear t.cache
 
-let ms = Cffs_util.Units.ms
-
-(* Media rate (sectors/second) at the head's current cylinder — the rate at
-   which idle-time prefetch fills the on-board cache. *)
-let media_sectors_per_sec t =
-  float_of_int (Geometry.sectors_per_track t.geom t.cyl) /. t.rev_time
-
-(* Bring the prefetch frontier up to the present. *)
+(* Bring the prefetch frontier up to the present: the media rate at the
+   head's current cylinder fills the on-board cache while the mechanism
+   is otherwise idle. *)
 let settle t =
-  let elapsed = t.clock -. t.last_settle in
-  if elapsed > 0.0 then
-    Dcache.settle t.cache ~elapsed ~sectors_per_sec:(media_sectors_per_sec t)
-      ~max_lba:(Geometry.total_sectors t.geom);
-  t.last_settle <- t.clock
-
-(* Angular position (fraction of a revolution) at time [time]. *)
-let angle t time = Float.rem (time /. t.rev_time) 1.0
-
-(* Time until the start of sector [sector] (of [spt]) passes under the head,
-   measured from [time]. *)
-let rotational_wait t time ~sector ~spt =
-  let target = float_of_int sector /. float_of_int spt in
-  let cur = angle t time in
-  let frac = Float.rem (target -. cur +. 1.0) 1.0 in
-  frac *. t.rev_time
+  let elapsed = t.clock.v -. t.settled.v in
+  if elapsed > 0.0 then begin
+    let sectors_per_sec =
+      float_of_int (Geometry.sectors_per_track t.geom t.cyl) /. t.rev_time
+    in
+    Dcache.settle t.cache
+      ~gain:(int_of_float (elapsed *. sectors_per_sec))
+      ~max_lba:(Geometry.total_sectors t.geom)
+  end;
+  t.settled.v <- t.clock.v
 
 (* Track-by-track media transfer starting at [pos], updating the head
    position.  Ideal skew: each head/cylinder switch costs only the switch
-   time, after which transfer resumes immediately.  Returns the transfer
-   duration. *)
+   time, after which transfer resumes immediately.  The transfer duration
+   goes to [t.cur.transfer]. *)
 let transfer_walk t (pos : Geometry.pos) ~sectors =
   let xfer = ref 0.0 in
   let remaining = ref sectors in
@@ -97,13 +141,13 @@ let transfer_walk t (pos : Geometry.pos) ~sectors =
     if not !first then begin
       if !head + 1 < t.profile.heads then begin
         incr head;
-        xfer := !xfer +. ms t.profile.head_switch_ms
+        xfer := !xfer +. t.head_switch
       end
       else begin
         head := 0;
         incr cyl;
         spt := Geometry.sectors_per_track t.geom !cyl;
-        xfer := !xfer +. ms t.profile.cylinder_switch_ms
+        xfer := !xfer +. t.cylinder_switch
       end;
       sector := 0
     end;
@@ -115,131 +159,146 @@ let transfer_walk t (pos : Geometry.pos) ~sectors =
   done;
   t.cyl <- !cyl;
   t.head <- !head;
-  !xfer
+  t.cur.transfer <- !xfer
 
-(* Serve the mechanical part of a request starting at absolute time [start].
-   Returns (end_time, seek, rotation, transfer). *)
-let mechanical t start (req : Request.t) =
+(* Serve the mechanical part of a request once the controller overhead
+   has passed: seek, rotational wait (the angular position follows from
+   the clock, so think time changes which sector is under the head) and
+   transfer, each into [t.cur]; the request ends at [t.settled]. *)
+let mechanical t (req : Request.t) =
+  let c = t.cur in
+  let start = t.clock.v +. c.overhead in
   let pos = Geometry.locate t.geom req.lba in
   let dist = abs (t.cyl - pos.cyl) in
-  let seek_t =
-    if dist > 0 then Seek.time t.seek dist
-    else if t.head <> pos.head then ms t.profile.head_switch_ms
-    else 0.0
-  in
-  let after_seek = start +. seek_t in
-  let rot_t = rotational_wait t after_seek ~sector:pos.sector ~spt:pos.spt in
-  let xfer_t = transfer_walk t pos ~sectors:req.sectors in
-  (after_seek +. rot_t +. xfer_t, seek_t, rot_t, xfer_t)
+  c.seek <-
+    (if dist > 0 then Seek.time t.seek_curve dist
+     else if t.head <> pos.head then t.head_switch
+     else 0.0);
+  let after_seek = start +. c.seek in
+  let target = float_of_int pos.sector /. float_of_int pos.spt in
+  let angle = Float.rem (after_seek /. t.rev_time) 1.0 in
+  c.rotation <- Float.rem (target -. angle +. 1.0) 1.0 *. t.rev_time;
+  transfer_walk t pos ~sectors:req.sectors;
+  t.settled.v <- after_seek +. c.rotation +. c.transfer;
+  c.busy <- t.settled.v -. t.clock.v
 
-(* A cache hit moves data from the drive's RAM over the bus: command overhead
-   plus burst transfer, no repositioning.  Sustained sequential streams are
-   still limited to media rate because the prefetch frontier only advances at
-   media rate (see {!settle}). *)
-let cache_hit_bus_time t (req : Request.t) =
-  float_of_int (req.sectors * Cffs_util.Units.sector_size)
-  /. (t.profile.bus_mb_per_s *. 1.0e6)
+(* Add each component of the request to the drive's totals and the same
+   amount to the registry: the difference the total moved by, so both
+   sums are the ones per-request snapshots would give.  [c] keeps each
+   charged difference, for the trace. *)
+let charge t =
+  let c = t.cur and s = t.total in
+  let old = s.seek in
+  s.seek <- old +. c.seek;
+  c.seek <- s.seek -. old;
+  m_seek.v <- m_seek.v +. c.seek;
+  let old = s.rotation in
+  s.rotation <- old +. c.rotation;
+  c.rotation <- s.rotation -. old;
+  m_rotation.v <- m_rotation.v +. c.rotation;
+  let old = s.transfer in
+  s.transfer <- old +. c.transfer;
+  c.transfer <- s.transfer -. old;
+  m_transfer.v <- m_transfer.v +. c.transfer;
+  let old = s.overhead in
+  s.overhead <- old +. c.overhead;
+  c.overhead <- s.overhead -. old;
+  m_overhead.v <- m_overhead.v +. c.overhead;
+  let old = s.cachehit in
+  s.cachehit <- old +. c.cachehit;
+  c.cachehit <- s.cachehit -. old;
+  m_cachehit.v <- m_cachehit.v +. c.cachehit;
+  s.busy <- s.busy +. c.busy;
+  m_busy.v <- m_busy.v +. c.busy
 
-let service_read_miss t start (req : Request.t) =
-  let s = t.stats in
-  let overhead = ms t.profile.controller_overhead_ms in
-  Dcache.close_open t.cache;
-  let finish, seek_t, rot_t, xfer_t = mechanical t (start +. overhead) req in
-  Dcache.install t.cache ~lba:req.lba ~sectors:req.sectors;
-  s.seek_time <- s.seek_time +. seek_t;
-  s.rotation_time <- s.rotation_time +. rot_t;
-  s.transfer_time <- s.transfer_time +. xfer_t;
-  s.overhead_time <- s.overhead_time +. overhead;
-  t.last_settle <- finish;
-  finish -. start
+let trace t (req : Request.t) ~start ~hit =
+  let c = t.cur in
+  Otrace.complete
+    ~target:(Printf.sprintf "lba:%d+%d" req.lba req.sectors)
+    ~attrs:
+      [
+        ("seek_s", Printf.sprintf "%.6f" c.seek);
+        ("rotation_s", Printf.sprintf "%.6f" c.rotation);
+        ("transfer_s", Printf.sprintf "%.6f" c.transfer);
+        ("overhead_s", Printf.sprintf "%.6f" c.overhead);
+        ("cachehit_s", Printf.sprintf "%.6f" c.cachehit);
+        ("cache_hit", string_of_bool hit);
+      ]
+    ~t_start:start ~t_end:t.clock.v
+    (match req.kind with Read -> "drive.read" | Write -> "drive.write")
 
 (* Every branch below keeps the attribution invariant the obs layer builds
    on: duration = seek + rotation + transfer + overhead + cachehit, with
-   each term charged to exactly one [Request.Stats] component. *)
+   each term charged to exactly one component.  The service writes its
+   components into [t.cur] rather than returning them, so nothing on the
+   path allocates but the geometry lookup, the seek time and the result. *)
 let service t (req : Request.t) =
-  let s = t.stats in
-  let before = Request.Stats.copy s in
-  let start = t.clock in
+  let c = t.cur in
   settle t;
-  let duration =
+  c.seek <- 0.0;
+  c.rotation <- 0.0;
+  c.transfer <- 0.0;
+  c.overhead <- t.controller_overhead;
+  c.cachehit <- 0.0;
+  let hit =
     match req.kind with
     | Read when Dcache.hit t.cache ~lba:req.lba ~sectors:req.sectors ->
-        s.cache_hits <- s.cache_hits + 1;
-        let overhead = ms t.profile.controller_overhead_ms in
-        let bus = cache_hit_bus_time t req in
-        s.overhead_time <- s.overhead_time +. overhead;
-        s.cachehit_time <- s.cachehit_time +. bus;
-        (* Prefetch keeps running during a bus transfer: leave [last_settle]
-           at [start] so the next settle covers this service period too. *)
-        overhead +. bus
-    | Read -> begin
-        match Dcache.streaming t.cache ~lba:req.lba ~sectors:req.sectors with
-        | Some cached ->
-            (* The request joins the active prefetch stream: the head is
-               already on this track reading; only the not-yet-buffered tail
-               costs media time.  No seek, no rotational loss. *)
-            s.cache_hits <- s.cache_hits + 1;
-            let overhead = ms t.profile.controller_overhead_ms in
-            let fresh = req.sectors - cached in
-            let xfer_t =
-              if fresh > 0 then begin
-                let pos = Geometry.locate t.geom (req.lba + cached) in
-                transfer_walk t pos ~sectors:fresh
-              end
-              else 0.0
-            in
-            s.transfer_time <- s.transfer_time +. xfer_t;
-            s.overhead_time <- s.overhead_time +. overhead;
-            t.last_settle <- start +. overhead +. xfer_t;
-            overhead +. xfer_t
-        | None -> service_read_miss t start req
-      end
+        (* A cache hit moves data from the drive's RAM over the bus:
+           command overhead plus burst transfer, no repositioning.
+           Sustained sequential streams are still limited to media rate
+           because the prefetch frontier only advances at media rate (see
+           {!settle}).  Prefetch keeps running during a bus transfer:
+           leave [settled] at the start so the next settle covers this
+           service period too. *)
+        c.cachehit <-
+          float_of_int (req.sectors * Cffs_util.Units.sector_size)
+          /. (t.profile.bus_mb_per_s *. 1.0e6);
+        c.busy <- c.overhead +. c.cachehit;
+        true
+    | Read ->
+        let cached = Dcache.streaming t.cache ~lba:req.lba ~sectors:req.sectors in
+        if cached >= 0 then begin
+          (* The request joins the active prefetch stream: the head is
+             already on this track reading; only the not-yet-buffered tail
+             costs media time.  No seek, no rotational loss. *)
+          let fresh = req.sectors - cached in
+          if fresh > 0 then
+            transfer_walk t (Geometry.locate t.geom (req.lba + cached)) ~sectors:fresh;
+          t.settled.v <- t.clock.v +. c.overhead +. c.transfer;
+          c.busy <- c.overhead +. c.transfer;
+          true
+        end
+        else begin
+          Dcache.close_open t.cache;
+          mechanical t req;
+          Dcache.install t.cache ~lba:req.lba ~sectors:req.sectors;
+          false
+        end
     | Write ->
-        let overhead = ms t.profile.controller_overhead_ms in
         Dcache.close_open t.cache;
-        let finish, seek_t, rot_t, xfer_t = mechanical t (start +. overhead) req in
+        mechanical t req;
         Dcache.invalidate t.cache ~lba:req.lba ~sectors:req.sectors;
-        s.seek_time <- s.seek_time +. seek_t;
-        s.rotation_time <- s.rotation_time +. rot_t;
-        s.transfer_time <- s.transfer_time +. xfer_t;
-        s.overhead_time <- s.overhead_time +. overhead;
-        t.last_settle <- finish;
-        finish -. start
+        false
   in
   (match req.kind with
   | Read ->
-      s.reads <- s.reads + 1;
-      s.read_sectors <- s.read_sectors + req.sectors
+      t.reads <- t.reads + 1;
+      t.read_sectors <- t.read_sectors + req.sectors;
+      Obs.incr m_reads;
+      Obs.add m_read_sectors req.sectors
   | Write ->
-      s.writes <- s.writes + 1;
-      s.write_sectors <- s.write_sectors + req.sectors);
-  s.busy_time <- s.busy_time +. duration;
-  t.clock <- start +. duration;
-  let d = Request.Stats.diff s before in
-  Obs.incr ~by:d.reads m_reads;
-  Obs.incr ~by:d.writes m_writes;
-  Obs.incr ~by:d.read_sectors m_read_sectors;
-  Obs.incr ~by:d.write_sectors m_write_sectors;
-  Obs.incr ~by:d.cache_hits m_cache_hits;
-  Obs.fadd m_seek d.seek_time;
-  Obs.fadd m_rotation d.rotation_time;
-  Obs.fadd m_transfer d.transfer_time;
-  Obs.fadd m_overhead d.overhead_time;
-  Obs.fadd m_cachehit d.cachehit_time;
-  Obs.fadd m_busy duration;
-  Obs.observe h_service duration;
-  if Otrace.is_enabled () then
-    Otrace.complete
-      ~target:(Printf.sprintf "lba:%d+%d" req.lba req.sectors)
-      ~attrs:
-        [
-          ("seek_s", Printf.sprintf "%.6f" d.seek_time);
-          ("rotation_s", Printf.sprintf "%.6f" d.rotation_time);
-          ("transfer_s", Printf.sprintf "%.6f" d.transfer_time);
-          ("overhead_s", Printf.sprintf "%.6f" d.overhead_time);
-          ("cachehit_s", Printf.sprintf "%.6f" d.cachehit_time);
-          ("cache_hit", string_of_bool (d.cache_hits > 0));
-        ]
-      ~t_start:start ~t_end:t.clock
-      (match req.kind with Read -> "drive.read" | Write -> "drive.write");
-  duration
+      t.writes <- t.writes + 1;
+      t.write_sectors <- t.write_sectors + req.sectors;
+      Obs.incr m_writes;
+      Obs.add m_write_sectors req.sectors);
+  if hit then begin
+    t.cache_hits <- t.cache_hits + 1;
+    Obs.incr m_cache_hits
+  end;
+  charge t;
+  let start = t.clock.v in
+  t.clock.v <- start +. c.busy;
+  t.sample.v <- c.busy;
+  Obs.observe_cell h_service t.sample;
+  if Otrace.is_enabled () then trace t req ~start ~hit;
+  c.busy

@@ -17,6 +17,11 @@ val geometry : t -> Geometry.t
 val now : t -> float
 (** Current simulated time in seconds. *)
 
+val clock : t -> Cffs_obs.Registry.cell
+(** The live clock, in seconds: reading its [v] is {!now} and adding to
+    it is {!advance}, without the box a float result or argument of a
+    call costs. *)
+
 val advance : t -> float -> unit
 (** Let non-disk (CPU) time pass. *)
 
@@ -26,7 +31,7 @@ val service : t -> Request.t -> float
 (** Service a request, advancing the clock; returns the service time. *)
 
 val stats : t -> Request.Stats.s
-(** Live counters (mutated in place; copy before diffing). *)
+(** A fresh copy of the drive's counters. *)
 
 val seek_time : t -> int -> float
 (** Expose the fitted seek curve: seconds for a distance in cylinders. *)

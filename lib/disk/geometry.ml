@@ -33,26 +33,26 @@ let of_profile (p : Profile.t) =
 let total_sectors t = t.total
 let cylinders t = t.cylinders
 
-let zone_of_cyl t cyl =
-  let rec find i =
-    if i >= Array.length t.zones then invalid_arg "Geometry: cylinder out of range"
-    else begin
-      let z = t.zones.(i) in
-      if cyl >= z.first_cyl && cyl <= z.last_cyl then z else find (i + 1)
-    end
-  in
-  find 0
+(* The zone searches are top-level functions: a local one capturing the
+   key would allocate its closure on every lookup. *)
+let rec find_cyl t cyl i =
+  if i >= Array.length t.zones then invalid_arg "Geometry: cylinder out of range"
+  else begin
+    let z = t.zones.(i) in
+    if cyl >= z.first_cyl && cyl <= z.last_cyl then z else find_cyl t cyl (i + 1)
+  end
 
+let zone_of_cyl t cyl = find_cyl t cyl 0
 let sectors_per_track t cyl = (zone_of_cyl t cyl).spt
+
+let rec find_lba t lba i =
+  let z = t.zones.(i) in
+  if i = Array.length t.zones - 1 || lba < t.zones.(i + 1).first_lba then z
+  else find_lba t lba (i + 1)
 
 let zone_of_lba t lba =
   if lba < 0 || lba >= t.total then invalid_arg "Geometry: LBA out of range";
-  let rec find i =
-    let z = t.zones.(i) in
-    if i = Array.length t.zones - 1 || lba < t.zones.(i + 1).first_lba then z
-    else find (i + 1)
-  in
-  find 0
+  find_lba t lba 0
 
 let locate t lba =
   let z = zone_of_lba t lba in

@@ -137,35 +137,19 @@ module Oset = struct
 
   let remove s x = s.root <- del s.cmp x s.root
 
-  let rec first_in p acc = function
+  (* The searches below return the cell holding the element ([Leaf] for
+     none) and take a [key] that must be monotone along the order, so
+     they allocate nothing: no option, no predicate closure. *)
+
+  (* The least element whose [key] is at least [x]. *)
+  let rec first_ge key (x : int) acc = function
     | Leaf -> acc
-    | Node n as t -> if p n.v then first_in p t n.l else first_in p acc n.r
+    | Node n as t -> if key n.v >= x then first_ge key x t n.l else first_ge key x acc n.r
 
-  let rec last_in p acc = function
+  (* The greatest element whose [key] is below [x]. *)
+  let rec last_lt key (x : int) acc = function
     | Leaf -> acc
-    | Node n as t -> if p n.v then last_in p t n.r else last_in p acc n.l
-
-  let get = function Node n -> Some n.v | Leaf -> None
-
-  (* The least element satisfying [p], which must be false then true
-     along the order. *)
-  let first s p = get (first_in p Leaf s.root)
-
-  (* The greatest element satisfying [p], which must be true then false. *)
-  let last s p = get (last_in p Leaf s.root)
-
-  (* [f] on each element from the first satisfying [ge] (false then true)
-     up to the last satisfying [le] (true then false), in order. *)
-  let range s ~ge ~le f =
-    let rec go = function
-      | Leaf -> ()
-      | Node n ->
-          let g = ge n.v and l = le n.v in
-          if g then go n.l;
-          if g && l then f n.v;
-          if l then go n.r
-    in
-    go s.root
+    | Node n as t -> if key n.v < x then last_lt key x t n.r else last_lt key x acc n.l
 end
 
 (* A window entry with its place in the indexes. *)
@@ -220,13 +204,14 @@ type 'a t = {
   mutable ready_next : 'a node Oset.t;  (* eligible members of sweep gen + 1 *)
   reads : 'a side;
   writes : 'a side;
+  depth_sample : Cffs_obs.Registry.cell;  (* [pending] at a take, for [h_depth] *)
 }
 
 let m_submitted = Cffs_obs.Registry.counter "ioqueue.submitted"
 let m_dispatched = Cffs_obs.Registry.counter "ioqueue.dispatched"
 let m_coalesced = Cffs_obs.Registry.counter "ioqueue.coalesced"
 let m_sweeps = Cffs_obs.Registry.counter "ioqueue.sweeps"
-let g_pending = Cffs_obs.Registry.gauge "ioqueue.pending"
+let g_pending = Cffs_obs.Registry.gcell (Cffs_obs.Registry.gauge "ioqueue.pending")
 let h_depth = Cffs_obs.Registry.histogram "ioqueue.depth"
 
 let new_side () =
@@ -256,6 +241,7 @@ let create ?(depth = max_int) ?(policy = Scheduler.Fcfs) ?(coalesce = false) () 
     ready_next = Oset.create by_lba;
     reads = new_side ();
     writes = new_side ();
+    depth_sample = { Cffs_obs.Registry.v = 0.0 };
   }
 
 let depth t = t.depth
@@ -319,6 +305,16 @@ let block n b =
     b.dependents <- n :: b.dependents
   end
 
+(* [block n] on each entry of a span tree whose lba is in [from, last],
+   in order. *)
+let rec block_range n from last = function
+  | Oset.Leaf -> ()
+  | Oset.Node c ->
+      let g = lba c.v >= from and l = lba c.v <= last in
+      if g then block_range n from last c.l;
+      if g && l then block n c.v;
+      if l then block_range n from last c.r
+
 (* Count [n]'s blockers among the entries of [s]: every one overlapping
    it.  [used] holds the classes from [c] up that have entries.  An entry
    of class c is shorter than 2^(c+1), so only those from lba - 2^(c+1) + 2
@@ -328,7 +324,7 @@ let rec count_blockers s n c used =
     if used land 1 <> 0 then begin
       let r = n.item.req in
       let from = r.Request.lba - ((2 lsl c) - 1) + 1 and last = Request.last_lba r in
-      Oset.range s.spans.(c) ~ge:(fun b -> lba b >= from) ~le:(fun b -> lba b <= last) (block n)
+      block_range n from last s.spans.(c).Oset.root
     end;
     count_blockers s n (c + 1) (used lsr 1)
   end
@@ -373,12 +369,14 @@ let leave t n =
   if n.sweep = t.gen then t.sweep_left <- t.sweep_left - 1;
   n.item.passes <- t.dispatches - n.promoted
 
-let release t n =
-  List.iter
-    (fun d ->
+let rec release_all t = function
+  | [] -> ()
+  | d :: rest ->
       d.deps <- d.deps - 1;
-      if d.deps = 0 then make_ready t d)
-    n.dependents
+      if d.deps = 0 then make_ready t d;
+      release_all t rest
+
+let release t n = release_all t n.dependents
 
 let submit t req payload ~now =
   let tag = t.next_tag in
@@ -389,38 +387,64 @@ let submit t req payload ~now =
   t.next_seq <- t.next_seq + 1;
   Queue.add item t.arrival;
   Cffs_obs.Registry.incr m_submitted;
-  Cffs_obs.Registry.set g_pending (float_of_int (pending t));
+  g_pending.v <- float_of_int (pending t);
   tag
 
 (* --- choosing ------------------------------------------------------- *)
 
-(* Cylinder of a request's first lba; identity when no geometry is known
-   (a memory device), which degrades C-LOOK to an ascending-lba elevator.
-   Monotone in lba, so it can search the lba-ordered sets. *)
+(* The first lba of cylinder [c] ([min_int] before the first cylinder,
+   [max_int] past the last); with no geometry (a memory device) a
+   cylinder is an lba, which degrades C-LOOK to an ascending-lba
+   elevator.  Cylinders grow with lba, so a cylinder bound on the
+   lba-ordered sets is this lba bound. *)
+let lba_of_cyl geom c =
+  match geom with
+  | None -> c
+  | Some g ->
+      if c < 0 then min_int
+      else if c >= Geometry.cylinders g then max_int
+      else Geometry.first_lba_of_cyl g c
+
 let cyl_of geom lba =
   match geom with Some g -> Geometry.cyl_of_lba g lba | None -> lba
+
+let dist geom current_cyl = function
+  | Oset.Leaf -> max_int
+  | Oset.Node c -> abs (cyl_of geom (lba c.v) - current_cyl)
+
+(* The lowest-seq entry of a ready tree with lba in [lo, hi), or [best]. *)
+let rec lowest lo hi best = function
+  | Oset.Leaf -> best
+  | Oset.Node c as cell ->
+      let g = lba c.v >= lo and l = lba c.v < hi in
+      let best = if g then lowest lo hi best c.l else best in
+      let best =
+        match best with
+        | Oset.Node b when (not (g && l)) || seq b.v < seq c.v -> best
+        | Oset.Node _ -> cell
+        | Oset.Leaf -> if g && l then cell else best
+      in
+      if l then lowest lo hi best c.r else best
+
+(* The lowest-seq entry of the ready entries on [side]'s cylinder. *)
+let lowest_on t geom best side =
+  match side with
+  | Oset.Leaf -> best
+  | Oset.Node c ->
+      let cyl = cyl_of geom (lba c.v) in
+      lowest (lba_of_cyl geom cyl) (lba_of_cyl geom (cyl + 1)) best t.ready.Oset.root
 
 (* The ready entry minimising (cylinder distance, seq): the nearest
    cylinder on either side, ties to the lowest seq on both. *)
 let nearest t ~geom ~current_cyl =
-  let cyl n = cyl_of geom (lba n) in
-  let dist = function None -> max_int | Some n -> abs (cyl n - current_cyl) in
-  let right = Oset.first t.ready (fun n -> cyl n >= current_cyl) in
-  let left = Oset.last t.ready (fun n -> cyl n < current_cyl) in
-  let d = Int.min (dist left) (dist right) in
-  let best = ref None in
-  let lowest n =
-    match !best with Some b when seq b < seq n -> () | _ -> best := Some n
-  in
-  List.iter
-    (fun side ->
-      match side with
-      | Some n when dist side = d ->
-          let c = cyl n in
-          Oset.range t.ready ~ge:(fun n -> cyl n >= c) ~le:(fun n -> cyl n <= c) lowest
-      | _ -> ())
-    [ left; right ];
-  Option.get !best
+  let bound = lba_of_cyl geom current_cyl and root = t.ready.Oset.root in
+  let right = Oset.first_ge lba bound Oset.Leaf root in
+  let left = Oset.last_lt lba bound Oset.Leaf root in
+  let dl = dist geom current_cyl left and dr = dist geom current_cyl right in
+  let d = Int.min dl dr in
+  let best = if dl = d then lowest_on t geom Oset.Leaf left else Oset.Leaf in
+  let best = if dr = d then lowest_on t geom best right else best in
+  match best with Oset.Node c -> c.v | Oset.Leaf -> assert false
 
 (* The sweep's oldest member is the window's oldest entry: everything
    promoted later joins the next sweep.  It is never blocked, since all
@@ -429,14 +453,19 @@ let choose t ~geom ~current_cyl =
   match t.policy with
   | Scheduler.Fcfs -> Option.get t.oldest
   | Scheduler.Clook -> (
-      match Oset.first t.ready (fun n -> cyl_of geom (lba n) >= current_cyl) with
-      | Some n -> n
-      | None -> Option.get (Oset.first t.ready (fun _ -> true)))
+      let root = t.ready.Oset.root in
+      match Oset.first_ge lba (lba_of_cyl geom current_cyl) Oset.Leaf root with
+      | Oset.Node c -> c.v
+      | Oset.Leaf -> (
+          match Oset.first_ge lba min_int Oset.Leaf root with
+          | Oset.Node c -> c.v
+          | Oset.Leaf -> assert false))
   | Scheduler.Sstf -> nearest t ~geom ~current_cyl
 
-(* The lowest-seq entry past [pos] whose [key] is [x], if any: the first
-   in (key, seq) order beyond (x, pos).  It runs on every coalescing step,
-   so it walks the treap itself rather than allocate a predicate. *)
+(* The first entry in (key, seq) order beyond (x, pos): the lowest-seq
+   entry past [pos] whose [key] is [x], if its key is [x].  It runs on
+   every coalescing step, so it walks the treap itself rather than
+   allocate a predicate. *)
 let rec after key (x : int) pos acc = function
   | Oset.Leaf -> acc
   | Oset.Node c as cell ->
@@ -444,27 +473,26 @@ let rec after key (x : int) pos acc = function
       if k > x || (k = x && seq c.v > pos) then after key x pos cell c.l
       else after key x pos acc c.r
 
-let at key (x : int) = function Oset.Node c when key c.v = x -> Some c.v | _ -> None
-
 (* One coalescing walk from [pos] on: absorb the next entry of the walk
    and go on past it; at the end, walk again if this walk absorbed
    anything.  Returns the group. *)
 let rec walk t s pos absorbed lo hi group =
+  let a = after lba hi pos Oset.Leaf s.starts.Oset.root
+  and b = after end_of lo pos Oset.Leaf s.ends.Oset.root in
   let next =
-    match
-      ( at lba hi (after lba hi pos Oset.Leaf s.starts.Oset.root),
-        at end_of lo (after end_of lo pos Oset.Leaf s.ends.Oset.root) )
-    with
-    | Some a, Some b -> Some (if seq a < seq b then a else b)
-    | (Some _ as a), None | None, (Some _ as a) -> a
-    | None, None -> None
+    match (a, b) with
+    | Oset.Node x, Oset.Node y when lba x.v = hi && end_of y.v = lo ->
+        if seq x.v < seq y.v then a else b
+    | Oset.Node x, _ when lba x.v = hi -> a
+    | _, Oset.Node y when end_of y.v = lo -> b
+    | _ -> Oset.Leaf
   in
   match next with
-  | Some n ->
+  | Oset.Node { v = n; _ } ->
       unready t n;
       Cffs_obs.Registry.incr m_coalesced;
       walk t s (seq n) true (Int.min lo (lba n)) (Int.max hi (end_of n)) (n :: group)
-  | None -> if absorbed then walk t s (-1) false lo hi group else group
+  | Oset.Leaf -> if absorbed then walk t s (-1) false lo hi group else group
 
 (* Grow a dispatch group from [chosen] by absorbing eligible window
    entries physically adjacent to the group's range, same kind only, so
@@ -475,11 +503,24 @@ let absorb t chosen =
   walk t (side t chosen) (-1) false (lba chosen) (end_of chosen) [ chosen ]
   |> List.sort (fun a b -> Int.compare (lba a) (lba b))
 
+let rec leave_all t = function
+  | [] -> ()
+  | n :: rest ->
+      leave t n;
+      leave_all t rest
+
+let rec release_group t = function
+  | [] -> ()
+  | n :: rest ->
+      release t n;
+      release_group t rest
+
 let take t ~geom ~current_cyl =
   refill t;
   if t.live = 0 then None
   else begin
-    Cffs_obs.Registry.observe h_depth (float_of_int (pending t));
+    t.depth_sample.v <- float_of_int (pending t);
+    Cffs_obs.Registry.observe_cell h_depth t.depth_sample;
     (* Freeze a new sweep from the whole current window when the
        previous one is exhausted.  The sweep is served to completion in
        policy order; later window entries wait for the next sweep —
@@ -494,19 +535,27 @@ let take t ~geom ~current_cyl =
     end;
     let chosen = choose t ~geom ~current_cyl in
     unready t chosen;
-    let group =
-      (* Coalescing may absorb eligible entries outside the sweep:
-         riding along on an adjacent transfer delays nobody. *)
-      if t.coalesce then absorb t chosen else [ chosen ]
+    let items =
+      if t.coalesce then begin
+        (* Coalescing may absorb eligible entries outside the sweep:
+           riding along on an adjacent transfer delays nobody. *)
+        let group = absorb t chosen in
+        leave_all t group;
+        (* Blockers released only now: eligibility is as of the pick. *)
+        release_group t group;
+        List.map (fun n -> n.item) group
+      end
+      else begin
+        leave t chosen;
+        release t chosen;
+        [ chosen.item ]
+      end
     in
-    List.iter (leave t) group;
-    (* Blockers released only now: eligibility is as of the pick. *)
-    List.iter (release t) group;
     t.dispatches <- t.dispatches + 1;
     Cffs_obs.Registry.incr m_dispatched;
-    Cffs_obs.Registry.set g_pending (float_of_int (pending t));
+    g_pending.v <- float_of_int (pending t);
     refill t;
-    Some (List.map (fun n -> n.item) group)
+    Some items
   end
 
 let clear t =
@@ -531,5 +580,5 @@ let clear t =
       Oset.clear s.ends)
     [ t.reads; t.writes ];
   Queue.clear t.arrival;
-  Cffs_obs.Registry.set g_pending 0.0;
+  g_pending.v <- 0.0;
   rest

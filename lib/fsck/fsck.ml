@@ -50,9 +50,27 @@ module Make (F : FS) = struct
     mutable dups : Report.problem list;
     mutable out_of_range : Report.problem list;
     mutable bad_dirs : Report.problem list;
+    unreadable : (int, unit) Hashtbl.t; (* inodes whose block cannot be read *)
+    uncertain : (int, unit) Hashtbl.t; (* dirs naming one: subdirs unknown *)
+    bad_blocks : (int, unit) Hashtbl.t; (* those blocks *)
+    mutable bad_inodes : Report.problem list;
     mutable files : int;
     mutable dirs : int;
   }
+
+  (* [F.read_inode], or [None] when the media cannot produce the inode's
+     block: the inode is noted unreadable and its block, once, as a
+     finding. *)
+  let read_inode t s ino =
+    match F.read_inode t ino with
+    | r -> Some r
+    | exception Io_error.E { Io_error.blk; _ } ->
+        Hashtbl.replace s.unreadable ino ();
+        if not (Hashtbl.mem s.bad_blocks blk) then begin
+          Hashtbl.replace s.bad_blocks blk ();
+          s.bad_inodes <- Report.Bad_inode_block { blk } :: s.bad_inodes
+        end;
+        None
 
   let claim t s ~ino blk =
     if not (Alloc.allocatable (F.block_map t) blk) then
@@ -107,12 +125,19 @@ module Make (F : FS) = struct
 
   and visit t s ~dir ~name ino =
     match Hashtbl.find_opt s.refs ino with
-    | Some n -> Hashtbl.replace s.refs ino (n + 1)
+    | Some n ->
+        Hashtbl.replace s.refs ino (n + 1);
+        if Hashtbl.mem s.unreadable ino then Hashtbl.replace s.uncertain dir ()
     | None -> (
         let dangle () = s.dangling <- Report.Dangling_entry { dir; name; ino } :: s.dangling in
-        match F.read_inode t ino with
-        | Error _ -> dangle ()
-        | Ok inode -> (
+        match read_inode t s ino with
+        | None ->
+            (* Named, so in use; whether it is a directory, and so the
+               link count [dir] should carry, cannot be known. *)
+            Hashtbl.replace s.refs ino 1;
+            Hashtbl.replace s.uncertain dir ()
+        | Some (Error _) -> dangle ()
+        | Some (Ok inode) -> (
             Hashtbl.replace s.refs ino 1;
             Hashtbl.replace s.inodes ino inode;
             note_blocks t s ~ino inode;
@@ -136,6 +161,10 @@ module Make (F : FS) = struct
         dups = [];
         out_of_range = [];
         bad_dirs = [];
+        unreadable = Hashtbl.create 16;
+        uncertain = Hashtbl.create 16;
+        bad_blocks = Hashtbl.create 16;
+        bad_inodes = [];
         files = 0;
         dirs = 0;
       }
@@ -143,9 +172,9 @@ module Make (F : FS) = struct
     (* Seed the root without a reference; the nlink rule accounts for the
        missing parent link. *)
     let root = F.root t in
-    (match F.read_inode t root with
-    | Error _ -> ()
-    | Ok inode ->
+    (match read_inode t s root with
+    | None | Some (Error _) -> ()
+    | Some (Ok inode) ->
         Hashtbl.replace s.refs root 0;
         Hashtbl.replace s.inodes root inode;
         note_blocks t s ~ino:root inode;
@@ -153,13 +182,21 @@ module Make (F : FS) = struct
         walk t s ~dir:root inode);
     List.iter
       (fun ino ->
-        match F.read_inode t ino with Ok i -> note_blocks t s ~ino i | Error _ -> ())
+        match read_inode t s ino with
+        | Some (Ok i) -> note_blocks t s ~ino i
+        | None | Some (Error _) -> ())
       F.hidden_inodes;
     s
 
   let expected_nlink s ino inode =
     F.nlink ~ino inode ~refs:(Hashtbl.find s.refs ino)
       ~subdirs:(Option.value ~default:0 (Hashtbl.find_opt s.subdirs ino))
+
+  (* Is [inode]'s link count known to be wrong?  Not for a directory
+     naming an unreadable inode: it may have subdirectories the walk could
+     not count. *)
+  let nlink_wrong s ino inode =
+    (not (Hashtbl.mem s.uncertain ino)) && inode.Inode.nlink <> expected_nlink s ino inode
 
   (* Allocated inodes among the candidates that no entry references,
      highest number first. *)
@@ -168,20 +205,29 @@ module Make (F : FS) = struct
     let found = ref [] in
     for ino = lo to hi - 1 do
       if not (Hashtbl.mem s.refs ino) then
-        match F.read_inode t ino with
-        | Ok inode -> found := (ino, inode.Inode.kind) :: !found
-        | Error _ -> ()
+        match read_inode t s ino with
+        | Some (Ok inode) -> found := (ino, inode.Inode.kind) :: !found
+        | None | Some (Error _) -> ()
     done;
     !found
 
+  (* An inode that cannot be read keeps the bit group [cg]'s header
+     [hdr] gives it. *)
+  let unreadable_in_use s m hdr cg n =
+    Hashtbl.mem s.unreadable n && Alloc.mem m hdr (n - Alloc.start m cg)
+
   (* Compare every group's bitmaps with what the walk found, through the
      file system's own header reads; a header with no readable copy is a
-     finding of its own. *)
+     finding of its own.  Block bitmaps are compared only when every
+     inode could be read. *)
   let group_problems t s orphans =
     let orphaned = Hashtbl.create 16 in
     List.iter (fun (ino, _) -> Hashtbl.replace orphaned ino ()) orphans;
     let lo, _ = F.orphan_range t in
-    let inode_used n = n < lo || Hashtbl.mem s.refs n || Hashtbl.mem orphaned n in
+    let inode_used m hdr cg n =
+      n < lo || Hashtbl.mem s.refs n || Hashtbl.mem orphaned n
+      || unreadable_in_use s m hdr cg n
+    in
     let blocks = F.block_map t in
     let acc = ref [] in
     let tally m hdr cg ~used mismatch =
@@ -199,11 +245,12 @@ module Make (F : FS) = struct
       | hdr ->
           Option.iter
             (fun m ->
-              tally m hdr cg ~used:inode_used (fun ~expected_free ~found_free ->
+              tally m hdr cg ~used:(inode_used m hdr cg) (fun ~expected_free ~found_free ->
                   Report.Inode_bitmap_mismatch { cg; expected_free; found_free }))
             (F.inode_map t);
-          tally blocks hdr cg ~used:(Hashtbl.mem s.used) (fun ~expected_free ~found_free ->
-              Report.Block_bitmap_mismatch { cg; expected_free; found_free })
+          if s.bad_inodes = [] then
+            tally blocks hdr cg ~used:(Hashtbl.mem s.used) (fun ~expected_free ~found_free ->
+                Report.Block_bitmap_mismatch { cg; expected_free; found_free })
     done;
     !acc
 
@@ -218,9 +265,10 @@ module Make (F : FS) = struct
       let nlinks =
         Hashtbl.fold
           (fun ino inode acc ->
-            let expected = expected_nlink s ino inode in
-            if inode.Inode.nlink <> expected then
-              Report.Wrong_nlink { ino; expected; found = inode.Inode.nlink } :: acc
+            if nlink_wrong s ino inode then
+              Report.Wrong_nlink
+                { ino; expected = expected_nlink s ino inode; found = inode.Inode.nlink }
+              :: acc
             else acc)
           s.inodes []
       in
@@ -229,7 +277,7 @@ module Make (F : FS) = struct
         Report.problems =
           s.dangling
           @ List.map (fun (ino, kind) -> Report.Orphan_inode { ino; kind }) orphans
-          @ s.dups @ s.out_of_range @ s.bad_dirs @ nlinks @ groups;
+          @ s.dups @ s.out_of_range @ s.bad_dirs @ s.bad_inodes @ nlinks @ groups;
         files = s.files;
         dirs = s.dirs;
         data_blocks = Hashtbl.length s.used;
@@ -282,9 +330,8 @@ module Make (F : FS) = struct
     let s = run_survey t in
     Hashtbl.iter
       (fun ino inode ->
-        let expected = expected_nlink s ino inode in
-        if inode.Inode.nlink <> expected then begin
-          inode.Inode.nlink <- expected;
+        if nlink_wrong s ino inode then begin
+          inode.Inode.nlink <- expected_nlink s ino inode;
           F.write_inode t ino inode
         end)
       s.inodes;
@@ -295,9 +342,14 @@ module Make (F : FS) = struct
       | exception Io_error.E _ -> ()
       | hdr ->
           Option.iter
-            (fun m -> Alloc.rebuild m hdr ~group:cg ~used:(fun n -> n < lo || Hashtbl.mem s.refs n))
+            (fun m ->
+              (* [rebuild] clears the bitmap before it asks: an unreadable
+                 inode's bit comes from a copy *)
+              let old = Bytes.copy hdr in
+              Alloc.rebuild m hdr ~group:cg ~used:(fun n ->
+                  n < lo || Hashtbl.mem s.refs n || unreadable_in_use s m old cg n))
             (F.inode_map t);
-          Alloc.rebuild blocks hdr ~group:cg ~used:(Hashtbl.mem s.used);
+          if s.bad_inodes = [] then Alloc.rebuild blocks hdr ~group:cg ~used:(Hashtbl.mem s.used);
           (* a group's header is its first block *)
           Cache.write (F.cache t) ~kind:`Meta (Alloc.start blocks cg) hdr
     done
@@ -318,7 +370,7 @@ module Make (F : FS) = struct
               punch_block t ~ino ~blk
           | Report.Bad_superblock | Report.Wrong_nlink _ | Report.Block_bitmap_mismatch _
           | Report.Inode_bitmap_mismatch _ | Report.Bad_directory_block _
-          | Report.Bad_group_header _ -> ())
+          | Report.Bad_group_header _ | Report.Bad_inode_block _ -> ())
         before.Report.problems;
       rebuild_metadata t;
       F.sync t;

@@ -11,7 +11,7 @@
     supplies just that seam ({!FS}).  Unreadable metadata is a finding,
     never an exception: a directory block the media cannot produce is a
     [Bad_directory_block], a group header with no readable copy a
-    [Bad_group_header]. *)
+    [Bad_group_header], a block of inodes a [Bad_inode_block]. *)
 
 module type FS = sig
   type t

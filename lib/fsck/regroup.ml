@@ -196,7 +196,7 @@ let run_batch st ~dir_ino ~dir_census paths =
           | Ok () ->
               Obs.incr m_moved;
               st.blocks_copied <- st.blocks_copied + Cffs.move_plan_blocks plan;
-              Obs.incr ~by:(Cffs.move_plan_blocks plan) m_blocks;
+              Obs.add m_blocks (Cffs.move_plan_blocks plan);
               true
           | Error _ ->
               Cffs.regroup_abandon st.fs plan;

@@ -9,6 +9,7 @@ type problem =
   | Inode_bitmap_mismatch of { cg : int; expected_free : int; found_free : int }
   | Bad_directory_block of { dir : int; lblk : int }
   | Bad_group_header of { cg : int }
+  | Bad_inode_block of { blk : int }
 
 type t = {
   problems : problem list;
@@ -48,6 +49,7 @@ let pp_problem ppf = function
   | Bad_directory_block { dir; lblk } ->
       Format.fprintf ppf "unreadable block %d of directory %d" lblk dir
   | Bad_group_header { cg } -> Format.fprintf ppf "cg %d header unreadable" cg
+  | Bad_inode_block { blk } -> Format.fprintf ppf "inode block %d unreadable" blk
 
 let pp ppf t =
   Format.fprintf ppf "%d files, %d dirs, %d blocks; %d problem(s)%s" t.files t.dirs

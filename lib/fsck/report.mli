@@ -20,6 +20,11 @@ type problem =
   | Bad_group_header of { cg : int }
       (** a cylinder-group header no copy of which can be read; its
           bitmaps are neither compared nor rebuilt *)
+  | Bad_inode_block of { blk : int }
+      (** a block of inodes (an FFS inode table block, a C-FFS external
+          inode block) the media cannot produce.  Its inodes keep their
+          inode-bitmap bits, and since the blocks they own are unknown,
+          no block bitmap is compared or rebuilt *)
 
 type t = {
   problems : problem list;

@@ -21,7 +21,7 @@ let prefetch_window t dev ~start ~stop =
     let flush_run run_start len =
       if len > 0 then begin
         ignore (Blockdev.submit_read dev run_start len);
-        Registry.incr ~by:len m_prefetched
+        Registry.add m_prefetched len
       end
     in
     let run_start = ref 0 and run_len = ref 0 in

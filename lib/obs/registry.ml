@@ -7,7 +7,7 @@ module Tablefmt = Cffs_util.Tablefmt
 let n_buckets = 64
 let bucket_lo = 1e-6
 
-let bucket_of x =
+let[@inline] bucket_of x =
   if x < bucket_lo then 0
   else
     let i = 1 + int_of_float (Float.log2 (x /. bucket_lo)) in
@@ -18,15 +18,19 @@ let bucket_bounds i =
   else (bucket_lo *. (2.0 ** float_of_int (i - 1)), bucket_lo *. (2.0 ** float_of_int i))
 
 type counter = { c_name : string; mutable c_v : int }
-type fcounter = { f_name : string; mutable f_v : float }
-type gauge = { g_name : string; mutable g_v : float }
+
+(* Float state lives only in float-only records, which OCaml stores
+   unboxed: writing one allocates nothing, where a mutable float field of
+   a mixed record boxes every value stored into it. *)
+type cell = { mutable v : float }
+type fcounter = { f_name : string; f : cell }
+type gauge = { g_name : string; g : cell }
+type hfloats = { mutable sum : float; mutable lo : float; mutable hi : float }
 
 type histogram = {
   h_name : string;
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_f : hfloats;
   h_buckets : int array;
 }
 
@@ -66,7 +70,7 @@ let fcounter name =
   | Some _ -> wrong_kind name
   | None ->
       check_name name;
-      let f = { f_name = name; f_v = 0.0 } in
+      let f = { f_name = name; f = { v = 0.0 } } in
       Hashtbl.replace metrics name (M_fcounter f);
       f
 
@@ -76,7 +80,7 @@ let gauge name =
   | Some _ -> wrong_kind name
   | None ->
       check_name name;
-      let g = { g_name = name; g_v = 0.0 } in
+      let g = { g_name = name; g = { v = 0.0 } } in
       Hashtbl.replace metrics name (M_gauge g);
       g
 
@@ -90,31 +94,42 @@ let histogram name =
         {
           h_name = name;
           h_count = 0;
-          h_sum = 0.0;
-          h_min = Float.infinity;
-          h_max = Float.neg_infinity;
+          h_f = { sum = 0.0; lo = Float.infinity; hi = Float.neg_infinity };
           h_buckets = Array.make n_buckets 0;
         }
       in
       Hashtbl.replace metrics name (M_histogram h);
       h
 
-let incr ?(by = 1) c = c.c_v <- c.c_v + by
-let fadd f x = f.f_v <- f.f_v +. x
-let set g x = g.g_v <- x
+let incr c = c.c_v <- c.c_v + 1
+let add c n = c.c_v <- c.c_v + n
+let fadd { f; _ } x = f.v <- f.v +. x
+let set { g; _ } x = g.v <- x
+let fcell f = f.f
+let gcell g = g.g
 
-let observe h x =
+(* The sample is read from a cell, not passed: a float argument of a
+   call that is not inlined is boxed. *)
+let observe_cell h c =
+  let x = c.v in
   let x = if Float.is_nan x || x < 0.0 then 0.0 else x in
+  let f = h.h_f in
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. x;
-  if x < h.h_min then h.h_min <- x;
-  if x > h.h_max then h.h_max <- x;
+  f.sum <- f.sum +. x;
+  if x < f.lo then f.lo <- x;
+  if x > f.hi then f.hi <- x;
   let i = bucket_of x in
   h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
+let sample = { v = 0.0 }
+
+let observe h x =
+  sample.v <- x;
+  observe_cell h sample
+
 let counter_name c = c.c_name
 let counter_value c = c.c_v
-let fcounter_value f = f.f_v
+let fcounter_value f = f.f.v
 
 (* --- Snapshots --- *)
 
@@ -136,15 +151,15 @@ type snapshot = (string * datum) list
 
 let snap_metric = function
   | M_counter c -> Counter c.c_v
-  | M_fcounter f -> Fcounter f.f_v
-  | M_gauge g -> Gauge g.g_v
+  | M_fcounter f -> Fcounter f.f.v
+  | M_gauge g -> Gauge g.g.v
   | M_histogram h ->
       Histogram
         {
           count = h.h_count;
-          sum = h.h_sum;
-          min = (if h.h_count = 0 then 0.0 else h.h_min);
-          max = (if h.h_count = 0 then 0.0 else h.h_max);
+          sum = h.h_f.sum;
+          min = (if h.h_count = 0 then 0.0 else h.h_f.lo);
+          max = (if h.h_count = 0 then 0.0 else h.h_f.hi);
           buckets = Array.copy h.h_buckets;
         }
 
@@ -184,13 +199,13 @@ let reset () =
     (fun _ m ->
       match m with
       | M_counter c -> c.c_v <- 0
-      | M_fcounter f -> f.f_v <- 0.0
-      | M_gauge g -> g.g_v <- 0.0
+      | M_fcounter f -> f.f.v <- 0.0
+      | M_gauge g -> g.g.v <- 0.0
       | M_histogram h ->
           h.h_count <- 0;
-          h.h_sum <- 0.0;
-          h.h_min <- Float.infinity;
-          h.h_max <- Float.neg_infinity;
+          h.h_f.sum <- 0.0;
+          h.h_f.lo <- Float.infinity;
+          h.h_f.hi <- Float.neg_infinity;
           Array.fill h.h_buckets 0 n_buckets 0)
     metrics
 

@@ -19,6 +19,15 @@
     and {!diff} (see [Env.measured]) or call {!reset}. *)
 
 type counter
+
+(** A float-only record.  OCaml stores its field unboxed, so code that
+    holds a cell updates it in place ([c.v <- c.v +. x]) without
+    allocating.  A float passed to a function of another module is boxed,
+    and so is a float stored into a mutable field of a mixed record; the
+    per-request hot paths therefore keep their float state in cells and
+    write the registry's own cells ({!fcell}, {!gcell}) directly. *)
+type cell = { mutable v : float }
+
 type fcounter
 type gauge
 type histogram
@@ -32,13 +41,23 @@ val fcounter : string -> fcounter
 val gauge : string -> gauge
 val histogram : string -> histogram
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+val add : counter -> int -> unit
 val fadd : fcounter -> float -> unit
 val set : gauge -> float -> unit
+
+val fcell : fcounter -> cell
+(** The fcounter's own value cell: adding to its [v] is {!fadd}. *)
+
+val gcell : gauge -> cell
+(** The gauge's own value cell: writing its [v] is {!set}. *)
 
 val observe : histogram -> float -> unit
 (** Record one latency sample, in seconds.  Negative and NaN samples are
     clamped to 0. *)
+
+val observe_cell : histogram -> cell -> unit
+(** [observe_cell h c] is [observe h c.v] without boxing the sample. *)
 
 val counter_name : counter -> string
 val counter_value : counter -> int

@@ -9,12 +9,15 @@ module type S = sig
   val create : ?size_hint:int -> unit -> 'v t
   val mem : 'v t -> key -> bool
   val find : 'v t -> key -> 'v option
+  val find_exn : 'v t -> key -> 'v
   val use : 'v t -> key -> 'v option
   val use_exn : 'v t -> key -> 'v
   val add : 'v t -> key -> 'v -> unit
   val remove : 'v t -> key -> unit
+  val clear : 'v t -> unit
   val length : 'v t -> int
   val lru : 'v t -> (key * 'v) option
+  val oldest : 'v t -> ('v -> bool) -> key
   val pop_lru : 'v t -> (key * 'v) option
   val iter : 'v t -> (key -> 'v -> unit) -> unit
   val fold : 'v t -> init:'a -> f:('a -> key -> 'v -> 'a) -> 'a
@@ -66,8 +69,11 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let mem t k = H.mem t.table k
 
-  let find t k =
-    match H.find_opt t.table k with Some n -> Some n.value | None -> None
+  (* Lookups match on [H.find]'s exception: [H.find_opt] would allocate
+     an option on every hit. *)
+  let find t k = match H.find t.table k with n -> Some n.value | exception Not_found -> None
+
+  let find_exn t k = (H.find t.table k).value
 
   let use_exn t k =
     let n = H.find t.table k in
@@ -75,29 +81,37 @@ module Make (K : Hashtbl.HashedType) = struct
     n.value
 
   let use t k =
-    match H.find_opt t.table k with
-    | None -> None
-    | Some n ->
+    match H.find t.table k with
+    | n ->
         touch t n;
         Some n.value
+    | exception Not_found -> None
 
   let add t k v =
-    match H.find_opt t.table k with
-    | Some n ->
+    match H.find t.table k with
+    | n ->
         n.value <- v;
         touch t n
-    | None ->
+    | exception Not_found ->
         let s = get_sentinel t k v in
         let rec n = { key = k; value = v; prev = n; next = n } in
         link_mru s n;
         H.replace t.table k n
 
   let remove t k =
-    match H.find_opt t.table k with
-    | None -> ()
-    | Some n ->
+    match H.find t.table k with
+    | n ->
         unlink n;
         H.remove t.table k
+    | exception Not_found -> ()
+
+  let clear t =
+    H.clear t.table;
+    match t.sentinel with
+    | Some s ->
+        s.next <- s;
+        s.prev <- s
+    | None -> ()
 
   let length t = H.length t.table
 
@@ -105,6 +119,12 @@ module Make (K : Hashtbl.HashedType) = struct
     match t.sentinel with
     | None -> None
     | Some s -> if s.next == s then None else Some (s.next.key, s.next.value)
+
+  let rec first_from s p n =
+    if n == s then raise Not_found else if p n.value then n.key else first_from s p n.next
+
+  let oldest t p =
+    match t.sentinel with None -> raise Not_found | Some s -> first_from s p s.next
 
   let pop_lru t =
     match lru t with

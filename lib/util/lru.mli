@@ -18,6 +18,9 @@ module type S = sig
   val find : 'v t -> key -> 'v option
   (** Lookup without touching recency. *)
 
+  val find_exn : 'v t -> key -> 'v
+  (** {!find} without the option: raises [Not_found] on a miss. *)
+
   val use : 'v t -> key -> 'v option
   (** Lookup and mark most-recently-used. *)
 
@@ -29,10 +32,18 @@ module type S = sig
   (** Insert or replace, marking most-recently-used. *)
 
   val remove : 'v t -> key -> unit
+
+  val clear : 'v t -> unit
+  (** Remove every binding. *)
+
   val length : 'v t -> int
 
   val lru : 'v t -> (key * 'v) option
   (** Least-recently-used binding, or [None] when empty. *)
+
+  val oldest : 'v t -> ('v -> bool) -> key
+  (** The least recently used key whose value satisfies the predicate;
+      raises [Not_found] when none does.  Allocates nothing. *)
 
   val pop_lru : 'v t -> (key * 'v) option
   (** Remove and return the least-recently-used binding. *)

@@ -32,7 +32,8 @@ let component_names =
 let n_summed = 6
 
 let global_sources =
-  Array.map Registry.fcounter
+  Array.map
+    (fun name -> Registry.fcell (Registry.fcounter name))
     [|
       "drive.seek_s";
       "drive.rotation_s";
@@ -42,6 +43,12 @@ let global_sources =
       "blockdev.host_s";
       "ioqueue.wait_total_s";
     |]
+
+let op_sample = { Registry.v = 0.0 }
+
+(* [sink] gains what [source] gained since it read [before]. *)
+let[@inline] charge (sink : Registry.cell) (source : Registry.cell) before =
+  sink.v <- sink.v +. (source.v -. before)
 
 module type SOURCE = sig
   include Fs_intf.LOW
@@ -76,7 +83,8 @@ module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
 
   let lat_sinks op =
     Array.map
-      (fun comp -> Registry.fcounter (F.prefix ^ ".lat." ^ op ^ "." ^ comp ^ "_s"))
+      (fun comp ->
+        Registry.fcell (Registry.fcounter (F.prefix ^ ".lat." ^ op ^ "." ^ comp ^ "_s")))
       component_names
 
   let l_lookup = lat_sinks "lookup"
@@ -85,23 +93,32 @@ module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
   let l_read = lat_sinks "read"
   let l_write = lat_sinks "write"
 
+  (* Run [f] as one op: its clock delta goes to [hist] and each
+     component's delta to its [lat] sink.  The start values are locals
+     and every update is in place, so an op allocates only the two
+     clock reads. *)
+  let measure dev hist (lat : Registry.cell array) f =
+    let t0 = Blockdev.now dev in
+    let s = global_sources in
+    let c0 = s.(0).v and c1 = s.(1).v and c2 = s.(2).v and c3 = s.(3).v
+    and c4 = s.(4).v and c5 = s.(5).v and c6 = s.(6).v in
+    let r = f () in
+    op_sample.v <- Blockdev.now dev -. t0;
+    Registry.observe_cell hist op_sample;
+    charge lat.(0) s.(0) c0;
+    charge lat.(1) s.(1) c1;
+    charge lat.(2) s.(2) c2;
+    charge lat.(3) s.(3) c3;
+    charge lat.(4) s.(4) c4;
+    charge lat.(5) s.(5) c5;
+    charge lat.(6) s.(6) c6;
+    r
+
   let span fs name hist lat ~target f =
     let dev = F.device fs in
-    let t0 = Blockdev.now dev in
-    let comp0 = Array.map Registry.fcounter_value global_sources in
-    let record () =
-      Registry.observe hist (Blockdev.now dev -. t0);
-      Array.iteri
-        (fun i g -> Registry.fadd lat.(i) (Registry.fcounter_value g -. comp0.(i)))
-        global_sources
-    in
-    if not (Trace.is_enabled ()) then begin
-      let r = f () in
-      record ();
-      r
-    end
+    if not (Trace.is_enabled ()) then measure dev hist lat f
     else begin
-      let before = Rstats.copy (Blockdev.stats dev) in
+      let before = Rstats.copy (Blockdev.stats dev) and host0 = global_sources.(5).v in
       Trace.with_span ~target
         ~attrs:(fun () ->
           let d = Rstats.diff (Blockdev.stats dev) before in
@@ -114,16 +131,11 @@ module Make (F : SOURCE) : Fs_intf.LOW with type t = F.t = struct
             ("transfer_s", Printf.sprintf "%.6f" d.Rstats.transfer_time);
             ("overhead_s", Printf.sprintf "%.6f" d.Rstats.overhead_time);
             ("cachehit_s", Printf.sprintf "%.6f" d.Rstats.cachehit_time);
-            ( "host_s",
-              Printf.sprintf "%.6f"
-                (Registry.fcounter_value global_sources.(5) -. comp0.(5)) );
+            ("host_s", Printf.sprintf "%.6f" (global_sources.(5).v -. host0));
           ])
         ~clock:(fun () -> Blockdev.now dev)
         (F.prefix ^ "." ^ name)
-        (fun () ->
-          let r = f () in
-          record ();
-          r)
+        (fun () -> measure dev hist lat f)
     end
 
   let label = F.label

@@ -17,7 +17,7 @@ module MakeWith (F : Fs_intf.LOW) (R : RESOLVER with type t = F.t) = struct
 
   (* The walk of a canonical key; the caller counts the resolve. *)
   let resolve_key t key =
-    Cffs_obs.Registry.incr ~by:(Path.components key) m_components;
+    Cffs_obs.Registry.add m_components (Path.components key);
     R.resolve_rel t key
 
   (* Written as matches, not [let*]: a warm resolve returns the

@@ -659,6 +659,25 @@ let test_released_view_overwrite_in_place () =
     (freed <= 0.1 *. block_words);
   check Alcotest.bytes "written" data (Blockdev.read dev 5 1)
 
+(* A synchronous single-block request on a timed spindle, from submit
+   through the queue and the drive to its completion. *)
+let test_sync_request_allocation () =
+  let dev = timed () in
+  let buf = block 'a' and blocks = 64 in
+  for b = 0 to blocks - 1 do
+    Blockdev.write dev (b * 97) buf
+  done;
+  let i = ref 0 in
+  let next () =
+    incr i;
+    !i mod blocks * 97
+  in
+  Alloc_probe.at_most "Blockdev.write" 80.0
+    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
+  Alloc_probe.at_most "Blockdev.read_views" 80.0
+    (Alloc_probe.words_per_call ~n:500 (fun () ->
+         Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)))
+
 let () =
   Alcotest.run "cffs_blockdev"
     [
@@ -701,6 +720,7 @@ let () =
             test_write_batch_units_single_request;
           Alcotest.test_case "C-LOOK beats FCFS on scattered batch" `Quick
             test_clook_batch_cheaper_than_fcfs;
+          Alcotest.test_case "sync request allocation" `Quick test_sync_request_allocation;
         ] );
       ( "image",
         [

@@ -187,14 +187,14 @@ let test_dcache_settle_extends () =
   let c = Dcache.create ~segments:2 ~segment_sectors:64 in
   Dcache.install c ~lba:100 ~sectors:8;
   check Alcotest.bool "beyond frontier" false (Dcache.hit c ~lba:108 ~sectors:8);
-  Dcache.settle c ~elapsed:1.0 ~sectors_per_sec:16.0 ~max_lba:10000;
+  Dcache.settle c ~gain:16 ~max_lba:10000;
   check Alcotest.bool "prefetched" true (Dcache.hit c ~lba:108 ~sectors:8)
 
 let test_dcache_close_open_stops () =
   let c = Dcache.create ~segments:2 ~segment_sectors:64 in
   Dcache.install c ~lba:100 ~sectors:8;
   Dcache.close_open c;
-  Dcache.settle c ~elapsed:10.0 ~sectors_per_sec:100.0 ~max_lba:10000;
+  Dcache.settle c ~gain:1000 ~max_lba:10000;
   check Alcotest.bool "no growth after close" false (Dcache.hit c ~lba:108 ~sectors:8)
 
 let test_dcache_invalidate () =
@@ -207,8 +207,7 @@ let test_dcache_streaming_join () =
   let c = Dcache.create ~segments:2 ~segment_sectors:64 in
   Dcache.install c ~lba:100 ~sectors:8;
   (* A request at the frontier joins the stream. *)
-  check (Alcotest.option Alcotest.int) "join with 0 cached" (Some 0)
-    (Dcache.streaming c ~lba:108 ~sectors:8);
+  check Alcotest.int "join with 0 cached" 0 (Dcache.streaming c ~lba:108 ~sectors:8);
   (* The segment was extended; the same range is now a plain hit. *)
   check Alcotest.bool "now cached" true (Dcache.hit c ~lba:108 ~sectors:8)
 
@@ -312,6 +311,22 @@ let test_scheduler_names () =
     (Option.map Scheduler.policy_name (Scheduler.policy_of_string "FIFO"));
   check Alcotest.bool "parse junk" true (Scheduler.policy_of_string "elevator?" = None)
 
+(* Servicing a request allocates only the geometry lookup, the seek time
+   and the boxed result. *)
+let test_drive_service_allocation () =
+  let d = Drive.create st31200 in
+  let prng = Prng.create 5 in
+  let reqs =
+    Array.init 512 (fun i ->
+        let lba = 8 * Prng.int prng (Drive.total_sectors d / 8 - 16) in
+        if i mod 3 = 0 then Request.write ~lba ~sectors:8 else Request.read ~lba ~sectors:8)
+  in
+  let i = ref 0 in
+  Alloc_probe.at_most "Drive.service" 16.0
+    (Alloc_probe.words_per_call ~n:500 (fun () ->
+         incr i;
+         ignore (Drive.service d reqs.(!i))))
+
 let () =
   Alcotest.run "cffs_disk"
     [
@@ -363,6 +378,7 @@ let () =
           Alcotest.test_case "flush cache" `Quick test_drive_flush_cache;
           Alcotest.test_case "write invalidates" `Quick test_drive_write_invalidates;
           Alcotest.test_case "random 4K ~ 17ms" `Quick test_random_4k_access_time_plausible;
+          Alcotest.test_case "service allocation" `Quick test_drive_service_allocation;
         ] );
       ( "scheduler",
         [

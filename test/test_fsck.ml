@@ -664,6 +664,36 @@ let test_cffs_bad_group_header () =
   check Alcotest.bool "repair: the same finding" true (only_bad_header 1 r);
   check Alcotest.int "nothing repaired" 0 r.Report.repaired
 
+let only_bad_inode_block blk r = r.Report.problems = [ Report.Bad_inode_block { blk } ]
+
+(* The inode-table block holding inode 1500 (group 1, all free) turns
+   into a sticky bad sector: the orphan sweep meets it. *)
+let test_ffs_bad_inode_block () =
+  let fs, dev = populate_ffs () in
+  Ffs.remount fs;
+  let blk, _ = Ffs.Layout.ino_location (Ffs.superblock fs) 1500 in
+  Faultdev.mark_bad (Faultdev.attach dev) blk;
+  check Alcotest.bool "check: one finding" true (only_bad_inode_block blk (Fsck_ffs.check fs));
+  let r = Fsck_ffs.repair fs in
+  check Alcotest.bool "repair: the same finding" true (only_bad_inode_block blk r);
+  check Alcotest.int "nothing repaired" 0 r.Report.repaired
+
+(* Without embedded inodes every inode but the root's is external: the
+   walk meets the unreadable block through /a, so the root's link count
+   cannot be judged and must not be "repaired".  The block is read at
+   mount, so it is dropped from the cache once it goes bad. *)
+let test_cffs_bad_external_inode_block () =
+  let fs, dev = populate_cffs Cffs.config_ffs_like in
+  let ifile = ok "ifile" (Cffs.read_inode fs Cffs.Csb.ifile_ino) in
+  let blk = ifile.Inode.direct.(0) in
+  Cffs.remount fs;
+  Faultdev.mark_bad (Faultdev.attach dev) blk;
+  Cache.invalidate (Cffs.cache fs) blk;
+  check Alcotest.bool "check: one finding" true (only_bad_inode_block blk (Fsck_cffs.check fs));
+  let r = Fsck_cffs.repair fs in
+  check Alcotest.bool "repair: the same finding" true (only_bad_inode_block blk r);
+  check Alcotest.int "nothing repaired" 0 r.Report.repaired
+
 (* With integrity, a corrupt primary header is served from its replica,
    as a mount would: nothing for fsck to report. *)
 let test_cffs_header_replica () =
@@ -723,6 +753,9 @@ let () =
           Alcotest.test_case "cffs: unreadable group header" `Quick test_cffs_bad_group_header;
           Alcotest.test_case "cffs: header served from its replica" `Quick
             test_cffs_header_replica;
+          Alcotest.test_case "ffs: unreadable inode block" `Quick test_ffs_bad_inode_block;
+          Alcotest.test_case "cffs: unreadable external inode block" `Quick
+            test_cffs_bad_external_inode_block;
         ] );
       ( "crash injection",
         [

@@ -17,7 +17,7 @@ let check = Alcotest.check
 let test_counter_semantics () =
   let c = Registry.counter "testobs.c1" in
   Registry.incr c;
-  Registry.incr ~by:4 c;
+  Registry.add c 4;
   check Alcotest.int "value" 5 (Registry.counter_value c);
   let f = Registry.fcounter "testobs.f1" in
   Registry.fadd f 0.25;
@@ -66,11 +66,11 @@ let test_snapshot_diff_roundtrip () =
   let f = Registry.fcounter "testobs.rt_f" in
   let g = Registry.gauge "testobs.rt_g" in
   let h = Registry.histogram "testobs.rt_h" in
-  Registry.incr ~by:10 c;
+  Registry.add c 10;
   Registry.fadd f 1.0;
   Registry.observe h 0.002;
   let before = Registry.snapshot () in
-  Registry.incr ~by:7 c;
+  Registry.add c 7;
   Registry.fadd f 0.5;
   Registry.set g 42.0;
   Registry.observe h 0.002;
@@ -216,7 +216,7 @@ let test_json_parse_details () =
   | Ok _ -> Alcotest.fail "accepted trailing garbage"
 
 let test_registry_json_golden () =
-  Registry.incr ~by:3 (Registry.counter "testg.c");
+  Registry.add (Registry.counter "testg.c") 3;
   Registry.fadd (Registry.fcounter "testg.f") 1.5;
   let h = Registry.histogram "testg.h" in
   Registry.observe h 0.001;
@@ -315,6 +315,28 @@ let test_document_shape () =
       {|"read_requests_per_file"|};
     ]
 
+(* Updating a registry metric allocates nothing, whether through the
+   update functions with a value already at hand or through a metric's
+   own cell. *)
+let test_updates_allocate_nothing () =
+  let c = Registry.counter "testobs.alloc_c" and f = Registry.fcounter "testobs.alloc_f"
+  and g = Registry.gauge "testobs.alloc_g" and h = Registry.histogram "testobs.alloc_h" in
+  let n = Sys.opaque_identity 3 and x = Sys.opaque_identity 0.25 in
+  let cell = Registry.fcell f and sample = { Registry.v = 0.5 } in
+  List.iter
+    (fun (what, update) -> Alloc_probe.at_most what 0.0 (Alloc_probe.words_per_call update))
+    [
+      ("incr", fun () -> Registry.incr c);
+      ("add", fun () -> Registry.add c n);
+      ("fadd", fun () -> Registry.fadd f x);
+      ("set", fun () -> Registry.set g x);
+      ("observe", fun () -> Registry.observe h x);
+      ("observe_cell", fun () -> Registry.observe_cell h sample);
+      ("cell update", fun () -> cell.Registry.v <- cell.Registry.v +. x);
+    ];
+  check (Alcotest.float 0.0) "the cell is the fcounter" (Registry.fcounter_value f)
+    cell.Registry.v
+
 let () =
   Alcotest.run "obs"
     [
@@ -325,6 +347,7 @@ let () =
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
           Alcotest.test_case "snapshot/diff round-trip" `Quick
             test_snapshot_diff_roundtrip;
+          Alcotest.test_case "updates allocate nothing" `Quick test_updates_allocate_nothing;
         ] );
       ( "trace",
         [

@@ -270,7 +270,7 @@ let test_document_sections () =
 (* Sampler *)
 
 let test_sampler_polling () =
-  Registry.incr ~by:5 (Registry.counter "samp.c");
+  Registry.add (Registry.counter "samp.c") 5;
   let s =
     Sampler.create ~prefixes:[ "samp." ]
       ~extra:(fun () -> [ ("samp.extra", 1.5) ])
@@ -279,7 +279,7 @@ let test_sampler_polling () =
   Sampler.poll s ~now:0.0;
   Sampler.poll s ~now:0.4;
   (* below the next boundary: no sample *)
-  Registry.incr ~by:2 (Registry.counter "samp.c");
+  Registry.add (Registry.counter "samp.c") 2;
   Sampler.poll s ~now:1.0;
   (* a long stall yields one sample, not a backfilled burst *)
   Sampler.poll s ~now:7.5;
