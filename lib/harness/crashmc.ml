@@ -562,6 +562,97 @@ let run_dirindex ?(seed = 1) ?(points = 200) policy =
   let prng = Prng.create (seed lxor Hashtbl.hash ("dirindex", policy_label policy)) in
   verify_sweep ~dircheck:"/big" ~prng ~points Cffs_sel policy rec_
 
+(* Switch phase: crash at every sampled request boundary of the one
+   operation that promotes a linear directory to the index, or of the
+   unlink that demotes it back.  Both rebuild the directory into fresh
+   pages, switch the inode in one sector-atomic write and only then free
+   the old blocks, so every prefix must enumerate the pre-operation name
+   set or the post-operation one.  Which unlink demotes depends on the
+   hash layout, so a dry run on a scratch device finds it first. *)
+
+let run_dirindex_switch ?(seed = 1) ?(points = 200) switch policy =
+  let block_size, nblocks = geometry in
+  let config = { Cffs.config_default with Cffs.dirindex_threshold = 4 } in
+  let ok what = function
+    | Ok v -> v
+    | Error e ->
+        failwith
+          (Printf.sprintf "crashmc dirindex switch: %s: %s" what (Errno.to_string e))
+  in
+  let name i = Printf.sprintf "/sw/y%03d" i in
+  let payload i = Bytes.make (60 + (i mod 140)) (Char.chr (97 + (i mod 26))) in
+  (* 64 entries fill the 4 linear pages; the 65th create promotes. *)
+  let linear = 64 and total = 96 in
+  let files l = List.map (fun i -> (name i, payload i)) l in
+  let range a b = List.init (b - a) (fun i -> a + i) in
+  let setup upto =
+    let dev = Blockdev.memory ~block_size ~nblocks in
+    let fs = Cffs.format ~cg_size ~config ~policy dev in
+    ok "mkdir" (Cffs.mkdir fs "/sw");
+    List.iter (fun i -> ok (name i) (Cffs.write_file fs (name i) (payload i))) (range 0 upto);
+    Cffs.sync fs;
+    (dev, fs)
+  in
+  let demotions () = Registry.get_counter (Registry.snapshot ()) "dirindex.demotions" in
+  (* Run [op] with the journal attached after a sync; [counter] must move. *)
+  let record dev fs counter op =
+    let fd = Faultdev.attach dev in
+    let before = Registry.snapshot () in
+    op ();
+    Cffs.sync fs;
+    if Registry.get_counter (Registry.diff (Registry.snapshot ()) before) counter = 0
+    then failwith ("crashmc dirindex switch: " ^ counter ^ " did not move - vacuous sweep");
+    Faultdev.detach fd;
+    fd
+  in
+  let rec_ =
+    match switch with
+    | `Promote ->
+        let dev, fs = setup linear in
+        let fd =
+          record dev fs "dirindex.promotions" (fun () ->
+              ok (name linear) (Cffs.write_file fs (name linear) (payload linear)))
+        in
+        {
+          fd;
+          touches = [ (name linear, 0) ];
+          syncs =
+            [
+              (Faultdev.journal_length fd, files (range 0 (linear + 1)));
+              (0, files (range 0 linear));
+            ];
+        }
+    | `Demote ->
+        let unlink fs i = ok ("unlink " ^ name i) (Cffs.unlink fs (name i)) in
+        (* The dry run: the index of the first unlink that demotes. *)
+        let _, fs = setup total in
+        let rec first_demoting i =
+          if i >= total then failwith "crashmc dirindex switch: no unlink demoted"
+          else begin
+            let d0 = demotions () in
+            unlink fs i;
+            if demotions () > d0 then i else first_demoting (i + 1)
+          end
+        in
+        let k = first_demoting 0 in
+        let dev, fs = setup total in
+        List.iter (unlink fs) (range 0 k);
+        Cffs.sync fs;
+        let fd = record dev fs "dirindex.demotions" (fun () -> unlink fs k) in
+        {
+          fd;
+          touches = [ (name k, 0) ];
+          syncs =
+            [
+              (Faultdev.journal_length fd, files (range (k + 1) total));
+              (0, files (range k total));
+            ];
+        }
+  in
+  let label = match switch with `Promote -> "promote" | `Demote -> "demote" in
+  let prng = Prng.create (seed lxor Hashtbl.hash (label, policy_label policy)) in
+  verify_sweep ~dircheck:"/sw" ~prng ~points Cffs_sel policy rec_
+
 let default_matrix =
   List.concat_map (fun sel -> List.map (fun p -> (sel, p)) all_policies)
     [ Ffs_sel; Cffs_sel ]

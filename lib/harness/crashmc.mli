@@ -97,6 +97,19 @@ val run_dirindex :
     before any repair.  Raises [Failure] if the scenario is vacuous (the
     directory never promoted or the burst forced no leaf split). *)
 
+val run_dirindex_switch :
+  ?seed:int -> ?points:int -> [ `Promote | `Demote ] -> Cffs_cache.Cache.policy -> outcome
+(** The switch phase: grow a directory under a low promotion threshold,
+    sync, then power-cut at sampled request boundaries (plus torn
+    variants) of the one operation that switches its format: the create
+    that promotes it to the index, or the unlink that demotes it back to
+    linear pages.  Every prefix must mount, enumerate the directory
+    duplicate-free with every listed name answering a stat, read back
+    every file synced before the operation, and converge under fsck;
+    under [Journaled] it must also be clean before any repair.  Raises
+    [Failure] if [dirindex.promotions] (resp. [dirindex.demotions]) did
+    not move while the journal was attached. *)
+
 val default_matrix : (fs_sel * Cffs_cache.Cache.policy) list
 (** Both file systems under every cache policy. *)
 

@@ -12,9 +12,10 @@
    - readdir enumeration always equals an in-memory oracle set under
      random create/unlink interleave, before and after a remount;
    - fsck, layout, regroup and scrub all handle indexed images;
-   - the Crashmc dirindex phase: a power cut at every sampled prefix of
-     a leaf-splitting create burst may neither dangle nor duplicate an
-     entry (Sync_metadata, Soft_updates, Journaled). *)
+   - the Crashmc dirindex phases: a power cut at every sampled prefix of
+     a leaf-splitting create burst, of the create that promotes a
+     directory or of the unlink that demotes it may neither dangle nor
+     duplicate an entry (Sync_metadata, Soft_updates, Journaled). *)
 
 module Blockdev = Cffs_blockdev.Blockdev
 module Cache = Cffs_cache.Cache
@@ -375,6 +376,19 @@ let test_crash_split policy () =
   check Alcotest.int "violations" 0 (Crashmc.total_violations [ o ]);
   check Alcotest.bool "swept real points" true (o.Crashmc.points > 10)
 
+(* The same sweep over the promoting create and the demoting unlink:
+   the rebuild-and-switch must leave the old or the new directory. *)
+let test_crash_switch switch policy () =
+  let label = match switch with `Promote -> "promote" | `Demote -> "demote" in
+  let o = Crashmc.run_dirindex_switch ~points:40 switch policy in
+  if o.Crashmc.violations <> [] then
+    Alcotest.failf "dirindex %s/%s: %s" label
+      (Crashmc.policy_label policy)
+      (String.concat "; " o.Crashmc.violations);
+  check Alcotest.int "dir enumeration errors" 0 o.Crashmc.dir_errors;
+  check Alcotest.int "violations" 0 (Crashmc.total_violations [ o ]);
+  check Alcotest.bool "swept real points" true (o.Crashmc.points > 2)
+
 let crash_tests =
   List.map
     (fun policy ->
@@ -383,6 +397,17 @@ let crash_tests =
            (Crashmc.policy_label policy))
         `Quick (test_crash_split policy))
     Crashmc.dirindex_matrix
+  @ List.concat_map
+      (fun switch ->
+        List.map
+          (fun policy ->
+            Alcotest.test_case
+              (Printf.sprintf "every %s prefix (%s)"
+                 (match switch with `Promote -> "promote" | `Demote -> "demote")
+                 (Crashmc.policy_label policy))
+              `Quick (test_crash_switch switch policy))
+          Crashmc.dirindex_matrix)
+      [ `Promote; `Demote ]
 
 (* ------------------------------------------------------------------ *)
 
