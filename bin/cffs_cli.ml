@@ -209,12 +209,18 @@ let mkfs_cmd =
                  (Volume.layout_name vol_layout)
              else "");
           0
-        with Cffs_vfs.Fs_intf.Too_small { need_blocks; have_blocks } ->
-          Printf.eprintf
-            "mkfs: image too small: %s needs at least %d blocks (%d MB) for its \
-             file system, got %d\n"
-            fs_name need_blocks ((need_blocks + 255) / 256) have_blocks;
-          1)
+        with
+        | Cffs_vfs.Fs_intf.Too_small { need_blocks; have_blocks } ->
+            Printf.eprintf
+              "mkfs: image too small: %s needs at least %d blocks (%d MB) for its \
+               file system, got %d\n"
+              fs_name need_blocks ((need_blocks + 255) / 256) have_blocks;
+            1
+        | Invalid_argument msg ->
+            (* The formatters check the rest of the geometry (spare pool,
+               frame size) and name what they reject. *)
+            Printf.eprintf "mkfs: %s\n" msg;
+            1)
   in
   let image = Arg.(required & pos 0 (some string) None & info [] ~docv:"IMAGE") in
   let size = Arg.(value & opt int 64 & info [ "size-mb" ] ~doc:"Image size in MB.") in

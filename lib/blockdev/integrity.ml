@@ -50,7 +50,10 @@ let layout dev ~spare_blocks =
   let csum_blocks = ((nblocks * 4) + bs - 1) / bs in
   let reserved = csum_blocks + spare_blocks + 2 in
   let data_blocks = nblocks - reserved in
-  if data_blocks <= 0 then invalid_arg "Integrity: device too small";
+  if data_blocks <= 0 then
+    invalid_arg
+      (Printf.sprintf "Integrity: a %d-block device is too small for %d reserved blocks"
+         nblocks reserved);
   ( data_blocks,
     csum_blocks,
     data_blocks + csum_blocks,
@@ -422,7 +425,9 @@ let mk dev ~spare_blocks =
 let format ?(spare_blocks = 64) dev =
   let bs = Blockdev.block_size dev in
   if spare_blocks < 2 || spare_blocks > map_capacity bs then
-    invalid_arg "Integrity.format: spare_blocks";
+    invalid_arg
+      (Printf.sprintf "Integrity.format: %d spare blocks; the remap table takes 2 to %d"
+         spare_blocks (map_capacity bs));
   let t = mk dev ~spare_blocks in
   Blockdev.enable_tags dev;
   persist_map t;

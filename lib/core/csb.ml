@@ -28,6 +28,10 @@ let mk ~block_size ~nblocks ~cg_size ~group_blocks ~embed_inodes ~grouping ~grou
   if 8 + ((cg_size + 7) / 8) > block_size then
     invalid_arg "Csb.mk: block bitmap does not fit the header block";
   if group_blocks < 2 then invalid_arg "Csb.mk: group frame too small";
+  if group_blocks > cg_size - 1 then
+    invalid_arg
+      (Printf.sprintf "Csb.mk: a %d-block group frame does not fit a %d-block group's data area"
+         group_blocks (cg_size - 1));
   let cg_count = (nblocks - 1) / cg_size in
   if cg_count < 1 then
     raise (Cffs_vfs.Fs_intf.Too_small { need_blocks = 1 + cg_size; have_blocks = nblocks });

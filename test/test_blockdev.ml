@@ -672,9 +672,9 @@ let test_sync_request_allocation () =
     incr i;
     !i mod blocks * 97
   in
-  Alloc_probe.at_most "Blockdev.write" 80.0
+  Alloc_probe.at_most "Blockdev.write" 67.0
     (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
-  Alloc_probe.at_most "Blockdev.read_views" 80.0
+  Alloc_probe.at_most "Blockdev.read_views" 69.0
     (Alloc_probe.words_per_call ~n:500 (fun () ->
          Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)))
 
