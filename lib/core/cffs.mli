@@ -225,10 +225,6 @@ val dir_hash : string -> int
 val dir_indexed : t -> Cffs_vfs.Inode.t -> bool
 (** Does this directory inode use the indexed format? *)
 
-val dir_index_depth : t -> Cffs_vfs.Inode.t -> int option
-(** Global hash depth of an indexed directory (the table has [2^depth]
-    slots); [None] when not indexed or the root is unreadable. *)
-
 val index_walk :
   t ->
   Cffs_vfs.Inode.t ->
