@@ -81,11 +81,11 @@ type stats = {
   mutable evictions : int;
 }
 
-type clusterer =
-  prev:int * (int * int) option -> next:int * (int * int) option -> bool
-(** Flush-time write clustering policy: given two {e physically adjacent}
-    dirty blocks (block number and optional logical identity), may they
-    travel in one disk request?  This is where the file systems differ: FFS
+type clusterer = blk:int -> sequential:bool -> bool
+(** Flush-time write clustering policy: may dirty block [blk] travel in
+    one disk request with the {e physically adjacent} dirty block
+    [blk - 1]?  [sequential] says whether the two hold consecutive logical
+    blocks of one file.  This is where the file systems differ: FFS
     merges only sequential blocks of a single file ([McVoy91] clustering);
     C-FFS additionally merges blocks of the same explicit group.  Default:
     never — each dirty block is its own request. *)
@@ -174,8 +174,12 @@ val prefetch : t -> (int * int) list -> unit
     verified {!read_group} per run, swallowing a failed run the same way.
     Only an out-of-range run raises. *)
 
+val find_logical_exn : t -> ino:int -> lblk:int -> bytes
+(** Logical-identity lookup; a hit needs no block-map consultation at all.
+    Raises [Not_found] on a miss; neither outcome allocates. *)
+
 val find_logical : t -> ino:int -> lblk:int -> bytes option
-(** Logical-identity lookup; a hit needs no block-map consultation at all. *)
+(** {!find_logical_exn} as an option. *)
 
 val find_logical_into :
   t -> ino:int -> lblk:int -> src_off:int -> bytes -> dst_off:int -> len:int -> bool

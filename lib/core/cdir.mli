@@ -41,7 +41,20 @@ type entry = {
 
 val iter : bytes -> (entry -> unit) -> unit
 val fold : bytes -> init:'a -> f:('a -> entry -> 'a) -> 'a
+val locate : bytes -> string -> int
+(** The chunk of the live entry named [name], or [-1]; allocates
+    nothing. *)
+
+val embedded : bytes -> int -> bool
+(** Whether the live entry in a chunk carries its inode. *)
+
+val ext_ino : bytes -> int -> int
+(** The external inode number the live entry in a chunk carries ([0]
+    when embedded). *)
+
 val find : bytes -> string -> entry option
+(** {!locate}, with the entry decoded. *)
+
 val find_free : ?limit:int -> bytes -> int option
 (** Index of a free chunk; [?limit] restricts the scan to chunks below it
     (indexed leaves reserve the last chunk for the overflow link). *)

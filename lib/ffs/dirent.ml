@@ -62,16 +62,20 @@ let holds b len off reclen name =
 
 (* [find] and [remove] walk the chain as [iter] does, but decode nothing
    on a miss and allocate only their result. *)
-let rec find_from b name len off =
-  if off + header_bytes > len then None
+let rec locate_from b name len off =
+  if off + header_bytes > len then -1
   else begin
     let reclen = get_reclen b off in
-    if reclen <= 0 || off + reclen > len then None
-    else if holds b len off reclen name then Some (off, get_ino b off)
-    else find_from b name len (off + reclen)
+    if reclen <= 0 || off + reclen > len then -1
+    else if holds b len off reclen name then off
+    else locate_from b name len (off + reclen)
   end
 
-let find b name = find_from b name (Bytes.length b) 0
+let locate b name = locate_from b name (Bytes.length b) 0
+
+let find b name =
+  let off = locate b name in
+  if off < 0 then None else Some (off, get_ino b off)
 
 (* Whether the record at [off], [reclen] long, can take an entry of
    [needed] bytes: a free record whole, or a live one in the slack

@@ -21,6 +21,13 @@ val iter : bytes -> (off:int -> ino:int -> string -> unit) -> unit
 
 val fold : bytes -> init:'a -> f:('a -> ino:int -> string -> 'a) -> 'a
 
+val locate : bytes -> string -> int
+(** [locate block name] is the offset of [name]'s record, or [-1]; it
+    allocates nothing. *)
+
+val get_ino : bytes -> int -> int
+(** The inode number of the record at an offset. *)
+
 val find : bytes -> string -> (int * int) option
 (** [find block name] is [Some (offset, ino)]. *)
 

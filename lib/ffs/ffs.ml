@@ -458,10 +458,7 @@ let usage t =
 (* Delayed-write clustering: FFS merges only physically adjacent blocks that
    are sequential blocks of the same file ([McVoy91]); everything else is a
    separate request. *)
-let file_clusterer ~prev ~next =
-  match (snd prev, snd next) with
-  | Some (ino1, l1), Some (ino2, l2) -> ino1 = ino2 && l2 = l1 + 1
-  | _ -> false
+let file_clusterer ~blk:_ ~sequential = sequential
 
 let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 4096)
     ?(integrity = false) ?(spare_blocks = 64)

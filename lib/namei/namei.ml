@@ -78,7 +78,10 @@ end)
    every namespace mutation in a directory, so a create anywhere along
    the path kills the shortcuts through it — including the negative
    ones proving the created name absent. *)
-type shortcut = { sc_result : int Errno.result; sc_deps : (int * int) list }
+type shortcut = {
+  sc_result : int Errno.result;
+  sc_deps : int array;  (** each directory, then its generation *)
+}
 
 type t = {
   config : config;
@@ -115,13 +118,11 @@ let bump_epoch t dir =
 let gen t dir = stamp t.gens dir
 let bump_gen t dir = Int_tbl.replace t.gens dir (gen t dir + 1)
 
-let rec drain pop lru = match pop lru with Some _ -> drain pop lru | None -> ()
-
 let flush t =
   Registry.incr m_invalidations;
-  drain Dentries.pop_lru t.dentries;
-  drain Attrs.pop_lru t.attrs;
-  drain Shortcuts.pop_lru t.shortcuts;
+  Dentries.clear t.dentries;
+  Attrs.clear t.attrs;
+  Shortcuts.clear t.shortcuts;
   Int_tbl.reset t.epochs;
   Int_tbl.reset t.gens
 
@@ -129,21 +130,25 @@ let flush t =
 (* Dentry cache primitives. *)
 
 (* [Ok ino] binds the name; [Error Enoent] proves it absent (a
-   negative entry, kept only under [config.negative]). *)
-let insert_dentry t ~dir name d_result =
+   negative entry, kept only under [config.negative]).  [key] is
+   [(dir, name)]. *)
+let insert_key t key d_result =
+  let dir = fst key in
   if enabled t && (Result.is_ok d_result || t.config.negative) then begin
-    Dentries.add t.dentries (dir, name) { d_result; epoch = epoch t dir };
+    Dentries.add t.dentries key { d_result; epoch = epoch t dir };
     if Dentries.length t.dentries > t.config.capacity then begin
-      ignore (Dentries.pop_lru t.dentries);
+      Dentries.drop_lru t.dentries;
       Registry.incr m_evictions
     end
   end
 
+let insert_dentry t ~dir name d_result = insert_key t (dir, name) d_result
+
 (* The stored answer; [Not_found] on a miss.  A stale-epoch entry is
    dropped on the way out and is a miss.  The tables stay empty while
    the cache is disabled. *)
-let find_dentry t ~dir name =
-  let key = (dir, name) in
+let find_key t key =
+  let dir = fst key in
   let d = Dentries.use_exn t.dentries key in
   if d.epoch = epoch t dir then d.d_result
   else begin
@@ -151,6 +156,7 @@ let find_dentry t ~dir name =
     raise Not_found
   end
 
+let find_dentry t ~dir name = find_key t (dir, name)
 let remove_dentry t ~dir name = Dentries.remove t.dentries (dir, name)
 
 (* ------------------------------------------------------------------ *)
@@ -161,7 +167,7 @@ let insert_attr t ino r =
   if enabled t then begin
     Attrs.add t.attrs ino r;
     if Attrs.length t.attrs > t.config.attr_capacity then begin
-      ignore (Attrs.pop_lru t.attrs);
+      Attrs.drop_lru t.attrs;
       Registry.incr m_evictions
     end
   end
@@ -175,21 +181,20 @@ let insert_shortcut t key ~deps sc_result =
   if enabled t && (Result.is_ok sc_result || t.config.negative) then begin
     Shortcuts.add t.shortcuts key { sc_result; sc_deps = deps };
     if Shortcuts.length t.shortcuts > t.config.capacity then begin
-      ignore (Shortcuts.pop_lru t.shortcuts);
+      Shortcuts.drop_lru t.shortcuts;
       Registry.incr m_evictions
     end
   end
 
-let rec deps_current t = function
-  | [] -> true
-  | (dir, g) :: rest -> gen t dir = g && deps_current t rest
+let rec deps_current t deps i =
+  i >= Array.length deps || (gen t deps.(i) = deps.(i + 1) && deps_current t deps (i + 2))
 
 (* The stored answer; [Not_found] on a miss.  An entry whose recorded
    generations no longer all match is stale — counted, dropped, and a
    miss. *)
 let find_shortcut t key =
   let sc = Shortcuts.use_exn t.shortcuts key in
-  if deps_current t sc.sc_deps then sc.sc_result
+  if deps_current t sc.sc_deps 0 then sc.sc_result
   else begin
     Registry.incr m_shortcut_stale;
     Shortcuts.remove t.shortcuts key;
@@ -245,7 +250,8 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
     let s = F.namei fs in
     if not (enabled s) then F.lookup fs ~dir name
     else begin
-      match find_dentry s ~dir name with
+      let key = (dir, name) in
+      match find_key s key with
       | Ok _ as r ->
           Registry.incr m_dentry_hits;
           r
@@ -256,7 +262,7 @@ module Make (F : SOURCE) : SOURCE with type t = F.t = struct
           Registry.incr m_dentry_misses;
           let r = F.lookup fs ~dir name in
           (match r with
-          | Ok _ | Error Enoent -> insert_dentry s ~dir name r
+          | Ok _ | Error Enoent -> insert_key s key r
           | Error _ -> ());
           r
     end
@@ -432,36 +438,41 @@ end
 module Resolver (F : SOURCE) = struct
   type t = F.t
 
-  (* The components of a canonical key, split only to walk them. *)
-  let parts key =
-    if String.length key = 1 then [] else List.tl (String.split_on_char '/' key)
+  (* The walk reads a canonical key in place: the component starting at
+     [i] ends at [stop key i]; only the names it looks up are copied
+     out. *)
+  let rec stop key i = if i >= String.length key || key.[i] = '/' then i else stop key (i + 1)
 
-  let rec plain_walk fs ino = function
-    | [] -> Ok ino
-    | name :: rest -> (
-        match F.lookup fs ~dir:ino name with
-        | Ok next -> plain_walk fs next rest
-        | Error _ as e -> e)
+  let rec plain_walk fs key ino i =
+    let j = stop key i in
+    let r = F.lookup fs ~dir:ino (String.sub key i (j - i)) in
+    match r with
+    | Ok next when j < String.length key -> plain_walk fs key next (j + 1)
+    | Ok _ | Error _ -> r
 
-  (* A shortcut miss: walk, recording each directory passed through with
-     its generation, and store the outcome under [key]. *)
-  let rec walk fs s key deps ino = function
-    | [] ->
-        let r = Ok ino in
+  (* A shortcut miss: walk, recording in [deps] each directory passed
+     through with its generation ([k] entries so far), and store the
+     outcome under [key]. *)
+  let rec walk fs s key deps k ino i =
+    deps.(2 * k) <- ino;
+    deps.((2 * k) + 1) <- gen s ino;
+    let j = stop key i in
+    let r = F.lookup fs ~dir:ino (String.sub key i (j - i)) in
+    let last = j >= String.length key in
+    match r with
+    | Ok next when not last -> walk fs s key deps (k + 1) next (j + 1)
+    | Ok _ ->
         insert_shortcut s key ~deps r;
         r
-    | name :: rest -> (
-        let deps = (ino, gen s ino) :: deps in
-        match F.lookup fs ~dir:ino name with
-        | Ok next -> walk fs s key deps next rest
-        | Error Errno.Enoent as e ->
-            if rest = [] then insert_shortcut s key ~deps e;
-            e
-        | Error _ as e -> e)
+    | Error Errno.Enoent ->
+        if last then insert_shortcut s key ~deps r;
+        r
+    | Error _ -> r
 
   let resolve_rel fs key =
     let s = F.namei fs in
-    if not (enabled s) then plain_walk fs (F.root fs) (parts key)
+    if not (enabled s) then
+      if String.length key = 1 then Ok (F.root fs) else plain_walk fs key (F.root fs) 1
     else begin
       match find_shortcut s key with
       | Ok _ as r ->
@@ -472,6 +483,11 @@ module Resolver (F : SOURCE) = struct
           r
       | exception Not_found ->
           Registry.incr m_shortcut_misses;
-          walk fs s key [] (F.root fs) (parts key)
+          if String.length key = 1 then begin
+            let r = Ok (F.root fs) in
+            insert_shortcut s key ~deps:[||] r;
+            r
+          end
+          else walk fs s key (Array.make (2 * Cffs_vfs.Path.components key) 0) 0 (F.root fs) 1
     end
 end

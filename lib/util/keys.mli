@@ -12,9 +12,32 @@
 
 module Int : Hashtbl.HashedType with type t = int
 
-module Pair : Hashtbl.HashedType with type t = int * int
-(** A pair of ints, e.g. an [(ino, lblk)] identity.  Kept a pair rather
-    than packed into one int: embedded inode numbers start at [2^40], so
-    packing would overflow 63 bits and alias distinct keys. *)
+val pair_hash : int -> int -> int
+(** The hash of a pair of ints, e.g. an [(ino, lblk)] identity. *)
 
 module Int_tbl : Hashtbl.S with type key = int
+
+(** A map from a pair of ints to a non-negative int, e.g. from a file
+    block's [(ino, lblk)] identity to the physical block caching it.  The
+    pair is kept two ints rather than packed into one: embedded inode
+    numbers start at [2^40], so packing would overflow 63 bits and alias
+    distinct keys.  It is also never a tuple: no lookup, insert or removal
+    allocates (growing the table does).  The first key must not be
+    [min_int]. *)
+module Pair_tbl : sig
+  type t
+
+  val create : int -> t
+  (** A table sized for about [n] bindings; it grows as needed. *)
+
+  val length : t -> int
+
+  val find : t -> int -> int -> int
+  (** [find t a b] is the value bound to [(a, b)], or [-1]. *)
+
+  val replace : t -> int -> int -> int -> unit
+  val remove : t -> int -> int -> unit
+
+  val reset : t -> unit
+  (** Empty the table and shrink it to its initial size. *)
+end

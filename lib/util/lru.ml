@@ -19,6 +19,7 @@ module type S = sig
   val lru : 'v t -> (key * 'v) option
   val oldest : 'v t -> ('v -> bool) -> key
   val pop_lru : 'v t -> (key * 'v) option
+  val drop_lru : 'v t -> unit
   val iter : 'v t -> (key -> 'v -> unit) -> unit
   val fold : 'v t -> init:'a -> f:('a -> key -> 'v -> 'a) -> 'a
   val to_list : 'v t -> (key * 'v) list
@@ -132,6 +133,14 @@ module Make (K : Hashtbl.HashedType) = struct
     | Some (k, _) as r ->
         remove t k;
         r
+
+  let drop_lru t =
+    match t.sentinel with
+    | Some s when s.next != s ->
+        let n = s.next in
+        unlink n;
+        H.remove t.table n.key
+    | Some _ | None -> ()
 
   let iter t f =
     match t.sentinel with

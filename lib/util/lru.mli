@@ -48,6 +48,10 @@ module type S = sig
   val pop_lru : 'v t -> (key * 'v) option
   (** Remove and return the least-recently-used binding. *)
 
+  val drop_lru : 'v t -> unit
+  (** Remove the least-recently-used binding, if any, without returning
+      it: allocates nothing. *)
+
   val iter : 'v t -> (key -> 'v -> unit) -> unit
   (** Iterate from least- to most-recently-used. *)
 

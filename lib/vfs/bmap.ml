@@ -5,36 +5,36 @@ open Errno
 let block_size cache = Cffs_blockdev.Blockdev.block_size (Cache.device cache)
 let ptrs_per_block cache = block_size cache / 4
 
-let read cache (inode : Inode.t) lblk =
+let reach cache =
   let ppb = ptrs_per_block cache in
-  if lblk < 0 then Error Einval
-  else if lblk < Inode.n_direct then begin
-    let p = inode.direct.(lblk) in
-    Ok (if p = 0 then None else Some p)
-  end
+  Inode.n_direct + ppb + (ppb * ppb)
+
+(* The physical block behind [lblk]: [0] for a hole, [-1] when [lblk]
+   lies outside the map.  A sentinel, not an option, so a lookup
+   allocates nothing. *)
+let find cache (inode : Inode.t) lblk =
+  let ppb = ptrs_per_block cache in
+  if lblk < 0 then -1
+  else if lblk < Inode.n_direct then inode.direct.(lblk)
   else if lblk < Inode.n_direct + ppb then begin
-    if inode.indirect = 0 then Ok None
-    else begin
-      let b = Cache.read cache inode.indirect in
-      let p = Codec.get_u32 b (4 * (lblk - Inode.n_direct)) in
-      Ok (if p = 0 then None else Some p)
-    end
+    if inode.indirect = 0 then 0
+    else Codec.get_u32 (Cache.read cache inode.indirect) (4 * (lblk - Inode.n_direct))
   end
   else if lblk < Inode.n_direct + ppb + (ppb * ppb) then begin
-    if inode.dindirect = 0 then Ok None
+    if inode.dindirect = 0 then 0
     else begin
       let rel = lblk - Inode.n_direct - ppb in
-      let b1 = Cache.read cache inode.dindirect in
-      let p1 = Codec.get_u32 b1 (4 * (rel / ppb)) in
-      if p1 = 0 then Ok None
-      else begin
-        let b2 = Cache.read cache p1 in
-        let p = Codec.get_u32 b2 (4 * (rel mod ppb)) in
-        Ok (if p = 0 then None else Some p)
-      end
+      let p1 = Codec.get_u32 (Cache.read cache inode.dindirect) (4 * (rel / ppb)) in
+      if p1 = 0 then 0 else Codec.get_u32 (Cache.read cache p1) (4 * (rel mod ppb))
     end
   end
-  else Error Efbig
+  else -1
+
+let unmapped_error lblk = if lblk < 0 then Einval else Efbig
+
+let read cache inode lblk =
+  let p = find cache inode lblk in
+  if p > 0 then Ok (Some p) else if p = 0 then Ok None else Error (unmapped_error lblk)
 
 let last_hint cache inode lblk =
   (* Only look back over the direct window: files written sequentially (the
@@ -42,82 +42,76 @@ let last_hint cache inode lblk =
   let rec back l =
     if l < 0 then 0
     else begin
-      match read cache inode l with
-      | Ok (Some p) -> p + 1
-      | Ok None | Error _ -> back (l - 1)
+      let p = find cache inode l in
+      if p > 0 then p + 1 else back (l - 1)
     end
   in
   back (min (lblk - 1) (Inode.n_direct + ptrs_per_block cache - 1))
 
+let zero_block cache = Bytes.make (block_size cache) '\000'
+
+(* A pointer slot at [off] in pointer block [blk] (buffer [b]): its
+   block, allocated and recorded (a delayed metadata write of [blk]) if
+   the slot is empty; [fill] zeroes a new block that will itself hold
+   pointers. *)
+let pointer cache blk b off ~alloc ~hint ~fill =
+  let p = Codec.get_u32 b off in
+  if p <> 0 then Ok p
+  else
+    match alloc ~hint with
+    | Error _ as e -> e
+    | Ok p ->
+        if fill then Cache.write cache ~kind:`Meta_delayed p (zero_block cache);
+        Codec.set_u32 b off p;
+        Cache.write cache ~kind:`Meta_delayed blk b;
+        Ok p
+
+(* The inode's own indirect or double-indirect block ([get]), allocated
+   zeroed if absent ([set] records it in the inode). *)
+let root_block cache cur ~alloc ~hint ~set =
+  if cur <> 0 then Ok cur
+  else
+    match alloc ~hint with
+    | Error _ as e -> e
+    | Ok b ->
+        Cache.write cache ~kind:`Meta_delayed b (zero_block cache);
+        set b;
+        Ok b
+
+let set_indirect (inode : Inode.t) b = inode.indirect <- b
+let set_dindirect (inode : Inode.t) b = inode.dindirect <- b
+
+(* Written as matches, not [let*]: mapping a block builds no closure
+   beyond the caller's [alloc]. *)
 let alloc cache (inode : Inode.t) lblk ~alloc =
   let ppb = ptrs_per_block cache in
-  let zero () = Bytes.make (block_size cache) '\000' in
   let hint = last_hint cache inode lblk in
-  let fresh () = alloc ~hint in
   if lblk < 0 then Error Einval
   else if lblk < Inode.n_direct then begin
     if inode.direct.(lblk) <> 0 then Ok inode.direct.(lblk)
-    else begin
-      let* b = fresh () in
-      inode.direct.(lblk) <- b;
-      Ok b
-    end
+    else
+      match alloc ~hint with
+      | Error _ as e -> e
+      | Ok b ->
+          inode.direct.(lblk) <- b;
+          Ok b
   end
   else if lblk < Inode.n_direct + ppb then begin
-    let* ind =
-      if inode.indirect <> 0 then Ok inode.indirect
-      else begin
-        let* b = fresh () in
-        Cache.write cache ~kind:`Meta_delayed b (zero ());
-        inode.indirect <- b;
-        Ok b
-      end
-    in
-    let ib = Cache.read cache ind in
-    let off = 4 * (lblk - Inode.n_direct) in
-    let p = Codec.get_u32 ib off in
-    if p <> 0 then Ok p
-    else begin
-      let* b = fresh () in
-      Codec.set_u32 ib off b;
-      Cache.write cache ~kind:`Meta_delayed ind ib;
-      Ok b
-    end
+    match root_block cache inode.indirect ~alloc ~hint ~set:(set_indirect inode) with
+    | Error _ as e -> e
+    | Ok ind ->
+        pointer cache ind (Cache.read cache ind) (4 * (lblk - Inode.n_direct)) ~alloc ~hint
+          ~fill:false
   end
   else if lblk < Inode.n_direct + ppb + (ppb * ppb) then begin
     let rel = lblk - Inode.n_direct - ppb in
-    let* dind =
-      if inode.dindirect <> 0 then Ok inode.dindirect
-      else begin
-        let* b = fresh () in
-        Cache.write cache ~kind:`Meta_delayed b (zero ());
-        inode.dindirect <- b;
-        Ok b
-      end
-    in
-    let b1 = Cache.read cache dind in
-    let off1 = 4 * (rel / ppb) in
-    let* ind =
-      let p1 = Codec.get_u32 b1 off1 in
-      if p1 <> 0 then Ok p1
-      else begin
-        let* b = fresh () in
-        Cache.write cache ~kind:`Meta_delayed b (zero ());
-        Codec.set_u32 b1 off1 b;
-        Cache.write cache ~kind:`Meta_delayed dind b1;
-        Ok b
-      end
-    in
-    let b2 = Cache.read cache ind in
-    let off2 = 4 * (rel mod ppb) in
-    let p = Codec.get_u32 b2 off2 in
-    if p <> 0 then Ok p
-    else begin
-      let* b = fresh () in
-      Codec.set_u32 b2 off2 b;
-      Cache.write cache ~kind:`Meta_delayed ind b2;
-      Ok b
-    end
+    match root_block cache inode.dindirect ~alloc ~hint ~set:(set_dindirect inode) with
+    | Error _ as e -> e
+    | Ok dind -> (
+        match pointer cache dind (Cache.read cache dind) (4 * (rel / ppb)) ~alloc ~hint ~fill:true with
+        | Error _ as e -> e
+        | Ok ind ->
+            pointer cache ind (Cache.read cache ind) (4 * (rel mod ppb)) ~alloc ~hint ~fill:false)
   end
   else Error Efbig
 
@@ -189,22 +183,25 @@ let shrink cache (inode : Inode.t) ~keep_blocks ~free =
     end
   end
 
+let visit_indirect cache ind ~data ~meta =
+  let b = Cache.read cache ind in
+  for i = 0 to ptrs_per_block cache - 1 do
+    let p = Codec.get_u32 b (4 * i) in
+    if p <> 0 then data p
+  done;
+  meta ind
+
 let iter cache (inode : Inode.t) ~data ~meta =
-  Array.iter (fun p -> if p <> 0 then data p) inode.direct;
-  let visit_indirect ind =
-    let b = Cache.read cache ind in
-    for i = 0 to ptrs_per_block cache - 1 do
-      let p = Codec.get_u32 b (4 * i) in
-      if p <> 0 then data p
-    done;
-    meta ind
-  in
-  if inode.indirect <> 0 then visit_indirect inode.indirect;
+  for i = 0 to Inode.n_direct - 1 do
+    let p = inode.direct.(i) in
+    if p <> 0 then data p
+  done;
+  if inode.indirect <> 0 then visit_indirect cache inode.indirect ~data ~meta;
   if inode.dindirect <> 0 then begin
     let b1 = Cache.read cache inode.dindirect in
     for i = 0 to ptrs_per_block cache - 1 do
       let p1 = Codec.get_u32 b1 (4 * i) in
-      if p1 <> 0 then visit_indirect p1
+      if p1 <> 0 then visit_indirect cache p1 ~data ~meta
     done;
     meta inode.dindirect
   end
@@ -246,7 +243,29 @@ let punch cache (inode : Inode.t) ~target =
   end;
   !found
 
-let count cache inode =
+(* Pointers set in [b]. *)
+let live_pointers cache b =
   let n = ref 0 in
-  iter cache inode ~data:(fun _ -> incr n) ~meta:(fun _ -> incr n);
+  for i = 0 to ptrs_per_block cache - 1 do
+    if Codec.get_u32 b (4 * i) <> 0 then incr n
+  done;
+  !n
+
+(* [iter]'s walk, with its cache reads, counting: a stat builds no
+   closure. *)
+let count cache (inode : Inode.t) =
+  let n = ref 0 in
+  for i = 0 to Inode.n_direct - 1 do
+    if inode.direct.(i) <> 0 then incr n
+  done;
+  if inode.indirect <> 0 then
+    n := !n + 1 + live_pointers cache (Cache.read cache inode.indirect);
+  if inode.dindirect <> 0 then begin
+    let b1 = Cache.read cache inode.dindirect in
+    for i = 0 to ptrs_per_block cache - 1 do
+      let p1 = Codec.get_u32 b1 (4 * i) in
+      if p1 <> 0 then n := !n + 1 + live_pointers cache (Cache.read cache p1)
+    done;
+    incr n
+  end;
   !n

@@ -6,10 +6,22 @@
     and C-FFS delay file-growth metadata; only namespace updates are
     synchronous. *)
 
+val reach : Cffs_cache.Cache.t -> int
+(** How many logical blocks the map covers. *)
+
+val find : Cffs_cache.Cache.t -> Inode.t -> int -> int
+(** [find cache inode lblk] is the physical block, [0] for a hole, [-1]
+    when [lblk] is negative or past the map's reach.  It allocates
+    nothing. *)
+
+val unmapped_error : int -> Errno.t
+(** What {!read} answers for an [lblk] {!find} puts outside the map:
+    [Einval] when negative, else [Efbig]. *)
+
 val read :
   Cffs_cache.Cache.t -> Inode.t -> int -> int option Errno.result
-(** [read cache inode lblk] is the physical block, [Ok None] for a hole,
-    [Error Efbig] past the map's reach. *)
+(** {!find} as a result: [Ok None] for a hole, [Error Efbig] past the
+    map's reach. *)
 
 val alloc :
   Cffs_cache.Cache.t ->

@@ -65,21 +65,26 @@ let encode t b off =
   done;
   Codec.zero b (off + 96) (size_bytes - 96)
 
+(* Loops rather than [Array.init]: a decode builds no closure. *)
 let decode b off =
-  let kind =
-    match kind_of_code (Codec.get_u16 b off) with Some k -> k | None -> Free
-  in
+  let direct = Array.make n_direct 0 and spare = Array.make n_spare 0 in
+  for i = 0 to n_direct - 1 do
+    direct.(i) <- Codec.get_u32 b (off + 24 + (4 * i))
+  done;
+  for i = 0 to n_spare - 1 do
+    spare.(i) <- Codec.get_u32 b (off + 80 + (4 * i))
+  done;
   {
-    kind;
+    kind = (match kind_of_code (Codec.get_u16 b off) with Some k -> k | None -> Free);
     nlink = Codec.get_u16 b (off + 2);
     size = Codec.get_u64 b (off + 4);
     mtime = Codec.get_u32 b (off + 12);
     generation = Codec.get_u32 b (off + 16);
     flags = Codec.get_u32 b (off + 20);
-    direct = Array.init n_direct (fun i -> Codec.get_u32 b (off + 24 + (4 * i)));
+    direct;
     indirect = Codec.get_u32 b (off + 72);
     dindirect = Codec.get_u32 b (off + 76);
-    spare = Array.init n_spare (fun i -> Codec.get_u32 b (off + 80 + (4 * i)));
+    spare;
   }
 
 let copy t = { t with direct = Array.copy t.direct; spare = Array.copy t.spare }

@@ -58,16 +58,19 @@ let components key =
   if String.length key = 1 then 0
   else String.fold_left (fun k c -> if c = '/' then k + 1 else k) 0 key
 
-let parent_name key =
+let parent key =
   let i = String.rindex key '/' in
-  ( (if i = 0 then "/" else String.sub key 0 i),
-    String.sub key (i + 1) (String.length key - i - 1) )
+  if i = 0 then "/" else String.sub key 0 i
+
+let basename key =
+  let i = String.rindex key '/' in
+  String.sub key (i + 1) (String.length key - i - 1)
 
 let dirname_basename p =
   match canonical p with
   | Error e -> Error e
   | Ok "/" -> Error Errno.Einval
-  | Ok key -> Ok (parent_name key)
+  | Ok key -> Ok (parent key, basename key)
 
 let join dir name = if dir = "/" then "/" ^ name else dir ^ "/" ^ name
 

@@ -21,13 +21,17 @@ val canonical : string -> string Errno.result
 val components : string -> int
 (** The number of components of a canonical key: 0 for ["/"]. *)
 
-val parent_name : string -> string * string
-(** [parent_name "/a/b/c"] is [("/a/b", "c")]: the parent's key and the
-    last name, as two substrings of a canonical key other than ["/"]. *)
+val parent : string -> string
+(** [parent "/a/b/c"] is ["/a/b"]: the parent's key, a substring of a
+    canonical key other than ["/"]. *)
+
+val basename : string -> string
+(** [basename "/a/b/c"] is ["c"]: the last name of a canonical key other
+    than ["/"]. *)
 
 val dirname_basename : string -> (string * string) Errno.result
 (** [dirname_basename "/a/b/c"] is [Ok ("/a/b", "c")]: {!canonical}, then
-    {!parent_name}.  Errors on ["/"]. *)
+    {!parent} and {!basename}.  Errors on ["/"]. *)
 
 val join : string -> string -> string
 (** [join "/a" "b"] is ["/a/b"]. *)

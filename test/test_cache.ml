@@ -19,10 +19,7 @@ let timed_cache ?policy ?(capacity = 64) () =
   let dev = Blockdev.of_drive (Drive.create Profile.seagate_st31200) ~block_size:4096 in
   (Cache.create ?policy dev ~capacity_blocks:capacity, dev)
 
-let same_file_clusterer ~prev ~next =
-  match (snd prev, snd next) with
-  | Some (i1, l1), Some (i2, l2) -> i1 = i2 && l2 = l1 + 1
-  | _ -> false
+let same_file_clusterer ~blk:_ ~sequential = sequential
 
 (* ------------------------------------------------------------------ *)
 

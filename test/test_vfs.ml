@@ -47,7 +47,8 @@ let test_path_dirname () =
   check pair "normalized first" (Ok ("/a/b", "c")) (Path.dirname_basename "//a/b//c/");
   check pair "root spelled long" (Error Errno.Einval) (Path.dirname_basename "//");
   check (Alcotest.pair Alcotest.string Alcotest.string) "parent of key"
-    ("/a/b", "c") (Path.parent_name "/a/b/c");
+    ("/a/b", "c") (Path.parent "/a/b/c", Path.basename "/a/b/c");
+  check Alcotest.string "parent of a top-level key" "/" (Path.parent "/a");
   check Alcotest.string "key" "/a/b" (Path.key [ "a"; "b" ]);
   check Alcotest.string "root key" "/" (Path.key [])
 
