@@ -323,61 +323,58 @@ let check_range t op blk n =
 
 (* --- the fault and observer hooks, in logical space ------------------------ *)
 
-(* Walk the logical runs the physical range [pblk, pblk+n) of spindle
-   [si] covers, in physical order (a request coalesced on a spindle can
-   span extents): [f off lblk len] gets each run's block offset into the
-   range, logical start and length, and returns [Some r] to stop with
-   [r]. *)
-let find_run t si pblk n f =
-  let a = t.sp_extents.(si) in
-  let pend = pblk + n in
-  let rec go i =
-    if i >= Array.length a || a.(i).pstart >= pend then None
-    else
-      let e = a.(i) in
-      let s = Int.max pblk e.pstart and stop = Int.min pend (e.pstart + e.xlen) in
-      if s >= stop then go (i + 1)
-      else
-        match f (s - pblk) (e.lstart + s - e.pstart) (stop - s) with
-        | None -> go (i + 1)
-        | r -> r
-  in
-  go (search a pstart_of pblk)
-
 (* The hooks see logical addresses whichever spindle serviced a request,
-   one run at a time.  The injector's first non-[Proceed] outcome wins,
-   with a torn sector count rebased to the physical request; the observer
-   sees each run with its share of the payload, contiguous, and of a
-   tear. *)
+   one run at a time: the runs extents [i ..] of a spindle ([a], sorted
+   by physical start) cover in the physical range [pblk, pend), in
+   physical order (a request coalesced on a spindle can span extents).
+   Both walks are top-level loops with explicit arguments, so a request
+   builds no closure while a hook is installed.
+
+   The injector's first non-[Proceed] outcome wins, with a torn sector
+   count rebased to the physical request. *)
+let rec consult_from t f op a pblk pend i =
+  if i >= Array.length a || a.(i).pstart >= pend then Proceed
+  else begin
+    let e = a.(i) in
+    let s = Int.max pblk e.pstart and stop = Int.min pend (e.pstart + e.xlen) in
+    if s >= stop then consult_from t f op a pblk pend (i + 1)
+    else
+      match f op ~blk:(e.lstart + s - e.pstart) ~nblocks:(stop - s) with
+      | Proceed -> consult_from t f op a pblk pend (i + 1)
+      | Torn k -> Torn (((s - pblk) * sectors_per_block t) + k)
+      | Fail _ as o -> o
+  end
+
 let consult t si op pblk n =
   match t.injector with
   | None -> Proceed
-  | Some f -> (
-      let spb = sectors_per_block t in
-      match
-        find_run t si pblk n (fun off lblk len ->
-            match f op ~blk:lblk ~nblocks:len with
-            | Proceed -> None
-            | Torn k -> Some (Torn ((off * spb) + k))
-            | Fail _ as o -> Some o)
-      with
-      | None -> Proceed
-      | Some o -> o)
+  | Some f ->
+      let a = t.sp_extents.(si) in
+      consult_from t f op a pblk (pblk + n) (search a pstart_of pblk)
+
+(* The observer sees each run with its share of the payload, contiguous,
+   and of a tear. *)
+let rec notify_from t f a pblk pend blocks torn i =
+  if i < Array.length a && a.(i).pstart < pend then begin
+    let e = a.(i) in
+    let s = Int.max pblk e.pstart and stop = Int.min pend (e.pstart + e.xlen) in
+    if s < stop then begin
+      let off = s - pblk and len = stop - s and spb = sectors_per_block t in
+      f ~blk:(e.lstart + s - e.pstart) ~data:(concat t blocks off len)
+        ~torn:
+          (match torn with
+          | None -> None
+          | Some k -> Some (Int.max 0 (Int.min (len * spb) (k - (off * spb)))))
+    end;
+    notify_from t f a pblk pend blocks torn (i + 1)
+  end
 
 let notify t si pblk blocks torn =
   match t.write_observer with
   | None -> ()
   | Some f ->
-      let spb = sectors_per_block t in
-      ignore
-        (find_run t si pblk (Array.length blocks) (fun off lblk len ->
-             f ~blk:lblk
-               ~data:(concat t blocks off len)
-               ~torn:
-                 (Option.map
-                    (fun k -> Int.max 0 (Int.min (len * spb) (k - (off * spb))))
-                    torn);
-             None))
+      let a = t.sp_extents.(si) in
+      notify_from t f a pblk (pblk + Array.length blocks) blocks torn (search a pstart_of pblk)
 
 (* --- spindle media ---------------------------------------------------------- *)
 

@@ -22,19 +22,25 @@ let embed_bit = 1 lsl 40
 let root_inode_off = 64
 let ifile_inode_off = 192
 
+let validate ~block_size ~nblocks ~cg_size ~group_blocks =
+  if cg_size < 2 then Some (Invalid_argument "Csb.mk: group too small")
+  else if 8 + ((cg_size + 7) / 8) > block_size then
+    Some (Invalid_argument "Csb.mk: block bitmap does not fit the header block")
+  else if group_blocks < 2 then Some (Invalid_argument "Csb.mk: group frame too small")
+  else if group_blocks > cg_size - 1 then
+    Some
+      (Invalid_argument
+         (Printf.sprintf
+            "Csb.mk: a %d-block group frame does not fit a %d-block group's data area"
+            group_blocks (cg_size - 1)))
+  else if (nblocks - 1) / cg_size < 1 then
+    Some (Cffs_vfs.Fs_intf.Too_small { need_blocks = 1 + cg_size; have_blocks = nblocks })
+  else None
+
 let mk ~block_size ~nblocks ~cg_size ~group_blocks ~embed_inodes ~grouping ~group_file_blocks
     ~readahead_blocks ~dirindex_threshold () =
-  if cg_size < 2 then invalid_arg "Csb.mk: group too small";
-  if 8 + ((cg_size + 7) / 8) > block_size then
-    invalid_arg "Csb.mk: block bitmap does not fit the header block";
-  if group_blocks < 2 then invalid_arg "Csb.mk: group frame too small";
-  if group_blocks > cg_size - 1 then
-    invalid_arg
-      (Printf.sprintf "Csb.mk: a %d-block group frame does not fit a %d-block group's data area"
-         group_blocks (cg_size - 1));
+  Option.iter raise (validate ~block_size ~nblocks ~cg_size ~group_blocks);
   let cg_count = (nblocks - 1) / cg_size in
-  if cg_count < 1 then
-    raise (Cffs_vfs.Fs_intf.Too_small { need_blocks = 1 + cg_size; have_blocks = nblocks });
   {
     block_size;
     nblocks;
@@ -70,7 +76,9 @@ let decode b =
     let block_size = Codec.get_u32 b 4 in
     let nblocks = Codec.get_u64 b 8 in
     let cg_size = Codec.get_u32 b 16 in
-    if block_size <= 0 || cg_size <= 0 then None
+    let group_blocks = Codec.get_u32 b 20 in
+    if block_size <= 0 || Option.is_some (validate ~block_size ~nblocks ~cg_size ~group_blocks)
+    then None
     else begin
       let flags = Codec.get_u32 b 24 in
       Some
@@ -79,7 +87,7 @@ let decode b =
           nblocks;
           cg_count = (nblocks - 1) / cg_size;
           cg_size;
-          group_blocks = Codec.get_u32 b 20;
+          group_blocks;
           embed_inodes = flags land 1 <> 0;
           grouping = flags land 2 <> 0;
           group_file_blocks = Codec.get_u32 b 32;

@@ -66,6 +66,14 @@ val embed_bit : int
 val root_inode_off : int
 val ifile_inode_off : int
 
+val validate :
+  block_size:int -> nblocks:int -> cg_size:int -> group_blocks:int -> exn option
+(** What is wrong with a geometry, if anything: a group of fewer than 2
+    blocks, a block bitmap that does not fit the header block, a group
+    frame outside [2 .. cg_size - 1] blocks, or no whole group
+    ([Fs_intf.Too_small]).  {!mk} raises it; {!decode} refuses the
+    superblock. *)
+
 val mk :
   block_size:int ->
   nblocks:int ->
@@ -84,6 +92,8 @@ val encode : t -> bytes -> unit
     by the file system directly in the cached superblock buffer. *)
 
 val decode : bytes -> t option
+(** [None] unless the block carries the magic number and a geometry
+    {!validate} accepts. *)
 
 val cg_start : t -> int -> int
 val cg_of_block : t -> int -> int

@@ -676,7 +676,16 @@ let test_sync_request_allocation () =
     (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
   Alloc_probe.at_most "Blockdev.read_views" 69.0
     (Alloc_probe.words_per_call ~n:500 (fun () ->
-         Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)))
+         Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)));
+  (* Installed hooks are walked with no closure per request: a write an
+     injector lets proceed, and that an observer then sees, stays within
+     the plain bound. *)
+  Blockdev.set_injector dev (Some (fun _ ~blk:_ ~nblocks:_ -> Blockdev.Proceed));
+  Alloc_probe.at_most "Blockdev.write under an injector" 67.0
+    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
+  Blockdev.set_write_observer dev (Some (fun ~blk:_ ~data:_ ~torn:_ -> ()));
+  Alloc_probe.at_most "Blockdev.write under an injector and an observer" 67.0
+    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf))
 
 let () =
   Alcotest.run "cffs_blockdev"
