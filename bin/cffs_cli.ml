@@ -954,7 +954,7 @@ let benchdiff_cmd =
     (Cmd.info "benchdiff"
        ~doc:
          "Compare two telemetry JSON documents (e.g. the committed \
-          bench/baseline.json and a fresh 'bench/main.exe --json' run) leaf \
+          bench/baseline.json and a fresh 'stats --json' run) leaf \
           for leaf and fail when any leaf differs or exists on one side \
           only.  Lists the leaves that changed by top-level section, busiest \
           first.")

@@ -16,16 +16,14 @@ let m_enospc = Obs.counter "regroup.enospc_aborts"
 let m_resumes = Obs.counter "regroup.resumes"
 let m_cursor_writes = Obs.counter "regroup.cursor_writes"
 
-type spec = {
-  max_moves : int option;
-  batch : int;
-  io_share : int;
-  checkpoint : bool;
-  measure : bool;
-}
+type spec = { max_moves : int option; measure : bool }
 
-let default_spec =
-  { max_moves = None; batch = 8; io_share = 4; checkpoint = true; measure = true }
+let default_spec = { max_moves = None; measure = true }
+
+(* Files per barrier group, and source-read runs submitted per ioqueue
+   drain. *)
+let batch = 8
+let io_share = 4
 
 let cursor_path = "/.regroup"
 
@@ -93,8 +91,7 @@ let budget_left st =
    interleave with the regrouper's at the queue rather than waiting out
    one giant drain. *)
 let prefetch_sources st paths =
-  if st.spec.io_share > 0 then begin
-    try
+  try
     let runs =
       List.concat_map
         (fun p -> match Cffs.file_runs st.fs p with Ok rs -> rs | Error _ -> [])
@@ -109,15 +106,14 @@ let prefetch_sources st paths =
                 (x :: got, rest)
             | rest -> ([], rest)
           in
-          let now, later = take st.spec.io_share rs in
+          let now, later = take io_share rs in
           Cache.prefetch (Cffs.cache st.fs) now;
           chunks later
     in
     chunks runs
     (* Prefetch is advisory: a bad sector under a source run must surface
        through the copy path (which skips just that file), not here. *)
-    with Cffs_util.Io_error.E _ -> ()
-  end
+  with Cffs_util.Io_error.E _ -> ()
 
 (* The directory's frame census: how many of its small files' data blocks
    each frame currently holds.  The dir inode only remembers its last few
@@ -277,19 +273,17 @@ let process_dir st dir =
          frames hold the directory's data, and the weights steer every
          later placement. *)
       List.iter
-        (fun batch ->
+        (fun group ->
           if budget_left st then
-            run_batch st ~dir_ino ~dir_census:(dir_census st paths) batch)
-        (batches (max 1 st.spec.batch) paths)
+            run_batch st ~dir_ino ~dir_census:(dir_census st paths) group)
+        (batches batch paths)
 
 let write_cursor st dir =
-  if st.spec.checkpoint then begin
-    match Cffs.write_file st.fs cursor_path (Bytes.of_string dir) with
-    | Ok () ->
-        Obs.incr m_cursor_writes;
-        Cffs.sync st.fs
-    | Error _ -> ()
-  end
+  match Cffs.write_file st.fs cursor_path (Bytes.of_string dir) with
+  | Ok () ->
+      Obs.incr m_cursor_writes;
+      Cffs.sync st.fs
+  | Error _ -> ()
 
 let read_cursor fs =
   match Cffs.read_file fs cursor_path with
@@ -301,7 +295,7 @@ let residency fs = (Layout.cffs_report fs).Layout.group_residency
 let run ?(spec = default_spec) fs =
   Obs.incr m_passes;
   let before = if spec.measure then residency fs else 0.0 in
-  let cursor = if spec.checkpoint then read_cursor fs else None in
+  let cursor = read_cursor fs in
   let resumed = cursor <> None in
   if resumed then Obs.incr m_resumes;
   let st =
@@ -355,7 +349,7 @@ let run ?(spec = default_spec) fs =
   in
   (match status with
   | Completed ->
-      if spec.checkpoint && Cffs.exists fs cursor_path then
+      if Cffs.exists fs cursor_path then
         ignore (Cffs.unlink fs cursor_path)
   | Move_budget | No_space -> (
       match !last_done with Some d -> write_cursor st d | None -> ()));

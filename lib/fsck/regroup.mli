@@ -22,18 +22,13 @@
     [No_space] with the image fsck-clean;
     the cursor file ({!cursor_path}) records the last completed directory
     so a crashed or budget-capped pass resumes instead of restarting.
-    Source reads are prefetched through the async ioqueue in
-    [io_share]-run sub-batches, bounding the regrouper's share of the
-    device queue so foreground traffic interleaves.  Registry counters
-    live under [regroup.*]. *)
+    Files move in barrier groups of 8.  Source reads are prefetched
+    through the async ioqueue four runs per drain, bounding the
+    regrouper's share of the device queue so foreground traffic
+    interleaves.  Registry counters live under [regroup.*]. *)
 
 type spec = {
   max_moves : int option;  (** stop after this many file moves *)
-  batch : int;  (** files per barrier group (default 8) *)
-  io_share : int;
-      (** source-read runs submitted per ioqueue drain (default 4); 0
-          disables prefetching and reads synchronously *)
-  checkpoint : bool;  (** maintain the on-image cursor file (default on) *)
   measure : bool;
       (** run the layout introspector before and after the pass to fill
           [residency_before]/[residency_after] (default on; tests and

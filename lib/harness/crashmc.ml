@@ -4,14 +4,16 @@
    memory-backed device with a Faultdev journal attached, then replays
    sampled crash prefixes (plus torn-write variants of the boundary
    request) into fresh images.  Each image is remounted, fsck'd, repaired
-   and re-checked, and the invariants of ISSUE/DESIGN are asserted:
+   and re-checked (and scrubbed, when it carries an integrity layer), and
+   the invariants of DESIGN.md are asserted:
 
    - embedded-inode directories never exhibit a dangling entry, at any
      crash point (the paper's §3.1 sector-atomicity claim);
    - fsck repair converges: the post-repair check is clean and a second
      repair fixes nothing;
    - no crashed image is unmountable;
-   - every file synced before the crash point reads back intact.
+   - every file synced before the crash point reads back intact, and a
+     scrub of an integrity-formatted image loses no block.
 
    FFS under [Delayed] is expected to show dangling entries (that is the
    baseline the paper argues against); those are counted, not treated as
@@ -28,6 +30,8 @@ module Errno = Cffs_vfs.Errno
 module Report = Cffs_fsck.Report
 module Fsck_ffs = Cffs_fsck.Fsck_ffs
 module Fsck_cffs = Cffs_fsck.Fsck_cffs
+module Integrity = Cffs_blockdev.Integrity
+module Scrub = Cffs_fsck.Scrub
 module Layout = Cffs_fsck.Layout
 module Regroup = Cffs_fsck.Regroup
 module Env = Cffs_workload.Env
@@ -194,6 +198,9 @@ type image_verdict = {
   iv_converged : bool;
   iv_durable_checked : int;
   iv_durable_failed : string list;
+  iv_scrub_lost : int option;
+      (** blocks the scrub could not recover; [None] when the image
+          attached no integrity layer *)
   iv_dir_errors : string list;
 }
 
@@ -268,6 +275,7 @@ let verify_image ?dircheck sel rec_ ~upto ~tear =
             Some
               ( (fun () -> Fsck_ffs.check t),
                 (fun () -> Fsck_ffs.repair t),
+                (fun () -> None),
                 (fun durable -> read_back (module Ffs) t durable),
                 fun () -> [] ))
     | Cffs_sel -> (
@@ -277,6 +285,11 @@ let verify_image ?dircheck sel rec_ ~upto ~tear =
             Some
               ( (fun () -> Fsck_cffs.check t),
                 (fun () -> Fsck_cffs.repair t),
+                (* An image with an integrity layer is scrubbed; one
+                   without answers [None], and the sweep decides whether
+                   that is a violation. *)
+                (fun () ->
+                  Option.map (fun r -> r.Scrub.lost) (Scrub.run_to_completion t)),
                 (fun durable -> read_back (module Cffs) t durable),
                 fun () ->
                   match dircheck with
@@ -285,9 +298,10 @@ let verify_image ?dircheck sel rec_ ~upto ~tear =
   in
   match mounted with
   | None -> Error `Unmountable
-  | Some (check, repair, read_durable, dir_enumerate) ->
+  | Some (check, repair, scrub, read_durable, dir_enumerate) ->
       let dir_errors = dir_enumerate () in
       let pre = check () in
+      let scrub_lost = scrub () in
       let r1 = repair () in
       let post = check () in
       let r2 = repair () in
@@ -304,6 +318,7 @@ let verify_image ?dircheck sel rec_ ~upto ~tear =
           iv_converged = converged;
           iv_durable_checked = List.length durable;
           iv_durable_failed = failed;
+          iv_scrub_lost = scrub_lost;
           iv_dir_errors = dir_errors;
         }
 
@@ -316,10 +331,16 @@ let point_name ~upto ~tear =
   | Some k -> Printf.sprintf "point %d (torn, %d sectors kept)" upto k
 
 (* Sample crash boundaries (plus torn variants) out of a recorded run and
-   verify every sampled image.  Shared by the workload phase and the
-   regroup phase. *)
+   verify every sampled image.  Every phase goes through here. *)
 let verify_sweep ?dircheck ~prng ~points sel policy rec_ =
   let total = Faultdev.journal_length rec_.fd in
+  (* The base image decides whether the volume carries an integrity
+     layer; if it does, every crash image must attach one too (a torn
+     remap-table write must leave one map copy decodable). *)
+  let integrity =
+    sel = Cffs_sel
+    && Option.is_some (Integrity.attach (Faultdev.materialize rec_.fd ~upto:0))
+  in
   let entries = Array.of_list (Faultdev.journal rec_.fd) in
   let boundaries = Array.init (total + 1) Fun.id in
   Prng.shuffle prng boundaries;
@@ -403,6 +424,14 @@ let verify_sweep ?dircheck ~prng ~points sel policy rec_ =
               incr dur_failures;
               violate (Printf.sprintf "%s: synced file lost (%s)" where msg))
             v.iv_durable_failed;
+          (match v.iv_scrub_lost with
+          | Some lost when lost > 0 ->
+              incr dur_failures;
+              violate (Printf.sprintf "%s: scrub lost %d blocks" where lost)
+          | None when integrity ->
+              incr dur_failures;
+              violate (where ^ ": no integrity layer after replay")
+          | Some _ | None -> ());
           List.iter
             (fun msg ->
               incr dir_errors;
@@ -440,7 +469,9 @@ let run_config ?(seed = 1) ?(points = 200) sel policy =
    prefix the durable set is the whole tree: the copy-forward-then-switch
    protocol must leave each file wholly old or wholly new, byte-identical
    either way.  The cursor file the pass maintains is not part of the
-   contract and is excluded (it did not exist at snapshot time). *)
+   contract and is excluded (it did not exist at snapshot time).  The
+   [Journaled] volume carries an integrity layer, so each of its images
+   is also replayed into the checksum region and scrubbed. *)
 
 let snapshot_tree fs =
   let rec go acc path =
@@ -465,7 +496,8 @@ let snapshot_tree fs =
 let run_regroup ?(seed = 1) ?(points = 200) policy =
   let block_size, nblocks = geometry in
   let dev = Blockdev.memory ~block_size ~nblocks in
-  let fs = Cffs.format ~cg_size ~policy dev in
+  let integrity = policy = Cache.Journaled in
+  let fs = Cffs.format ~cg_size ~integrity ~policy dev in
   let env = Env.make ~cpu_per_op:0.0 (Fs_intf.Packed ((module Cffs), fs)) dev in
   let spec =
     { (Aging.default_spec 0.8) with Aging.operations = 2500; Aging.dirs = 5 }
@@ -653,6 +685,62 @@ let run_dirindex_switch ?(seed = 1) ?(points = 200) switch policy =
   let prng = Prng.create (seed lxor Hashtbl.hash (label, policy_label policy)) in
   verify_sweep ~dircheck:"/sw" ~prng ~points Cffs_sel policy rec_
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint phase: crash at every sampled request boundary of a journal
+   checkpoint and the transaction after it.  An integrity-formatted,
+   journaled volume acknowledges a batch of files (every fifth unlinked
+   again, so the transaction carries frees); the recording then covers
+   the checkpoint (home writes of the committed images, the tag-region
+   flush, the log reset) and a create-only second batch, whose sync is the
+   journal append and its commit record.  Torn variants cut through the
+   middle of both.  Every first-batch file must read back at every
+   prefix, the second batch once its sync is on the media.  One fixed
+   seed draws the file contents and then the 200 sampled crash points. *)
+
+let run_checkpoint () =
+  (* The 16 MB volume in default-sized groups that [Soak.run] formats. *)
+  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
+  let policy = Cache.Journaled in
+  let fs = Cffs.format ~integrity:true ~policy dev in
+  let ok what = function
+    | Ok v -> v
+    | Error e ->
+        failwith
+          (Printf.sprintf "crashmc checkpoint: %s: %s" what (Errno.to_string e))
+  in
+  let prng = Prng.create 7 in
+  let write_files prefix n =
+    let files = ref [] in
+    for i = 0 to n - 1 do
+      let path = Printf.sprintf "/%s_f%03d" prefix i in
+      let data = Prng.bytes prng 2048 in
+      ok path (Cffs.write_file fs path data);
+      files := (path, data) :: !files
+    done;
+    List.rev !files
+  in
+  let phase1 = write_files "p1" 24 in
+  List.iteri
+    (fun i (path, _) -> if i mod 5 = 4 then ok ("unlink " ^ path) (Cffs.unlink fs path))
+    phase1;
+  let phase1 = List.filteri (fun i _ -> i mod 5 <> 4) phase1 in
+  Cffs.sync fs;
+  (* Attach after the sync: the journal base holds every phase-1 file, so
+     even the zero-length prefix must read them all back. *)
+  let fd = Faultdev.attach dev in
+  Cache.checkpoint (Cffs.cache fs);
+  let phase2 = write_files "p2" 12 in
+  Cffs.sync fs;
+  Faultdev.detach fd;
+  let rec_ =
+    {
+      fd;
+      touches = [];
+      syncs = [ (Faultdev.journal_length fd, phase1 @ phase2); (0, phase1) ];
+    }
+  in
+  verify_sweep ~prng ~points:200 Cffs_sel policy rec_
+
 let default_matrix =
   List.concat_map (fun sel -> List.map (fun p -> (sel, p)) all_policies)
     [ Ffs_sel; Cffs_sel ]
@@ -734,68 +822,57 @@ let total_violations outcomes =
    path.  (The others share the sync-ordered barrier discipline.) *)
 let regroup_matrix = [ Cache.Journaled; Cache.Sync_metadata ]
 
+(* Every phase the document and the human report carry, run in this
+   order: (document key, row label, outcomes).  The matrix rows are
+   labelled by their file system. *)
+let run_phases ~seed ~points ?matrix () =
+  let configs = run ~seed ~points ?matrix () in
+  let regroup = List.map (fun p -> run_regroup ~seed ~points p) regroup_matrix in
+  let dirindex = List.map (fun p -> run_dirindex ~seed ~points p) dirindex_matrix in
+  [
+    ("configs", None, configs);
+    ("regroup", Some "regroup", regroup);
+    ("dirindex", Some "dirindex", dirindex);
+  ]
+
+let phase_outcomes phases = List.concat_map (fun (_, _, os) -> os) phases
+
 let document ?(seed = 1) ?(points = 200) ?matrix () =
   let before = Registry.snapshot () in
-  let outcomes = run ~seed ~points ?matrix () in
-  let regroup_outcomes =
-    List.map (fun p -> run_regroup ~seed ~points p) regroup_matrix
-  in
-  let dirindex_outcomes =
-    List.map (fun p -> run_dirindex ~seed ~points p) dirindex_matrix
-  in
+  let phases = run_phases ~seed ~points ?matrix () in
   fault_drill ();
   let delta = Registry.diff (Registry.snapshot ()) before in
   let _ops, counters = Telemetry.split_delta delta in
   Json.Obj
-    [
-      ("schema", Json.String "cffs-telemetry-v2");
-      ("benchmark", Json.String "crashtest");
-      ("seed", Json.Int seed);
-      ("points", Json.Int points);
-      ("configs", Json.List (List.map outcome_to_json outcomes));
-      ("regroup", Json.List (List.map outcome_to_json regroup_outcomes));
-      ("dirindex", Json.List (List.map outcome_to_json dirindex_outcomes));
-      ( "total_violations",
-        Json.Int
-          (total_violations
-             (outcomes @ regroup_outcomes @ dirindex_outcomes)) );
-      ("counters", Json.Obj counters);
-    ]
+    ([
+       ("schema", Json.String "cffs-telemetry-v2");
+       ("benchmark", Json.String "crashtest");
+       ("seed", Json.Int seed);
+       ("points", Json.Int points);
+     ]
+    @ List.map
+        (fun (key, _, os) -> (key, Json.List (List.map outcome_to_json os)))
+        phases
+    @ [
+        ("total_violations", Json.Int (total_violations (phase_outcomes phases)));
+        ("counters", Json.Obj counters);
+      ])
+
+let print_row label o =
+  Printf.printf "%-8s %-14s %7d %5d %9d %9d %7d %7d %8d %5d\n"
+    (match label with Some l -> l | None -> fs_label o.fs)
+    (policy_label o.policy) o.points o.torn_points o.dangling_states
+    o.embedded_dangles o.unconverged o.unclean_states o.durability_failures
+    (outcome_violations o)
 
 let print_human ?(seed = 1) ?(points = 200) ?matrix () =
-  let outcomes = run ~seed ~points ?matrix () in
-  let regroup_outcomes =
-    List.map (fun p -> run_regroup ~seed ~points p) regroup_matrix
-  in
-  let dirindex_outcomes =
-    List.map (fun p -> run_dirindex ~seed ~points p) dirindex_matrix
-  in
+  let phases = run_phases ~seed ~points ?matrix () in
   Printf.printf "crash-consistency check: seed %d, up to %d points per config\n\n"
     seed points;
   Printf.printf "%-8s %-14s %7s %5s %9s %9s %7s %7s %8s %5s\n" "fs" "policy"
     "points" "torn" "dangling" "embedded" "unconv" "unclean" "dur-fail" "viol";
-  List.iter
-    (fun o ->
-      Printf.printf "%-8s %-14s %7d %5d %9d %9d %7d %7d %8d %5d\n" (fs_label o.fs)
-        (policy_label o.policy) o.points o.torn_points o.dangling_states
-        o.embedded_dangles o.unconverged o.unclean_states o.durability_failures
-        (outcome_violations o))
-    outcomes;
-  List.iter
-    (fun o ->
-      Printf.printf "%-8s %-14s %7d %5d %9d %9d %7d %7d %8d %5d\n" "regroup"
-        (policy_label o.policy) o.points o.torn_points o.dangling_states
-        o.embedded_dangles o.unconverged o.unclean_states o.durability_failures
-        (outcome_violations o))
-    regroup_outcomes;
-  List.iter
-    (fun o ->
-      Printf.printf "%-8s %-14s %7d %5d %9d %9d %7d %7d %8d %5d\n" "dirindex"
-        (policy_label o.policy) o.points o.torn_points o.dangling_states
-        o.embedded_dangles o.unconverged o.unclean_states o.durability_failures
-        (outcome_violations o))
-    dirindex_outcomes;
-  let outcomes = outcomes @ regroup_outcomes @ dirindex_outcomes in
+  List.iter (fun (_, label, os) -> List.iter (print_row label) os) phases;
+  let outcomes = phase_outcomes phases in
   let bad = total_violations outcomes in
   Printf.printf "\n%s\n"
     (if bad = 0 then "no invariant violations"

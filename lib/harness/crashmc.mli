@@ -14,7 +14,11 @@
       repair fixes nothing, on every crashed image;
     - {b mountability} — every crash prefix yields a mountable image;
     - {b durability} — every file synced before the crash point reads back
-      byte-identical after repair.
+      byte-identical after repair, and a C-FFS image that carries an
+      integrity layer scrubs ({!Cffs_fsck.Scrub.run_to_completion}) with
+      no block lost.  If the sweep's base image carries an integrity
+      layer, every crash image must attach one; a volume formatted
+      without one is not scrubbed.
 
     FFS under [Delayed] metadata is {e expected} to produce dangling
     entries (the baseline failure mode the embedded layout eliminates);
@@ -49,6 +53,8 @@ type outcome = {
       (** images whose pre-repair check reported any problem at all; a
           violation under [Journaled] only *)
   durability_failures : int;
+      (** synced files lost, plus images whose scrub lost a block or
+          that lost the base image's integrity layer *)
   dir_errors : int;
       (** duplicate or dangling names seen by the pre-repair enumeration
           of the watched directory ({!run_dirindex} only); always a
@@ -73,7 +79,9 @@ val run_regroup : ?seed:int -> ?points:int -> Cffs_cache.Cache.policy -> outcome
     whole tree must read back byte-identical (each file wholly old or
     wholly new layout — the copy-forward-then-switch guarantee), the image
     must mount, and fsck must converge; under [Journaled] every prefix
-    must additionally be clean before any repair.  Raises [Failure] if the
+    must additionally be clean before any repair, and since that volume is
+    formatted with an integrity layer, every image is scrubbed too.
+    Raises [Failure] if the
     scenario itself is vacuous (the pass moved nothing) or the pass failed
     to raise group residency on the live image. *)
 
@@ -109,6 +117,15 @@ val run_dirindex_switch :
     under [Journaled] it must also be clean before any repair.  Raises
     [Failure] if [dirindex.promotions] (resp. [dirindex.demotions]) did
     not move while the journal was attached. *)
+
+val run_checkpoint : unit -> outcome
+(** The checkpoint phase, under [Journaled] on an integrity-formatted
+    volume: acknowledge 24 two-KB files (every fifth unlinked again), sync,
+    then power-cut at up to 200 request boundaries (plus torn variants),
+    sampled from a fixed seed, of a journal checkpoint and of a second, create-only batch of 12 files
+    and its sync.  Every first-batch file must read back at every prefix,
+    the second batch once its sync is on the media; every image must
+    replay clean and scrub with no loss.  Not part of {!document}. *)
 
 val default_matrix : (fs_sel * Cffs_cache.Cache.policy) list
 (** Both file systems under every cache policy. *)

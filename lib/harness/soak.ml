@@ -201,312 +201,6 @@ let run ?(seed = 42) ?(rounds = 6) ?(files_per_round = 40) ?(file_bytes = 1024)
     violations = List.rev !violations;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Power cut during journal flush and checkpoint sweep.
-
-   A journaled, integrity-formatted volume acknowledges one batch of
-   files (phase 1), is forced through a checkpoint (home-writes of the
-   committed images, the tag-region flush, the header reset), then
-   acknowledges a second, create-only batch (data home-writes, the
-   tagged journal append, the commit record).  Every write-request
-   boundary from the first acknowledgement to the last — plus torn
-   variants of the multi-sector requests, which include the journal
-   append itself — is materialized as a crash image, remounted (= replay),
-   fsck-checked, scrubbed, and read back: files acknowledged at phase 1
-   must be byte-identical at every single boundary, files of phase 2 only
-   once their commit record is on the media. *)
-
-type checkpoint_cut_outcome = {
-  cc_boundaries : int;  (** crash images explored, torn variants included *)
-  cc_torn : int;
-  cc_files_phase1 : int;  (** files acknowledged before the checkpoint *)
-  cc_reads_verified : int;
-  cc_replays : int;  (** mount-time journal replays over all images *)
-  cc_violations : string list;
-}
-
-let run_checkpoint_cut ?(seed = 7) ?(files = 24) ?(file_bytes = 2048)
-    ?(max_boundaries = 96) () =
-  let prng = Prng.create seed in
-  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
-  let fs = Cffs.format ~integrity:true ~policy:Cache.Journaled dev in
-  Cffs.sync fs;
-  (* Attach after format + sync: the fault journal's base is a clean,
-     fully checkpointed image, so even the zero-length prefix mounts. *)
-  let fdev = Faultdev.attach ~seed dev in
-  let before = Registry.snapshot () in
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let reads = ref 0 in
-  let phase1 = ref [] in
-  for i = 0 to files - 1 do
-    let path = Printf.sprintf "/p1_f%03d" i in
-    let data = Prng.bytes prng file_bytes in
-    ok (Cffs.write_file fs path data);
-    phase1 := (path, data) :: !phase1
-  done;
-  (* a few deletes before the barrier, so the transaction carries frees *)
-  List.iteri
-    (fun i (path, _) -> if i mod 5 = 4 then ok (Cffs.unlink fs path))
-    !phase1;
-  phase1 := List.filteri (fun i _ -> i mod 5 <> 4) !phase1;
-  Cffs.sync fs;
-  let jlen1 = Faultdev.journal_length fdev in
-  (* the checkpoint sweep we cut through *)
-  Cache.checkpoint (Cffs.cache fs);
-  let phase2 = ref [] in
-  for i = 0 to (files / 2) - 1 do
-    let path = Printf.sprintf "/p2_f%03d" i in
-    let data = Prng.bytes prng file_bytes in
-    ok (Cffs.write_file fs path data);
-    phase2 := (path, data) :: !phase2
-  done;
-  Cffs.sync fs;
-  let jlen3 = Faultdev.journal_length fdev in
-  Faultdev.detach fdev;
-  let entries = Array.of_list (Faultdev.journal fdev) in
-  let all = List.init (jlen3 - jlen1 + 1) (fun i -> jlen1 + i) in
-  let boundaries =
-    (* evenly thin the range if it is long, always keeping both ends *)
-    let n = List.length all in
-    if n <= max_boundaries then all
-    else
-      List.filteri
-        (fun i _ -> i = 0 || i = n - 1 || i * max_boundaries / n <> (i - 1) * max_boundaries / n)
-        all
-  in
-  let torn =
-    List.filter_map
-      (fun upto ->
-        if upto >= jlen3 then None
-        else
-          let sectors = Faultdev.entry_sectors fdev entries.(upto) in
-          if sectors <= 1 then None
-          else Some (upto, 1 + Prng.int prng (sectors - 1)))
-      boundaries
-  in
-  let images =
-    List.map (fun u -> (u, None)) boundaries
-    @ List.map (fun (u, k) -> (u, Some k)) torn
-  in
-  List.iter
-    (fun (upto, tear) ->
-      let where =
-        match tear with
-        | None -> Printf.sprintf "boundary %d" upto
-        | Some k -> Printf.sprintf "boundary %d (torn, %d sectors kept)" upto k
-      in
-      let img =
-        match tear with
-        | None -> Faultdev.materialize fdev ~upto
-        | Some k -> Faultdev.materialize ~tear:k fdev ~upto
-      in
-      match Cffs.mount img with
-      | None -> violate "%s: crashed image failed to mount" where
-      | Some fs2 ->
-          let report = Cffs_fsck.Fsck_cffs.check fs2 in
-          if not (Cffs_fsck.Report.is_clean report) then
-            violate "%s: replayed image not clean (%d problems)" where
-              (List.length report.Cffs_fsck.Report.problems);
-          (match Scrub.run_to_completion fs2 with
-          | None -> violate "%s: no integrity layer after replay" where
-          | Some r ->
-              if r.Scrub.lost > 0 then
-                violate "%s: scrub lost %d blocks" where r.Scrub.lost);
-          let check_files label fileset =
-            List.iter
-              (fun (path, data) ->
-                match Cffs.read_file fs2 path with
-                | Error e ->
-                    violate "%s: %s file %s lost: %s" where label path
-                      (Cffs_vfs.Errno.to_string e)
-                | Ok got ->
-                    incr reads;
-                    if not (Bytes.equal got data) then
-                      violate "%s: %s file %s read back wrong" where label path)
-              fileset
-          in
-          check_files "acknowledged" !phase1;
-          if upto >= jlen3 then check_files "phase-2" !phase2)
-    images;
-  let delta = Registry.diff (Registry.snapshot ()) before in
-  {
-    cc_boundaries = List.length images;
-    cc_torn = List.length torn;
-    cc_files_phase1 = List.length !phase1;
-    cc_reads_verified = !reads;
-    cc_replays = Registry.get_counter delta "journal.replays";
-    cc_violations = List.rev !violations;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Power cut during an active regroup pass.
-
-   An integrity-formatted, journaled volume is aged with create/delete
-   churn until grouping has decayed, synced, and every surviving file
-   snapshotted — at that point the whole tree is acknowledged.  Then an
-   online regroup pass runs with the fault journal recording, and every
-   write-request boundary of the pass — plus torn variants of the
-   multi-sector requests — is materialized as a crash image, remounted
-   (= journal replay), fsck-checked (which must be clean with no repair:
-   the journaled standard), scrubbed (zero loss), and the whole snapshot
-   read back byte-identical.  This is the move protocol's contract made
-   end-to-end: a power cut anywhere in the pass leaves every file wholly
-   old or wholly new. *)
-
-type regroup_cut_outcome = {
-  rc_boundaries : int;  (** crash images explored, torn variants included *)
-  rc_torn : int;
-  rc_files : int;  (** acknowledged files verified per image *)
-  rc_moved : int;  (** files the regroup pass migrated *)
-  rc_reads_verified : int;
-  rc_replays : int;  (** mount-time journal replays over all images *)
-  rc_violations : string list;
-}
-
-let run_regroup_cut ?(seed = 11) ?(aging_ops = 1800) ?(max_boundaries = 96) () =
-  let prng = Prng.create seed in
-  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
-  let fs = Cffs.format ~integrity:true ~policy:Cache.Journaled dev in
-  let env =
-    Cffs_workload.Env.make ~cpu_per_op:0.0
-      (Cffs_vfs.Fs_intf.Packed ((module Cffs), fs))
-      dev
-  in
-  let spec =
-    { (Cffs_workload.Aging.default_spec 0.8) with
-      Cffs_workload.Aging.operations = aging_ops;
-      Cffs_workload.Aging.dirs = 5;
-      Cffs_workload.Aging.seed = seed;
-    }
-  in
-  let (_ : Cffs_workload.Aging.outcome) = Cffs_workload.Aging.run env spec in
-  Cffs.sync fs;
-  (* Snapshot the acknowledged tree. *)
-  let snapshot =
-    let rec go acc path =
-      match Cffs.list_dir fs path with
-      | Error _ -> acc
-      | Ok names ->
-          List.fold_left
-            (fun acc name ->
-              let child = if path = "/" then "/" ^ name else path ^ "/" ^ name in
-              match Cffs.stat fs child with
-              | Ok st when st.Cffs_vfs.Fs_intf.st_kind = Inode.Directory ->
-                  go acc child
-              | Ok _ -> (child, ok (Cffs.read_file fs child)) :: acc
-              | Error _ -> acc)
-            acc (List.sort compare names)
-    in
-    go [] "/"
-  in
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let before = Registry.snapshot () in
-  (* Attach after the final sync: the journal base is the aged,
-     fully-acknowledged image, so even the zero-length prefix carries the
-     whole tree. *)
-  let fdev = Faultdev.attach ~seed dev in
-  let o =
-    Cffs_fsck.Regroup.run
-      ~spec:
-        { Cffs_fsck.Regroup.default_spec with Cffs_fsck.Regroup.measure = false }
-      fs
-  in
-  Cffs.sync fs;
-  let jlen = Faultdev.journal_length fdev in
-  Faultdev.detach fdev;
-  if o.Cffs_fsck.Regroup.moved = 0 then
-    violate "regroup pass moved nothing - the crash sweep is vacuous";
-  let entries = Array.of_list (Faultdev.journal fdev) in
-  let all = List.init (jlen + 1) Fun.id in
-  let boundaries =
-    let n = List.length all in
-    if n <= max_boundaries then all
-    else
-      List.filteri
-        (fun i _ ->
-          i = 0 || i = n - 1
-          || i * max_boundaries / n <> (i - 1) * max_boundaries / n)
-        all
-  in
-  let torn =
-    List.filter_map
-      (fun upto ->
-        if upto >= jlen then None
-        else
-          let sectors = Faultdev.entry_sectors fdev entries.(upto) in
-          if sectors <= 1 then None
-          else Some (upto, 1 + Prng.int prng (sectors - 1)))
-      boundaries
-  in
-  let images =
-    List.map (fun u -> (u, None)) boundaries
-    @ List.map (fun (u, k) -> (u, Some k)) torn
-  in
-  let reads = ref 0 in
-  List.iter
-    (fun (upto, tear) ->
-      let where =
-        match tear with
-        | None -> Printf.sprintf "boundary %d" upto
-        | Some k -> Printf.sprintf "boundary %d (torn, %d sectors kept)" upto k
-      in
-      let img =
-        match tear with
-        | None -> Faultdev.materialize fdev ~upto
-        | Some k -> Faultdev.materialize ~tear:k fdev ~upto
-      in
-      match Cffs.mount img with
-      | None -> violate "%s: crashed image failed to mount" where
-      | Some fs2 ->
-          let report = Cffs_fsck.Fsck_cffs.check fs2 in
-          if not (Cffs_fsck.Report.is_clean report) then
-            violate "%s: replayed image not clean (%d problems)" where
-              (List.length report.Cffs_fsck.Report.problems);
-          (match Scrub.run_to_completion fs2 with
-          | None -> violate "%s: no integrity layer after replay" where
-          | Some r ->
-              if r.Scrub.lost > 0 then
-                violate "%s: scrub lost %d blocks" where r.Scrub.lost);
-          List.iter
-            (fun (path, data) ->
-              match Cffs.read_file fs2 path with
-              | Error e ->
-                  violate "%s: acknowledged file %s lost: %s" where path
-                    (Cffs_vfs.Errno.to_string e)
-              | Ok got ->
-                  incr reads;
-                  if not (Bytes.equal got data) then
-                    violate "%s: file %s torn across the move" where path)
-            snapshot)
-    images;
-  let delta = Registry.diff (Registry.snapshot ()) before in
-  {
-    rc_boundaries = List.length images;
-    rc_torn = List.length torn;
-    rc_files = List.length snapshot;
-    rc_moved = o.Cffs_fsck.Regroup.moved;
-    rc_reads_verified = !reads;
-    rc_replays = Registry.get_counter delta "journal.replays";
-    rc_violations = List.rev !violations;
-  }
-
-let pp_regroup_cut ppf o =
-  Format.fprintf ppf
-    "regroup-cut: %d boundaries (%d torn), %d files x each image, %d moved, \
-     %d reads verified, %d replays, %d violations"
-    o.rc_boundaries o.rc_torn o.rc_files o.rc_moved o.rc_reads_verified
-    o.rc_replays
-    (List.length o.rc_violations)
-
-let pp_checkpoint_cut ppf o =
-  Format.fprintf ppf
-    "checkpoint-cut: %d boundaries (%d torn), %d phase-1 files, %d reads \
-     verified, %d replays, %d violations"
-    o.cc_boundaries o.cc_torn o.cc_files_phase1 o.cc_reads_verified o.cc_replays
-    (List.length o.cc_violations)
-
 let pp ppf o =
   Format.fprintf ppf
     "soak: %d rounds, %d files alive, %d reads verified, %d bad sectors, %d \

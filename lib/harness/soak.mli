@@ -16,7 +16,11 @@
     checksum region reloaded from disk) with a final verify.
 
     Violations are collected, not raised: an empty [violations] list is
-    the pass condition.  Everything is deterministic in [seed]. *)
+    the pass condition.  Everything is deterministic in [seed].
+
+    Power cuts through a journal checkpoint or a regroup pass on an
+    integrity-formatted volume are crash sweeps, so they live in
+    {!Crashmc} ({!Crashmc.run_checkpoint}, {!Crashmc.run_regroup}). *)
 
 type outcome = {
   rounds : int;
@@ -47,73 +51,3 @@ val run :
 
 val pp : Format.formatter -> outcome -> unit
 val to_string : outcome -> string
-
-(** {1 Power cut during journal flush and checkpoint}
-
-    The journaled-policy companion to {!run}: a write-ahead-logged,
-    integrity-formatted volume acknowledges a batch of files, is forced
-    through a checkpoint sweep (committed-image home writes, tag-region
-    flush, log reset), then acknowledges a second batch (whose sync is
-    the journal append + commit).  Every write-request boundary between
-    the first acknowledgement and the last — torn multi-sector variants
-    included, which cuts through the middle of the journal append itself
-    and the middle of the checkpoint — is materialized, remounted
-    (replaying the log), fsck-checked, scrubbed, and byte-verified:
-    phase-1 files must survive every boundary, phase-2 files every
-    boundary at or past their commit record. *)
-
-type checkpoint_cut_outcome = {
-  cc_boundaries : int;  (** crash images explored, torn variants included *)
-  cc_torn : int;
-  cc_files_phase1 : int;  (** files acknowledged before the checkpoint *)
-  cc_reads_verified : int;
-  cc_replays : int;  (** mount-time journal replays over all images *)
-  cc_violations : string list;
-}
-
-val run_checkpoint_cut :
-  ?seed:int ->
-  ?files:int ->
-  ?file_bytes:int ->
-  ?max_boundaries:int ->
-  unit ->
-  checkpoint_cut_outcome
-(** Defaults: seed 7, 24 two-KB phase-1 files (half that in phase 2), at
-    most 96 untorn boundaries (evenly thinned, both ends always kept).
-    Deterministic in [seed]; empty [cc_violations] is the pass bar. *)
-
-val pp_checkpoint_cut : Format.formatter -> checkpoint_cut_outcome -> unit
-
-(** {1 Power cut during an active regroup pass}
-
-    An integrity-formatted, journaled volume is aged with create/delete
-    churn, synced (acknowledging the whole tree), and snapshotted; then an
-    online regroup pass ({!Cffs_fsck.Regroup}) runs with the fault journal
-    recording.  Every write-request boundary of the pass — torn
-    multi-sector variants included — is materialized, remounted (replaying
-    the log), fsck-checked (clean with no repair: the journaled standard),
-    scrubbed (zero loss), and the whole snapshot byte-verified.  A power
-    cut anywhere in the pass must leave every file wholly old or wholly
-    new layout — never torn. *)
-
-type regroup_cut_outcome = {
-  rc_boundaries : int;  (** crash images explored, torn variants included *)
-  rc_torn : int;
-  rc_files : int;  (** acknowledged files verified per image *)
-  rc_moved : int;  (** files the regroup pass migrated *)
-  rc_reads_verified : int;
-  rc_replays : int;  (** mount-time journal replays over all images *)
-  rc_violations : string list;
-}
-
-val run_regroup_cut :
-  ?seed:int ->
-  ?aging_ops:int ->
-  ?max_boundaries:int ->
-  unit ->
-  regroup_cut_outcome
-(** Defaults: seed 11, 1800 aging operations toward 80% utilization, at
-    most 96 untorn boundaries (evenly thinned, both ends always kept).
-    Deterministic in [seed]; empty [rc_violations] is the pass bar. *)
-
-val pp_regroup_cut : Format.formatter -> regroup_cut_outcome -> unit

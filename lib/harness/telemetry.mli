@@ -7,9 +7,10 @@
     freshly populated images ([grouping]), per-op-class latency
     attribution ([latency_breakdown]), and sampled time-series curves
     ([timeseries]) — into one JSON document with schema
-    ["cffs-telemetry-v2"].  [cffs_cli stats] and [bench/main.exe --json]
-    both emit this document, so the performance trajectory of the repo is
-    tracked in a diffable format from PR to PR (see {!Benchdiff}). *)
+    ["cffs-telemetry-v2"].  [cffs_cli stats --json] emits this document
+    and the bench gate compares it with [bench/baseline.json], so every
+    change to a simulated number shows in a diffable format (see
+    {!Benchdiff}). *)
 
 type config_run = {
   label : string;

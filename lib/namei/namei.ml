@@ -13,11 +13,9 @@ type config = {
   enabled : bool;
   capacity : int;  (** dentry entries, positive + negative together *)
   attr_capacity : int;
-  negative : bool;  (** cache failed lookups *)
 }
 
-let config_default =
-  { enabled = true; capacity = 4096; attr_capacity = 4096; negative = true }
+let config_default = { enabled = true; capacity = 4096; attr_capacity = 4096 }
 
 let config_disabled = { config_default with enabled = false }
 
@@ -130,11 +128,10 @@ let flush t =
 (* Dentry cache primitives. *)
 
 (* [Ok ino] binds the name; [Error Enoent] proves it absent (a
-   negative entry, kept only under [config.negative]).  [key] is
-   [(dir, name)]. *)
+   negative entry).  [key] is [(dir, name)]. *)
 let insert_key t key d_result =
   let dir = fst key in
-  if enabled t && (Result.is_ok d_result || t.config.negative) then begin
+  if enabled t then begin
     Dentries.add t.dentries key { d_result; epoch = epoch t dir };
     if Dentries.length t.dentries > t.config.capacity then begin
       Dentries.drop_lru t.dentries;
@@ -178,7 +175,7 @@ let remove_attr t ino = Attrs.remove t.attrs ino
 (* Full-path shortcut primitives. *)
 
 let insert_shortcut t key ~deps sc_result =
-  if enabled t && (Result.is_ok sc_result || t.config.negative) then begin
+  if enabled t then begin
     Shortcuts.add t.shortcuts key { sc_result; sc_deps = deps };
     if Shortcuts.length t.shortcuts > t.config.capacity then begin
       Shortcuts.drop_lru t.shortcuts;

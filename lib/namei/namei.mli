@@ -19,11 +19,10 @@ type config = {
   enabled : bool;
   capacity : int;  (** max dentry entries, positive + negative together *)
   attr_capacity : int;  (** max attribute entries *)
-  negative : bool;  (** cache failed lookups (ENOENT) *)
 }
 
 val config_default : config
-(** Enabled, 4096 dentries, 4096 attrs, negative caching on. *)
+(** Enabled, 4096 dentries, 4096 attrs. *)
 
 val config_disabled : config
 
@@ -77,4 +76,4 @@ module Resolver (F : SOURCE) : Cffs_vfs.Pathfs.RESOLVER with type t = F.t
     components only on a miss, or when the caches are disabled; the walk
     goes through [F.lookup] and so still benefits from the dentry cache.
     Negative shortcuts are cached only for ENOENT at the final
-    component, gated by [config.negative]. *)
+    component. *)

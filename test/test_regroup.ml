@@ -12,7 +12,9 @@
      restarting it.
    - Crashmc's regroup phase: every crash prefix during compaction is
      fsck-clean (after repair; pre-repair under Journaled), loses no
-     acknowledged data, and reads every file back byte-identical.
+     acknowledged data, and reads every file back byte-identical; the
+     Journaled volume is integrity-formatted, so its images replay the
+     log and scrub with no loss.
    - The aged-then-regrouped smallfile read rate recovers most of the way
      to the fresh layout (the A7 ablation criterion, quick scale). *)
 
@@ -28,6 +30,7 @@ module Layout = Cffs_fsck.Layout
 module Regroup = Cffs_fsck.Regroup
 module Fsck_cffs = Cffs_fsck.Fsck_cffs
 module Report = Cffs_fsck.Report
+module Registry = Cffs_obs.Registry
 module Crashmc = Cffs_harness.Crashmc
 module Experiments = Cffs_harness.Experiments
 
@@ -224,13 +227,31 @@ let test_cursor_resumes () =
 
 (* --- Crashmc: every crash prefix during compaction ------------------- *)
 
-let test_crashmc_regroup_phase policy () =
-  let o = Crashmc.run_regroup ~points:120 policy in
+let crashmc_regroup_phase ~points policy =
+  let before = Registry.snapshot () in
+  let o = Crashmc.run_regroup ~points policy in
   if o.Crashmc.violations <> [] then
     Alcotest.failf "crashmc regroup violations: %s"
       (String.concat "; " o.Crashmc.violations);
   check Alcotest.bool "crash points were explored" true (o.Crashmc.points > 40);
-  check Alcotest.bool "files were verified" true (o.Crashmc.durable_reads > 0)
+  check Alcotest.bool "files were verified" true (o.Crashmc.durable_reads > 0);
+  (o, Registry.diff (Registry.snapshot ()) before)
+
+let test_crashmc_regroup_sync_metadata () =
+  ignore (crashmc_regroup_phase ~points:120 Cache.Sync_metadata)
+
+(* The journaled volume carries an integrity layer, so every image is
+   replayed and scrubbed as well as fsck-checked and read back; an image
+   that comes back without the layer is a violation. *)
+let test_crashmc_regroup_journaled () =
+  let o, d = crashmc_regroup_phase ~points:200 Cache.Journaled in
+  check Alcotest.bool "at least 97 images" true (o.Crashmc.points >= 97);
+  check Alcotest.bool "at least 48 torn variants" true (o.Crashmc.torn_points >= 48);
+  check Alcotest.bool "reads verified" true (o.Crashmc.durable_reads > 100);
+  check Alcotest.bool "mounts replayed the log" true
+    (Registry.get_counter d "journal.replays" > 0);
+  check Alcotest.bool "images were scrubbed" true
+    (Registry.get_counter d "scrub.blocks_verified" > 0)
 
 (* --- A7: read-throughput recovery (quick scale) ---------------------- *)
 
@@ -302,9 +323,9 @@ let () =
       ( "crash",
         [
           Alcotest.test_case "journaled: every prefix old-or-new layout" `Quick
-            (test_crashmc_regroup_phase Cache.Journaled);
+            test_crashmc_regroup_journaled;
           Alcotest.test_case "sync_metadata: every prefix repairs clean" `Quick
-            (test_crashmc_regroup_phase Cache.Sync_metadata);
+            test_crashmc_regroup_sync_metadata;
         ] );
       ( "recovery",
         [

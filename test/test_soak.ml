@@ -5,6 +5,9 @@
      and latent metadata corruption, and must finish with zero violations:
      no acknowledged write lost, every injected fault detected, scrub
      converged, cold remount intact.
+   - A power cut at sampled boundaries of a journal checkpoint and the
+     transaction after it (Crashmc's checkpoint phase) loses no
+     acknowledged file; every image replays clean and scrubs with no loss.
    - The QCheck property materializes power-cut images at and between
      sync barriers after random bad-sector remaps and checks every
      acknowledged file back byte-for-byte — remap tables, replicas and
@@ -19,6 +22,7 @@ module Registry = Cffs_obs.Registry
 module Json = Cffs_obs.Json
 module Prng = Cffs_util.Prng
 module Soak = Cffs_harness.Soak
+module Crashmc = Cffs_harness.Crashmc
 module Csb = Cffs.Csb
 
 let check = Alcotest.check
@@ -57,32 +61,19 @@ let test_soak_deterministic () =
 (* --- Power cut during journal flush / checkpoint sweep ---------------- *)
 
 let test_checkpoint_cut_no_loss () =
-  let o = Soak.run_checkpoint_cut () in
-  if o.Soak.cc_violations <> [] then
+  let before = Registry.snapshot () in
+  let o = Crashmc.run_checkpoint () in
+  let d = Registry.diff (Registry.snapshot ()) before in
+  if o.Crashmc.violations <> [] then
     Alcotest.failf "checkpoint-cut violations: %s"
-      (String.concat "; " o.Soak.cc_violations);
-  check Alcotest.bool "boundaries explored" true (o.Soak.cc_boundaries > 20);
-  check Alcotest.bool "torn variants explored" true (o.Soak.cc_torn > 0);
-  check Alcotest.bool "phase-1 files acknowledged" true
-    (o.Soak.cc_files_phase1 > 0);
-  check Alcotest.bool "reads verified" true (o.Soak.cc_reads_verified > 100);
+      (String.concat "; " o.Crashmc.violations);
+  check Alcotest.bool "boundaries explored" true (o.Crashmc.points > 20);
+  check Alcotest.bool "torn variants explored" true (o.Crashmc.torn_points > 0);
+  check Alcotest.bool "reads verified" true (o.Crashmc.durable_reads > 100);
   check Alcotest.bool "mounts actually replayed the log" true
-    (o.Soak.cc_replays > 0)
-
-(* --- Power cut at every request boundary during active regroup -------- *)
-
-let test_regroup_cut_no_tear () =
-  let o = Soak.run_regroup_cut ~aging_ops:900 ~max_boundaries:48 () in
-  if o.Soak.rc_violations <> [] then
-    Alcotest.failf "regroup-cut violations: %s"
-      (String.concat "; " o.Soak.rc_violations);
-  check Alcotest.bool "boundaries explored" true (o.Soak.rc_boundaries > 10);
-  check Alcotest.bool "torn variants explored" true (o.Soak.rc_torn > 0);
-  check Alcotest.bool "the pass actually moved files" true (o.Soak.rc_moved > 0);
-  check Alcotest.bool "acknowledged files verified" true (o.Soak.rc_files > 0);
-  check Alcotest.bool "reads verified" true (o.Soak.rc_reads_verified > 100);
-  check Alcotest.bool "mounts actually replayed the log" true
-    (o.Soak.rc_replays > 0)
+    (Registry.get_counter d "journal.replays" > 0);
+  check Alcotest.bool "images were scrubbed" true
+    (Registry.get_counter d "scrub.blocks_verified" > 0)
 
 (* --- Remap persistence across power cuts ----------------------------- *)
 
@@ -199,8 +190,6 @@ let () =
             test_soak_deterministic;
           Alcotest.test_case "power cut through journal flush and checkpoint"
             `Quick test_checkpoint_cut_no_loss;
-          Alcotest.test_case "power cut at every boundary of a regroup pass"
-            `Quick test_regroup_cut_no_tear;
           prop_remap_persistence;
         ] );
       ( "telemetry",
