@@ -63,6 +63,7 @@ type t = {
   namei : Cffs_namei.Namei.t;
       (** per-mount dentry + attribute caches (the namei layer wraps
           [Low] below; this is only the state it keys off) *)
+  itable : Inode.Table.t;  (** decoded inodes, re-checked against their blocks *)
 }
 
 let cache t = t.cache
@@ -257,7 +258,7 @@ let sb_inode_off ino =
 
 let ipb t = bs t / Inode.size_bytes
 
-let read_resident t ino = Inode.decode (read_sb_block t) (sb_inode_off ino)
+let read_resident t ino = Inode.Table.decode t.itable ino (read_sb_block t) (sb_inode_off ino)
 
 let write_resident t ino inode ~kind =
   let b = read_sb_block t in
@@ -280,7 +281,7 @@ let read_inode t ino : Inode.t Errno.result =
          overflow-link chunks alike answer ENOENT. *)
       if Cdir.state b chunk <> Cdir.state_entry then Error Enoent
       else begin
-        let inode = Cdir.read_inode b chunk in
+        let inode = Inode.Table.decode t.itable ino b (Cdir.inode_off chunk) in
         if inode.Inode.kind = Inode.Free then Error Enoent
         else begin
           Obs.incr m_embedded_hits;
@@ -298,7 +299,7 @@ let read_inode t ino : Inode.t Errno.result =
       | None -> Error Enoent
       | Some p ->
           let b = Cache.read t.cache p in
-          let inode = Inode.decode b (slot mod ipb t * Inode.size_bytes) in
+          let inode = Inode.Table.decode t.itable ino b (slot mod ipb t * Inode.size_bytes) in
           if inode.Inode.kind = Inode.Free then Error Enoent
           else begin
             Obs.incr m_external_reads;
@@ -1394,6 +1395,7 @@ let make cache sb ~namei =
     frame_drought = false;
     replica_dirty = Hashtbl.create 16;
     namei = Cffs_namei.Namei.create ~config:namei ();
+    itable = Inode.Table.create ();
   }
 
 let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks = 4096)

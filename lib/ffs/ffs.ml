@@ -19,6 +19,7 @@ type t = {
   namei : Cffs_namei.Namei.t;
       (* per-mount dentry + attribute caches (keyed off by the namei
          interposer below) *)
+  itable : Inode.Table.t;  (* decoded inodes, re-checked against their blocks *)
 }
 
 let cache t = t.cache
@@ -57,7 +58,7 @@ let cg_free_inodes t cg = Alloc.free_count t.inodes (read_header t cg)
 
 let read_inode_exn t ino =
   let blk, off = Layout.ino_location t.sb ino in
-  Inode.decode (Cache.read t.cache blk) off
+  Inode.Table.decode t.itable ino (Cache.read t.cache blk) off
 
 let store_inode t ino inode ~kind =
   let blk, off = Layout.ino_location t.sb ino in
@@ -497,6 +498,7 @@ let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 40
       blocks = sb_block_map sb;
       inodes = sb_inode_map sb;
       namei = Cffs_namei.Namei.create ~config:namei ();
+      itable = Inode.Table.create ();
     }
   in
   let sbb = Bytes.make block_size '\000' in
@@ -559,6 +561,7 @@ let mount ?policy ?(cache_blocks = 4096)
           blocks = sb_block_map sb;
           inodes = sb_inode_map sb;
           namei = Cffs_namei.Namei.create ~config:namei ();
+          itable = Inode.Table.create ();
         }
 
 (* ------------------------------------------------------------------ *)

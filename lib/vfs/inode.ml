@@ -87,6 +87,46 @@ let decode b off =
     spare;
   }
 
+(* [decode b off = t], field by field, without building the record.
+   Every field [decode] reads is compared, and an unknown kind code
+   compares as [Free], as [decode] reads it. *)
+let rec same_u32s a b off i n =
+  i >= n || (a.(i) = Codec.get_u32 b (off + (4 * i)) && same_u32s a b off (i + 1) n)
+
+let same t b off =
+  let code = Codec.get_u16 b off in
+  t.kind = (if code = 1 then Regular else if code = 2 then Directory else Free)
+  && t.nlink = Codec.get_u16 b (off + 2)
+  && t.size = Codec.get_u64 b (off + 4)
+  && t.mtime = Codec.get_u32 b (off + 12)
+  && t.generation = Codec.get_u32 b (off + 16)
+  && t.flags = Codec.get_u32 b (off + 20)
+  && t.indirect = Codec.get_u32 b (off + 72)
+  && t.dindirect = Codec.get_u32 b (off + 76)
+  && same_u32s t.direct b (off + 24) 0 n_direct
+  && same_u32s t.spare b (off + 80) 0 n_spare
+
+module Table = struct
+  let slots = 64
+
+  (* Direct-mapped on the inode number's low bits: slot [i] holds the
+     record last decoded for inode [keys.(i)]. *)
+  type nonrec t = { keys : int array; recs : t array }
+
+  let create () = { keys = Array.make slots (-1); recs = Array.make slots (empty ()) }
+
+  let decode tbl ino b off =
+    let i = ino land (slots - 1) in
+    let r = tbl.recs.(i) in
+    if tbl.keys.(i) = ino && same r b off then r
+    else begin
+      let r = decode b off in
+      tbl.keys.(i) <- ino;
+      tbl.recs.(i) <- r;
+      r
+    end
+end
+
 let copy t = { t with direct = Array.copy t.direct; spare = Array.copy t.spare }
 
 let max_addressable_blocks ~ptrs_per_block =

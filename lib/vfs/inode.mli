@@ -60,6 +60,33 @@ val encode : t -> bytes -> int -> unit
 val decode : bytes -> int -> t
 (** [decode b off] deserialises; unknown kind codes decode as [Free]. *)
 
+val same : t -> bytes -> int -> bool
+(** [same t b off] is [decode b off = t] (structural equality), and
+    allocates nothing. *)
+
+(** A mount's in-core inode table: a fixed, direct-mapped map from inode
+    number to the record last decoded for it.  Coherence comes from the
+    bytes: nothing invalidates an entry, and every lookup re-checks the
+    record against the block the caller just read.  A record is shared
+    with later readers of the same inode for as long as it matches its
+    block; a writer mutates it and then writes it back, which makes it
+    match again, and a record mutated but never written no longer
+    matches, so the next read decodes afresh. *)
+module Table : sig
+  type inode := t
+  type t
+
+  val slots : int
+  (** 64. *)
+
+  val create : unit -> t
+
+  val decode : t -> int -> bytes -> int -> inode
+  (** [decode tbl ino b off] is [ino]'s record from [b] at [off]: the
+      table's record when it is [same] as the bytes, else a fresh
+      decode that replaces the slot. *)
+end
+
 val copy : t -> t
 
 val max_addressable_blocks : ptrs_per_block:int -> int

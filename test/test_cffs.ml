@@ -772,14 +772,77 @@ let test_file_runs () =
     (List.fold_left (fun a (_, n) -> a + n) 0 sparse)
 
 (* ------------------------------------------------------------------ *)
+(* The in-core inode table: a read hands out the record the table holds
+   while that record still equals its block's bytes, and decodes afresh
+   otherwise, whatever changed the bytes or the record. *)
+
+let table_fs () =
+  let fs = fresh_default () in
+  ok "write" (Cffs.write_file fs "/f" (Bytes.of_string "twelve bytes"));
+  (fs, ok "resolve" (Cffs.resolve fs "/f"))
+
+let size_of fs ino = (ok "read_inode" (Cffs.read_inode fs ino)).Inode.size
+
+let test_table_shares_unchanged () =
+  let fs, ino = table_fs () in
+  let a = ok "read" (Cffs.read_inode fs ino) in
+  check Alcotest.bool "same record" true (a == ok "read" (Cffs.read_inode fs ino));
+  (* A shared record costs only the result's [Ok] box: no decode. *)
+  Alloc_probe.at_most "repeat read_inode" 2.0
+    (Alloc_probe.words_per_call (fun () -> Cffs.read_inode fs ino))
+
+let test_table_drops_mutated () =
+  let fs, ino = table_fs () in
+  let a = ok "read" (Cffs.read_inode fs ino) in
+  a.Inode.size <- 999;
+  a.Inode.direct.(3) <- 77;
+  let b = ok "read" (Cffs.read_inode fs ino) in
+  check Alcotest.bool "fresh record" false (a == b);
+  check Alcotest.int "block's size" 12 b.Inode.size;
+  check Alcotest.int "block's pointer" 0 b.Inode.direct.(3)
+
+let test_table_after_raw_write () =
+  let fs, ino = table_fs () in
+  let c = Inode.copy (ok "read" (Cffs.read_inode fs ino)) in
+  c.Inode.size <- 5;
+  ok "write_inode_raw" (Cffs.write_inode_raw fs ino c);
+  check Alcotest.int "fsck's size" 5 (size_of fs ino)
+
+let test_table_after_device_write () =
+  let fs, ino = table_fs () in
+  check Alcotest.int "before" 12 (size_of fs ino);
+  Cffs.sync fs;
+  let dev = Cache.device (Cffs.cache fs) in
+  let blk = (ino - Csb.embed_bit) / Cdir.chunks_per_block ~block_size:4096 in
+  let chunk = (ino - Csb.embed_bit) mod Cdir.chunks_per_block ~block_size:4096 in
+  let b = Blockdev.read dev blk 1 in
+  Cffs_util.Codec.set_u64 b (Cdir.inode_off chunk + 4) 7;
+  Blockdev.write dev blk b;
+  Cffs.remount fs;
+  check Alcotest.int "the device's size" 7 (size_of fs ino)
+
+let test_table_after_rename () =
+  let fs, ino = table_fs () in
+  ok "mkdir" (Cffs.mkdir fs "/d");
+  check Alcotest.int "before" 12 (size_of fs ino);
+  ok "rename" (Cffs.rename_path fs ~src:"/f" ~dst:"/d/g");
+  check Alcotest.bool "old number gone" true (Cffs.read_inode fs ino = Error Errno.Enoent);
+  check Alcotest.int "moved inode" 12 (size_of fs (ok "resolve" (Cffs.resolve fs "/d/g")));
+  (* A new file takes the chunk the moved inode left. *)
+  ok "write" (Cffs.write_file fs "/h" (Bytes.of_string "new"));
+  check Alcotest.int "same position" ino (ok "resolve" (Cffs.resolve fs "/h"));
+  check Alcotest.int "new file's size" 3 (size_of fs ino)
+
+(* ------------------------------------------------------------------ *)
 (* The file-system call path's allocation: one call on the small-file
    path allocates a small constant plus its result.  The standard setup
    (timed drive, synchronous metadata), 1 KB files, 100 per directory,
    and a 64-entry name cache that the calls cycle past, so every path
    walk misses it as the 10^4-file benchmark's do.  The bounds are the
-   counts measured when the guards were set (667, 347, 181, 11.1 and
-   241 words) plus up to a tenth; the code before the allocation-lean
-   call path measured 1317, 596, 411, 48.3 and 538. *)
+   counts measured when the guards were last set (464, 289, 152, 11.1
+   and 156 words) plus up to a tenth; before the in-core inode table the
+   calls measured 667, 347, 181, 11.1 and 241, and before the
+   allocation-lean call path 1317, 596, 411, 48.3 and 538. *)
 
 module Setup = Cffs_harness.Setup
 module Namei = Cffs_namei.Namei
@@ -812,15 +875,15 @@ let test_call_allocation () =
   let fs = guard_fs { Namei.config_default with capacity = 64; attr_capacity = 64 } in
   let next = cycle () in
   let words f = Alloc_probe.words_per_call ~n:guard_files f in
-  Alloc_probe.at_most "create + unlink" 720.0
+  Alloc_probe.at_most "create + unlink" 510.0
     (words (fun () ->
          let p = next () in
          ok "create" (Cffs.write_file fs p payload);
          ok "unlink" (Cffs.unlink fs p)));
   populate fs payload;
-  Alloc_probe.at_most "read_file" 375.0 (words (fun () -> ok "read" (Cffs.read_file fs (next ()))));
+  Alloc_probe.at_most "read_file" 315.0 (words (fun () -> ok "read" (Cffs.read_file fs (next ()))));
   let overwrite () = ok "overwrite" (Cffs.write fs (next ()) ~off:0 payload) in
-  Alloc_probe.at_most "overwrite" 195.0 (words overwrite);
+  Alloc_probe.at_most "overwrite" 165.0 (words overwrite);
   (* A sync's words are those of a directory's overwrites and the sync
      that ends them, less the overwrites' own. *)
   let per_dir () =
@@ -842,7 +905,7 @@ let test_miss_stat_allocation () =
   let fs = guard_fs Namei.config_disabled in
   populate fs (Bytes.make 1024 'x');
   let next = cycle () in
-  Alloc_probe.at_most "namei-miss stat" 260.0
+  Alloc_probe.at_most "namei-miss stat" 170.0
     (Alloc_probe.words_per_call ~n:guard_files (fun () -> ok "stat" (Cffs.stat fs (next ()))))
 
 let () =
@@ -915,6 +978,15 @@ let () =
             test_grouping_fraction_zero_without_grouping;
           Alcotest.test_case "read-ahead extension" `Quick test_readahead_extension;
           Alcotest.test_case "mount preserves config" `Quick test_mount_preserves_config;
+        ] );
+      ( "inode table",
+        [
+          Alcotest.test_case "unchanged inode shared" `Quick test_table_shares_unchanged;
+          Alcotest.test_case "mutated record not handed out" `Quick test_table_drops_mutated;
+          Alcotest.test_case "after write_inode_raw" `Quick test_table_after_raw_write;
+          Alcotest.test_case "after device write + remount" `Quick
+            test_table_after_device_write;
+          Alcotest.test_case "after rename" `Quick test_table_after_rename;
         ] );
       ( "allocation",
         [

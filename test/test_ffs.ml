@@ -300,6 +300,30 @@ let test_sync_write_counts () =
   let after = (Cffs_cache.Cache.stats (Ffs.cache fs)).Cffs_cache.Cache.sync_writes in
   check Alcotest.int "two sync writes per create" 2 (after - before)
 
+(* The in-core inode table: an unchanged inode's record is shared, and
+   one mutated without a write is not handed out again. *)
+let table_fs () =
+  let fs = fresh_fs () in
+  ok "write" (Ffs.write_file fs "/f" (Bytes.of_string "twelve bytes"));
+  (fs, ok "resolve" (Ffs.resolve fs "/f"))
+
+let test_table_shares_unchanged () =
+  let fs, ino = table_fs () in
+  let a = ok "read" (Ffs.read_inode fs ino) in
+  check Alcotest.bool "same record" true (a == ok "read" (Ffs.read_inode fs ino));
+  (* The result's [Ok] box and the inode's (block, offset) pair: no
+     decode. *)
+  Alloc_probe.at_most "repeat read_inode" 5.0
+    (Alloc_probe.words_per_call (fun () -> Ffs.read_inode fs ino))
+
+let test_table_drops_mutated () =
+  let fs, ino = table_fs () in
+  let a = ok "read" (Ffs.read_inode fs ino) in
+  a.Cffs_vfs.Inode.size <- 999;
+  let b = ok "read" (Ffs.read_inode fs ino) in
+  check Alcotest.bool "fresh record" false (a == b);
+  check Alcotest.int "block's size" 12 b.Cffs_vfs.Inode.size
+
 let () =
   Alcotest.run "ffs"
     [
@@ -327,5 +351,10 @@ let () =
           Alcotest.test_case "sequential allocation" `Quick test_sequential_allocation;
           Alcotest.test_case "mount existing" `Quick test_mount_existing;
           Alcotest.test_case "sync write counts" `Quick test_sync_write_counts;
+        ] );
+      ( "inode table",
+        [
+          Alcotest.test_case "unchanged inode shared" `Quick test_table_shares_unchanged;
+          Alcotest.test_case "mutated record not handed out" `Quick test_table_drops_mutated;
         ] );
     ]

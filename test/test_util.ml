@@ -462,6 +462,35 @@ let qcheck_crc32_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x55));
       Crc32.digest b <> before)
 
+(* The byte-at-a-time CRC-32 the word-at-a-time [Crc32.update] must
+   agree with. *)
+let crc32_reference crc b off len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let qcheck_crc32_reference =
+  qtest ~count:500 "crc32: equals the byte-wise reference at any offset, length and split"
+    QCheck.(quad (int_bound 1_000_000) (int_bound 5000) (int_bound 15) (int_bound 5000))
+    (fun (seed, len, off, split) ->
+      let p = Prng.create seed in
+      let b = Prng.bytes p (off + len + 7) in
+      let split = min split len in
+      let whole = Crc32.update 0 b off len in
+      whole = crc32_reference 0 b off len
+      && whole = Crc32.digest_sub b off len
+      && Crc32.update (Crc32.update 0 b off split) b (off + split) (len - split) = whole)
+
 (* ------------------------------------------------------------------ *)
 (* Tablefmt and Units *)
 
@@ -547,6 +576,7 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
           qcheck_crc32_detects_flip;
+          qcheck_crc32_reference;
         ] );
       ( "tablefmt",
         [

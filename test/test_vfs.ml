@@ -230,6 +230,51 @@ let qcheck_inode_roundtrip =
       j.Inode.kind = i.Inode.kind && j.Inode.nlink = nlink && j.Inode.size = size
       && j.Inode.mtime = mtime)
 
+(* A table hit is the held record itself and allocates nothing; a key
+   that shares the slot gets its own record. *)
+let test_inode_table_hit () =
+  let tbl = Inode.Table.create () and b = Bytes.make 256 '\000' in
+  Inode.encode (Inode.mk Inode.Regular) b 128;
+  let r = Inode.Table.decode tbl 5 b 128 in
+  check Alcotest.bool "hit shares" true (r == Inode.Table.decode tbl 5 b 128);
+  check Alcotest.bool "slot-mate decodes" false
+    (r == Inode.Table.decode tbl (5 + Inode.Table.slots) b 128);
+  Alloc_probe.at_most "table hit" 0.0
+    (Alloc_probe.words_per_call (fun () -> Inode.Table.decode tbl 5 b 128))
+
+(* [same] is [decode]'s structural equality, field by field: encode a
+   random inode at a random slot, poke one of the 96 bytes [decode]
+   reads (byte 0 or 1 a third of the time, which makes unknown kind
+   codes), and [same] must hold exactly when the decode still equals the
+   record. *)
+let qcheck_inode_same_oracle =
+  qtest ~count:3000 "inode: same r b off <=> decode b off = r"
+    QCheck.(quad (int_bound 1_000_000) (int_bound 3) (int_bound 95) (int_bound 255))
+    (fun (seed, slot, pos, v) ->
+      let p = Cffs_util.Prng.create seed in
+      let u32 () = Cffs_util.Prng.int p 0x1_0000_0000 in
+      let r = Inode.empty () in
+      r.Inode.kind <-
+        (match Cffs_util.Prng.int p 3 with
+        | 0 -> Inode.Free
+        | 1 -> Inode.Regular
+        | _ -> Inode.Directory);
+      r.Inode.nlink <- Cffs_util.Prng.int p 0x1_0000;
+      r.Inode.size <- Cffs_util.Prng.int p (1 lsl 40);
+      r.Inode.mtime <- u32 ();
+      r.Inode.generation <- u32 ();
+      r.Inode.flags <- u32 ();
+      Array.iteri (fun i _ -> r.Inode.direct.(i) <- u32 ()) r.Inode.direct;
+      r.Inode.indirect <- u32 ();
+      r.Inode.dindirect <- u32 ();
+      Array.iteri (fun i _ -> r.Inode.spare.(i) <- u32 ()) r.Inode.spare;
+      let b = Cffs_util.Prng.bytes p (4 * Inode.size_bytes) in
+      let off = slot * Inode.size_bytes in
+      Inode.encode r b off;
+      let pos = if pos mod 3 = 0 then pos mod 2 else pos in
+      if seed mod 5 <> 0 then Bytes.set b (off + pos) (Char.chr v);
+      Inode.same r b off = (Inode.decode b off = r))
+
 (* ------------------------------------------------------------------ *)
 (* Bmap over a memory device *)
 
@@ -463,6 +508,8 @@ let () =
           Alcotest.test_case "deep copy" `Quick test_inode_copy_deep;
           Alcotest.test_case "bad kind" `Quick test_inode_bad_kind_decodes_free;
           qcheck_inode_roundtrip;
+          Alcotest.test_case "table hit" `Quick test_inode_table_hit;
+          qcheck_inode_same_oracle;
         ] );
       ( "bmap",
         [
