@@ -1119,7 +1119,7 @@ let mcbench_cmd =
         Printf.eprintf "unknown scheduler %S; one of: fcfs, clook, sstf\n"
           sched_str;
         1
-    | Some sched ->
+    | Some sched -> (
         let params =
           {
             Mclient.default_params with
@@ -1133,6 +1133,11 @@ let mcbench_cmd =
             prng_seed = seed;
           }
         in
+        match Mclient.validate params with
+        | Error msg ->
+            Printf.eprintf "mcbench: %s\n" msg;
+            1
+        | Ok () ->
         let inst =
           Cffs_harness.Setup.instantiate
             (Cffs_harness.Setup.standard ?policy ~drives ~vol_layout
@@ -1208,7 +1213,7 @@ let mcbench_cmd =
               spindles
           end
         end;
-        0
+        0)
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")

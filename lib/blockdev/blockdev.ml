@@ -42,6 +42,13 @@ type view = slot
 
 let no_view = { buf = Bytes.empty; views = 0 }
 let no_views : view array = [||]
+let ok_empty = Ok no_views
+
+(* Who takes a request's result: a synchronous caller, from the
+   device's mailbox ([sync_tag], [sync_result]); an asynchronous
+   submitter, as a completion from [drain]; or [issue_units], which
+   needs only the batch's first failure ([batch_err]). *)
+type waiter = Sync | Async | Batch
 
 (* A request split at extent boundaries: its fragments fold into this
    record, which completes when the last one lands. *)
@@ -50,18 +57,37 @@ type parent = {
   p_blk : int;
   p_n : int;
   p_views : view array;  (* reads: filled in by the fragments; writes: empty *)
+  p_wait : waiter;
   mutable p_left : int;  (* fragments outstanding *)
   mutable p_err : Io_error.t option;  (* first fragment failure *)
 }
 
+let no_parent =
+  { p_tag = 0; p_blk = 0; p_n = 0; p_views = no_views; p_wait = Async; p_left = 0; p_err = None }
+
 (* What a spindle's tagged queue carries for one physical request: the
-   logical request (or fragment of one) it serves. *)
+   logical request (or fragment of one) it serves.  It is the payload of
+   a queue record ({!Ioqueue.item}), built once with the record and
+   rewritten each time the spindle reuses it, from [submit] until the
+   result reaches its waiter ([complete]). *)
 type frag = {
-  f_tag : int;
-  f_lblk : int;  (* logical block of the fragment's first block *)
-  f_data : bytes array;  (* writes: the payload's blocks; reads: empty *)
-  f_parent : parent option;  (* [None] for a request that was not split *)
+  mutable f_tag : int;
+  mutable f_lblk : int;  (* logical block of the fragment's first block *)
+  mutable f_data : bytes array;  (* writes: the payload's blocks; reads: empty *)
+  mutable f_parent : parent;  (* [no_parent] for a request that was not split *)
+  mutable f_wait : waiter;  (* who takes an unsplit request's result *)
+  one : bytes array;  (* [f_data] of a one-block write *)
 }
+
+let new_frag () =
+  {
+    f_tag = 0;
+    f_lblk = 0;
+    f_data = no_blocks;
+    f_parent = no_parent;
+    f_wait = Async;
+    one = [| Bytes.empty |];
+  }
 
 (* One simulated spindle: the media with its contents and their
    out-of-band integrity tags (keyed by physical block), and the spindle's
@@ -76,6 +102,7 @@ type spindle = {
   store : slot Int_tbl.t;  (* owned by the store: written by copy, read by view *)
   tags : int Int_tbl.t;
   queue : frag Ioqueue.t;
+  merged : Request.t;  (* a coalesced dispatch, as one request *)
 }
 
 type extent = { lstart : int; xlen : int; xsub : int; pstart : int }
@@ -107,6 +134,9 @@ type t = {
   zero : slot;  (* the view of every never-written block; never written *)
   mutable next_tag : int;
   mutable completed : view array completion list;  (* reverse completion order *)
+  mutable sync_tag : int;  (* the last synchronous request completed, and its result *)
+  mutable sync_result : (view array, Io_error.t) result;
+  mutable batch_err : Io_error.t option;  (* the first failure of [issue_units]'s batch *)
   mutable injector : injector option;
   mutable write_observer : write_observer option;
   (* Out-of-band per-block integrity tags, the software analogue of
@@ -144,6 +174,9 @@ let make ~block_size ~subs spindles extents =
     zero = { buf = Bytes.make block_size '\000'; views = 0 };
     next_tag = 1;
     completed = [];
+    sync_tag = 0;
+    sync_result = ok_empty;
+    batch_err = None;
     injector = None;
     write_observer = None;
     tags_enabled = false;
@@ -165,6 +198,7 @@ let one_spindle ?policy media ~block_size ~nblocks =
       store = Int_tbl.create 4096;
       tags = Int_tbl.create 64;
       queue = Ioqueue.create ?policy ();
+      merged = Request.read ~lba:0 ~sectors:1;
     }
   in
   make ~block_size ~subs:[||] [| sp |]
@@ -490,12 +524,10 @@ let time_request sp (req : Request.t) =
   | Timed { drive; host_overhead } ->
       m_host.v <- m_host.v +. host_overhead;
       sp.clock.v <- sp.clock.v +. host_overhead;
-      ignore (Drive.service drive req)
+      Drive.serve drive req
 
 let err op ~blk ~nblocks cause =
   { Io_error.op; blk; nblocks; cause; range = None }
-
-let ok_empty = Ok no_views
 
 (* One read request [req] (a whole number of blocks) on spindle [si]:
    consult the fault injector, account the request (reads are timed even
@@ -567,31 +599,43 @@ let queue_coalesce t = Ioqueue.coalesce t.spindles.(0).queue
 let pending t =
   Array.fold_left (fun acc sp -> acc + Ioqueue.pending sp.queue) 0 t.spindles
 
-let enqueue t op e lblk len data parent tag =
+let kind_of = function Io_error.Read -> Request.Read | Io_error.Write -> Request.Write
+
+(* Queue one fragment on extent [e]'s spindle, in a record from the
+   spindle's free list.  A one-block write passes its block as [single]
+   (and no [data]), which the record holds in its own array. *)
+let enqueue t op wait e lblk len data single parent tag =
   let sp = t.spindles.(e.xsub) in
   let spb = sectors_per_block t in
-  let lba = (e.pstart + lblk - e.lstart) * spb and sectors = len * spb in
-  let req =
-    match op with
-    | Io_error.Read -> Request.read ~lba ~sectors
-    | Io_error.Write -> Request.write ~lba ~sectors
+  let it = Ioqueue.acquire sp.queue new_frag in
+  let q = it.payload in
+  q.f_tag <- tag;
+  q.f_lblk <- lblk;
+  q.f_wait <- wait;
+  if q.f_parent != parent then q.f_parent <- parent;
+  let data =
+    if Bytes.length single > 0 then begin
+      q.one.(0) <- single;
+      q.one
+    end
+    else data
   in
-  ignore
-    (Ioqueue.submit sp.queue req
-       { f_tag = tag; f_lblk = lblk; f_data = data; f_parent = parent }
-       ~now:sp.clock.v)
+  if q.f_data != data then q.f_data <- data;
+  Ioqueue.enqueue sp.queue it (kind_of op)
+    ~lba:((e.pstart + lblk - e.lstart) * spb)
+    ~sectors:(len * spb) ~now:sp.clock
 
-(* Submit one logical request, split at extent boundaries into one
-   fragment per piece (a write's fragments share its block buffers).
-   Spindle clocks are synced first so queue-wait accounting starts from
-   the device clock. *)
-let submit t op blk n blocks =
+(* Submit one logical request for [wait], split at extent boundaries
+   into one fragment per piece (a write's fragments share its block
+   buffers).  Spindle clocks are synced first so queue-wait accounting
+   starts from the device clock. *)
+let submit t op wait blk n data single =
   check_range t op blk n;
   sync t;
   let tag = t.next_tag in
   t.next_tag <- tag + 1;
   let e = locate t blk in
-  if blk + n <= e.lstart + e.xlen then enqueue t op e blk n blocks None tag
+  if blk + n <= e.lstart + e.xlen then enqueue t op wait e blk n data single no_parent tag
   else begin
     let p =
       {
@@ -602,35 +646,41 @@ let submit t op blk n blocks =
           (match op with
           | Io_error.Read -> Array.make n no_view
           | Io_error.Write -> no_views);
+        p_wait = wait;
         p_left = 0;
         p_err = None;
       }
     in
-    let parent = Some p in
     iter_frags t blk n (fun e lblk len ->
         p.p_left <- p.p_left + 1;
         let part =
           match op with
           | Io_error.Read -> no_blocks
-          | Io_error.Write -> Array.sub blocks (lblk - blk) len
+          | Io_error.Write -> Array.sub data (lblk - blk) len
         in
-        enqueue t op e lblk len part parent tag)
+        enqueue t op wait e lblk len part Bytes.empty p tag)
   end;
   tag
 
-let submit_read t blk n = submit t Io_error.Read blk n no_blocks
+let submit_read t blk n = submit t Io_error.Read Async blk n no_blocks Bytes.empty
+
+(* A contiguous write's blocks: one block travels as [single]. *)
+let submit_contiguous t wait blk data =
+  let len = Bytes.length data in
+  if len = t.block_size then submit t Io_error.Write wait blk 1 no_blocks data
+  else submit t Io_error.Write wait blk (len / t.block_size) (split t data) Bytes.empty
 
 let submit_write t blk data =
   let len = Bytes.length data in
   if len = 0 || len mod t.block_size <> 0 then
     invalid_arg "Blockdev.submit_write: partial block";
-  submit t Io_error.Write blk (len / t.block_size) (split t data)
+  submit_contiguous t Async blk data
 
 let submit_write_blocks t blk blocks =
   let n = Array.length blocks in
   if n = 0 || Array.exists (fun b -> Bytes.length b <> t.block_size) blocks then
     invalid_arg "Blockdev.submit_write_blocks: partial block";
-  submit t Io_error.Write blk n blocks
+  submit t Io_error.Write Async blk n blocks Bytes.empty
 
 let item_op (it : frag Ioqueue.item) =
   match it.req.Request.kind with
@@ -640,36 +690,63 @@ let item_op (it : frag Ioqueue.item) =
 let item_blocks t (it : frag Ioqueue.item) =
   it.req.Request.sectors / sectors_per_block t
 
-let push t (it : frag Ioqueue.item) tag blk n result =
-  t.completed <-
-    { cq_tag = tag; cq_op = item_op it; cq_blk = blk; cq_nblocks = n; cq_result = result }
-    :: t.completed
+(* Hand a result to its waiter: the synchronous caller's mailbox, a
+   completion for [drain] (an API result, so a record of its own), or
+   the batch's first failure. *)
+let deliver t wait tag op blk n result =
+  match wait with
+  | Sync ->
+      t.sync_tag <- tag;
+      t.sync_result <- result
+  | Async ->
+      t.completed <-
+        { cq_tag = tag; cq_op = op; cq_blk = blk; cq_nblocks = n; cq_result = result }
+        :: t.completed
+  | Batch -> (
+      match (result, t.batch_err) with
+      | Error e, None -> t.batch_err <- Some e
+      | _ -> ())
 
-(* Deliver one serviced fragment: an unsplit request completes at once; a
-   fragment folds into its parent, which completes with its last one. *)
-let complete t (it : frag Ioqueue.item) result =
+(* Give a record whose result has reached its waiter back to spindle
+   [sp]'s free list, dropping what it pointed to.  (A free record is in
+   the major heap, where a pointer store costs a barrier call, so only
+   the fields that changed are written.) *)
+let retire sp (it : frag Ioqueue.item) =
   let q = it.payload in
-  match q.f_parent with
-  | None -> push t it q.f_tag q.f_lblk (item_blocks t it) result
-  | Some p ->
-      (match result with
-      | Ok views ->
-          if Array.length p.p_views > 0 then
-            Array.blit views 0 p.p_views (q.f_lblk - p.p_blk) (Array.length views)
-      | Error e -> if p.p_err = None then p.p_err <- Some e);
-      p.p_left <- p.p_left - 1;
-      if p.p_left = 0 then
-        push t it p.p_tag p.p_blk p.p_n
-          (match p.p_err with Some e -> Error e | None -> Ok p.p_views)
+  if q.f_data != no_blocks then q.f_data <- no_blocks;
+  if q.one.(0) != Bytes.empty then q.one.(0) <- Bytes.empty;
+  if q.f_parent != no_parent then q.f_parent <- no_parent;
+  Ioqueue.recycle sp.queue it
+
+(* Deliver one serviced (or failed) fragment: an unsplit request
+   completes at once; a fragment folds into its parent, which completes
+   with its last one.  Then the record is retired. *)
+let complete t sp (it : frag Ioqueue.item) result =
+  let q = it.payload in
+  let p = q.f_parent in
+  if p == no_parent then deliver t q.f_wait q.f_tag (item_op it) q.f_lblk (item_blocks t it) result
+  else begin
+    (match (result, p.p_err) with
+    | Ok views, _ ->
+        if Array.length p.p_views > 0 then
+          Array.blit views 0 p.p_views (q.f_lblk - p.p_blk) (Array.length views)
+    | Error e, None -> p.p_err <- Some e
+    | Error _, Some _ -> ());
+    p.p_left <- p.p_left - 1;
+    if p.p_left = 0 then
+      deliver t p.p_wait p.p_tag (item_op it) p.p_blk p.p_n
+        (match p.p_err with Some e -> Error e | None -> Ok p.p_views)
+  end;
+  retire sp it
 
 (* What servicing a dispatch group means for the rest of the spindle's
    queue: carry on, stop because the device lost power, or stop because
    a request of the batch [lo, hi] being issued failed. *)
 type verdict = Go | Cut | Failed of Io_error.t
 
-let finish t ~lo ~hi verdict (it : frag Ioqueue.item) result =
-  complete t it result;
+let finish t sp ~lo ~hi verdict (it : frag Ioqueue.item) result =
   let tag = it.payload.f_tag in
+  complete t sp it result;
   match (result, verdict) with
   | Ok _, _ | Error _, Failed _ -> verdict
   | Error e, _ when tag >= lo && tag <= hi -> Failed e
@@ -678,73 +755,86 @@ let finish t ~lo ~hi verdict (it : frag Ioqueue.item) result =
 
 let service_one t si ~lo ~hi verdict (it : frag Ioqueue.item) =
   let q = it.payload in
-  finish t ~lo ~hi verdict it
+  finish t t.spindles.(si) ~lo ~hi verdict it
     (match it.req.Request.kind with
     | Request.Read -> read_service t si it.req ~lblk:q.f_lblk
     | Request.Write -> write_service t si it.req q.f_data ~lblk:q.f_lblk)
 
-(* A coalesced group as a single contiguous request.  When the merged
-   request fails with a retryable cause, fall back to servicing the
-   members individually so only the member actually covering the fault
-   fails — the isolation the tagged queue promises.  Each member's
-   failure names its own logical range.  Block buffers move between the
-   members and the merged request by pointer, never by copy. *)
-let service_merged t si ~lo ~hi (first : frag Ioqueue.item) group =
+(* A coalesced group of [n] records, the spindle's last dispatch, as a
+   single contiguous request.  When the merged request fails with a
+   retryable cause, fall back to servicing the members individually so
+   only the member actually covering the fault fails — the isolation the
+   tagged queue promises.  Each member's failure names its own logical
+   range.  Block buffers move between the members and the merged request
+   by pointer, never by copy. *)
+let service_merged t si ~lo ~hi n =
+  let sp = t.spindles.(si) in
+  let g = sp.queue in
   (* contiguous ascending by construction *)
   let spb = sectors_per_block t in
+  let first = Ioqueue.dispatched g 0 and last = Ioqueue.dispatched g (n - 1) in
+  let kind = first.req.Request.kind and lblk = first.payload.f_lblk in
   let start = first.req.Request.lba / spb in
-  let total = List.fold_left (fun acc it -> acc + item_blocks t it) 0 group in
-  let off (it : frag Ioqueue.item) = (it.req.Request.lba / spb) - start in
-  let each f = List.fold_left (fun v it -> finish t ~lo ~hi v it (f it)) Go group in
-  let req = { first.req with Request.sectors = total * spb } in
+  let total = ((last.req.Request.lba + last.req.Request.sectors) / spb) - start in
+  let req = sp.merged in
+  req.Request.lba <- first.req.Request.lba;
+  req.Request.sectors <- total * spb;
+  req.Request.kind <- kind;
+  let off (it : frag Ioqueue.item) = (it.req.Request.lba / spb) - start [@@inline] in
   let merged =
-    match first.req.Request.kind with
-    | Request.Read -> read_service t si req ~lblk:first.payload.f_lblk
+    match kind with
+    | Request.Read -> read_service t si req ~lblk
     | Request.Write ->
         let blocks = Array.make total Bytes.empty in
-        List.iter
-          (fun (it : frag Ioqueue.item) ->
-            let d = it.payload.f_data in
-            Array.blit d 0 blocks (off it) (Array.length d))
-          group;
-        write_service t si req blocks ~lblk:first.payload.f_lblk
+        for i = 0 to n - 1 do
+          let it = Ioqueue.dispatched g i in
+          let d = it.payload.f_data in
+          Array.blit d 0 blocks (off it) (Array.length d)
+        done;
+        write_service t si req blocks ~lblk
   in
-  match merged with
-  | Ok views when first.req.Request.kind = Request.Read ->
-      each (fun it -> Ok (Array.sub views (off it) (item_blocks t it)))
-  | Ok _ -> each (fun _ -> ok_empty)
-  | Error e when e.Io_error.cause = Io_error.Power_cut ->
-      (* torn or cut mid-request: the merged request died as one *)
-      each (fun (it : frag Ioqueue.item) ->
-          Error { e with Io_error.blk = it.payload.f_lblk; nblocks = item_blocks t it })
-  | Error _ -> List.fold_left (service_one t si ~lo ~hi) Go group
+  let v = ref Go in
+  for i = 0 to n - 1 do
+    let it = Ioqueue.dispatched g i in
+    v :=
+      match merged with
+      | Ok views when kind = Request.Read ->
+          finish t sp ~lo ~hi !v it (Ok (Array.sub views (off it) (item_blocks t it)))
+      | Ok _ -> finish t sp ~lo ~hi !v it ok_empty
+      | Error e when e.Io_error.cause = Io_error.Power_cut ->
+          (* torn or cut mid-request: the merged request died as one *)
+          finish t sp ~lo ~hi !v it
+            (Error { e with Io_error.blk = it.payload.f_lblk; nblocks = item_blocks t it })
+      | Error _ -> service_one t si ~lo ~hi !v it
+  done;
+  !v
 
-let rec account_waits sp = function
-  | [] -> ()
-  | (it : frag Ioqueue.item) :: rest ->
-      sp.wait.v <- sp.clock.v -. it.Ioqueue.submitted_at;
-      Cffs_obs.Registry.observe_cell h_wait sp.wait;
-      m_wait_total.v <- m_wait_total.v +. sp.wait.v;
-      account_waits sp rest
+let account_waits sp n =
+  for i = 0 to n - 1 do
+    sp.wait.v <- sp.clock.v -. (Ioqueue.dispatched sp.queue i).Ioqueue.submitted.v;
+    Cffs_obs.Registry.observe_cell h_wait sp.wait;
+    m_wait_total.v <- m_wait_total.v +. sp.wait.v
+  done
 
-let service_group t si ~lo ~hi (group : frag Ioqueue.item list) =
-  account_waits t.spindles.(si) group;
-  match group with
-  | [] -> Go
-  | [ it ] -> service_one t si ~lo ~hi Go it
-  | first :: _ -> service_merged t si ~lo ~hi first group
+(* Service the [n] records of spindle [si]'s last dispatch. *)
+let service_group t si ~lo ~hi n =
+  let sp = t.spindles.(si) in
+  account_waits sp n;
+  if n = 1 then service_one t si ~lo ~hi Go (Ioqueue.dispatched sp.queue 0)
+  else service_merged t si ~lo ~hi n
 
 (* Every request still queued on spindle [si] fails its waiter without
    touching the media or the clock — and without counting as a device
    error, since the device never saw it. *)
 let fail_pending t si cause =
+  let sp = t.spindles.(si) in
   List.iter
     (fun (it : frag Ioqueue.item) ->
-      complete t it
+      complete t sp it
         (Error
            (err (item_op it) ~blk:it.payload.f_lblk ~nblocks:(item_blocks t it)
               cause)))
-    (Ioqueue.clear t.spindles.(si).queue)
+    (Ioqueue.clear sp.queue)
 
 (* [run] arguments for "every tag" and for "no batch being issued". *)
 let any_tag = 0
@@ -760,10 +850,12 @@ let rec frags_on extents si stop i lblk acc =
     frags_on extents si stop (i + 1) (e.lstart + e.xlen) (if e.xsub = si then acc + 1 else acc)
   end
 
-let rec count_tag tag = function
-  | [] -> 0
-  | (it : frag Ioqueue.item) :: rest ->
-      (if it.payload.f_tag = tag then 1 else 0) + count_tag tag rest
+(* How many of the last dispatch's [n] records, from [i], serve [tag]. *)
+let rec count_tag g tag i n acc =
+  if i >= n then acc
+  else
+    count_tag g tag (i + 1) n
+      (if (Ioqueue.dispatched g i).Ioqueue.payload.f_tag = tag then acc + 1 else acc)
 
 (* Service spindle [si]'s queue one dispatch group at a time — only while
    it still holds some of [tag]'s [frags] fragments, unless [tag] is
@@ -780,23 +872,23 @@ let run t si ~tag ~frags ~lo ~hi =
   let cyl = ref (head_cyl sp) in
   let failed = ref None and go = ref true and left = ref frags in
   while !go && (tag = any_tag || !left > 0) do
-    match Ioqueue.take sp.queue ~geom ~current_cyl:!cyl with
-    | None -> go := false
-    | Some group -> (
-        left := !left - count_tag tag group;
-        (match (geom, group) with
-        | Some g, (it : frag Ioqueue.item) :: _ ->
-            cyl := Geometry.cyl_of_lba g it.req.Request.lba
-        | _ -> ());
-        match service_group t si ~lo ~hi group with
-        | Go -> ()
-        | Cut ->
-            fail_pending t si Io_error.Power_cut;
-            go := false
-        | Failed e ->
-            fail_pending t si Io_error.Power_cut;
-            failed := Some e;
-            go := false)
+    let n = Ioqueue.dispatch sp.queue ~geom ~current_cyl:!cyl in
+    if n = 0 then go := false
+    else begin
+      if tag <> any_tag then left := !left - count_tag sp.queue tag 0 n 0;
+      (match geom with
+      | Some g -> cyl := Geometry.cyl_of_lba g (Ioqueue.dispatched sp.queue 0).req.Request.lba
+      | None -> ());
+      match service_group t si ~lo ~hi n with
+      | Go -> ()
+      | Cut ->
+          fail_pending t si Io_error.Power_cut;
+          go := false
+      | Failed e ->
+          fail_pending t si Io_error.Power_cut;
+          failed := Some e;
+          go := false
+    end
   done;
   !failed
 
@@ -845,39 +937,22 @@ let drain t =
       { c with cq_result = Result.map (own_concat t) c.cq_result })
     (drain_views t)
 
-let rec take_completed t tag before = function
-  | [] -> raise Not_found
-  | c :: rest when c.cq_tag = tag ->
-      t.completed <- List.rev_append before rest;
-      c
-  | c :: rest -> take_completed t tag (c :: before) rest
-
-(* [tag]'s completion, out of the completed list.  A synchronous request
-   finds its own completion alone there, which is taken as it is. *)
-let completion t tag =
-  match t.completed with
-  | [ c ] when c.cq_tag = tag ->
-      t.completed <- [];
-      c
-  | l -> take_completed t tag [] l
-
-(* Drain only the spindles holding [tag], the request just submitted
-   for [blk, blk+n), each only until its share of [tag] is serviced,
-   leaving other pending requests queued and other completions for a
-   later [drain]. *)
+(* Service the synchronous request [tag] just submitted for
+   [blk, blk+n): drain only the spindles holding it, each only until its
+   share is serviced, leaving other pending requests queued and other
+   completions for a later [drain].  Its result is in the mailbox. *)
 let drain_tag t tag blk n =
-  match completion t tag with
-  | c -> c
-  | exception Not_found -> (
-      sync t;
-      let first = search t.extents lstart_of blk in
-      for si = 0 to Array.length t.spindles - 1 do
-        let frags = frags_on t.extents si (blk + n) first blk 0 in
-        ignore (run t si ~tag ~frags ~lo:no_lo ~hi:no_hi)
-      done;
-      match completion t tag with
-      | c -> c
-      | exception Not_found -> invalid_arg "Blockdev.drain_tag: unknown tag")
+  sync t;
+  let first = search t.extents lstart_of blk in
+  for si = 0 to Array.length t.spindles - 1 do
+    let frags = frags_on t.extents si (blk + n) first blk 0 in
+    ignore (run t si ~tag ~frags ~lo:no_lo ~hi:no_hi)
+  done;
+  if t.sync_tag <> tag then invalid_arg "Blockdev.drain_tag: unknown tag";
+  let result = t.sync_result in
+  t.sync_tag <- 0;
+  t.sync_result <- ok_empty;
+  result
 
 let reset_queue t =
   let n = pending t in
@@ -885,6 +960,13 @@ let reset_queue t =
     fail_pending t si Io_error.Power_cut
   done;
   n
+
+let submit_unit t (start, blocks) =
+  match blocks with
+  | [ b ] -> ignore (submit t Io_error.Write Batch start 1 no_blocks b)
+  | _ ->
+      let a = Array.of_list blocks in
+      ignore (submit t Io_error.Write Batch start (Array.length a) a Bytes.empty)
 
 (* Issue a set of contiguous units, each submitted as one tagged write
    before any spindle drains, so spindles service their shares
@@ -896,40 +978,33 @@ let reset_queue t =
    semantics the fault harness depends on.  The error raised is the first
    real fault.  Each unit's block buffers go to the store as they are. *)
 let issue_units t units =
-  if units <> [] then begin
-    List.iter
-      (fun (start, blocks) ->
-        check_range t Io_error.Write start (List.length blocks))
-      units;
-    let lo = t.next_tag in
-    List.iter
-      (fun (start, blocks) ->
-        let blocks = Array.of_list blocks in
-        ignore (submit t Io_error.Write start (Array.length blocks) blocks))
-      units;
-    let hi = t.next_tag - 1 in
-    sync t;
-    let failed = ref None in
-    for si = 0 to Array.length t.spindles - 1 do
-      match run t si ~tag:any_tag ~frags:0 ~lo ~hi with
-      | Some e when !failed = None -> failed := Some e
-      | _ -> ()
-    done;
-    (* strip our completions; foreign async completions stay for their
-       own [drain] *)
-    let ours, others =
-      List.partition (fun c -> c.cq_tag >= lo && c.cq_tag <= hi) (List.rev t.completed)
-    in
-    t.completed <- List.rev others;
-    Option.iter (fun e -> raise (Io_error.E e)) !failed;
-    List.iter
-      (fun c -> match c.cq_result with Error e -> raise (Io_error.E e) | Ok _ -> ())
-      ours
-  end
+  match units with
+  | [] -> ()
+  | _ ->
+      List.iter
+        (fun (start, blocks) ->
+          check_range t Io_error.Write start (List.length blocks))
+        units;
+      let lo = t.next_tag in
+      t.batch_err <- None;
+      List.iter (submit_unit t) units;
+      let hi = t.next_tag - 1 in
+      sync t;
+      let failed = ref None in
+      for si = 0 to Array.length t.spindles - 1 do
+        match run t si ~tag:any_tag ~frags:0 ~lo ~hi with
+        | Some e when !failed = None -> failed := Some e
+        | _ -> ()
+      done;
+      (* foreign async completions stay for their own [drain] *)
+      let first = t.batch_err in
+      t.batch_err <- None;
+      Option.iter (fun e -> raise (Io_error.E e)) !failed;
+      Option.iter (fun e -> raise (Io_error.E e)) first
 
 let read_views t blk n =
-  let tag = submit_read t blk n in
-  match (drain_tag t tag blk n).cq_result with
+  let tag = submit t Io_error.Read Sync blk n no_blocks Bytes.empty in
+  match drain_tag t tag blk n with
   | Ok views -> views
   | Error e -> raise (Io_error.E e)
 
@@ -938,22 +1013,23 @@ let read t blk n = own_concat t (read_views t blk n)
 let write t blk data =
   let len = Bytes.length data in
   if len mod t.block_size <> 0 then invalid_arg "Blockdev.write: partial block";
-  check_range t Io_error.Write blk (len / t.block_size);
-  let tag = submit_write t blk data in
-  match (drain_tag t tag blk (len / t.block_size)).cq_result with
+  let n = len / t.block_size in
+  check_range t Io_error.Write blk n;
+  let tag = submit_contiguous t Sync blk data in
+  match drain_tag t tag blk n with
   | Ok _ -> ()
   | Error e -> raise (Io_error.E e)
 
-let check_one_block t (blk, data) =
-  if Bytes.length data <> t.block_size then
-    invalid_arg "Blockdev.write_batch_units: data must be one block";
-  check_range t Io_error.Write blk 1
+let rec check_unit t blk = function
+  | [] -> ()
+  | data :: rest ->
+      if Bytes.length data <> t.block_size then
+        invalid_arg "Blockdev.write_batch_units: data must be one block";
+      check_range t Io_error.Write blk 1;
+      check_unit t (blk + 1) rest
 
 let write_batch_units t units =
-  List.iter
-    (fun (start, blocks) ->
-      List.iteri (fun i data -> check_one_block t (start + i, data)) blocks)
-    units;
+  List.iter (fun (start, blocks) -> check_unit t start blocks) units;
   issue_units t units
 
 (* --- raw contents, in logical space ----------------------------------------- *)

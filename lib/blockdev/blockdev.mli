@@ -101,10 +101,13 @@ val nblocks : t -> int
 
 val set_injector : t -> injector option -> unit
 (** Install (or clear) the fault-decision hook consulted once per request.
-    {!Faultdev} is the intended client; tests may install their own. *)
+    {!Faultdev} is the intended client; tests may install their own.  A
+    hook runs while its spindle's dispatch group is being serviced, so it
+    must not submit I/O to the device itself. *)
 
 val set_write_observer : t -> write_observer option -> unit
-(** Install (or clear) the per-write-request notification hook. *)
+(** Install (or clear) the per-write-request notification hook; like the
+    injector, it must not submit I/O to the device. *)
 
 (** {2 Integrity tags}
 
@@ -179,7 +182,11 @@ val read : t -> int -> int -> bytes
     contiguous transfer.  The synchronous operations above are submit +
     drain of a single tag, and {!write_batch_units} submits every unit
     before draining, so per-mount depth/policy/coalescing settings govern
-    the whole I/O path.  Defaults preserve the classic behaviour: an
+    the whole I/O path.  Each queued request is a record from its
+    spindle's free list, reused from submit until its result reaches the
+    waiter; a synchronous call takes its result without a completion,
+    and the completions {!drain} and {!drain_views} return are the
+    caller's own records.  Defaults preserve the classic behaviour: an
     unbounded window (the scheduler sees whole batches), the policy given
     to {!of_drive} (FIFO for memory devices), and no coalescing.  On a
     composite the settings apply to every spindle's queue. *)

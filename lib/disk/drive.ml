@@ -47,6 +47,8 @@ type t = {
   total : times;  (* every request so far *)
   cur : times;  (* the request being serviced; [busy] is its duration *)
   sample : Obs.cell;  (* [cur.busy], for [h_service] *)
+  at : Geometry.pos;  (* where the request being serviced starts *)
+  seek_s : Obs.cell;  (* its seek time *)
   mutable cyl : int;
   mutable head : int;
   mutable reads : int;
@@ -76,6 +78,8 @@ let create (p : Profile.t) =
     total = zero_times ();
     cur = zero_times ();
     sample = { Obs.v = 0.0 };
+    at = { Geometry.cyl = 0; head = 0; sector = 0; spt = 0 };
+    seek_s = { Obs.v = 0.0 };
     cyl = 0;
     head = 0;
     reads = 0;
@@ -166,14 +170,15 @@ let transfer_walk t (pos : Geometry.pos) ~sectors =
    the clock, so think time changes which sector is under the head) and
    transfer, each into [t.cur]; the request ends at [t.settled]. *)
 let mechanical t (req : Request.t) =
-  let c = t.cur in
+  let c = t.cur and pos = t.at in
   let start = t.clock.v +. c.overhead in
-  let pos = Geometry.locate t.geom req.lba in
+  Geometry.locate_into t.geom req.lba pos;
   let dist = abs (t.cyl - pos.cyl) in
-  c.seek <-
-    (if dist > 0 then Seek.time t.seek_curve dist
-     else if t.head <> pos.head then t.head_switch
-     else 0.0);
+  if dist > 0 then begin
+    Seek.time_into t.seek_curve dist t.seek_s;
+    c.seek <- t.seek_s.v
+  end
+  else c.seek <- (if t.head <> pos.head then t.head_switch else 0.0);
   let after_seek = start +. c.seek in
   let target = float_of_int pos.sector /. float_of_int pos.spt in
   let angle = Float.rem (after_seek /. t.rev_time) 1.0 in
@@ -230,9 +235,9 @@ let trace t (req : Request.t) ~start ~hit =
 (* Every branch below keeps the attribution invariant the obs layer builds
    on: duration = seek + rotation + transfer + overhead + cachehit, with
    each term charged to exactly one component.  The service writes its
-   components into [t.cur] rather than returning them, so nothing on the
-   path allocates but the geometry lookup, the seek time and the result. *)
-let service t (req : Request.t) =
+   components into [t.cur], and its position and seek time into [t.at]
+   and [t.seek_s], so nothing on the path allocates. *)
+let serve t (req : Request.t) =
   let c = t.cur in
   settle t;
   c.seek <- 0.0;
@@ -262,8 +267,10 @@ let service t (req : Request.t) =
              already on this track reading; only the not-yet-buffered tail
              costs media time.  No seek, no rotational loss. *)
           let fresh = req.sectors - cached in
-          if fresh > 0 then
-            transfer_walk t (Geometry.locate t.geom (req.lba + cached)) ~sectors:fresh;
+          if fresh > 0 then begin
+            Geometry.locate_into t.geom (req.lba + cached) t.at;
+            transfer_walk t t.at ~sectors:fresh
+          end;
           t.settled.v <- t.clock.v +. c.overhead +. c.transfer;
           c.busy <- c.overhead +. c.transfer;
           true
@@ -300,5 +307,8 @@ let service t (req : Request.t) =
   t.clock.v <- start +. c.busy;
   t.sample.v <- c.busy;
   Obs.observe_cell h_service t.sample;
-  if Otrace.is_enabled () then trace t req ~start ~hit;
-  c.busy
+  if Otrace.is_enabled () then trace t req ~start ~hit
+
+let service t req =
+  serve t req;
+  t.cur.busy

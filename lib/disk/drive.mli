@@ -30,6 +30,10 @@ val current_cyl : t -> int
 val service : t -> Request.t -> float
 (** Service a request, advancing the clock; returns the service time. *)
 
+val serve : t -> Request.t -> unit
+(** {!service} without its result, which would be boxed: the form the
+    block device's per-request path calls. *)
+
 val stats : t -> Request.Stats.s
 (** A fresh copy of the drive's counters. *)
 

@@ -7,7 +7,7 @@ type zone_info = {
 
 type t = { zones : zone_info array; heads : int; total : int; cylinders : int }
 
-type pos = { cyl : int; head : int; sector : int; spt : int }
+type pos = { mutable cyl : int; mutable head : int; mutable sector : int; mutable spt : int }
 
 let of_profile (p : Profile.t) =
   let next_lba = ref 0 in
@@ -54,13 +54,20 @@ let zone_of_lba t lba =
   if lba < 0 || lba >= t.total then invalid_arg "Geometry: LBA out of range";
   find_lba t lba 0
 
-let locate t lba =
+let locate_into t lba p =
   let z = zone_of_lba t lba in
   let rel = lba - z.first_lba in
   let per_cyl = t.heads * z.spt in
-  let cyl = z.first_cyl + (rel / per_cyl) in
   let in_cyl = rel mod per_cyl in
-  { cyl; head = in_cyl / z.spt; sector = in_cyl mod z.spt; spt = z.spt }
+  p.cyl <- z.first_cyl + (rel / per_cyl);
+  p.head <- in_cyl / z.spt;
+  p.sector <- in_cyl mod z.spt;
+  p.spt <- z.spt
+
+let locate t lba =
+  let p = { cyl = 0; head = 0; sector = 0; spt = 0 } in
+  locate_into t lba p;
+  p
 
 let cyl_of_lba t lba =
   let z = zone_of_lba t lba in

@@ -8,10 +8,10 @@
 type t
 
 type pos = {
-  cyl : int;
-  head : int;
-  sector : int;  (** index within the track *)
-  spt : int;  (** sectors per track at this cylinder *)
+  mutable cyl : int;
+  mutable head : int;
+  mutable sector : int;  (** index within the track *)
+  mutable spt : int;  (** sectors per track at this cylinder *)
 }
 
 val of_profile : Profile.t -> t
@@ -23,6 +23,10 @@ val sectors_per_track : t -> int -> int
 
 val locate : t -> int -> pos
 (** [locate t lba].  Raises [Invalid_argument] for out-of-range LBAs. *)
+
+val locate_into : t -> int -> pos -> unit
+(** [locate_into t lba p] writes [locate t lba] into [p], allocating
+    nothing. *)
 
 val cyl_of_lba : t -> int -> int
 (** Cheap cylinder-only lookup used by schedulers. *)

@@ -55,137 +55,219 @@
 
    - [passes] is the number of dispatches an entry sat through in the
      window, so it is set when the entry leaves, from the dispatch count
-     at its promotion. *)
+     at its promotion.
+
+   - Nothing above allocates per request.  An entry is one record that
+     carries its request, its links in the arrival FIFO and the window,
+     its dependency count and its children in each ordered set; the
+     owner of a dispatched or cleared record hands it back ([recycle])
+     once its result is delivered, and the next submission reuses it.  A
+     dispatch group is read from a buffer the queue keeps, not built as
+     a list.
+
+   - Links are slot numbers, not pointers.  A queued record holds a slot
+     of the queue's arena until it leaves, and every link names a slot.
+     A record outlives its requests, so it usually sits in the major
+     heap, where a pointer store costs a write-barrier call (OCaml 5);
+     an int store costs nothing, so a request costs a handful of barrier
+     calls instead of one per link it touches. *)
 
 type tag = int
 
+(* A queued request and every link the queue keeps for it, in one record
+   that outlives the request: [recycle] puts it on the queue's free list
+   and the next [acquire] rewrites it, so a steady stream of requests
+   allocates nothing here.  Links are slots ([nil] for none). *)
 type 'a item = {
-  tag : tag;
+  mutable tag : tag;
   req : Request.t;
-  payload : 'a;
-  seq : int;
-  submitted_at : float;
+  mutable payload : 'a;
+  mutable seq : int;
+  submitted : Cffs_obs.Registry.cell;
   mutable passes : int;
+  mutable slot : int;
+  mutable sweep : int;
+  mutable promoted : int;
+  mutable deps : int;
+  mutable dependents : int list;
+  mutable older : int;
+  mutable newer : int;
+  mutable pri : int;
+  mutable span_l : int;
+  mutable span_r : int;
+  mutable ready_l : int;
+  mutable ready_r : int;
+  mutable start_l : int;
+  mutable start_r : int;
+  mutable end_l : int;
+  mutable end_r : int;
 }
 
-(* Ordered sets of window entries: mutable treaps (priority given by the
-   caller).  Adding an element allocates one cell; removing and
-   searching allocate nothing.  (Stdlib's persistent [Map] copies a path
-   on every update, which at shallow queue depths allocated more per
-   request than the list scans it replaces.) *)
-module Oset = struct
-  type 'a tree =
-    | Leaf
-    | Node of { v : 'a; pri : int; mutable l : 'a tree; mutable r : 'a tree }
+let nil = -1
 
-  type 'a t = { cmp : 'a -> 'a -> int; mutable root : 'a tree }
+(* The four roles an entry can hold at once, one set of each: a span
+   set, a ready set, the starts and the ends.  Each role has its own
+   pair of child links in the record. *)
+let span_role = 0
+let ready_role = 1
+let starts_role = 2
+let ends_role = 3
 
-  let create cmp = { cmp; root = Leaf }
-  let is_empty s = match s.root with Leaf -> true | Node _ -> false
-  let clear s = s.root <- Leaf
+let left role n =
+  match role with 0 -> n.span_l | 1 -> n.ready_l | 2 -> n.start_l | _ -> n.end_l
+  [@@inline]
 
-  let rec ins cmp x pri t =
-    match t with
-    | Leaf -> Node { v = x; pri; l = Leaf; r = Leaf }
-    | Node n ->
-        if cmp x n.v < 0 then begin
-          match ins cmp x pri n.l with
-          | Node m as l when m.pri > n.pri ->
-              n.l <- m.r;
-              m.r <- t;
-              l
-          | l ->
-              n.l <- l;
-              t
-        end
-        else begin
-          match ins cmp x pri n.r with
-          | Node m as r when m.pri > n.pri ->
-              n.r <- m.l;
-              m.l <- t;
-              r
-          | r ->
-              n.r <- r;
-              t
-        end
+let right role n =
+  match role with 0 -> n.span_r | 1 -> n.ready_r | 2 -> n.start_r | _ -> n.end_r
+  [@@inline]
 
-  let add s x pri = s.root <- ins s.cmp x pri s.root
+let set_left role n v =
+  match role with
+  | 0 -> n.span_l <- v
+  | 1 -> n.ready_l <- v
+  | 2 -> n.start_l <- v
+  | _ -> n.end_l <- v
+  [@@inline]
 
-  let rec merge a b =
-    match (a, b) with
-    | Leaf, t | t, Leaf -> t
-    | Node x, Node y ->
-        if x.pri > y.pri then begin
-          x.r <- merge x.r b;
-          a
-        end
-        else begin
-          y.l <- merge a y.l;
-          b
-        end
+let set_right role n v =
+  match role with
+  | 0 -> n.span_r <- v
+  | 1 -> n.ready_r <- v
+  | 2 -> n.start_r <- v
+  | _ -> n.end_r <- v
+  [@@inline]
 
-  let rec del cmp x t =
-    match t with
-    | Leaf -> Leaf
-    | Node n ->
-        let c = cmp x n.v in
-        if c = 0 then merge n.l n.r
-        else begin
-          if c < 0 then n.l <- del cmp x n.l else n.r <- del cmp x n.r;
-          t
-        end
-
-  let remove s x = s.root <- del s.cmp x s.root
-
-  (* The searches below return the cell holding the element ([Leaf] for
-     none) and take a [key] that must be monotone along the order, so
-     they allocate nothing: no option, no predicate closure. *)
-
-  (* The least element whose [key] is at least [x]. *)
-  let rec first_ge key (x : int) acc = function
-    | Leaf -> acc
-    | Node n as t -> if key n.v >= x then first_ge key x t n.l else first_ge key x acc n.r
-
-  (* The greatest element whose [key] is below [x]. *)
-  let rec last_lt key (x : int) acc = function
-    | Leaf -> acc
-    | Node n as t -> if key n.v < x then last_lt key x t n.r else last_lt key x acc n.l
-end
-
-(* A window entry with its place in the indexes. *)
-type 'a node = {
-  item : 'a item;
-  sweep : int;  (* generation of the sweep it belongs to *)
-  promoted : int;  (* dispatch count when it entered the window *)
-  mutable deps : int;  (* undispatched overlapping window predecessors *)
-  mutable dependents : 'a node list;  (* entries counting this one *)
-  mutable older : 'a node option;  (* window neighbours, submission order *)
-  mutable newer : 'a node option;
-}
-
-let lba n = n.item.req.Request.lba
-let end_of n = n.item.req.Request.lba + n.item.req.Request.sectors
-let seq n = n.item.seq
-(* Treap priority: a multiplicative hash of seq, so the shape does not
-   follow the order entries arrive in. *)
-let pri n =
-  let h = n.item.seq * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 29)
+let lba n = n.req.Request.lba
+let end_of n = n.req.Request.lba + n.req.Request.sectors
+let seq n = n.seq
 
 (* Orders on the window: (lba, seq) and (end, seq), unique since seq is. *)
 let by_lba a b = match Int.compare (lba a) (lba b) with 0 -> Int.compare (seq a) (seq b) | c -> c
 let by_end a b = match Int.compare (end_of a) (end_of b) with 0 -> Int.compare (seq a) (seq b) | c -> c
 
+(* Ordered sets of window entries: treaps over the queue's arena [a],
+   whose cells are the entries themselves, so adding, removing and
+   searching allocate nothing.  The priority is the entry's [pri]. *)
+module Oset = struct
+  type t = { by_end : bool; role : int; mutable root : int }
+
+  let create ~role ~by_end = { by_end; role; root = nil }
+  let cmp s x n = if s.by_end then by_end x n else by_lba x n [@@inline]
+  let is_empty s = s.root = nil
+  let clear s = s.root <- nil
+
+  let rec ins a s x t =
+    if t = nil then begin
+      set_left s.role x nil;
+      set_right s.role x nil;
+      x.slot
+    end
+    else begin
+      let n = a.(t) in
+      if cmp s x n < 0 then begin
+        let l = ins a s x (left s.role n) in
+        let m = a.(l) in
+        if m.pri > n.pri then begin
+          set_left s.role n (right s.role m);
+          set_right s.role m t;
+          l
+        end
+        else begin
+          set_left s.role n l;
+          t
+        end
+      end
+      else begin
+        let r = ins a s x (right s.role n) in
+        let m = a.(r) in
+        if m.pri > n.pri then begin
+          set_right s.role n (left s.role m);
+          set_left s.role m t;
+          r
+        end
+        else begin
+          set_right s.role n r;
+          t
+        end
+      end
+    end
+
+  let add a s x = s.root <- ins a s x s.root
+
+  let rec merge a s x y =
+    if x = nil then y
+    else if y = nil then x
+    else begin
+      let nx = a.(x) and ny = a.(y) in
+      if nx.pri > ny.pri then begin
+        set_right s.role nx (merge a s (right s.role nx) y);
+        x
+      end
+      else begin
+        set_left s.role ny (merge a s x (left s.role ny));
+        y
+      end
+    end
+
+  let rec del a s x t =
+    if t = nil then nil
+    else begin
+      let n = a.(t) in
+      let c = cmp s x n in
+      if c = 0 then merge a s (left s.role n) (right s.role n)
+      else begin
+        if c < 0 then set_left s.role n (del a s x (left s.role n))
+        else set_right s.role n (del a s x (right s.role n));
+        t
+      end
+    end
+
+  let remove a s x = s.root <- del a s x s.root
+
+  (* The searches below return a slot ([nil] for none) and take a [key]
+     that must be monotone along the order, so they allocate nothing:
+     no option, no predicate closure. *)
+
+  (* The least element whose [key] is at least [x]. *)
+  let rec first_ge a s key (x : int) acc t =
+    if t = nil then acc
+    else begin
+      let n = a.(t) in
+      if key n >= x then first_ge a s key x t (left s.role n)
+      else first_ge a s key x acc (right s.role n)
+    end
+
+  (* The greatest element whose [key] is below [x]. *)
+  let rec last_lt a s key (x : int) acc t =
+    if t = nil then acc
+    else begin
+      let n = a.(t) in
+      if key n < x then last_lt a s key x t (right s.role n)
+      else last_lt a s key x acc (left s.role n)
+    end
+end
+
+(* Treap priority: a multiplicative hash of seq, so the shape does not
+   follow the order entries arrive in. *)
+let pri_of seq =
+  let h = seq * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
 (* Number of length classes: lengths up to [max_int] have class <= 61. *)
 let classes = Sys.int_size - 1
 
 (* The window entries of one request kind. *)
-type 'a side = {
-  spans : 'a node Oset.t array;  (* by length class, in (lba, seq) order *)
+type side = {
+  spans : Oset.t array;  (* by length class, in (lba, seq) order *)
   mutable used : int;  (* bitmask of the nonempty [spans] *)
-  starts : 'a node Oset.t;  (* eligible, by (lba, seq); coalescing only *)
-  ends : 'a node Oset.t;  (* eligible, by (end, seq); coalescing only *)
+  starts : Oset.t;  (* eligible, by (lba, seq); coalescing only *)
+  ends : Oset.t;  (* eligible, by (end, seq); coalescing only *)
 }
+
+(* Free records kept for reuse, per queue.  A batch deeper than this
+   allocates its extra records and lets them go after completion, so the
+   free list never pins more than a small constant. *)
+let spare_cap = 64
 
 type 'a t = {
   mutable depth : int;
@@ -193,17 +275,34 @@ type 'a t = {
   mutable coalesce : bool;
   mutable next_tag : int;
   mutable next_seq : int;
-  arrival : 'a item Queue.t;
-  mutable oldest : 'a node option;  (* the window, as a doubly linked list *)
-  mutable newest : 'a node option;
+  (* The queued records by slot.  Slot 0 is never handed out: it holds
+     the first record this queue made, which a free slot holds instead
+     of the record that left it, so the arena pins nothing else. *)
+  mutable arena : 'a item array;
+  mutable free_slots : int array;  (* a stack of the free slots *)
+  mutable nfree : int;
+  mutable first_arrival : int;  (* the arrival FIFO, linked by [newer] *)
+  mutable last_arrival : int;
+  mutable arrivals : int;
+  mutable oldest : int;  (* the window, as a doubly linked list *)
+  mutable newest : int;
   mutable live : int;  (* window size *)
   mutable dispatches : int;
   mutable gen : int;  (* the current sweep *)
   mutable sweep_left : int;  (* its members still in the window *)
-  mutable ready : 'a node Oset.t;  (* its eligible members, by (lba, seq) *)
-  mutable ready_next : 'a node Oset.t;  (* eligible members of sweep gen + 1 *)
-  reads : 'a side;
-  writes : 'a side;
+  mutable ready : Oset.t;  (* its eligible members, by (lba, seq) *)
+  mutable ready_next : Oset.t;  (* eligible members of sweep gen + 1 *)
+  reads : side;
+  writes : side;
+  (* The slots of the last dispatch group, in lba order:
+     [group.(g_lo .. g_hi - 1)].  Coalescing grows it at both ends from
+     the middle.  Its records keep their slots until the next dispatch,
+     so [dispatched] reads them until then. *)
+  mutable group : int array;
+  mutable g_lo : int;
+  mutable g_hi : int;
+  mutable spare : 'a item array;  (* the free list: [spare.(0 .. spares - 1)] *)
+  mutable spares : int;
   depth_sample : Cffs_obs.Registry.cell;  (* [pending] at a take, for [h_depth] *)
 }
 
@@ -216,10 +315,10 @@ let h_depth = Cffs_obs.Registry.histogram "ioqueue.depth"
 
 let new_side () =
   {
-    spans = Array.init classes (fun _ -> Oset.create by_lba);
+    spans = Array.init classes (fun _ -> Oset.create ~role:span_role ~by_end:false);
     used = 0;
-    starts = Oset.create by_lba;
-    ends = Oset.create by_end;
+    starts = Oset.create ~role:starts_role ~by_end:false;
+    ends = Oset.create ~role:ends_role ~by_end:true;
   }
 
 let create ?(depth = max_int) ?(policy = Scheduler.Fcfs) ?(coalesce = false) () =
@@ -230,17 +329,27 @@ let create ?(depth = max_int) ?(policy = Scheduler.Fcfs) ?(coalesce = false) () 
     coalesce;
     next_tag = 1;
     next_seq = 0;
-    arrival = Queue.create ();
-    oldest = None;
-    newest = None;
+    arena = [||];
+    free_slots = [||];
+    nfree = 0;
+    first_arrival = nil;
+    last_arrival = nil;
+    arrivals = 0;
+    oldest = nil;
+    newest = nil;
     live = 0;
     dispatches = 0;
     gen = 0;
     sweep_left = 0;
-    ready = Oset.create by_lba;
-    ready_next = Oset.create by_lba;
+    ready = Oset.create ~role:ready_role ~by_end:false;
+    ready_next = Oset.create ~role:ready_role ~by_end:false;
     reads = new_side ();
     writes = new_side ();
+    group = [| nil |];
+    g_lo = 0;
+    g_hi = 0;
+    spare = [||];
+    spares = 0;
     depth_sample = { Cffs_obs.Registry.v = 0.0 };
   }
 
@@ -249,18 +358,88 @@ let policy t = t.policy
 let coalesce t = t.coalesce
 let set_depth t d = if d < 1 then invalid_arg "Ioqueue.set_depth" else t.depth <- d
 let set_policy t p = t.policy <- p
-let pending t = Queue.length t.arrival + t.live
-let is_empty t = t.live = 0 && Queue.is_empty t.arrival
+let pending t = t.arrivals + t.live
+let is_empty t = t.live = 0 && t.arrivals = 0
 
 let side t n =
-  match n.item.req.Request.kind with Request.Read -> t.reads | Request.Write -> t.writes
+  match n.req.Request.kind with Request.Read -> t.reads | Request.Write -> t.writes
+
+(* --- records and slots ---------------------------------------------- *)
+
+let fresh payload =
+  {
+    tag = 0;
+    req = { Request.lba = 0; sectors = 1; kind = Request.Read };
+    payload;
+    seq = 0;
+    submitted = { Cffs_obs.Registry.v = 0.0 };
+    passes = 0;
+    slot = nil;
+    sweep = 0;
+    promoted = 0;
+    deps = 0;
+    dependents = [];
+    older = nil;
+    newer = nil;
+    pri = 0;
+    span_l = nil;
+    span_r = nil;
+    ready_l = nil;
+    ready_r = nil;
+    start_l = nil;
+    start_r = nil;
+    end_l = nil;
+    end_r = nil;
+  }
+
+let pop_spare t =
+  t.spares <- t.spares - 1;
+  t.spare.(t.spares)
+
+let acquire t make = if t.spares > 0 then pop_spare t else fresh (make ())
+
+let recycle t it =
+  if it.tag = 0 then invalid_arg "Ioqueue.recycle: record not in use";
+  it.tag <- 0;
+  (match it.dependents with [] -> () | _ -> it.dependents <- []);
+  if t.spares < spare_cap then begin
+    if Array.length t.spare = 0 then t.spare <- Array.make spare_cap it;
+    t.spare.(t.spares) <- it;
+    t.spares <- t.spares + 1
+  end
+
+(* Give [it] a slot of the arena, growing it (and the free-slot stack)
+   by doubling. *)
+let take_slot t it =
+  if t.nfree = 0 then begin
+    let n = Array.length t.arena in
+    let filler = if n = 0 then it else t.arena.(0) in
+    let grown = Int.max 16 (2 * n) in
+    let arena = Array.make grown filler in
+    Array.blit t.arena 0 arena 0 n;
+    t.arena <- arena;
+    t.free_slots <- Array.make grown nil;
+    for s = grown - 1 downto Int.max n 1 do
+      t.free_slots.(t.nfree) <- s;
+      t.nfree <- t.nfree + 1
+    done
+  end;
+  t.nfree <- t.nfree - 1;
+  let s = t.free_slots.(t.nfree) in
+  t.arena.(s) <- it;
+  it.slot <- s
+
+let free_slot t s =
+  t.arena.(s) <- t.arena.(0);
+  t.free_slots.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
 
 (* --- eligibility ---------------------------------------------------- *)
 
 let index_adjacent t n =
-  let s = side t n and p = pri n in
-  Oset.add s.starts n p;
-  Oset.add s.ends n p
+  let s = side t n in
+  Oset.add t.arena s.starts n;
+  Oset.add t.arena s.ends n
 
 let set_coalesce t c =
   if c <> t.coalesce then begin
@@ -271,26 +450,27 @@ let set_coalesce t c =
         Oset.clear s.ends)
       [ t.reads; t.writes ];
     if c then begin
-      let rec index = function
-        | None -> ()
-        | Some n ->
-            if n.deps = 0 then index_adjacent t n;
-            index n.newer
+      let rec index i =
+        if i <> nil then begin
+          let n = t.arena.(i) in
+          if n.deps = 0 then index_adjacent t n;
+          index n.newer
+        end
       in
       index t.oldest
     end
   end
 
 let make_ready t n =
-  Oset.add (if n.sweep = t.gen then t.ready else t.ready_next) n (pri n);
+  Oset.add t.arena (if n.sweep = t.gen then t.ready else t.ready_next) n;
   if t.coalesce then index_adjacent t n
 
 let unready t n =
-  Oset.remove (if n.sweep = t.gen then t.ready else t.ready_next) n;
+  Oset.remove t.arena (if n.sweep = t.gen then t.ready else t.ready_next) n;
   if t.coalesce then begin
     let s = side t n in
-    Oset.remove s.starts n;
-    Oset.remove s.ends n
+    Oset.remove t.arena s.starts n;
+    Oset.remove t.arena s.ends n
   end
 
 (* --- the window ----------------------------------------------------- *)
@@ -300,95 +480,117 @@ let len_class sectors =
   go 0 sectors
 
 let block n b =
-  if Request.overlaps b.item.req n.item.req then begin
+  if Request.overlaps b.req n.req then begin
     n.deps <- n.deps + 1;
-    b.dependents <- n :: b.dependents
+    b.dependents <- n.slot :: b.dependents
   end
 
 (* [block n] on each entry of a span tree whose lba is in [from, last],
    in order. *)
-let rec block_range n from last = function
-  | Oset.Leaf -> ()
-  | Oset.Node c ->
-      let g = lba c.v >= from and l = lba c.v <= last in
-      if g then block_range n from last c.l;
-      if g && l then block n c.v;
-      if l then block_range n from last c.r
+let rec block_range a role n from last i =
+  if i <> nil then begin
+    let c = a.(i) in
+    let g = lba c >= from and l = lba c <= last in
+    if g then block_range a role n from last (left role c);
+    if g && l then block n c;
+    if l then block_range a role n from last (right role c)
+  end
 
 (* Count [n]'s blockers among the entries of [s]: every one overlapping
    it.  [used] holds the classes from [c] up that have entries.  An entry
    of class c is shorter than 2^(c+1), so only those from lba - 2^(c+1) + 2
    on can reach [n]. *)
-let rec count_blockers s n c used =
+let rec count_blockers t s n c used =
   if used <> 0 then begin
     if used land 1 <> 0 then begin
-      let r = n.item.req in
+      let r = n.req in
       let from = r.Request.lba - ((2 lsl c) - 1) + 1 and last = Request.last_lba r in
-      block_range n from last s.spans.(c).Oset.root
+      block_range t.arena span_role n from last s.spans.(c).Oset.root
     end;
-    count_blockers s n (c + 1) (used lsr 1)
+    count_blockers t s n (c + 1) (used lsr 1)
   end
 
-let promote t item =
-  let n =
-    {
-      item;
-      sweep = t.gen + 1;
-      promoted = t.dispatches;
-      deps = 0;
-      dependents = [];
-      older = t.newest;
-      newer = None;
-    }
-  in
-  let r = item.req in
-  if r.Request.kind = Request.Write then count_blockers t.reads n 0 t.reads.used;
-  count_blockers t.writes n 0 t.writes.used;
+let promote t n =
+  n.sweep <- t.gen + 1;
+  n.promoted <- t.dispatches;
+  n.deps <- 0;
+  (match n.dependents with [] -> () | _ -> n.dependents <- []);
+  n.older <- t.newest;
+  n.newer <- nil;
+  let r = n.req in
+  if r.Request.kind = Request.Write then count_blockers t t.reads n 0 t.reads.used;
+  count_blockers t t.writes n 0 t.writes.used;
   let s = side t n and c = len_class r.Request.sectors in
-  Oset.add s.spans.(c) n (pri n);
+  Oset.add t.arena s.spans.(c) n;
   s.used <- s.used lor (1 lsl c);
-  let link = Some n in
-  (match t.newest with Some o -> o.newer <- link | None -> t.oldest <- link);
-  t.newest <- link;
+  if t.newest = nil then t.oldest <- n.slot else t.arena.(t.newest).newer <- n.slot;
+  t.newest <- n.slot;
   t.live <- t.live + 1;
   if n.deps = 0 then make_ready t n
 
 let refill t =
-  while t.live < t.depth && not (Queue.is_empty t.arrival) do
-    promote t (Queue.pop t.arrival)
+  while t.live < t.depth && t.arrivals > 0 do
+    let n = t.arena.(t.first_arrival) in
+    t.first_arrival <- n.newer;
+    if n.newer = nil then t.last_arrival <- nil;
+    t.arrivals <- t.arrivals - 1;
+    promote t n
   done
 
 (* [n] leaves the window (it is already out of the eligible sets). *)
 let leave t n =
-  let s = side t n and c = len_class n.item.req.Request.sectors in
-  Oset.remove s.spans.(c) n;
+  let s = side t n and c = len_class n.req.Request.sectors in
+  Oset.remove t.arena s.spans.(c) n;
   if Oset.is_empty s.spans.(c) then s.used <- s.used land lnot (1 lsl c);
-  (match n.older with Some o -> o.newer <- n.newer | None -> t.oldest <- n.newer);
-  (match n.newer with Some o -> o.older <- n.older | None -> t.newest <- n.older);
+  if n.older = nil then t.oldest <- n.newer else t.arena.(n.older).newer <- n.newer;
+  if n.newer = nil then t.newest <- n.older else t.arena.(n.newer).older <- n.older;
   t.live <- t.live - 1;
   if n.sweep = t.gen then t.sweep_left <- t.sweep_left - 1;
-  n.item.passes <- t.dispatches - n.promoted
+  n.passes <- t.dispatches - n.promoted
 
 let rec release_all t = function
   | [] -> ()
   | d :: rest ->
+      let d = t.arena.(d) in
       d.deps <- d.deps - 1;
       if d.deps = 0 then make_ready t d;
       release_all t rest
 
 let release t n = release_all t n.dependents
 
-let submit t req payload ~now =
-  let tag = t.next_tag in
-  t.next_tag <- tag + 1;
-  let item =
-    { tag; req; payload; seq = t.next_seq; submitted_at = now; passes = 0 }
-  in
+(* Queue record [it] for the request [kind, lba, sectors]: a slot, a
+   new tag and seq, and the arrival FIFO's tail. *)
+let start t it kind ~lba ~sectors =
+  assert (sectors > 0);
+  let r = it.req in
+  r.Request.lba <- lba;
+  r.Request.sectors <- sectors;
+  r.Request.kind <- kind;
+  it.tag <- t.next_tag;
+  t.next_tag <- t.next_tag + 1;
+  it.seq <- t.next_seq;
+  it.pri <- pri_of t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  Queue.add item t.arrival;
+  it.passes <- 0;
+  take_slot t it;
+  it.newer <- nil;
+  if t.last_arrival = nil then t.first_arrival <- it.slot
+  else t.arena.(t.last_arrival).newer <- it.slot;
+  t.last_arrival <- it.slot;
+  t.arrivals <- t.arrivals + 1;
   Cffs_obs.Registry.incr m_submitted;
-  g_pending.v <- float_of_int (pending t);
-  tag
+  g_pending.v <- float_of_int (pending t)
+
+let enqueue t it kind ~lba ~sectors ~now =
+  it.submitted.v <- now.Cffs_obs.Registry.v;
+  start t it kind ~lba ~sectors
+
+let submit t (req : Request.t) payload ~now =
+  let it = if t.spares > 0 then pop_spare t else fresh payload in
+  it.payload <- payload;
+  it.submitted.v <- now;
+  start t it req.Request.kind ~lba:req.Request.lba ~sectors:req.Request.sectors;
+  it.tag
 
 (* --- choosing ------------------------------------------------------- *)
 
@@ -408,116 +610,126 @@ let lba_of_cyl geom c =
 let cyl_of geom lba =
   match geom with Some g -> Geometry.cyl_of_lba g lba | None -> lba
 
-let dist geom current_cyl = function
-  | Oset.Leaf -> max_int
-  | Oset.Node c -> abs (cyl_of geom (lba c.v) - current_cyl)
+let dist t geom current_cyl i =
+  if i = nil then max_int else abs (cyl_of geom (lba t.arena.(i)) - current_cyl)
 
 (* The lowest-seq entry of a ready tree with lba in [lo, hi), or [best]. *)
-let rec lowest lo hi best = function
-  | Oset.Leaf -> best
-  | Oset.Node c as cell ->
-      let g = lba c.v >= lo and l = lba c.v < hi in
-      let best = if g then lowest lo hi best c.l else best in
-      let best =
-        match best with
-        | Oset.Node b when (not (g && l)) || seq b.v < seq c.v -> best
-        | Oset.Node _ -> cell
-        | Oset.Leaf -> if g && l then cell else best
-      in
-      if l then lowest lo hi best c.r else best
+let rec lowest a lo hi best i =
+  if i = nil then best
+  else begin
+    let c = a.(i) in
+    let g = lba c >= lo and l = lba c < hi in
+    let best = if g then lowest a lo hi best (left ready_role c) else best in
+    let best =
+      if not (g && l) then best else if best = nil || seq c < seq a.(best) then i else best
+    in
+    if l then lowest a lo hi best (right ready_role c) else best
+  end
 
 (* The lowest-seq entry of the ready entries on [side]'s cylinder. *)
 let lowest_on t geom best side =
-  match side with
-  | Oset.Leaf -> best
-  | Oset.Node c ->
-      let cyl = cyl_of geom (lba c.v) in
-      lowest (lba_of_cyl geom cyl) (lba_of_cyl geom (cyl + 1)) best t.ready.Oset.root
+  if side = nil then best
+  else begin
+    let cyl = cyl_of geom (lba t.arena.(side)) in
+    lowest t.arena (lba_of_cyl geom cyl) (lba_of_cyl geom (cyl + 1)) best t.ready.Oset.root
+  end
 
 (* The ready entry minimising (cylinder distance, seq): the nearest
    cylinder on either side, ties to the lowest seq on both. *)
 let nearest t ~geom ~current_cyl =
-  let bound = lba_of_cyl geom current_cyl and root = t.ready.Oset.root in
-  let right = Oset.first_ge lba bound Oset.Leaf root in
-  let left = Oset.last_lt lba bound Oset.Leaf root in
-  let dl = dist geom current_cyl left and dr = dist geom current_cyl right in
+  let bound = lba_of_cyl geom current_cyl and s = t.ready and a = t.arena in
+  let right = Oset.first_ge a s lba bound nil s.Oset.root in
+  let left = Oset.last_lt a s lba bound nil s.Oset.root in
+  let dl = dist t geom current_cyl left and dr = dist t geom current_cyl right in
   let d = Int.min dl dr in
-  let best = if dl = d then lowest_on t geom Oset.Leaf left else Oset.Leaf in
+  let best = if dl = d then lowest_on t geom nil left else nil in
   let best = if dr = d then lowest_on t geom best right else best in
-  match best with Oset.Node c -> c.v | Oset.Leaf -> assert false
+  a.(best)
 
 (* The sweep's oldest member is the window's oldest entry: everything
    promoted later joins the next sweep.  It is never blocked, since all
    its blockers would be older still. *)
 let choose t ~geom ~current_cyl =
+  let a = t.arena in
   match t.policy with
-  | Scheduler.Fcfs -> Option.get t.oldest
-  | Scheduler.Clook -> (
-      let root = t.ready.Oset.root in
-      match Oset.first_ge lba (lba_of_cyl geom current_cyl) Oset.Leaf root with
-      | Oset.Node c -> c.v
-      | Oset.Leaf -> (
-          match Oset.first_ge lba min_int Oset.Leaf root with
-          | Oset.Node c -> c.v
-          | Oset.Leaf -> assert false))
+  | Scheduler.Fcfs -> a.(t.oldest)
+  | Scheduler.Clook ->
+      let s = t.ready in
+      let c = Oset.first_ge a s lba (lba_of_cyl geom current_cyl) nil s.Oset.root in
+      a.(if c <> nil then c else Oset.first_ge a s lba min_int nil s.Oset.root)
   | Scheduler.Sstf -> nearest t ~geom ~current_cyl
 
 (* The first entry in (key, seq) order beyond (x, pos): the lowest-seq
    entry past [pos] whose [key] is [x], if its key is [x].  It runs on
    every coalescing step, so it walks the treap itself rather than
    allocate a predicate. *)
-let rec after key (x : int) pos acc = function
-  | Oset.Leaf -> acc
-  | Oset.Node c as cell ->
-      let k = key c.v in
-      if k > x || (k = x && seq c.v > pos) then after key x pos cell c.l
-      else after key x pos acc c.r
+let rec after a role key (x : int) pos acc i =
+  if i = nil then acc
+  else begin
+    let c = a.(i) in
+    let k = key c in
+    if k > x || (k = x && seq c > pos) then after a role key x pos i (left role c)
+    else after a role key x pos acc (right role c)
+  end
 
 (* One coalescing walk from [pos] on: absorb the next entry of the walk
    and go on past it; at the end, walk again if this walk absorbed
-   anything.  Returns the group. *)
-let rec walk t s pos absorbed lo hi group =
-  let a = after lba hi pos Oset.Leaf s.starts.Oset.root
-  and b = after end_of lo pos Oset.Leaf s.ends.Oset.root in
-  let next =
-    match (a, b) with
-    | Oset.Node x, Oset.Node y when lba x.v = hi && end_of y.v = lo ->
-        if seq x.v < seq y.v then a else b
-    | Oset.Node x, _ when lba x.v = hi -> a
-    | _, Oset.Node y when end_of y.v = lo -> b
-    | _ -> Oset.Leaf
-  in
-  match next with
-  | Oset.Node { v = n; _ } ->
-      unready t n;
-      Cffs_obs.Registry.incr m_coalesced;
-      walk t s (seq n) true (Int.min lo (lba n)) (Int.max hi (end_of n)) (n :: group)
-  | Oset.Leaf -> if absorbed then walk t s (-1) false lo hi group else group
+   anything.  An entry starting at the group's end joins the group's
+   high end and one ending at its start the low end, so the group stays
+   in lba order. *)
+let rec walk t s pos absorbed lo hi =
+  let a = t.arena in
+  let x = after a starts_role lba hi pos nil s.starts.Oset.root
+  and y = after a ends_role end_of lo pos nil s.ends.Oset.root in
+  let x = if x <> nil && lba a.(x) = hi then x else nil
+  and y = if y <> nil && end_of a.(y) = lo then y else nil in
+  let next = if x = nil then y else if y = nil || seq a.(x) < seq a.(y) then x else y in
+  if next <> nil then begin
+    let n = a.(next) in
+    unready t n;
+    Cffs_obs.Registry.incr m_coalesced;
+    if lba n = hi then begin
+      t.group.(t.g_hi) <- next;
+      t.g_hi <- t.g_hi + 1
+    end
+    else begin
+      t.g_lo <- t.g_lo - 1;
+      t.group.(t.g_lo) <- next
+    end;
+    walk t s (seq n) true (Int.min lo (lba n)) (Int.max hi (end_of n))
+  end
+  else if absorbed then walk t s (-1) false lo hi
 
-(* Grow a dispatch group from [chosen] by absorbing eligible window
+(* Grow the dispatch group from [chosen] by absorbing eligible window
    entries physically adjacent to the group's range, same kind only, so
    the merged range is one contiguous request.  Only window (tagged)
    entries are visible for merging — arrivals beyond the window are not.
-   Walks go in submission order with the range growing as they go. *)
+   Walks go in submission order with the range growing as they go.  A
+   group holds at most the window, so [chosen] starts in the middle of a
+   buffer of twice its size. *)
 let absorb t chosen =
-  walk t (side t chosen) (-1) false (lba chosen) (end_of chosen) [ chosen ]
-  |> List.sort (fun a b -> Int.compare (lba a) (lba b))
+  let need = (2 * t.live) + 1 in
+  if Array.length t.group < need then
+    t.group <- Array.make (Int.max need (2 * Array.length t.group)) nil;
+  t.g_lo <- t.live;
+  t.g_hi <- t.live + 1;
+  t.group.(t.g_lo) <- chosen.slot;
+  walk t (side t chosen) (-1) false (lba chosen) (end_of chosen)
 
-let rec leave_all t = function
-  | [] -> ()
-  | n :: rest ->
-      leave t n;
-      leave_all t rest
+let dispatched t i = t.arena.(t.group.(t.g_lo + i))
 
-let rec release_group t = function
-  | [] -> ()
-  | n :: rest ->
-      release t n;
-      release_group t rest
+(* The previous dispatch group gives its slots back. *)
+let forget_group t =
+  for i = t.g_lo to t.g_hi - 1 do
+    free_slot t t.group.(i)
+  done;
+  t.g_lo <- 0;
+  t.g_hi <- 0
 
-let take t ~geom ~current_cyl =
+let dispatch t ~geom ~current_cyl =
+  forget_group t;
   refill t;
-  if t.live = 0 then None
+  if t.live = 0 then 0
   else begin
     t.depth_sample.v <- float_of_int (pending t);
     Cffs_obs.Registry.observe_cell h_depth t.depth_sample;
@@ -535,39 +747,59 @@ let take t ~geom ~current_cyl =
     end;
     let chosen = choose t ~geom ~current_cyl in
     unready t chosen;
-    let items =
-      if t.coalesce then begin
-        (* Coalescing may absorb eligible entries outside the sweep:
-           riding along on an adjacent transfer delays nobody. *)
-        let group = absorb t chosen in
-        leave_all t group;
-        (* Blockers released only now: eligibility is as of the pick. *)
-        release_group t group;
-        List.map (fun n -> n.item) group
-      end
-      else begin
-        leave t chosen;
-        release t chosen;
-        [ chosen.item ]
-      end
-    in
+    if t.coalesce then
+      (* Coalescing may absorb eligible entries outside the sweep:
+         riding along on an adjacent transfer delays nobody. *)
+      absorb t chosen
+    else begin
+      t.group.(0) <- chosen.slot;
+      t.g_hi <- 1
+    end;
+    let n = t.g_hi - t.g_lo in
+    for i = 0 to n - 1 do
+      leave t (dispatched t i)
+    done;
+    (* Blockers released only now: eligibility is as of the pick. *)
+    for i = 0 to n - 1 do
+      release t (dispatched t i)
+    done;
     t.dispatches <- t.dispatches + 1;
     Cffs_obs.Registry.incr m_dispatched;
     g_pending.v <- float_of_int (pending t);
     refill t;
-    Some items
+    n
   end
 
+let rec group_items t i acc = if i < 0 then acc else group_items t (i - 1) (dispatched t i :: acc)
+
+let take t ~geom ~current_cyl =
+  let n = dispatch t ~geom ~current_cyl in
+  if n = 0 then None else Some (group_items t (n - 1) [])
+
 let clear t =
-  let rec collect acc = function
-    | None -> acc
-    | Some n ->
-        n.item.passes <- t.dispatches - n.promoted;
-        collect (n.item :: acc) n.older
+  forget_group t;
+  let rec arrivals acc i =
+    if i = nil then List.rev acc
+    else begin
+      let n = t.arena.(i) in
+      arrivals (n :: acc) n.newer
+    end
   in
-  let rest = collect (List.of_seq (Queue.to_seq t.arrival)) t.newest in
-  t.oldest <- None;
-  t.newest <- None;
+  let rec collect acc i =
+    if i = nil then acc
+    else begin
+      let n = t.arena.(i) in
+      n.passes <- t.dispatches - n.promoted;
+      collect (n :: acc) n.older
+    end
+  in
+  let rest = collect (arrivals [] t.first_arrival) t.newest in
+  List.iter (fun n -> free_slot t n.slot) rest;
+  t.first_arrival <- nil;
+  t.last_arrival <- nil;
+  t.arrivals <- 0;
+  t.oldest <- nil;
+  t.newest <- nil;
   t.live <- 0;
   t.sweep_left <- 0;
   Oset.clear t.ready;
@@ -579,6 +811,5 @@ let clear t =
       Oset.clear s.starts;
       Oset.clear s.ends)
     [ t.reads; t.writes ];
-  Queue.clear t.arrival;
   g_pending.v <- 0.0;
   rest

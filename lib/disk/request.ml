@@ -1,6 +1,6 @@
 type kind = Read | Write
 
-type t = { lba : int; sectors : int; kind : kind }
+type t = { mutable lba : int; mutable sectors : int; mutable kind : kind }
 
 let read ~lba ~sectors =
   assert (sectors > 0);

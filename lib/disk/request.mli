@@ -2,7 +2,10 @@
 
 type kind = Read | Write
 
-type t = { lba : int; sectors : int; kind : kind }
+type t = { mutable lba : int; mutable sectors : int; mutable kind : kind }
+(** Mutable so that a queued request's record can be reused for the next
+    one ({!Ioqueue}); a request handed to {!Drive.service} is read, never
+    kept. *)
 
 val read : lba:int -> sectors:int -> t
 val write : lba:int -> sectors:int -> t

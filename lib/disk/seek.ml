@@ -27,12 +27,18 @@ let of_profile (p : Profile.t) =
   in
   { a; b; c; cylinders = p.cylinders }
 
+let time_into t d (c : Cffs_obs.Registry.cell) =
+  c.v <-
+    (if d <= 0 then 0.0
+     else begin
+       let df = float_of_int d -. 1.0 in
+       (t.a *. sqrt df) +. (t.b *. df) +. t.c
+     end)
+
 let time t d =
-  if d <= 0 then 0.0
-  else begin
-    let df = float_of_int d -. 1.0 in
-    (t.a *. sqrt df) +. (t.b *. df) +. t.c
-  end
+  let c = { Cffs_obs.Registry.v = 0.0 } in
+  time_into t d c;
+  c.v
 
 let average t ~samples =
   let prng = Cffs_util.Prng.create 0x5eed in

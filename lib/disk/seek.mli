@@ -17,6 +17,9 @@ val time : t -> int -> float
 (** [time t d] is the seek time in seconds for a distance of [d] cylinders.
     [time t 0 = 0.]. *)
 
+val time_into : t -> int -> Cffs_obs.Registry.cell -> unit
+(** [time_into t d c] stores [time t d] in [c] without boxing it. *)
+
 val average : t -> samples:int -> float
 (** Monte-Carlo check of the model's average seek time over uniformly random
     cylinder pairs (seconds); used by tests to validate the fit. *)

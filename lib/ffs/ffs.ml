@@ -57,18 +57,19 @@ let cg_free_inodes t cg = Alloc.free_count t.inodes (read_header t cg)
    must read-modify-write the cached block. *)
 
 let read_inode_exn t ino =
-  let blk, off = Layout.ino_location t.sb ino in
-  Inode.Table.decode t.itable ino (Cache.read t.cache blk) off
+  Inode.Table.decode t.itable ino
+    (Cache.read t.cache (Layout.ino_block t.sb ino))
+    (Layout.ino_offset t.sb ino)
 
 let store_inode t ino inode ~kind =
-  let blk, off = Layout.ino_location t.sb ino in
+  let blk = Layout.ino_block t.sb ino in
   let b = Cache.read t.cache blk in
-  Inode.encode inode b off;
+  Inode.encode inode b (Layout.ino_offset t.sb ino);
   Cache.write t.cache ~kind blk b
 
 let write_inode t ino inode = store_inode t ino inode ~kind:`Meta
 
-let ino_block t ino = fst (Layout.ino_location t.sb ino)
+let ino_block t ino = Layout.ino_block t.sb ino
 
 let read_inode t ino =
   if not (Layout.valid_ino t.sb ino) then Error Einval

@@ -72,11 +72,10 @@ let cg_data_start sb cg = cg_start sb cg + 1 + sb.itable_blocks
 let cg_of_ino sb ino = ino / sb.inodes_per_cg
 let ino_index sb ino = ino mod sb.inodes_per_cg
 
-let ino_location sb ino =
-  let cg = cg_of_ino sb ino in
-  let idx = ino_index sb ino in
-  let ipb = inodes_per_block sb in
-  (cg_start sb cg + 1 + (idx / ipb), idx mod ipb * Inode.size_bytes)
+let ino_block sb ino =
+  cg_start sb (cg_of_ino sb ino) + 1 + (ino_index sb ino / inodes_per_block sb)
+
+let ino_offset sb ino = ino_index sb ino mod inodes_per_block sb * Inode.size_bytes
 
 let max_ino sb = (sb.cg_count * sb.inodes_per_cg) - 1
 let valid_ino sb ino = ino >= 2 && ino <= max_ino sb

@@ -52,9 +52,11 @@ val cg_of_ino : sb -> int -> int
 val ino_index : sb -> int -> int
 (** Index of an inode within its group. *)
 
-val ino_location : sb -> int -> int * int
-(** [ino_location sb ino] is [(block, offset_in_block)] of the inode's
-    on-disk slot. *)
+val ino_block : sb -> int -> int
+(** [ino_block sb ino] is the block holding the inode's on-disk slot. *)
+
+val ino_offset : sb -> int -> int
+(** [ino_offset sb ino] is the slot's byte offset in that block. *)
 
 val valid_ino : sb -> int -> bool
 val max_ino : sb -> int

@@ -6,7 +6,8 @@ module Dirent = Ffs.Dirent
 (* Inode-table slots are rewritten in place: read the table block, patch
    the slot, write the block back synchronously. *)
 let store t ino f =
-  let blk, off = Layout.ino_location (Ffs.superblock t) ino in
+  let sb = Ffs.superblock t in
+  let blk = Layout.ino_block sb ino and off = Layout.ino_offset sb ino in
   let b = Cache.read (Ffs.cache t) blk in
   Inode.encode (f (Inode.decode b off)) b off;
   Cache.write (Ffs.cache t) ~kind:`Meta blk b

@@ -102,10 +102,28 @@ let runs_of_blocks blocks =
     [] blocks
   |> List.rev
 
+let validate p =
+  let too_small (what, least, v) =
+    if v < least then Some (Printf.sprintf "%s must be at least %d, got %d" what least v)
+    else None
+  in
+  match
+    List.find_map too_small
+      [
+        ("streams", 1, p.nstreams);
+        ("files per stream", 1, p.files_per_stream);
+        ("file bytes", 0, p.file_bytes);
+        ("large stream MB", 0, p.large_mb);
+        ("batch", 1, p.batch);
+        ("queue depth", 1, p.qdepth);
+      ]
+  with
+  | Some msg -> Error msg
+  | None -> Ok ()
+
 let run ?(params = default_params) ~cache (env : Env.t) =
   let p = params in
-  if p.nstreams <= 0 || p.files_per_stream <= 0 || p.batch <= 0 then
-    invalid_arg "Mclient.run: params";
+  (match validate p with Error m -> invalid_arg ("Mclient.run: " ^ m) | Ok () -> ());
   let (Fs_intf.Packed ((module F), fs)) = env.Env.fs in
   let dev = env.Env.dev in
   let fail what e =

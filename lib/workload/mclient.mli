@@ -53,11 +53,17 @@ type result = {
   coalesced : int;
 }
 
+val validate : params -> (unit, string) Stdlib.result
+(** [Error msg] names the first parameter out of range, in one line:
+    fewer than one stream, file per stream, batch or queue slot, or a
+    negative file size or large-stream size. *)
+
 val run : ?params:params -> cache:Cffs_cache.Cache.t -> Env.t -> result
 (** Populate the streams (unmeasured), remount for a cold cache,
     configure the device queue to [params], then run the interleaved read
     phase under measurement.  The queue configuration is left in place
-    afterwards. *)
+    afterwards.  Raises [Invalid_argument] when {!validate} refuses
+    [params]. *)
 
 val sched_name : Cffs_disk.Scheduler.policy -> string
 val to_json : result -> Cffs_obs.Json.t

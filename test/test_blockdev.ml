@@ -660,7 +660,9 @@ let test_released_view_overwrite_in_place () =
   check Alcotest.bytes "written" data (Blockdev.read dev 5 1)
 
 (* A synchronous single-block request on a timed spindle, from submit
-   through the queue and the drive to its completion. *)
+   through the queue and the drive to its result: the request's record
+   is the spindle's own, reused, so a write allocates nothing and a read
+   only its result. *)
 let test_sync_request_allocation () =
   let dev = timed () in
   let buf = block 'a' and blocks = 64 in
@@ -672,20 +674,165 @@ let test_sync_request_allocation () =
     incr i;
     !i mod blocks * 97
   in
-  Alloc_probe.at_most "Blockdev.write" 67.0
-    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
-  Alloc_probe.at_most "Blockdev.read_views" 69.0
-    (Alloc_probe.words_per_call ~n:500 (fun () ->
-         Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)));
-  (* Installed hooks are walked with no closure per request: a write an
-     injector lets proceed, and that an observer then sees, stays within
-     the plain bound. *)
+  let write what =
+    Alloc_probe.at_most what 8.0
+      (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf))
+  and read_views what =
+    Alloc_probe.at_most what 10.0
+      (Alloc_probe.words_per_call ~n:500 (fun () ->
+           Array.iter Blockdev.release (Blockdev.read_views dev (next ()) 1)))
+  in
+  write "Blockdev.write";
+  read_views "Blockdev.read_views";
+  (* Installed hooks are walked with no closure per request: a request
+     an injector lets proceed, and a write that an observer then sees,
+     stays within the plain bound. *)
   Blockdev.set_injector dev (Some (fun _ ~blk:_ ~nblocks:_ -> Blockdev.Proceed));
-  Alloc_probe.at_most "Blockdev.write under an injector" 67.0
-    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf));
+  write "Blockdev.write under an injector";
+  read_views "Blockdev.read_views under an injector";
   Blockdev.set_write_observer dev (Some (fun ~blk:_ ~data:_ ~torn:_ -> ()));
-  Alloc_probe.at_most "Blockdev.write under an injector and an observer" 67.0
-    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev (next ()) buf))
+  write "Blockdev.write under an injector and an observer"
+
+(* A batch deeper than a spindle's free list allocates records for the
+   rest, and nothing per block besides. *)
+let test_batch_allocation () =
+  let dev = timed () in
+  let buf = block 'b' in
+  let units = List.init 256 (fun k -> (k * 3, [ buf ])) in
+  Blockdev.write_batch_units dev units;
+  Alloc_probe.at_most "write_batch_units, per block" 40.0
+    (Alloc_probe.words_per_call ~n:20 (fun () -> Blockdev.write_batch_units dev units)
+    /. 256.0)
+
+(* Asynchronous reads pay for their completions, which are the caller's
+   to keep, and nothing else per request. *)
+let test_async_allocation () =
+  let dev = timed () in
+  Alloc_probe.at_most "submit_read + drain_views, per request" 24.0
+    (Alloc_probe.words_per_call ~n:20 (fun () ->
+         for k = 0 to 63 do
+           ignore (Blockdev.submit_read dev (k * 5) 1)
+         done;
+         List.iter
+           (fun (c : Blockdev.view array Blockdev.completion) ->
+             Result.iter (Array.iter Blockdev.release) c.Blockdev.cq_result)
+           (Blockdev.drain_views dev))
+    /. 64.0)
+
+let striped4 () =
+  (Volume.create_memory ~stripe_unit:4 ~block_size:4096 ~nblocks:1024 ~drives:4
+     ~layout:Volume.Striped ())
+    .Volume.dev
+
+(* A synchronous write across a chunk boundary (chunk 0 is blocks 1-4)
+   is two fragments on two spindles that fold into one parent: the
+   parent, the fragments' block arrays and the contiguous adapter's
+   split are all it allocates. *)
+let test_split_allocation () =
+  let dev = striped4 () in
+  let data = Bytes.cat (block 'c') (block 'd') in
+  Alloc_probe.at_most "split Blockdev.write" 48.0
+    (Alloc_probe.words_per_call ~n:500 (fun () -> Blockdev.write dev 4 data));
+  check Alcotest.bytes "first fragment" (block 'c') (Blockdev.read dev 4 1);
+  check Alcotest.bytes "second fragment" (block 'd') (Blockdev.read dev 5 1)
+
+(* A completion is the caller's: its tag, block and result stay as they
+   were handed out while later requests reuse the queue's records —
+   also when a power cut fails a batch midway and [reset_queue] tears
+   the rest down. *)
+let test_completions_stable () =
+  List.iter
+    (fun (name, mk) ->
+      let dev = mk () in
+      let what s = Printf.sprintf "%s: %s" name s in
+      let blocki i = Bytes.make 4096 (Char.chr (65 + (i mod 26))) in
+      for b = 0 to 63 do
+        Blockdev.write dev b (blocki b)
+      done;
+      let snap (c : Blockdev.cqe) =
+        ( c.Blockdev.cq_tag,
+          c.Blockdev.cq_op,
+          c.Blockdev.cq_blk,
+          c.Blockdev.cq_nblocks,
+          match c.Blockdev.cq_result with
+          | Ok d -> Ok (Bytes.to_string d)
+          | Error e -> Error e.Io_error.cause )
+      in
+      let kept = ref [] in
+      let keep cqes = kept := List.map (fun c -> (c, snap c)) cqes @ !kept in
+      let verify when_ =
+        List.iter
+          (fun (c, s) ->
+            if snap c <> s then
+              Alcotest.failf "%s: completion of tag %d changed %s" name c.Blockdev.cq_tag when_)
+          !kept
+      in
+      let views = ref [] in
+      let keep_views cs =
+        List.iter
+          (fun (c : Blockdev.view array Blockdev.completion) ->
+            match c.Blockdev.cq_result with
+            | Ok vs ->
+                views :=
+                  (c, c.Blockdev.cq_blk, Array.map (fun v -> Bytes.to_string (Blockdev.own v)) vs)
+                  :: !views
+            | Error _ -> ())
+          cs
+      in
+      let verify_views when_ =
+        List.iter
+          (fun ((c : Blockdev.view array Blockdev.completion), blk, data) ->
+            if c.Blockdev.cq_blk <> blk then Alcotest.failf "%s: view completion moved %s" name when_;
+            Array.iteri
+              (fun i d ->
+                if d <> Bytes.to_string (blocki (blk + i)) then
+                  Alcotest.failf "%s: view data of block %d wrong %s" name (blk + i) when_)
+              data)
+          !views
+      in
+      let churn k =
+        for j = 0 to 7 do
+          ignore (Blockdev.submit_read dev ((k + (j * 7)) mod 60) (1 + (j mod 3)))
+        done;
+        ignore (Blockdev.submit_write dev (100 + k) (blocki (100 + k)));
+        keep_views (Blockdev.drain_views dev);
+        Blockdev.write dev (200 + k) (blocki (200 + k));
+        ignore (Blockdev.read dev ((k * 3) mod 60) 2);
+        Blockdev.write_batch_units dev [ (300 + k, [ blocki 300 ]); (310 + k, [ blocki 310 ]) ]
+      in
+      for k = 0 to 3 do
+        for j = 0 to 9 do
+          ignore (Blockdev.submit_read dev ((k * 11) + j) (1 + (j mod 2)))
+        done;
+        keep (Blockdev.drain dev);
+        churn k;
+        verify "after later requests";
+        verify_views "after later requests"
+      done;
+      (* A power cut in the middle of a batch, with foreign reads queued,
+         then a teardown of what was submitted after it. *)
+      let fd = Faultdev.attach dev in
+      for j = 0 to 5 do
+        ignore (Blockdev.submit_read dev (j * 9) 1)
+      done;
+      Faultdev.cut_power_at fd ~seq:(Faultdev.writes_attempted fd + 2);
+      check Alcotest.bool (what "batch hits the cut") true
+        (cause_is Io_error.Power_cut (fun () ->
+             Blockdev.write_batch_units dev (List.init 6 (fun i -> (400 + (i * 5), [ blocki 400 ])))));
+      ignore (Blockdev.submit_write dev 500 (blocki 500));
+      ignore (Blockdev.submit_read dev 5 2);
+      check Alcotest.int (what "torn down") 2 (Blockdev.reset_queue dev);
+      let cut = Blockdev.drain dev in
+      check Alcotest.bool (what "teardown completions reported") true (List.length cut >= 2);
+      keep cut;
+      Faultdev.revive fd;
+      Faultdev.detach fd;
+      for k = 4 to 7 do
+        churn k
+      done;
+      verify "after a power cut and a teardown";
+      verify_views "after a power cut and a teardown")
+    [ ("plain", timed); ("striped x4", striped4) ]
 
 let () =
   Alcotest.run "cffs_blockdev"
@@ -730,6 +877,10 @@ let () =
           Alcotest.test_case "C-LOOK beats FCFS on scattered batch" `Quick
             test_clook_batch_cheaper_than_fcfs;
           Alcotest.test_case "sync request allocation" `Quick test_sync_request_allocation;
+          Alcotest.test_case "batch allocation" `Quick test_batch_allocation;
+          Alcotest.test_case "async allocation" `Quick test_async_allocation;
+          Alcotest.test_case "split request allocation" `Quick test_split_allocation;
+          Alcotest.test_case "completions outlive reused records" `Quick test_completions_stable;
         ] );
       ( "image",
         [

@@ -34,13 +34,11 @@ let test_layout_geometry () =
   check Alcotest.int "cg of block" 1 (Layout.cg_of_block sb 2100);
   check Alcotest.int "itable blocks" 32 sb.Layout.itable_blocks;
   (* inode 2 lives in cg 0's table. *)
-  let blk, off = Layout.ino_location sb 2 in
-  check Alcotest.int "root inode block" 2 blk;
-  check Alcotest.int "root inode offset" 256 off;
+  check Alcotest.int "root inode block" 2 (Layout.ino_block sb 2);
+  check Alcotest.int "root inode offset" 256 (Layout.ino_offset sb 2);
   (* inode 1024 is the first of cg 1. *)
-  let blk, off = Layout.ino_location sb 1024 in
-  check Alcotest.int "cg1 inode block" (Layout.cg_start sb 1 + 1) blk;
-  check Alcotest.int "cg1 inode offset" 0 off
+  check Alcotest.int "cg1 inode block" (Layout.cg_start sb 1 + 1) (Layout.ino_block sb 1024);
+  check Alcotest.int "cg1 inode offset" 0 (Layout.ino_offset sb 1024)
 
 let test_layout_rejects_bad () =
   let reject f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -311,9 +309,9 @@ let test_table_shares_unchanged () =
   let fs, ino = table_fs () in
   let a = ok "read" (Ffs.read_inode fs ino) in
   check Alcotest.bool "same record" true (a == ok "read" (Ffs.read_inode fs ino));
-  (* The result's [Ok] box and the inode's (block, offset) pair: no
-     decode. *)
-  Alloc_probe.at_most "repeat read_inode" 5.0
+  (* The result's [Ok] box alone: no decode, and the slot's block and
+     offset are two ints. *)
+  Alloc_probe.at_most "repeat read_inode" 2.0
     (Alloc_probe.words_per_call (fun () -> Ffs.read_inode fs ino))
 
 let test_table_drops_mutated () =

@@ -107,7 +107,7 @@ let test_ffs_detects_and_repairs_dangling () =
   (* Clear the target inode behind the namespace's back. *)
   let ino = ok "resolve" (Ffs.resolve fs "/a/b/f") in
   let sb = Ffs.superblock fs in
-  let blk, off = Ffs.Layout.ino_location sb ino in
+  let blk = Ffs.Layout.ino_block sb ino and off = Ffs.Layout.ino_offset sb ino in
   let b = Cache.read (Ffs.cache fs) blk in
   Inode.encode (Inode.empty ()) b off;
   Cache.write (Ffs.cache fs) ~kind:`Meta blk b;
@@ -162,7 +162,7 @@ let test_ffs_repairs_nlink () =
   let fs, _ = populate_ffs () in
   let ino = ok "resolve" (Ffs.resolve fs "/top") in
   let sb = Ffs.superblock fs in
-  let blk, off = Ffs.Layout.ino_location sb ino in
+  let blk = Ffs.Layout.ino_block sb ino and off = Ffs.Layout.ino_offset sb ino in
   let b = Cache.read (Ffs.cache fs) blk in
   let i = Inode.decode b off in
   i.Inode.nlink <- 9;
@@ -671,7 +671,7 @@ let only_bad_inode_block blk r = r.Report.problems = [ Report.Bad_inode_block { 
 let test_ffs_bad_inode_block () =
   let fs, dev = populate_ffs () in
   Ffs.remount fs;
-  let blk, _ = Ffs.Layout.ino_location (Ffs.superblock fs) 1500 in
+  let blk = Ffs.Layout.ino_block (Ffs.superblock fs) 1500 in
   Faultdev.mark_bad (Faultdev.attach dev) blk;
   check Alcotest.bool "check: one finding" true (only_bad_inode_block blk (Fsck_ffs.check fs));
   let r = Fsck_ffs.repair fs in

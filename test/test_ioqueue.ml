@@ -329,10 +329,13 @@ let test_pinned_survive_teardown () =
 
 (* ------------------------------------------------------------------ *)
 (* Reference model: the indexed queue returns exactly what the list-based
-   definition in [Ioqueue_oracle] returns — groups (tags in order),
-   passes, pending counts and clear lists — after every call of a random
-   interleaving of submit / take / set_depth / set_policy / set_coalesce /
-   clear, with and without a geometry. *)
+   definition in [Ioqueue_oracle] returns — every field of every item
+   (tag, request, payload, seq, passes) of every group and clear list,
+   and the pending counts — after every call of a random interleaving of
+   submit / take / set_depth / set_policy / set_coalesce / clear /
+   recycle, with and without a geometry.  The items handed out are held
+   until a recycle call returns them to the queue, and must keep their
+   fields until then, however many submissions follow. *)
 
 module Oracle = Ioqueue_oracle
 module Geometry = Cffs_disk.Geometry
@@ -348,16 +351,35 @@ let len_of a b =
 
 (* (op, a, b): 0-11 submit, 12-15 take near [lba_of a] (one cylinder
    either side or on it), 16 set_depth, 17 set_policy, 18 set_coalesce,
-   19 clear.  A case writes 1, 4 or 6 in 12 of its submissions: few
-   writes leave deep sets of eligible reads to coalesce, many make long
-   blocking chains.  Half the submissions start where the previous one
-   started or ended ([a land 3]), so same-lba reads of different
-   lengths, chains of overlapping writes and runs of adjacent requests
-   are all common. *)
-let call_gen = QCheck.(list_of_size Gen.(int_range 1 250) (triple (int_bound 19) (int_bound 127) (int_bound 15)))
+   19 clear, 20 recycle every held item.  A case writes 1, 4 or 6 in 12
+   of its submissions: few writes leave deep sets of eligible reads to
+   coalesce, many make long blocking chains.  Half the submissions start
+   where the previous one started or ended ([a land 3]), so same-lba
+   reads of different lengths, chains of overlapping writes and runs of
+   adjacent requests are all common. *)
+let call_gen = QCheck.(list_of_size Gen.(int_range 1 250) (triple (int_bound 20) (int_bound 127) (int_bound 15)))
 
 (* geometry?, depth (unbounded for 0-4), policy, coalesce?, write share *)
 let config_gen = QCheck.(pair (quad bool (int_bound 8) (int_bound 2) bool) (int_bound 2))
+
+let fields (it : int Ioqueue.item) =
+  let r = it.Ioqueue.req in
+  (it.Ioqueue.tag, r.Request.lba, r.Request.sectors, r.Request.kind, it.Ioqueue.payload,
+   it.Ioqueue.seq, it.Ioqueue.passes)
+
+let oracle_fields (it : int Oracle.item) =
+  let r = it.Oracle.req in
+  (it.Oracle.tag, r.Request.lba, r.Request.sectors, r.Request.kind, it.Oracle.payload,
+   it.Oracle.seq, it.Oracle.passes)
+
+let show_fields l =
+  String.concat " "
+    (List.map
+       (fun (tag, lba, sectors, kind, payload, seq, passes) ->
+         Printf.sprintf "%d:%s%d+%d/p%d/s%d/%d" tag
+           (match kind with Request.Read -> "R" | Request.Write -> "W")
+           lba sectors payload seq passes)
+       l)
 
 let prop_matches_oracle (((with_geom, depth_i, policy_i, coalesce), writes), calls) =
   let geom = if with_geom then Some st_geom else None in
@@ -367,13 +389,19 @@ let prop_matches_oracle (((with_geom, depth_i, policy_i, coalesce), writes), cal
   let q : int Ioqueue.t = Ioqueue.create ~depth ~policy ~coalesce () in
   let o : int Oracle.t = Oracle.create ~depth ~policy ~coalesce () in
   let step = ref 0 and prev = ref (0, 0) in
+  let held = ref [] in
   let fail fmt = QCheck.Test.fail_reportf ("call %d: " ^^ fmt) !step in
   let same_items what (xs : int Ioqueue.item list) (ys : int Oracle.item list) =
-    let mine = List.map (fun (it : int Ioqueue.item) -> (it.Ioqueue.tag, it.Ioqueue.passes)) xs in
-    let ref_ = List.map (fun (it : int Oracle.item) -> (it.Oracle.tag, it.Oracle.passes)) ys in
-    if mine <> ref_ then
-      let show l = String.concat " " (List.map (fun (t, p) -> Printf.sprintf "%d/%d" t p) l) in
-      fail "%s: queue [%s] oracle [%s]" what (show mine) (show ref_)
+    let mine = List.map fields xs and ref_ = List.map oracle_fields ys in
+    if mine <> ref_ then fail "%s: queue [%s] oracle [%s]" what (show_fields mine) (show_fields ref_);
+    held := List.map (fun it -> (it, fields it)) xs @ !held
+  in
+  let check_held () =
+    List.iter
+      (fun (it, f) ->
+        if fields it <> f then
+          fail "held item changed: [%s] now [%s]" (show_fields [ f ]) (show_fields [ fields it ]))
+      !held
   in
   let take current_cyl =
     match
@@ -415,10 +443,15 @@ let prop_matches_oracle (((with_geom, depth_i, policy_i, coalesce), writes), cal
        Ioqueue.set_coalesce q (b land 1 = 1);
        Oracle.set_coalesce o (b land 1 = 1)
      end
-     else same_items "clear" (Ioqueue.clear q) (Oracle.clear o));
+     else if op = 19 then same_items "clear" (Ioqueue.clear q) (Oracle.clear o)
+     else begin
+       List.iter (fun (it, _) -> Ioqueue.recycle q it) !held;
+       held := []
+     end);
     if Ioqueue.pending q <> Oracle.pending o then
       fail "pending %d vs %d" (Ioqueue.pending q) (Oracle.pending o);
-    if Ioqueue.is_empty q <> Oracle.is_empty o then fail "is_empty differs"
+    if Ioqueue.is_empty q <> Oracle.is_empty o then fail "is_empty differs";
+    check_held ()
   in
   List.iter call calls;
   (* drain the rest the way Blockdev does: the head rests where the
@@ -428,6 +461,7 @@ let prop_matches_oracle (((with_geom, depth_i, policy_i, coalesce), writes), cal
     match take cur with Some lba -> drain (cyl lba) | None -> ()
   in
   drain 0;
+  check_held ();
   true
 
 let qcheck_matches_oracle =
@@ -453,6 +487,23 @@ let test_absorb_walk_order () =
   in
   check Alcotest.(list int) "first group" [ c; g; h ] (tags ());
   check Alcotest.(list int) "then F alone" [ f ] (tags ())
+
+(* A steady stream through a one-deep queue in the record form — acquire,
+   enqueue, dispatch, recycle — reuses one record and allocates nothing
+   per request. *)
+let test_steady_allocation () =
+  let q : unit Ioqueue.t = Ioqueue.create ~depth:1 ~policy:Scheduler.Clook () in
+  let now = { Cffs_obs.Registry.v = 0.0 } and i = ref 0 in
+  Alloc_probe.at_most "acquire + enqueue + dispatch + recycle" 2.0
+    (Alloc_probe.words_per_call ~n:1000 (fun () ->
+         incr i;
+         now.Cffs_obs.Registry.v <- now.Cffs_obs.Registry.v +. 1.0;
+         let it = Ioqueue.acquire q ignore in
+         Ioqueue.enqueue q it Request.Read ~lba:(!i mod 512 * 8) ~sectors:8 ~now;
+         let n = Ioqueue.dispatch q ~geom:None ~current_cyl:0 in
+         for k = 0 to n - 1 do
+           Ioqueue.recycle q (Ioqueue.dispatched q k)
+         done))
 
 (* Complexity guard, on the allocation clock (deterministic, unlike wall
    time): the sync-metadata small-file run on C-FFS without either
@@ -492,6 +543,7 @@ let () =
         [
           qcheck_matches_oracle;
           Alcotest.test_case "absorb walk order" `Quick test_absorb_walk_order;
+          Alcotest.test_case "steady allocation" `Quick test_steady_allocation;
           Alcotest.test_case "complexity guard" `Quick test_complexity_guard;
         ] );
       ( "faults",
